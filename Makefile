@@ -32,14 +32,10 @@
 #                      cycle model stays exact per format, FP8 never
 #                      costs more cycles than FP16, and BENCH_fp8.json
 #                      exists
-#   make perf-smoke  — wall-clock regression guard; re-measures
-#                      single-thread functional-backend throughput on
-#                      the batch job mix and fails if it drops more than
-#                      30% below the committed BENCH_batch.json baseline
 
 CARGO ?= cargo
 
-.PHONY: verify build test test-full clippy fmt lint modelcheck modelcheck-json figures batch-smoke trace-smoke service-smoke recover-smoke fp8-smoke perf-smoke
+.PHONY: verify build test test-full clippy fmt lint modelcheck modelcheck-json figures batch-smoke trace-smoke service-smoke recover-smoke fp8-smoke
 
 verify: build test lint fmt batch-smoke trace-smoke service-smoke recover-smoke fp8-smoke
 
@@ -89,6 +85,3 @@ recover-smoke:
 fp8-smoke:
 	$(CARGO) run --release -q -p redmule-bench --bin figures -- fp8 --smoke
 	test -f BENCH_fp8.json
-
-perf-smoke:
-	$(CARGO) run --release -q -p redmule-bench --bin figures -- perf --smoke

@@ -5,6 +5,7 @@ use crate::report::BatchReport;
 use redmule::obs::{EventLog, TraceEvent};
 use redmule::{
     cast, stage_gemm_workspace_in, AccelConfig, BackendKind, Engine, FaultInjector, FunctionalGemm,
+    Schedule,
 };
 use redmule_fp16::F16;
 use std::collections::{BTreeSet, VecDeque};
@@ -359,7 +360,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// every failure mode lands in the result's [`JobStatus`].
 fn exec_job(engine: &Engine, job: &GemmJob, trace: bool, intra: usize) -> JobResult {
     let cfg = *engine.config();
-    let tiles_total = job.shape.m.div_ceil(cfg.l) * job.shape.k.div_ceil(cfg.phase_width());
+    let tiles_total = Schedule::new(&cfg, job.shape, job.format).n_tiles();
     match (&job.faults, job.backend) {
         (None, BackendKind::Functional) => exec_functional(&cfg, job, tiles_total, trace, intra),
         (Some(JobFaults::Protected { plan, ft }), _) => {
@@ -411,26 +412,15 @@ fn exec_functional(
         }
     }
     JobResult {
-        id: job.id,
-        backend: BackendKind::Functional,
-        format: job.format,
-        shape: job.shape,
         z,
         cycles: model.estimated_cycles_format(job.shape, job.format).count(),
         macs: job.shape.macs(),
-        stall_cycles: 0,
-        status: JobStatus::Completed,
-        degraded: false,
-        retries: 0,
-        backoff_cycles: 0,
-        fault_events: 0,
-        tiles_done: tiles_total,
-        tiles_total,
         events: if trace {
             model.synthetic_events_format(job.shape, job.format)
         } else {
             EventLog::new()
         },
+        ..JobResult::new(job, BackendKind::Functional, tiles_total)
     }
 }
 
@@ -463,23 +453,14 @@ fn exec_protected(
                 }
             }
             JobResult {
-                id: job.id,
-                backend: BackendKind::CycleAccurate,
-                format: job.format,
-                shape: job.shape,
                 z: cast::castin_slice(&mem, job.format, hw_job.z_addr, job.shape.z_len())
                     .unwrap_or_default(),
                 cycles: report.cycles.count(),
                 macs: report.macs,
                 stall_cycles: report.stall_cycles,
-                status: JobStatus::Completed,
-                degraded: false,
-                retries: 0,
-                backoff_cycles: 0,
                 fault_events: report.faults.events().len() as u64,
-                tiles_done: tiles_total,
-                tiles_total,
                 events,
+                ..JobResult::new(job, BackendKind::CycleAccurate, tiles_total)
             }
         }
         Err(e) => failed(job, BackendKind::CycleAccurate, tiles_total, e.to_string()),
@@ -511,10 +492,6 @@ fn exec_supervised(engine: &Engine, job: &GemmJob, tiles_total: usize, trace: bo
     });
     match run {
         Ok(run) => JobResult {
-            id: job.id,
-            backend: BackendKind::CycleAccurate,
-            format: job.format,
-            shape: job.shape,
             z: cast::castin_slice(&mem, job.format, hw_job.z_addr, job.shape.z_len())
                 .unwrap_or_default(),
             cycles: run.report.cycles.count(),
@@ -526,8 +503,8 @@ fn exec_supervised(engine: &Engine, job: &GemmJob, tiles_total: usize, trace: bo
             backoff_cycles: run.backoff_cycles,
             fault_events: run.report.faults.events().len() as u64,
             tiles_done: run.tiles_done,
-            tiles_total: run.tiles_total,
             events: run.events,
+            ..JobResult::new(job, BackendKind::CycleAccurate, run.tiles_total)
         },
         Err(e) => failed(job, BackendKind::CycleAccurate, tiles_total, e.to_string()),
     }
@@ -535,22 +512,9 @@ fn exec_supervised(engine: &Engine, job: &GemmJob, tiles_total: usize, trace: bo
 
 fn failed(job: &GemmJob, backend: BackendKind, tiles_total: usize, msg: String) -> JobResult {
     JobResult {
-        id: job.id,
-        backend,
-        format: job.format,
-        shape: job.shape,
-        z: Vec::new(),
-        cycles: 0,
-        macs: 0,
-        stall_cycles: 0,
         status: JobStatus::Failed(msg),
-        degraded: false,
-        retries: 0,
-        backoff_cycles: 0,
-        fault_events: 0,
         tiles_done: 0,
-        tiles_total,
-        events: EventLog::new(),
+        ..JobResult::new(job, backend, tiles_total)
     }
 }
 
@@ -729,7 +693,7 @@ mod tests {
         assert_eq!(outcome.report.jobs[0].events.events(), expected.events());
         assert_ne!(
             expected.events(),
-            model.synthetic_events(shape).events(),
+            model.synthetic_events_format(shape, Format::Fp16).events(),
             "FP8 must change the synthetic trace, or this test is vacuous"
         );
     }

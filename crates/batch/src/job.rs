@@ -257,6 +257,30 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// A completed result for `job` on `backend` with every tile done and
+    /// nothing computed yet; each execution path overrides what it
+    /// measured.
+    pub(crate) fn new(job: &GemmJob, backend: BackendKind, tiles_total: usize) -> JobResult {
+        JobResult {
+            id: job.id,
+            backend,
+            format: job.format,
+            shape: job.shape,
+            z: Vec::new(),
+            cycles: 0,
+            macs: 0,
+            stall_cycles: 0,
+            status: JobStatus::Completed,
+            degraded: false,
+            retries: 0,
+            backoff_cycles: 0,
+            fault_events: 0,
+            tiles_done: tiles_total,
+            tiles_total,
+            events: EventLog::new(),
+        }
+    }
+
     /// FNV-1a 64-bit digest of the output bits — a stable, order-
     /// sensitive fingerprint of `z` for canonical serializations (the
     /// full matrix would bloat them).

@@ -199,25 +199,6 @@ fn main() {
                     Ok(format!("{rs}wrote BENCH_recovery.json\n"))
                 }),
             ),
-            // Not part of `all`: needs the committed BENCH_batch.json as
-            // its baseline, which `all` is in the middle of rewriting.
-            "perf" => record(
-                item,
-                run_isolated(item, || {
-                    let baseline = std::fs::read_to_string("BENCH_batch.json").map_err(|e| {
-                        EngineError::InvalidJob(format!(
-                            "cannot read committed BENCH_batch.json baseline: {e}"
-                        ))
-                    })?;
-                    let pg = experiments::perf_guard(smoke || !full, &baseline)?;
-                    if let Some(violation) = pg.violation() {
-                        return Err(EngineError::InvalidJob(format!(
-                            "wall-clock perf guard failed: {violation}"
-                        )));
-                    }
-                    Ok(pg.to_string())
-                }),
-            ),
             "fp8" => record(
                 item,
                 run_isolated(item, || {
@@ -233,7 +214,7 @@ fn main() {
             ),
             other => eprintln!(
                 "unknown item `{other}` (try: all, table1, fig3a..fig4d, ablations, faults, \
-                 degradation, batch, trace, service, recover, fp8, perf)"
+                 degradation, batch, trace, service, recover, fp8)"
             ),
         }
     }

@@ -919,7 +919,7 @@ pub fn fault_sweep() -> Result<FaultSweep, EngineError> {
 /// Panics if a resumed run diverges from the uninterrupted baseline —
 /// that is a model bug, not a runtime condition.
 pub fn degradation() -> Result<String, EngineError> {
-    use redmule::{stage_gemm_workspace, Engine};
+    use redmule::{stage_gemm_workspace_in, Engine};
     use redmule_runtime::{Limits, Supervisor};
 
     let shape = GemmShape::new(48, 48, 48);
@@ -927,7 +927,7 @@ pub fn degradation() -> Result<String, EngineError> {
     let engine = Engine::new(AccelConfig::paper());
 
     // Uninterrupted baseline.
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None)?;
+    let (job, mut mem, mut hci) = stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None)?;
     let full = engine.run(job, &mut mem, &mut hci)?;
     let total = full.cycles.count();
     let golden: Vec<u16> = mem
@@ -945,7 +945,7 @@ pub fn degradation() -> Result<String, EngineError> {
         let budget = total * pct / 100;
         let sup =
             Supervisor::new(engine.clone()).with_limits(Limits::none().with_max_cycles(budget));
-        let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None)?;
+        let (job, mut mem, mut hci) = stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None)?;
         let mut run = sup.run(job, &mut mem, &mut hci)?;
         let first_stop = format!("{:?}", run.stop);
         let first_tiles = format!("{}/{}", run.tiles_done, run.tiles_total);
@@ -1156,7 +1156,7 @@ impl fmt::Display for BatchThroughput {
 /// one descheduled run cannot swing the artefact.
 const WALL_REPEATS: usize = 5;
 
-/// The fixed batch both throughput legs (and the perf guard) run: 64
+/// The fixed batch both throughput legs run: 64
 /// jobs of small shapes in smoke mode, 256 heavier jobs otherwise. Five
 /// shapes, coprime with every worker count in the sweep, so the
 /// round-robin deal hands each worker a mix of weights rather than a
@@ -1279,125 +1279,6 @@ pub fn batch_throughput(smoke: bool) -> Result<BatchThroughput, EngineError> {
         wall_repeats: WALL_REPEATS,
         points,
     })
-}
-
-/// Outcome of the wall-clock regression guard (`make perf-smoke`):
-/// freshly measured single-thread functional-backend throughput next to
-/// the committed `BENCH_batch.json` baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct PerfGuard {
-    /// `wall_jobs_per_sec` at 1 worker from the committed artefact.
-    pub baseline_jobs_per_sec: f64,
-    /// Freshly measured single-thread wall jobs/sec (median of
-    /// [`BatchThroughput::wall_repeats`] runs of the same job mix).
-    pub measured_jobs_per_sec: f64,
-}
-
-impl PerfGuard {
-    /// measured / baseline; 1.0 means exactly the committed speed.
-    pub fn ratio(&self) -> f64 {
-        if self.baseline_jobs_per_sec > 0.0 {
-            self.measured_jobs_per_sec / self.baseline_jobs_per_sec
-        } else {
-            0.0
-        }
-    }
-
-    /// CI rule: single-thread wall throughput must not regress by more
-    /// than 30% against the committed baseline. The slack absorbs host
-    /// jitter; a softfloat-kernel or loop-structure regression shows up
-    /// as an integer multiple, not a percentage.
-    pub fn violation(&self) -> Option<String> {
-        let r = self.ratio();
-        if r < 0.7 {
-            return Some(format!(
-                "single-thread wall throughput is {:.0} jobs/sec, {:.0}% of the committed \
-                 baseline {:.0} (must stay above 70%)",
-                self.measured_jobs_per_sec,
-                r * 100.0,
-                self.baseline_jobs_per_sec
-            ));
-        }
-        None
-    }
-}
-
-impl fmt::Display for PerfGuard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Perf guard: measured {:.0} jobs/sec single-thread wall vs committed {:.0} \
-             ({:.0}% of baseline, threshold 70%)",
-            self.measured_jobs_per_sec,
-            self.baseline_jobs_per_sec,
-            self.ratio() * 100.0
-        )
-    }
-}
-
-/// Measures single-thread wall-clock throughput of the functional
-/// backend on the standard batch job mix and compares it against the
-/// committed `BENCH_batch.json` contents (passed in as `baseline_json`
-/// so this module stays free of file IO).
-///
-/// # Errors
-///
-/// Returns an [`EngineError`] if the baseline JSON has no 1-worker
-/// `wall_jobs_per_sec` field or the measurement batch fails.
-pub fn perf_guard(smoke: bool, baseline_json: &str) -> Result<PerfGuard, EngineError> {
-    let baseline_jobs_per_sec = parse_wall_baseline(baseline_json)?;
-    let jobs: Vec<GemmJob> = batch_job_mix(smoke)
-        .into_iter()
-        .map(|j| j.with_backend(BackendKind::Functional))
-        .collect();
-    let n_jobs = jobs.len();
-    let executor = BatchExecutor::new(1);
-    let mut wall_secs = Vec::with_capacity(WALL_REPEATS);
-    for _ in 0..WALL_REPEATS {
-        let batch = jobs.clone();
-        let start = Instant::now();
-        let outcome = executor
-            .run(batch)
-            .map_err(|e| EngineError::InvalidJob(format!("perf-guard batch: {e}")))?;
-        wall_secs.push(start.elapsed().as_secs_f64());
-        if !outcome.report.all_completed() {
-            return Err(EngineError::InvalidJob(
-                "perf-guard batch had failed jobs".to_owned(),
-            ));
-        }
-    }
-    wall_secs.sort_by(|a, b| a.total_cmp(b));
-    let median = wall_secs[wall_secs.len() / 2];
-    Ok(PerfGuard {
-        baseline_jobs_per_sec,
-        measured_jobs_per_sec: n_jobs as f64 / median,
-    })
-}
-
-/// Extracts `wall_jobs_per_sec` from the committed artefact's 1-worker
-/// point. A plain scan, not a JSON parser: the artefact is written by
-/// [`BatchThroughput::to_json`] one point per line, so the first line
-/// mentioning `"workers": 1` carries the baseline.
-fn parse_wall_baseline(json: &str) -> Result<f64, EngineError> {
-    for line in json.lines() {
-        if !line.contains("\"workers\": 1,") {
-            continue;
-        }
-        if let Some(rest) = line.split("\"wall_jobs_per_sec\": ").nth(1) {
-            let num: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            return num.parse::<f64>().map_err(|e| {
-                EngineError::InvalidJob(format!("unparseable wall_jobs_per_sec baseline: {e}"))
-            });
-        }
-    }
-    Err(EngineError::InvalidJob(
-        "BENCH_batch.json has no 1-worker wall_jobs_per_sec (regenerate with \
-         `figures -- batch`)"
-            .to_owned(),
-    ))
 }
 
 /// Trace-export artefact (`BENCH_trace.json`): a Chrome trace-event
@@ -1969,7 +1850,7 @@ pub fn fp8_comparison(smoke: bool) -> Result<Fp8Comparison, EngineError> {
         let shape = GemmShape::new(m, n, k);
         let (x, w) = workloads::gemm_operands(shape, (m * 31 + n * 7 + k) as u32);
         for format in Format::ALL {
-            let run = accel.gemm_with_format(shape, format, &x, &w)?;
+            let run = accel.gemm_in(shape, format, &x, &w, None)?;
             points.push(Fp8Point {
                 shape: (m, n, k),
                 format,
@@ -2163,14 +2044,6 @@ mod tests {
         assert!(json.contains("\"wall_jobs_per_sec\""));
         assert!(json.contains("\"wall_repeats\": 5"));
         assert!(bt.to_string().contains("jobs/s"));
-        // The committed-artefact parser round-trips what to_json wrote,
-        // and the guard passes against our own fresh measurement.
-        let guard = PerfGuard {
-            baseline_jobs_per_sec: parse_wall_baseline(&json).expect("baseline parses"),
-            measured_jobs_per_sec: bt.points[0].wall_jobs_per_sec,
-        };
-        assert!((guard.ratio() - 1.0).abs() < 0.05, "self-ratio near 1.0");
-        assert_eq!(guard.violation(), None);
     }
 
     #[test]

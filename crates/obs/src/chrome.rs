@@ -323,6 +323,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -330,6 +331,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Parser<'a> {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -472,11 +474,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences are copied via char
-                    // boundaries of the source string.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
+                    // Decode the next char straight from the source `str`
+                    // (already valid UTF-8): constant work per char, so a
+                    // long string parses in linear time.
+                    let ch = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -721,6 +726,25 @@ mod tests {
         assert!(validate_chrome_trace(noscope).is_err());
         // Trailing data.
         assert!(validate_chrome_trace("{\"traceEvents\":[]} x").is_err());
+    }
+
+    #[test]
+    fn validator_is_linear_on_long_strings() {
+        // Several MB of trace whose bulk is long string fields: re-reading
+        // the rest of the document per character would take minutes.
+        let events = sample_events();
+        let lanes: Vec<TraceLane> = (0..4)
+            .map(|tid| TraceLane {
+                tid,
+                name: "lane \u{e9}".repeat(200_000),
+                events: &events,
+            })
+            .collect();
+        let json = chrome_trace(&lanes);
+        assert!(json.len() > 4_000_000, "trace is {} bytes", json.len());
+        let summary = validate_chrome_trace(&json).expect("valid");
+        assert_eq!(summary.lanes, 4);
+        assert_eq!(summary.events, 4 * events.len());
     }
 
     #[test]

@@ -125,57 +125,26 @@ impl Accelerator {
         self.gemm_inner(shape, Format::Fp16, x, w, None, None)
     }
 
-    /// Runs `Z = X * W` with operands stored in TCDM in `format`: FP8
-    /// storage is narrowed at staging (castout), widened at buffer fill
-    /// (castin), accumulated in FP16 and narrowed again at store drain.
-    /// The returned `z` is read back widened to FP16 — bit-identical to
-    /// [`crate::FunctionalGemm::run_format`] on the same operands.
+    /// Runs `Z = X * W`, or `Z = X * W + Y` (accumulate mode, the journal
+    /// follow-up's GEMM extension) when `y` is given, with operands stored
+    /// in TCDM in `format`: FP8 storage is narrowed at staging (castout),
+    /// widened at buffer fill (castin), accumulated in FP16 and narrowed
+    /// again at store drain. The returned `z` is read back widened to
+    /// FP16 — bit-identical to [`crate::FunctionalGemm::run_format`] on
+    /// the same operands.
     ///
     /// # Errors
     ///
-    /// As [`Accelerator::gemm`].
-    pub fn gemm_with_format(
+    /// As [`Accelerator::gemm`] (`Y` must be `m x k`).
+    pub fn gemm_in(
         &self,
         shape: GemmShape,
         format: Format,
         x: &[F16],
         w: &[F16],
+        y: Option<&[F16]>,
     ) -> Result<GemmRun, EngineError> {
-        self.gemm_inner(shape, format, x, w, None, None)
-    }
-
-    /// Runs `Z = X * W + Y` with operands stored in `format`
-    /// (see [`Accelerator::gemm_with_format`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::gemm`].
-    pub fn gemm_accumulate_with_format(
-        &self,
-        shape: GemmShape,
-        format: Format,
-        x: &[F16],
-        w: &[F16],
-        y: &[F16],
-    ) -> Result<GemmRun, EngineError> {
-        self.gemm_inner(shape, format, x, w, Some(y), None)
-    }
-
-    /// Runs `Z = X * W + Y` (accumulate mode, the journal follow-up's GEMM
-    /// extension) on a fresh TCDM.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ShapeMismatch`] when a slice length does not match
-    /// `shape`; otherwise propagates [`EngineError`].
-    pub fn gemm_accumulate(
-        &self,
-        shape: GemmShape,
-        x: &[F16],
-        w: &[F16],
-        y: &[F16],
-    ) -> Result<GemmRun, EngineError> {
-        self.gemm_inner(shape, Format::Fp16, x, w, Some(y), None)
+        self.gemm_inner(shape, format, x, w, y, None)
     }
 
     /// Runs `Z = X * W` under a [`FaultPlan`] with one of the RedMulE-FT
@@ -220,36 +189,22 @@ impl Accelerator {
 
 /// Sizes a fresh TCDM for `shape`, places the operands at the standard
 /// layout (X at 0, then W, then Z; `y` preloads Z and enables accumulate
-/// mode) and builds the matching [`Job`].
+/// mode) stored in `format`, and builds the matching [`Job`]. FP8 storage
+/// is narrowed element-wise at staging (the castout the DMA-side repacker
+/// performs) and packed at 1 byte per element, halving the workspace
+/// footprint.
 ///
 /// This is the workspace-staging step [`Accelerator::gemm`] performs
 /// internally, exposed so external drivers — notably the supervised
 /// runtime's checkpointed execution loop — can run the exact same
 /// workspace through their own tick loop and read Z back from
-/// `job.z_addr` afterwards.
+/// `job.z_addr` afterwards with [`cast::castin_slice`], which widens to
+/// FP16 regardless of format.
 ///
 /// # Errors
 ///
 /// [`EngineError::ShapeMismatch`] when a slice length does not match
 /// `shape`; [`EngineError::Memory`] when the operands cannot be placed.
-pub fn stage_gemm_workspace(
-    shape: GemmShape,
-    x: &[F16],
-    w: &[F16],
-    y: Option<&[F16]>,
-) -> Result<(Job, Tcdm, Hci), EngineError> {
-    stage_gemm_workspace_in(shape, Format::Fp16, x, w, y)
-}
-
-/// As [`stage_gemm_workspace`], with the operands stored in `format`: FP8
-/// storage is narrowed element-wise at staging (the castout the DMA-side
-/// repacker performs) and packed at 1 byte per element, halving the
-/// workspace footprint. Read Z back with [`cast::castin_slice`] to get
-/// FP16 values regardless of format.
-///
-/// # Errors
-///
-/// As [`stage_gemm_workspace`].
 pub fn stage_gemm_workspace_in(
     shape: GemmShape,
     format: Format,
@@ -398,7 +353,9 @@ mod tests {
             let y: Vec<F16> = (0..shape.z_len())
                 .map(|i| F16::from_f32(i as f32 / 4.0 - 3.0))
                 .collect();
-            let run = accel.gemm_accumulate(shape, &x, &w, &y).expect("gemm runs");
+            let run = accel
+                .gemm_in(shape, Format::Fp16, &x, &w, Some(&y))
+                .expect("gemm runs");
             let golden = gemm_golden_accumulate(shape, &x, &w, Some(&y));
             assert_eq!(bits(&run.z), bits(&golden), "shape {shape}");
         }
@@ -410,7 +367,7 @@ mod tests {
         let shape = GemmShape::new(2, 0, 3);
         let y: Vec<F16> = (0..6).map(|i| F16::from_f32(i as f32)).collect();
         let run = accel
-            .gemm_accumulate(shape, &[], &[], &y)
+            .gemm_in(shape, Format::Fp16, &[], &[], Some(&y))
             .expect("gemm runs");
         assert_eq!(bits(&run.z), bits(&y));
     }
@@ -641,7 +598,13 @@ mod tests {
         );
         assert!(err.to_string().contains("wrong length"));
         let err = accel
-            .gemm_accumulate(shape, &[F16::ONE; 4], &[F16::ONE; 4], &[])
+            .gemm_in(
+                shape,
+                Format::Fp16,
+                &[F16::ONE; 4],
+                &[F16::ONE; 4],
+                Some(&[]),
+            )
             .expect_err("short Y must be rejected");
         assert!(matches!(
             err,

@@ -189,6 +189,9 @@ impl Datapath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
+    use redmule_fp16::vector::GemmShape;
+    use redmule_fp16::Format;
 
     /// Drives the array through one full tile exactly like the engine
     /// does, for a single row (L = 1) and returns the finished Z values.
@@ -202,11 +205,13 @@ mod tests {
         let l = cfg.l;
         let pw = cfg.phase_width();
         let lat = cfg.latency();
-        let n_phases = n_real.div_ceil(cfg.h).max(1);
-        let total = cfg.h * lat + n_phases * pw;
+        // At least one (all-padding) phase, even for an empty reduction.
+        let schedule = Schedule::new(&cfg, GemmShape::new(l, n_real.max(1), pw), Format::Fp16);
+        let n_phases = schedule.n_phases();
+        let total = schedule.tile_len() as usize;
         let mut dp = Datapath::new(cfg);
         let mut z = vec![vec![F16::ZERO; pw]; l];
-        let final_start = cfg.h * lat + (n_phases - 1) * pw;
+        let final_start = total - pw;
 
         for t in 0..total {
             let mut ctrl: Vec<ColumnCtrl> = Vec::with_capacity(cfg.h);

@@ -26,6 +26,7 @@ use crate::datapath::{Acc0, ColumnCtrl, Datapath};
 use crate::decode::{decode_container, ContainerSpec, DecodeError};
 use crate::faults::FaultInjector;
 use crate::regfile::Job;
+use crate::schedule::{Schedule, Tile};
 use redmule_cluster::{Hci, MemError, Tcdm};
 use redmule_fp16::F16;
 use redmule_hwsim::snapshot::{fnv1a64, Snapshot, SnapshotError, StateReader, StateWriter};
@@ -200,16 +201,6 @@ impl RunReport {
     pub fn utilization(&self, cfg: &AccelConfig) -> f64 {
         self.macs_per_cycle() / cfg.ideal_macs_per_cycle() as f64
     }
-}
-
-/// One output tile: `rows_live x cols_live` live elements at
-/// (`row0`, `k0`).
-#[derive(Debug, Clone, Copy)]
-struct Tile {
-    row0: usize,
-    k0: usize,
-    rows_live: usize,
-    cols_live: usize,
 }
 
 /// A pending Z-row store: one wide transaction.
@@ -473,7 +464,7 @@ impl Engine {
         let mut sim = Sim::new(self.cfg, job, false, self.policy);
         let corrupt = |what: &str| EngineError::Snapshot(format!("corrupt snapshot: {what}"));
         sim.compute_tile = r.get()?;
-        if sim.compute_tile > sim.tiles.len() {
+        if sim.compute_tile > sim.schedule.n_tiles() {
             return Err(corrupt("tile cursor past the end of the tile grid"));
         }
         sim.w_cursor = r.get()?;
@@ -481,7 +472,8 @@ impl Engine {
         sim.zpre_cursor = r.get()?;
         sim.zpre_ready_tile = r.get()?;
         let zpre: Vec<Vec<u16>> = r.get()?;
-        if zpre.len() != sim.cfg.l || zpre.iter().any(|row| row.len() != sim.pw) {
+        let pw = sim.cfg.phase_width();
+        if zpre.len() != sim.cfg.l || zpre.iter().any(|row| row.len() != pw) {
             return Err(corrupt("Z-preload geometry mismatch"));
         }
         sim.zpre = zpre.into_iter().map(f16_from_bits).collect();
@@ -494,8 +486,7 @@ impl Engine {
             })
             .collect();
         let x_staging: Vec<Option<Vec<u16>>> = r.get()?;
-        if x_staging.len() != sim.cfg.l || x_staging.iter().flatten().any(|row| row.len() != sim.pw)
-        {
+        if x_staging.len() != sim.cfg.l || x_staging.iter().flatten().any(|row| row.len() != pw) {
             return Err(corrupt("X staging geometry mismatch"));
         }
         for (row, slot) in x_staging.into_iter().enumerate() {
@@ -504,7 +495,7 @@ impl Engine {
             }
         }
         let w_staging: Vec<Option<Vec<u16>>> = r.get()?;
-        if w_staging.len() != sim.cfg.h || w_staging.iter().flatten().any(|g| g.len() != sim.pw) {
+        if w_staging.len() != sim.cfg.h || w_staging.iter().flatten().any(|g| g.len() != pw) {
             return Err(corrupt("W staging geometry mismatch"));
         }
         for (col, slot) in w_staging.into_iter().enumerate() {
@@ -514,7 +505,7 @@ impl Engine {
         }
         let w_inflight: Option<(usize, Vec<u16>)> = r.get()?;
         if let Some((col, group)) = &w_inflight {
-            if *col >= sim.cfg.h || group.len() != sim.pw {
+            if *col >= sim.cfg.h || group.len() != pw {
                 return Err(corrupt("in-flight W group geometry mismatch"));
             }
         }
@@ -682,8 +673,8 @@ fn f16_from_bits(bits: Vec<u16>) -> Vec<F16> {
 pub struct EngineSession {
     sim: Sim,
     cycle: u64,
-    // modelcheck-allow: RM-SNAP-001 -- derived: recomputed from sim.tiles
-    // by EngineSession::new on resume.
+    // modelcheck-allow: RM-SNAP-001 -- derived: recomputed from
+    // sim.schedule by EngineSession::new on resume.
     no_work: bool,
     // modelcheck-allow: RM-SNAP-001 -- derived: the cycle bound is a pure
     // function of (cfg, job), recomputed by EngineSession::new on resume.
@@ -757,9 +748,9 @@ pub struct TickResult {
 
 impl EngineSession {
     fn new(sim: Sim, watchdog: u64) -> EngineSession {
-        let no_work = sim.tiles.is_empty();
-        let bound =
-            10_000 + 64 * sim.tiles.len() as u64 * (sim.tile_len() as u64 + sim.cfg.l as u64 + 4);
+        let no_work = sim.schedule.n_tiles() == 0;
+        let bound = 10_000
+            + 64 * sim.schedule.n_tiles() as u64 * (sim.schedule.tile_len() + sim.cfg.l as u64 + 4);
         EngineSession {
             sim,
             cycle: 0,
@@ -839,7 +830,7 @@ impl EngineSession {
         let stalls_before = self.sim.stall_cycles;
         let conflicts_before = self.sim.stats.get("port_conflicts");
         let pre = self.sink.is_some().then(|| self.observe_pre_tick());
-        let kind = if self.sim.n_phases == 0 {
+        let kind = if self.sim.schedule.n_phases() == 0 {
             self.sim.flush_empty_reduction_tile(mem)?
         } else {
             self.sim.compute_cycle()
@@ -929,9 +920,9 @@ impl EngineSession {
         };
         let s = &self.sim;
         let cycle = self.cycle;
-        if s.n_phases > 0 {
+        if s.schedule.n_phases() > 0 {
             if !pre.started && s.started {
-                let tile = s.tiles[pre.tile];
+                let tile = s.schedule.tile(pre.tile);
                 sink.emit(&TraceEvent::TileStart {
                     cycle,
                     tile: pre.tile as u32,
@@ -948,7 +939,7 @@ impl EngineSession {
             }
         } else if s.compute_tile > pre.tile {
             // Empty-reduction tiles flush in a single cycle.
-            let tile = s.tiles[pre.tile];
+            let tile = s.schedule.tile(pre.tile);
             sink.emit(&TraceEvent::TileStart {
                 cycle,
                 tile: pre.tile as u32,
@@ -1060,12 +1051,12 @@ impl EngineSession {
 
     /// Output tiles whose computation has fully completed.
     pub fn tiles_completed(&self) -> usize {
-        self.sim.compute_tile.min(self.sim.tiles.len())
+        self.sim.compute_tile.min(self.sim.schedule.n_tiles())
     }
 
     /// Total output tiles in the job's tile grid.
     pub fn tiles_total(&self) -> usize {
-        self.sim.tiles.len()
+        self.sim.schedule.n_tiles()
     }
 
     /// `true` when the session sits on a tile boundary — the next compute
@@ -1078,14 +1069,9 @@ impl EngineSession {
     }
 
     /// Analytical estimate of the cycles still needed to finish the job,
-    /// from the calibrated schedule model (exact on uncontended fault-free
-    /// runs): each remaining tile costs its compute length `tile_len =
-    /// H*(P+1) + n_phases*H*(P+1)`, prefetch hides every boundary stall,
-    /// the initial pipeline fill costs `min(N,H) + min(M,L)` operand
-    /// loads, and the final drain retires the last tile's remaining rows
-    /// at one store per cycle (the first overlapping the last compute
-    /// tick). Empty-reduction jobs (`N == 0`) flush one tile per cycle in
-    /// parallel with the store drain.
+    /// from the calibrated schedule model
+    /// ([`Schedule::remaining_cycles`], exact on uncontended fault-free
+    /// runs) applied to the session's tile cursor and store queue.
     ///
     /// The returned value is monotonically non-increasing across a run
     /// (contention can only delay completion, never un-finish work; a
@@ -1102,43 +1088,11 @@ impl EngineSession {
         if self.is_finished() {
             return 0;
         }
+        // Between ticks a tile has started exactly when its local cycle is
+        // past 0, so `t_local == 0` on tile 0 means the fill is still owed.
         let s = &self.sim;
-        // With half-width FP8 elements the streamer serves two transactions
-        // per granted beat, so fill loads and store drains retire in pairs.
-        let beat: u64 = if s.job.format.is_fp8() { 2 } else { 1 };
-        if s.compute_tile >= s.tiles.len() {
-            // Only queued stores remain; they retire `beat` per cycle.
-            return (s.store_queue.len() as u64).div_ceil(beat);
-        }
-        if s.n_phases == 0 {
-            // One tile flushes per cycle while stores drain in parallel.
-            let tiles_left = (s.tiles.len() - s.compute_tile) as u64;
-            let store_rows: u64 = s.tiles[s.compute_tile..]
-                .iter()
-                .map(|t| t.rows_live as u64)
-                .sum();
-            return tiles_left.max((store_rows + s.store_queue.len() as u64).div_ceil(beat));
-        }
-        let tile_len = s.tile_len() as u64;
-        let tiles_after = (s.tiles.len() - s.compute_tile - 1) as u64;
-        // Mid-tile `t_local` is always < tile_len (it wraps on completion).
-        let current = tile_len - (s.t_local as u64).min(tile_len);
-        // The last tile's stores leave `beat` rows per cycle, minus the
-        // store overlapping the final compute cycle (`rows - 1` for FP16).
-        let drain = s
-            .tiles
-            .last()
-            .map_or(0, |t| (t.rows_live as u64).div_ceil(beat).saturating_sub(1));
-        // Initial pipeline fill: only before the very first tile starts.
-        let fill = if s.compute_tile == 0 && !s.started {
-            ((s.job.n.min(s.cfg.h) + s.job.m.min(s.cfg.l)) as u64).div_ceil(beat)
-        } else {
-            0
-        };
-        let compute_path = tiles_after * tile_len + current + drain + fill;
-        // The store queue drains at most `beat` rows per cycle, so it
-        // lower-bounds the remaining time under heavy contention backlog.
-        compute_path.max((s.store_queue.len() as u64).div_ceil(beat))
+        s.schedule
+            .remaining_cycles(s.compute_tile, s.t_local as u64, s.store_queue.len())
     }
 
     /// Serialises the session into a [`SessionState`] snapshot.
@@ -1273,18 +1227,9 @@ impl EngineSession {
 struct Sim {
     cfg: AccelConfig,
     job: Job,
-    // modelcheck-allow: RM-SNAP-001 -- derived: recomputed from cfg by
-    // Sim::new on resume.
-    pw: usize,
-    // modelcheck-allow: RM-SNAP-001 -- derived: recomputed from cfg by
-    // Sim::new on resume.
-    lat: usize,
-    // modelcheck-allow: RM-SNAP-001 -- derived: recomputed from the job
-    // shape by Sim::new on resume.
-    n_phases: usize,
     // modelcheck-allow: RM-SNAP-001 -- derived: the tile grid is a pure
     // function of (cfg, job), rebuilt by Sim::new on resume.
-    tiles: Vec<Tile>,
+    schedule: Schedule,
 
     dp: Datapath,
     xb: XBuffer,
@@ -1334,25 +1279,10 @@ struct Sim {
 impl Sim {
     fn new(cfg: AccelConfig, job: Job, trace: bool, policy: StreamerPolicy) -> Sim {
         let pw = cfg.phase_width();
-        let lat = cfg.latency();
-        let n_phases = job.n.div_ceil(cfg.h);
-        let mut tiles = Vec::new();
-        for row0 in (0..job.m).step_by(cfg.l) {
-            for k0 in (0..job.k).step_by(pw) {
-                tiles.push(Tile {
-                    row0,
-                    k0,
-                    rows_live: (job.m - row0).min(cfg.l),
-                    cols_live: (job.k - k0).min(pw),
-                });
-            }
-        }
         Sim {
             cfg,
             job,
-            pw,
-            lat,
-            n_phases,
+            schedule: Schedule::new(&cfg, job.shape(), job.format),
             dp: Datapath::new(cfg),
             xb: XBuffer::new(cfg.l, pw),
             wb: WBuffer::new(cfg.h, pw),
@@ -1379,7 +1309,6 @@ impl Sim {
             policy,
             w_inflight: None,
             injector: None,
-            tiles,
         }
     }
 
@@ -1404,24 +1333,14 @@ impl Sim {
         }
     }
 
-    /// Number of X chunks per tile.
-    fn n_chunks(&self) -> usize {
-        self.n_phases.div_ceil(self.lat)
-    }
-
-    /// Total compute length of one tile in datapath cycles.
-    fn tile_len(&self) -> usize {
-        self.cfg.h * self.lat + self.n_phases * self.pw
-    }
-
     fn finished(&self) -> bool {
-        self.compute_tile >= self.tiles.len() && self.store_queue.is_empty()
+        self.compute_tile >= self.schedule.n_tiles() && self.store_queue.is_empty()
     }
 
     /// N == 0: every output tile is all zeros (or the preloaded Z in
     /// accumulate mode). One tile is flushed per cycle.
     fn flush_empty_reduction_tile(&mut self, _mem: &mut Tcdm) -> Result<CycleKind, EngineError> {
-        if self.compute_tile >= self.tiles.len() {
+        if self.compute_tile >= self.schedule.n_tiles() {
             return Ok(CycleKind::DrainOnly);
         }
         if self.zb.is_occupied() {
@@ -1431,9 +1350,9 @@ impl Sim {
             // Wait for the Z preload of this tile to finish streaming in.
             return Ok(CycleKind::Stalled(Phase::Refill));
         }
-        let tile = self.tiles[self.compute_tile];
+        let tile = self.schedule.tile(self.compute_tile);
         for r in 0..tile.rows_live {
-            for j in 0..self.pw {
+            for j in 0..self.cfg.phase_width() {
                 let v = if self.job.accumulate {
                     self.zpre[r][j]
                 } else {
@@ -1453,15 +1372,18 @@ impl Sim {
 
     /// One datapath cycle (or a stall).
     fn compute_cycle(&mut self) -> CycleKind {
-        if self.compute_tile >= self.tiles.len() {
+        if self.compute_tile >= self.schedule.n_tiles() {
             return CycleKind::DrainOnly;
         }
-        let tile = self.tiles[self.compute_tile];
+        let tile = self.schedule.tile(self.compute_tile);
         let t = self.t_local;
-        let pw = self.pw;
-        let lat = self.lat;
+        let pw = self.cfg.phase_width();
+        let lat = self.cfg.latency();
         let h_count = self.cfg.h;
-        let final_start = h_count * lat + (self.n_phases - 1) * pw;
+        let n_phases = self.schedule.n_phases();
+        let tile_len = self.schedule.tile_len() as usize;
+        // The last phase's outputs leave the ring in the final pw cycles.
+        let final_start = tile_len - pw;
 
         // ---- Stall checks (clock gate) ----
         if !self.started {
@@ -1487,7 +1409,7 @@ impl Sim {
             for h in 0..h_count {
                 let t_col = t as i64 - (h * lat) as i64;
                 if t_col >= 0
-                    && (t_col as usize) < self.n_phases * pw
+                    && (t_col as usize) < n_phases * pw
                     && (t_col as usize).is_multiple_of(pw)
                     && self.wb.staging_free(h)
                 {
@@ -1497,7 +1419,7 @@ impl Sim {
             }
             // Chunk boundary: column 0 entering phase c*lat needs the next
             // X chunk staged.
-            if t < self.n_phases * pw && t.is_multiple_of(pw) {
+            if t < n_phases * pw && t.is_multiple_of(pw) {
                 let phase = t / pw;
                 if phase > 0 && phase.is_multiple_of(lat) {
                     if !self.xb.staging_complete() {
@@ -1519,7 +1441,7 @@ impl Sim {
         let mut ctrl: Vec<ColumnCtrl> = Vec::with_capacity(h_count);
         for h in 0..h_count {
             let t_col = t as i64 - (h * lat) as i64;
-            if t_col < 0 || t_col as usize >= self.n_phases * pw {
+            if t_col < 0 || t_col as usize >= n_phases * pw {
                 ctrl.push(ColumnCtrl::default());
                 continue;
             }
@@ -1579,7 +1501,7 @@ impl Sim {
         }
 
         self.t_local += 1;
-        if self.t_local == self.tile_len() {
+        if self.t_local == tile_len {
             // Tile complete: seal outputs, queue the stores, advance.
             self.zb.seal();
             self.enqueue_stores(tile);
@@ -1615,17 +1537,17 @@ impl Sim {
             if n_idx < self.job.n || !self.wb.staging_free(col) {
                 break;
             }
-            self.wb.stage_group(col, vec![F16::ZERO; self.pw]);
+            self.wb
+                .stage_group(col, vec![F16::ZERO; self.cfg.phase_width()]);
             self.advance_w();
         }
         // X pads.
-        while let Some((tile_idx, chunk, row)) = self.x_head() {
-            let tile = self.tiles[tile_idx];
-            let _ = chunk;
-            if row < tile.rows_live || !self.xb.staging_free(row) {
+        while let Some((tile_idx, _chunk, row)) = self.x_head() {
+            if row < self.schedule.tile(tile_idx).rows_live || !self.xb.staging_free(row) {
                 break;
             }
-            self.xb.stage_row(row, vec![F16::ZERO; self.pw]);
+            self.xb
+                .stage_row(row, vec![F16::ZERO; self.cfg.phase_width()]);
             self.advance_x();
         }
     }
@@ -1633,7 +1555,8 @@ impl Sim {
     /// Head of the W generator, or `None` when all groups are issued.
     fn w_head(&self) -> Option<(usize, usize, usize)> {
         let (tile, phase, col) = self.w_cursor;
-        (self.n_phases > 0 && tile < self.tiles.len()).then_some((tile, phase, col))
+        (self.schedule.n_phases() > 0 && tile < self.schedule.n_tiles())
+            .then_some((tile, phase, col))
     }
 
     fn advance_w(&mut self) {
@@ -1642,7 +1565,7 @@ impl Sim {
         if col == self.cfg.h {
             col = 0;
             phase += 1;
-            if phase == self.n_phases {
+            if phase == self.schedule.n_phases() {
                 phase = 0;
                 tile += 1;
             }
@@ -1652,7 +1575,8 @@ impl Sim {
 
     fn x_head(&self) -> Option<(usize, usize, usize)> {
         let (tile, chunk, row) = self.x_cursor;
-        (self.n_phases > 0 && tile < self.tiles.len()).then_some((tile, chunk, row))
+        (self.schedule.n_phases() > 0 && tile < self.schedule.n_tiles())
+            .then_some((tile, chunk, row))
     }
 
     fn advance_x(&mut self) {
@@ -1661,7 +1585,7 @@ impl Sim {
         if row == self.cfg.l {
             row = 0;
             chunk += 1;
-            if chunk == self.n_chunks() {
+            if chunk == self.schedule.n_chunks() {
                 chunk = 0;
                 tile += 1;
             }
@@ -1674,7 +1598,7 @@ impl Sim {
             return None;
         }
         let (tile, row) = self.zpre_cursor;
-        (tile < self.tiles.len()).then_some((tile, row))
+        (tile < self.schedule.n_tiles()).then_some((tile, row))
     }
 
     /// Selects the next transaction for the shallow port, priority
@@ -1692,10 +1616,9 @@ impl Sim {
             .filter(|&(tile, _)| tile == self.compute_tile && tile != self.zpre_ready_tile)
         {
             Some(Pick::ZPre(tile, row))
-        } else if let Some((tile, chunk, row)) = self
-            .x_head()
-            .filter(|&(t, _, row)| row < self.tiles[t].rows_live && self.xb.staging_free(row))
-        {
+        } else if let Some((tile, chunk, row)) = self.x_head().filter(|&(t, _, row)| {
+            row < self.schedule.tile(t).rows_live && self.xb.staging_free(row)
+        }) {
             Some(Pick::X(tile, chunk, row))
         } else if !self.store_queue.is_empty() {
             Some(Pick::ZStore)
@@ -1710,15 +1633,18 @@ impl Sim {
         match pick {
             Pick::W(tile, phase, col) => {
                 let n_idx = phase * self.cfg.h + col;
-                self.job.w_addr + esz * (n_idx * self.job.w_ld() + self.tiles[tile].k0) as u32
+                self.job.w_addr
+                    + esz * (n_idx * self.job.w_ld() + self.schedule.tile(tile).k0) as u32
             }
             Pick::ZPre(tile, row) => {
-                let t = self.tiles[tile];
+                let t = self.schedule.tile(tile);
                 self.job.z_addr + esz * ((t.row0 + row) * self.job.z_ld() + t.k0) as u32
             }
             Pick::X(tile, chunk, row) => {
-                let t = self.tiles[tile];
-                self.job.x_addr + esz * ((t.row0 + row) * self.job.x_ld() + chunk * self.pw) as u32
+                let t = self.schedule.tile(tile);
+                self.job.x_addr
+                    + esz
+                        * ((t.row0 + row) * self.job.x_ld() + chunk * self.cfg.phase_width()) as u32
             }
             // modelcheck-allow: RM-PANIC-001 -- arbitration invariant:
             // Pick::ZStore is only selected when the store queue is
@@ -1797,12 +1723,13 @@ impl Sim {
     fn serve_pick(&mut self, pick: Pick, mem: &mut Tcdm, cycle: u64) -> Result<(), EngineError> {
         let format = self.job.format;
         let esz = format.elem_bytes() as u32;
+        let pw = self.cfg.phase_width();
         match pick {
             Pick::W(tile, phase, col) => {
                 let n_idx = phase * self.cfg.h + col;
-                let t = self.tiles[tile];
-                let mut group = Vec::with_capacity(self.pw);
-                for jj in 0..self.pw {
+                let t = self.schedule.tile(tile);
+                let mut group = Vec::with_capacity(pw);
+                for jj in 0..pw {
                     let kk = t.k0 + jj;
                     group.push(if kk < self.job.k {
                         cast::castin(
@@ -1826,8 +1753,8 @@ impl Sim {
                 self.stats.incr("w_loads");
             }
             Pick::ZPre(tile, row) => {
-                let t = self.tiles[tile];
-                for jj in 0..self.pw {
+                let t = self.schedule.tile(tile);
+                for jj in 0..pw {
                     let kk = t.k0 + jj;
                     self.zpre[row][jj] = if row < t.rows_live && kk < self.job.k {
                         cast::castin(
@@ -1847,10 +1774,10 @@ impl Sim {
                 self.stats.incr("z_preloads");
             }
             Pick::X(tile, chunk, row) => {
-                let t = self.tiles[tile];
-                let mut data = Vec::with_capacity(self.pw);
-                for e in 0..self.pw {
-                    let n_idx = chunk * self.pw + e;
+                let t = self.schedule.tile(tile);
+                let mut data = Vec::with_capacity(pw);
+                for e in 0..pw {
+                    let n_idx = chunk * pw + e;
                     data.push(if n_idx < self.job.n {
                         cast::castin(
                             mem,

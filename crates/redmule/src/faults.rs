@@ -29,6 +29,7 @@ use crate::config::AccelConfig;
 use crate::datapath::Datapath;
 use crate::engine::{Engine, EngineError, RunReport};
 use crate::regfile::Job;
+use crate::schedule::Schedule;
 use redmule_cluster::{Hci, Tcdm};
 use redmule_fp16::vector::{gemm_golden_accumulate, GemmShape};
 use redmule_fp16::F16;
@@ -687,15 +688,6 @@ fn tile_signature(z: &[Vec<F16>]) -> (Vec<u64>, Vec<u64>, u16) {
     )
 }
 
-/// One tile of the fault-tolerant tiling, mirroring the engine's own
-/// enumeration order.
-struct FtTile {
-    row0: usize,
-    k0: usize,
-    rows: usize,
-    cols: usize,
-}
-
 impl Engine {
     /// Executes a job under fault injection with one of the RedMulE-FT
     /// protection modes, producing bit-exact results for any transient
@@ -725,9 +717,8 @@ impl Engine {
     ) -> Result<RunReport, EngineError> {
         job.validate().map_err(EngineError::InvalidJob)?;
         let cfg = *self.config();
-        let pw = cfg.phase_width();
         let lat = cfg.latency();
-        let n_phases = job.n.div_ceil(cfg.h);
+        let schedule = Schedule::new(&cfg, job.shape(), job.format);
 
         let mut log = FaultLog::new();
         let mut stats = Stats::new();
@@ -761,27 +752,15 @@ impl Engine {
             persistent_injected += 1;
         }
 
-        let mut tiles = Vec::new();
-        for row0 in (0..job.m).step_by(cfg.l) {
-            for k0 in (0..job.k).step_by(pw) {
-                tiles.push(FtTile {
-                    row0,
-                    k0,
-                    rows: (job.m - row0).min(cfg.l),
-                    cols: (job.k - k0).min(pw),
-                });
-            }
-        }
-
-        for (idx, tile) in tiles.iter().enumerate() {
+        for (idx, tile) in schedule.tiles().enumerate() {
             let esz = job.format.elem_bytes() as u32;
             let sub_job = Job {
                 x_addr: job.x_addr + esz * (tile.row0 * job.x_ld()) as u32,
                 w_addr: job.w_addr + esz * tile.k0 as u32,
                 z_addr: job.z_addr + esz * (tile.row0 * job.z_ld() + tile.k0) as u32,
-                m: tile.rows,
+                m: tile.rows_live,
                 n: job.n,
-                k: tile.cols,
+                k: tile.cols_live,
                 accumulate: job.accumulate,
                 x_stride: job.x_ld(),
                 w_stride: job.w_ld(),
@@ -789,10 +768,10 @@ impl Engine {
                 format: job.format,
             };
             let geom = TileGeom {
-                rows_live: tile.rows,
-                cols_live: tile.cols,
-                n_chunks: n_phases.div_ceil(lat),
-                est_len: (cfg.h * lat + n_phases * pw + 64) as u64,
+                rows_live: tile.rows_live,
+                cols_live: tile.cols_live,
+                n_chunks: schedule.n_chunks(),
+                est_len: schedule.tile_len() + 64,
             };
             let mut specs = plan.expand_for_tile(idx, &cfg, &geom, &job);
 
@@ -800,10 +779,10 @@ impl Engine {
             // the ABFT reference's Y operand.
             let esz = job.format.elem_bytes() as u32;
             let z_pre: Option<Vec<Vec<F16>>> = if job.accumulate {
-                let mut rows = Vec::with_capacity(tile.rows);
-                for r in 0..tile.rows {
+                let mut rows = Vec::with_capacity(tile.rows_live);
+                for r in 0..tile.rows_live {
                     let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                    rows.push(cast::castin_slice(mem, job.format, addr, tile.cols)?);
+                    rows.push(cast::castin_slice(mem, job.format, addr, tile.cols_live)?);
                 }
                 Some(rows)
             } else {
@@ -840,22 +819,27 @@ impl Engine {
                         // ABFT: recompute the tile from the operands the
                         // engine saw and compare exact f64 checksums. The
                         // check pipeline costs rows + cols + lat cycles.
-                        total_cycles =
-                            total_cycles.saturating_add((tile.rows + tile.cols + lat) as u64);
-                        stats.add("abft_cycles", (tile.rows + tile.cols + lat) as u64);
+                        let abft = (tile.rows_live + tile.cols_live + lat) as u64;
+                        total_cycles = total_cycles.saturating_add(abft);
+                        stats.add("abft_cycles", abft);
                         // The checksum pipeline is doing arithmetic, so its
                         // cycles are attributed to compute.
-                        phases.add_many(Phase::Compute, (tile.rows + tile.cols + lat) as u64);
-                        let shape = GemmShape::new(tile.rows, job.n, tile.cols);
+                        phases.add_many(Phase::Compute, abft);
+                        let shape = GemmShape::new(tile.rows_live, job.n, tile.cols_live);
                         let mut x_sub = Vec::with_capacity(shape.x_len());
-                        for r in 0..tile.rows {
+                        for r in 0..tile.rows_live {
                             let addr = sub_job.x_addr + esz * (r * job.x_ld()) as u32;
                             x_sub.extend(cast::castin_slice(mem, job.format, addr, job.n)?);
                         }
                         let mut w_sub = Vec::with_capacity(shape.w_len());
                         for n_idx in 0..job.n {
                             let addr = sub_job.w_addr + esz * (n_idx * job.w_ld()) as u32;
-                            w_sub.extend(cast::castin_slice(mem, job.format, addr, tile.cols)?);
+                            w_sub.extend(cast::castin_slice(
+                                mem,
+                                job.format,
+                                addr,
+                                tile.cols_live,
+                            )?);
                         }
                         let y_flat: Option<Vec<F16>> = z_pre.as_ref().map(|rows| rows.concat());
                         // The engine narrows each result through the castout
@@ -868,23 +852,28 @@ impl Engine {
                                 .map(|v| job.format.quantize(v))
                                 .collect();
                         let ref_rows: Vec<Vec<F16>> = reference
-                            .chunks(tile.cols.max(1))
+                            .chunks(tile.cols_live.max(1))
                             .map(<[F16]>::to_vec)
                             .collect();
-                        let mut got_rows = Vec::with_capacity(tile.rows);
-                        for r in 0..tile.rows {
+                        let mut got_rows = Vec::with_capacity(tile.rows_live);
+                        for r in 0..tile.rows_live {
                             let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            got_rows.push(cast::castin_slice(mem, job.format, addr, tile.cols)?);
+                            got_rows.push(cast::castin_slice(
+                                mem,
+                                job.format,
+                                addr,
+                                tile.cols_live,
+                            )?);
                         }
                         tile_signature(&got_rows) == tile_signature(&ref_rows)
                     }
                     FtMode::Redundancy => {
                         // Duplication with comparison: run the tile again
                         // on the same inputs and vote bitwise.
-                        let mut first = Vec::with_capacity(tile.rows);
-                        for r in 0..tile.rows {
+                        let mut first = Vec::with_capacity(tile.rows_live);
+                        for r in 0..tile.rows_live {
                             let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            first.push(cast::castin_slice(mem, job.format, addr, tile.cols)?);
+                            first.push(cast::castin_slice(mem, job.format, addr, tile.cols_live)?);
                         }
                         restore(mem, &z_pre)?;
                         let clean_run = self.run(sub_job, mem, hci)?;
@@ -893,10 +882,10 @@ impl Engine {
                         stats.merge(&clean_run.stats);
                         stats.incr("ft_runs");
                         phases += clean_run.phases;
-                        let mut second = Vec::with_capacity(tile.rows);
-                        for r in 0..tile.rows {
+                        let mut second = Vec::with_capacity(tile.rows_live);
+                        for r in 0..tile.rows_live {
                             let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            second.push(cast::castin_slice(mem, job.format, addr, tile.cols)?);
+                            second.push(cast::castin_slice(mem, job.format, addr, tile.cols_live)?);
                         }
                         first
                             .iter()

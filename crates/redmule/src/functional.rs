@@ -18,9 +18,8 @@
 //! folds its reduction through `redmule_fp16::kernel::fma_row_staged` —
 //! the per-element FMA order (the bit-exactness contract) is untouched;
 //! only work *between* independent output elements is restructured for
-//! speed and vectorisation. The plan exposes
-//! pure per-tile ([`FunctionalPlan::compute_tile`]) and per-band
-//! ([`FunctionalPlan::compute_band_into`]) entry points so hosts can
+//! speed and vectorisation. The plan exposes a pure per-band
+//! ([`FunctionalPlan::compute_band_into`]) entry point so hosts can
 //! partition a job across threads with deterministic writeback.
 //!
 //! Bit-exactness with the cycle model is a hard invariant, enforced by
@@ -33,6 +32,7 @@
 
 use crate::config::AccelConfig;
 use crate::engine::EngineError;
+use crate::schedule::Schedule;
 use redmule_fp16::kernel::{fma_row_staged, Acc, Staged};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::{Format, Round, F16};
@@ -136,22 +136,6 @@ impl FunctionalGemm {
         self.run_inner(shape, Format::Fp16, x, w, None)
     }
 
-    /// Computes `Z = X * W + Y` (accumulate mode).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ShapeMismatch`] when an operand slice length does
-    /// not match `shape` (`Y` must be `m x k`).
-    pub fn run_accumulate(
-        &self,
-        shape: GemmShape,
-        x: &[F16],
-        w: &[F16],
-        y: &[F16],
-    ) -> Result<FunctionalRun, EngineError> {
-        self.run_inner(shape, Format::Fp16, x, w, Some(y))
-    }
-
     /// Computes `Z = X * W` with operands stored in `format`.
     ///
     /// Models the cast-in/cast-out datapath exactly: operands are
@@ -223,73 +207,32 @@ impl FunctionalGemm {
         // the one-time kernel staging.
         let stage = |v: &F16| format.quantize(*v).to_bits();
         Ok(FunctionalPlan {
-            shape,
+            schedule: Schedule::new(&self.cfg, shape, format),
             format,
-            l: self.cfg.l,
-            pw: self.cfg.phase_width(),
             xo: Staged::from_bits_iter(x.iter().map(stage)),
             wo: Staged::from_bits_iter(w.iter().map(stage)),
             y: y.map(|y| y.iter().map(|&v| format.quantize(v)).collect()),
         })
     }
 
-    /// Analytical cycle estimate for `shape` on this instance, exact
-    /// against [`crate::Engine::run`] for uncontended fault-free runs
-    /// (pinned by the `cycle_model` regression tests):
-    ///
-    /// * each tile computes for `tile_len = H*(P+1) + n_phases*pw` cycles
-    ///   and W-group prefetch hides every tile-boundary stall, so the
-    ///   `n_tiles` compute blocks are back to back;
-    /// * the initial pipeline fill costs `min(N,H)` W loads plus
-    ///   `min(M,L)` X loads before the first FMA issues;
-    /// * the final drain stores the last tile's `rows_last` live rows at
-    ///   one per cycle, the first overlapping the last compute tick
-    ///   (`rows_last - 1` extra cycles);
-    /// * empty-reduction jobs (`N == 0`) flush one tile per cycle while
-    ///   stores drain in parallel: `max(n_tiles, M * ceil(K/pw))`.
-    ///
-    /// The same model backs
+    /// Analytical cycle estimate for `shape` on this instance with FP16
+    /// storage: [`Schedule::total_cycles`], exact against
+    /// [`crate::Engine::run`] for uncontended fault-free runs (pinned by
+    /// the `cycle_model` regression tests). The same model backs
     /// [`crate::EngineSession::estimated_remaining_cycles`].
     pub fn estimated_cycles(&self, shape: GemmShape) -> Cycle {
         self.estimated_cycles_format(shape, Format::Fp16)
     }
 
     /// Analytical cycle estimate for `shape` with operands stored in
-    /// `format` (see [`FunctionalGemm::estimated_cycles`] for the base
-    /// model). Bandwidth is byte-denominated: with half-width FP8 elements
-    /// the streamer serves two transactions per granted beat, so the fill
-    /// and drain terms — the only memory-bound parts of an uncontended
-    /// schedule — halve (rounded up) while the compute blocks are
-    /// unchanged. FP8 therefore never estimates slower than FP16 on the
-    /// same shape.
+    /// `format`. Bandwidth is byte-denominated: with half-width FP8
+    /// elements the streamer serves two transactions per granted beat, so
+    /// the fill and drain terms — the only memory-bound parts of an
+    /// uncontended schedule — halve (rounded up) while the compute blocks
+    /// are unchanged. FP8 therefore never estimates slower than FP16 on
+    /// the same shape.
     pub fn estimated_cycles_format(&self, shape: GemmShape, format: Format) -> Cycle {
-        let cfg = &self.cfg;
-        let beat: u64 = if format.is_fp8() { 2 } else { 1 };
-        let pw = cfg.phase_width();
-        let n_phases = shape.n.div_ceil(cfg.h);
-        let tiles_m = shape.m.div_ceil(cfg.l);
-        let tiles_k = shape.k.div_ceil(pw);
-        let n_tiles = (tiles_m * tiles_k) as u64;
-        if n_tiles == 0 {
-            return Cycle::new(0); // degenerate M == 0 or K == 0: no output
-        }
-        if n_phases == 0 {
-            let store_rows = ((shape.m * tiles_k) as u64).div_ceil(beat);
-            return Cycle::new(n_tiles.max(store_rows));
-        }
-        let tile_len = (cfg.h * cfg.latency() + n_phases * pw) as u64;
-        let fill = ((shape.n.min(cfg.h) + shape.m.min(cfg.l)) as u64).div_ceil(beat);
-        // Drain: the last tile's stores leave at `beat` rows per cycle,
-        // minus the one store that overlaps the final compute cycle —
-        // `ceil(rows/beat) - 1`, which degenerates to `rows - 1` for FP16.
-        let rows_last = (shape.m - (tiles_m - 1) * cfg.l) as u64;
-        Cycle::new(n_tiles * tile_len + fill + rows_last.div_ceil(beat).saturating_sub(1))
-    }
-
-    /// Synthesises a tile-granular trace from the analytical model for
-    /// FP16 storage; see [`FunctionalGemm::synthetic_events_format`].
-    pub fn synthetic_events(&self, shape: GemmShape) -> EventLog {
-        self.synthetic_events_format(shape, Format::Fp16)
+        Schedule::new(&self.cfg, shape, format).total_cycles()
     }
 
     /// Synthesises a tile-granular trace from the analytical model: one
@@ -304,45 +247,37 @@ impl FunctionalGemm {
     /// shape, format and configuration, so batch traces of functional
     /// jobs stay worker-count invariant.
     pub fn synthetic_events_format(&self, shape: GemmShape, format: Format) -> EventLog {
-        let cfg = &self.cfg;
-        let beat: u64 = if format.is_fp8() { 2 } else { 1 };
-        let pw = cfg.phase_width();
-        let n_phases = shape.n.div_ceil(cfg.h);
-        let tiles_m = shape.m.div_ceil(cfg.l);
-        let tiles_k = shape.k.div_ceil(pw);
-        let n_tiles = (tiles_m * tiles_k) as u32;
-        let tile_len = (cfg.h * cfg.latency() + n_phases * pw) as u64;
-        let fill = ((shape.n.min(cfg.h) + shape.m.min(cfg.l)) as u64).div_ceil(beat);
-        let total = self.estimated_cycles_format(shape, format).count();
+        let schedule = Schedule::new(&self.cfg, shape, format);
+        let (fill, tile_len) = (schedule.fill(), schedule.tile_len());
+        let last = schedule.n_tiles().saturating_sub(1);
         let mut log = EventLog::new();
-        let mut tile = 0u32;
-        for row0 in (0..shape.m).step_by(cfg.l) {
-            for k0 in (0..shape.k).step_by(pw) {
-                // Empty-reduction tiles flush one per cycle; compute
-                // tiles start after the fill and run back to back for
-                // tile_len cycles each.
-                let (start, mut end) = if n_phases == 0 {
-                    (u64::from(tile), u64::from(tile))
-                } else {
-                    let t = u64::from(tile);
-                    (fill + t * tile_len, fill + (t + 1) * tile_len - 1)
-                };
-                if tile + 1 == n_tiles {
-                    // The last tile's stores drain through the model's
-                    // final cycles; its span closes the trace at the
-                    // estimate's last cycle.
-                    end = total.saturating_sub(1);
-                }
-                log.push(TraceEvent::TileStart {
-                    cycle: start,
-                    tile,
-                    row0: row0 as u32,
-                    rows: (shape.m - row0).min(cfg.l) as u32,
-                    cols: (shape.k - k0).min(pw) as u32,
-                });
-                log.push(TraceEvent::TileEnd { cycle: end, tile });
-                tile += 1;
+        for (idx, tile) in schedule.tiles().enumerate() {
+            // Empty-reduction tiles flush one per cycle; compute tiles
+            // start after the fill and run back to back for tile_len
+            // cycles each.
+            let t = idx as u64;
+            let (start, mut end) = if schedule.n_phases() == 0 {
+                (t, t)
+            } else {
+                (fill + t * tile_len, fill + (t + 1) * tile_len - 1)
+            };
+            if idx == last {
+                // The last tile's stores drain through the model's final
+                // cycles; its span closes the trace at the estimate's
+                // last cycle.
+                end = schedule.total_cycles().count().saturating_sub(1);
             }
+            log.push(TraceEvent::TileStart {
+                cycle: start,
+                tile: idx as u32,
+                row0: tile.row0 as u32,
+                rows: tile.rows_live as u32,
+                cols: tile.cols_live as u32,
+            });
+            log.push(TraceEvent::TileEnd {
+                cycle: end,
+                tile: idx as u32,
+            });
         }
         log
     }
@@ -362,7 +297,7 @@ impl FunctionalGemm {
         }
         Ok(FunctionalRun {
             z,
-            estimated_cycles: self.estimated_cycles_format(shape, format),
+            estimated_cycles: plan.schedule.total_cycles(),
             macs: shape.macs(),
         })
     }
@@ -378,12 +313,9 @@ impl FunctionalGemm {
 /// them back in any order with bit-identical results.
 #[derive(Debug, Clone)]
 pub struct FunctionalPlan {
-    shape: GemmShape,
+    /// The job's tile grid: bands of `L` output rows.
+    schedule: Schedule,
     format: Format,
-    /// Band height (the instance's `L`).
-    l: usize,
-    /// Panel width (the instance's `phase_width`).
-    pw: usize,
     /// Cast-in, pre-staged X (`m x n`, row-major, structure-of-arrays).
     xo: Staged,
     /// Cast-in, pre-staged W (`n x k`, row-major, structure-of-arrays).
@@ -395,18 +327,13 @@ pub struct FunctionalPlan {
 impl FunctionalPlan {
     /// The job's shape.
     pub fn shape(&self) -> GemmShape {
-        self.shape
+        self.schedule.shape()
     }
 
     /// Number of L-row output bands (`ceil(m / L)`). A band is one row of
     /// tiles and owns the contiguous `Z` slice `[band*L*k, ..)`.
     pub fn n_bands(&self) -> usize {
-        self.shape.m.div_ceil(self.l)
-    }
-
-    /// Number of output tiles in the engine's enumeration order.
-    pub fn n_tiles(&self) -> usize {
-        self.n_bands() * self.shape.k.div_ceil(self.pw)
+        self.schedule.n_bands()
     }
 
     /// Elements of `Z` covered by one full band (`L * k`); the final band
@@ -415,42 +342,7 @@ impl FunctionalPlan {
     pub fn band_stride(&self) -> usize {
         // A zero-area output has no bands to split; any non-zero stride
         // keeps `chunks_mut` well-formed on the empty `Z`.
-        (self.l * self.shape.k).max(1)
-    }
-
-    /// Computes one output tile (engine enumeration order: L-row bands,
-    /// phase-width panels, row-major) and returns its `rows_live x
-    /// cols_live` row-major block. Pure: depends only on the plan and
-    /// `tile_idx`.
-    ///
-    /// Tiles with `tile_idx >= n_tiles()` return an empty block.
-    pub fn compute_tile(&self, tile_idx: usize) -> Vec<F16> {
-        let (k, n) = (self.shape.k, self.shape.n);
-        let tiles_k = k.div_ceil(self.pw);
-        if tiles_k == 0 || tile_idx >= self.n_tiles() {
-            return Vec::new();
-        }
-        let row0 = (tile_idx / tiles_k) * self.l;
-        let k0 = (tile_idx % tiles_k) * self.pw;
-        let rows_live = (self.shape.m - row0).min(self.l);
-        let cols_live = (k - k0).min(self.pw);
-        if n == 0 {
-            return self.passthrough_block(row0, rows_live, k0, cols_live);
-        }
-        let mut accs = self.band_accs(row0, rows_live, k0, cols_live);
-        for l in 0..n {
-            for (r, arow) in accs.chunks_exact_mut(cols_live).enumerate() {
-                fma_row_staged(
-                    &self.xo,
-                    (row0 + r) * n + l,
-                    &self.wo,
-                    l * k + k0,
-                    arow,
-                    Round::NearestEven,
-                );
-            }
-        }
-        accs.iter().map(|a| self.cast_out(*a)).collect()
+        (self.schedule.config().l * self.shape().k).max(1)
     }
 
     /// Computes one full band of output tiles straight into `out`, which
@@ -466,16 +358,31 @@ impl FunctionalPlan {
     /// `l = 0..n` — so every output element rounds identically to the
     /// cycle-accurate engine, element by element, step by step.
     pub fn compute_band_into(&self, band_idx: usize, out: &mut [F16]) {
-        let (k, n) = (self.shape.k, self.shape.n);
-        let row0 = band_idx * self.l;
-        debug_assert!(row0 < self.shape.m || out.is_empty());
-        let rows_live = (self.shape.m.saturating_sub(row0)).min(self.l);
+        let GemmShape { n, k, .. } = self.shape();
+        let (row0, rows_live) = self.schedule.band_rows(band_idx);
         debug_assert_eq!(out.len(), rows_live * k);
+        // The band's rows are contiguous in row-major Z (and Y).
+        let span = row0 * k..(row0 + rows_live) * k;
         if n == 0 {
-            out.copy_from_slice(&self.passthrough_block(row0, rows_live, 0, k));
+            // Zero-step pass-through for an empty reduction: no FMA ever
+            // fires, so `Z` is the cast-in `Y` (or zero) *bit for bit*.
+            // Routing it through the kernel's widen/narrow round-trip
+            // would canonicalize NaN payloads and signs the datapath
+            // preserves.
+            match &self.y {
+                Some(y) => out.copy_from_slice(&y[span]),
+                None => out.fill(F16::ZERO),
+            }
             return;
         }
-        let mut accs = self.band_accs(row0, rows_live, 0, k);
+        // Accumulators start from the cast-in `Y` (or zero).
+        let mut accs: Vec<Acc> = match &self.y {
+            Some(y) => y[span]
+                .iter()
+                .map(|v| Acc::from_bits(v.to_bits()))
+                .collect(),
+            None => vec![Acc::ZERO; out.len()],
+        };
         for l in 0..n {
             // One W row serves every live output row of the band; the
             // staged kernel slices it once per call, keeping the vector
@@ -493,42 +400,6 @@ impl FunctionalPlan {
         }
         for (z, acc) in out.iter_mut().zip(accs.iter()) {
             *z = self.cast_out(*acc);
-        }
-    }
-
-    /// Zero-step pass-through for an empty reduction (`N == 0`): no FMA
-    /// ever fires, so `Z` is the cast-in `Y` (or zero) *bit for bit*.
-    /// Routing it through the kernel's widen/narrow round-trip would
-    /// canonicalize NaN payloads and signs the datapath preserves.
-    fn passthrough_block(&self, row0: usize, rows: usize, k0: usize, cols: usize) -> Vec<F16> {
-        let k = self.shape.k;
-        match &self.y {
-            Some(y) => {
-                let mut out = Vec::with_capacity(rows * cols);
-                for r in 0..rows {
-                    let base = (row0 + r) * k + k0;
-                    out.extend_from_slice(&y[base..base + cols]);
-                }
-                out
-            }
-            None => vec![F16::ZERO; rows * cols],
-        }
-    }
-
-    /// Accumulator block for rows `[row0, row0+rows)` x columns
-    /// `[k0, k0+cols)`, initialised from the cast-in `Y` (or zero).
-    fn band_accs(&self, row0: usize, rows: usize, k0: usize, cols: usize) -> Vec<Acc> {
-        let k = self.shape.k;
-        match &self.y {
-            Some(y) => {
-                let mut accs = Vec::with_capacity(rows * cols);
-                for r in 0..rows {
-                    let yrow = &y[(row0 + r) * k + k0..(row0 + r) * k + k0 + cols];
-                    accs.extend(yrow.iter().map(|v| Acc::from_bits(v.to_bits())));
-                }
-                accs
-            }
-            None => vec![Acc::ZERO; rows * cols],
         }
     }
 
@@ -601,35 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn tiles_assemble_to_the_full_result() {
-        // compute_tile is pure and covers the output exactly: stitching
-        // every tile back together reproduces run() bit for bit.
-        for (m, n, k) in [(8, 16, 16), (5, 11, 7), (20, 24, 20), (3, 0, 5)] {
-            let shape = GemmShape::new(m, n, k);
-            let (x, w) = operands(shape, 42);
-            let f = FunctionalGemm::paper_instance();
-            let full = f.run(shape, &x, &w).expect("functional run");
-            let plan = f
-                .plan(shape, Format::Fp16, &x, &w, None)
-                .expect("plan stages");
-            let cfg = f.config();
-            let (pw, tiles_k) = (cfg.phase_width(), k.div_ceil(cfg.phase_width()));
-            let mut stitched = vec![F16::ZERO; shape.z_len()];
-            for t in 0..plan.n_tiles() {
-                let block = plan.compute_tile(t);
-                let row0 = (t / tiles_k) * cfg.l;
-                let k0 = (t % tiles_k) * pw;
-                let cols = (k - k0).min(pw);
-                for (r, brow) in block.chunks(cols).enumerate() {
-                    stitched[(row0 + r) * k + k0..(row0 + r) * k + k0 + cols].copy_from_slice(brow);
-                }
-            }
-            assert_eq!(bits(&stitched), bits(&full.z), "at {m}x{n}x{k}");
-            assert!(plan.compute_tile(plan.n_tiles()).is_empty());
-        }
-    }
-
-    #[test]
     fn accumulate_matches_engine() {
         let shape = GemmShape::new(10, 12, 18);
         let (x, w) = operands(shape, 7);
@@ -637,10 +479,10 @@ mod tests {
             .map(|i| F16::from_f32((i % 9) as f32 / 4.0 - 1.0))
             .collect();
         let fast = FunctionalGemm::paper_instance()
-            .run_accumulate(shape, &x, &w, &y)
+            .run_accumulate_format(shape, Format::Fp16, &x, &w, &y)
             .expect("functional accumulate");
         let hw = Accelerator::paper_instance()
-            .gemm_accumulate(shape, &x, &w, &y)
+            .gemm_in(shape, Format::Fp16, &x, &w, Some(&y))
             .expect("engine accumulate");
         assert_eq!(bits(&fast.z), bits(&hw.z));
     }
@@ -695,7 +537,7 @@ mod tests {
             .map(|&b| F16::from_bits(b))
             .collect();
         let fast = FunctionalGemm::paper_instance()
-            .run_accumulate(shape, &[], &[], &y)
+            .run_accumulate_format(shape, Format::Fp16, &[], &[], &y)
             .expect("functional run");
         assert_eq!(bits(&fast.z), bits(&y));
     }
@@ -715,7 +557,7 @@ mod tests {
             Err(EngineError::ShapeMismatch { operand: "W", .. })
         ));
         assert!(matches!(
-            f.run_accumulate(shape, &good, &good, &bad),
+            f.run_accumulate_format(shape, Format::Fp16, &good, &good, &bad),
             Err(EngineError::ShapeMismatch { operand: "Y", .. })
         ));
     }

@@ -23,6 +23,8 @@
 //! * [`Accelerator`] — the top-level facade.
 //! * [`FunctionalGemm`] — the fast functional backend: bit-identical
 //!   results without per-cycle simulation, selected via [`BackendKind`].
+//! * [`Schedule`] — the tile grid and analytical cycle model both
+//!   backends share.
 //!
 //! # Quick start
 //!
@@ -59,8 +61,9 @@ pub mod faults;
 mod functional;
 mod l2;
 pub mod regfile;
+mod schedule;
 
-pub use accelerator::{stage_gemm_workspace, stage_gemm_workspace_in, Accelerator, GemmRun};
+pub use accelerator::{stage_gemm_workspace_in, Accelerator, GemmRun};
 pub use config::AccelConfig;
 pub use decode::DecodeError;
 pub use engine::{
@@ -73,6 +76,7 @@ pub use faults::{
 pub use functional::{BackendKind, FunctionalGemm, FunctionalPlan, FunctionalRun};
 pub use l2::{L2TiledGemm, TileShape, TiledReport};
 pub use regfile::{Job, RegFile};
+pub use schedule::{Schedule, Tile};
 
 /// Operand storage [`Format`] re-exported from [`redmule_fp16`]: jobs can
 /// keep X/W/Z in TCDM as FP16 or as OFP8 FP8 (E4M3 / E5M2), cast at the

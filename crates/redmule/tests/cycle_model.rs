@@ -13,13 +13,17 @@
 //!    [`PhaseCycles`] buckets sum *exactly* to the report's total cycle
 //!    count on every corpus run — both streamer policies, accumulate
 //!    mode, empty reductions, interconnect contention, fault-tolerant
-//!    execution and mid-run partial reports.
+//!    execution and mid-run partial reports;
+//! 4. one tile grid: the engine's `TileStart` events, the functional
+//!    backend's synthetic trace and every reported tile total describe
+//!    the same tiles, in every storage format.
 
 use redmule::obs::{validate_chrome_trace, EventLog, TraceEvent, TraceLane};
 use redmule::{
-    stage_gemm_workspace, AccelConfig, Engine, FaultPlan, FtConfig, FunctionalGemm, RunReport,
-    StreamerPolicy, TransientTarget,
+    stage_gemm_workspace_in, AccelConfig, BackendKind, Engine, FaultPlan, Format, FtConfig,
+    FunctionalGemm, RunReport, StreamerPolicy, TransientTarget,
 };
+use redmule_batch::{BatchExecutor, GemmJob};
 use redmule_cluster::{Hci, Initiator, Tcdm};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
@@ -38,7 +42,7 @@ fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
 
 fn staged(shape: GemmShape, seed: u32) -> (redmule::Job, Tcdm, Hci) {
     let (x, w) = data(shape, seed);
-    stage_gemm_workspace(shape, &x, &w, None).expect("staging")
+    stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("staging")
 }
 
 /// The shape grid: every model branch — ragged edges on all three
@@ -209,7 +213,8 @@ fn phase_attribution_partitions_all_policies_and_modes() {
     let y: Vec<F16> = (0..shape.z_len())
         .map(|i| F16::from_f32((i % 3) as f32))
         .collect();
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, Some(&y)).expect("staging");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, Some(&y)).expect("staging");
     let report = engine.run(job, &mut mem, &mut hci).expect("accumulate run");
     assert_phases_partition(&report, "accumulate");
 }
@@ -333,4 +338,62 @@ fn untraced_sessions_charge_no_observation_state() {
     let mut log = EventLog::new();
     events.replay_into(&mut log);
     assert_eq!(log, events);
+}
+
+// ---------------------------------------------------------------------------
+// (4) one tile grid across the engine, the synthetic trace and the executor
+// ---------------------------------------------------------------------------
+
+/// `(tile, row0, rows, cols)` of every `TileStart` in `log`, in order.
+fn tile_starts(log: &EventLog) -> Vec<(u32, u32, u32, u32)> {
+    log.events()
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::TileStart {
+                tile,
+                row0,
+                rows,
+                cols,
+                ..
+            } => Some((tile, row0, rows, cols)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn tile_grid_agrees_across_engine_trace_and_executor() {
+    let engine = Engine::new(AccelConfig::paper());
+    let model = FunctionalGemm::paper_instance();
+    let mut jobs = Vec::new();
+    let mut expected_totals = Vec::new();
+    for format in [Format::Fp16, Format::Fp8E4M3, Format::Fp8E5M2] {
+        for shape in corpus() {
+            let (x, w) = data(shape, 91);
+            let (job, mut mem, mut hci) =
+                stage_gemm_workspace_in(shape, format, &x, &w, None).expect("staging");
+            let tiles_total = engine.start(job).expect("start").tiles_total();
+            let (_, events) = engine.run_logged(job, &mut mem, &mut hci).expect("run");
+            let measured = tile_starts(&events);
+            assert_eq!(
+                measured,
+                tile_starts(&model.synthetic_events_format(shape, format)),
+                "engine vs synthetic tile grid on {shape} {format:?}"
+            );
+            assert_eq!(measured.len(), tiles_total, "{shape} {format:?}");
+            for backend in [BackendKind::CycleAccurate, BackendKind::Functional] {
+                let id = jobs.len() as u64;
+                jobs.push(
+                    GemmJob::new(id, shape, x.clone(), w.clone())
+                        .with_format(format)
+                        .with_backend(backend),
+                );
+                expected_totals.push(tiles_total);
+            }
+        }
+    }
+    let outcome = BatchExecutor::new(2).run(jobs).expect("batch runs");
+    assert!(outcome.report.all_completed());
+    let reported: Vec<usize> = outcome.report.jobs.iter().map(|r| r.tiles_total).collect();
+    assert_eq!(reported, expected_totals, "executor tile totals");
 }

@@ -117,7 +117,7 @@ fn fp8_engine_matches_functional_bitwise() {
             GemmShape::new(16, 1, 24),
         ] {
             let (x, w) = data(shape, 97);
-            let run = accel.gemm_with_format(shape, format, &x, &w).expect("run");
+            let run = accel.gemm_in(shape, format, &x, &w, None).expect("run");
             let fast = model.run_format(shape, format, &x, &w).expect("model");
             assert_eq!(
                 bits(&run.z),
@@ -138,9 +138,7 @@ fn fp8_accumulate_matches_functional_bitwise() {
         .map(|i| F16::from_f32((i % 5) as f32 - 2.0))
         .collect();
     for format in [Format::Fp8E4M3, Format::Fp8E5M2] {
-        let run = accel
-            .gemm_accumulate_with_format(shape, format, &x, &w, &y)
-            .expect("run");
+        let run = accel.gemm_in(shape, format, &x, &w, Some(&y)).expect("run");
         let fast = model
             .run_accumulate_format(shape, format, &x, &w, &y)
             .expect("model");

@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use redmule::{stage_gemm_workspace, AccelConfig, Engine};
+//! use redmule::{AccelConfig, Engine};
 //! use redmule_fp16::vector::GemmShape;
 //! use redmule_fp16::F16;
 //! use redmule_runtime::{Limits, StopReason, Supervisor};

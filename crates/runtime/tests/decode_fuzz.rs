@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use redmule::decode::DecodeError;
-use redmule::{stage_gemm_workspace, AccelConfig, Engine, SessionState};
+use redmule::{stage_gemm_workspace_in, AccelConfig, Engine, Format, SessionState};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
 use redmule_runtime::{Checkpoint, Limits, Supervisor};
@@ -30,7 +30,8 @@ fn valid_checkpoint_bytes() -> Vec<u8> {
     let (x, w) = data(shape, 41);
     let supervisor = Supervisor::new(Engine::new(AccelConfig::new(4, 2, 1)))
         .with_limits(Limits::none().with_max_cycles(60));
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let run = supervisor.run(job, &mut mem, &mut hci).expect("run");
     run.checkpoint
         .expect("budget-bounded run yields a checkpoint")

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use redmule::{
-    stage_gemm_workspace, AccelConfig, Engine, EngineSession, FaultInjector, FaultSite, RunReport,
-    StreamerPolicy,
+    stage_gemm_workspace_in, AccelConfig, Engine, EngineSession, FaultInjector, FaultSite, Format,
+    RunReport, StreamerPolicy,
 };
 use redmule_cluster::{Hci, Tcdm};
 use redmule_fp16::vector::GemmShape;
@@ -112,11 +112,11 @@ proptest! {
         let engine = Engine::new(small_cfg()).with_streamer_policy(policy(policy_idx));
 
         let (job, mut mem_a, mut hci_a) =
-            stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+            stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
         let straight = run_straight(engine.start(job).expect("start"), &mut mem_a, &mut hci_a);
 
         let (job_b, mut mem_b, mut hci_b) =
-            stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+            stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
         let resumed = run_resumed(
             &engine,
             engine.start(job_b).expect("start"),
@@ -157,14 +157,14 @@ proptest! {
         ];
 
         let (job, mut mem_a, mut hci_a) =
-            stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+            stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
         let session = engine
             .start_with_faults(job, FaultInjector::new(sites.clone()))
             .expect("start");
         let straight = run_straight(session, &mut mem_a, &mut hci_a);
 
         let (job_b, mut mem_b, mut hci_b) =
-            stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+            stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
         let session = engine
             .start_with_faults(job_b, FaultInjector::new(sites))
             .expect("start");

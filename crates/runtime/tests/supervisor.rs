@@ -1,7 +1,7 @@
 //! Supervisor behaviour: budgets, deadlines, cancellation, panic
 //! isolation, watchdog recovery and graceful degradation.
 
-use redmule::{stage_gemm_workspace, AccelConfig, Engine};
+use redmule::{stage_gemm_workspace_in, AccelConfig, Engine, Format};
 use redmule_fp16::vector::{gemm_golden, GemmShape};
 use redmule_fp16::F16;
 use redmule_runtime::{CancelToken, Checkpoint, Limits, RetryPolicy, StopReason, Supervisor};
@@ -34,7 +34,8 @@ fn supervised_run_matches_unsupervised_engine_bit_exactly() {
     let (x, w) = data(shape, 7);
     let engine = Engine::new(small_cfg());
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let baseline = engine.run(job, &mut mem, &mut hci).expect("baseline run");
     let z_base = mem.load_f16_slice(job.z_addr, shape.z_len()).expect("Z");
 
@@ -66,14 +67,16 @@ fn cycle_budget_degrades_then_resume_completes_bit_exact() {
     let (x, w) = data(shape, 21);
     let engine = Engine::new(small_cfg());
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let baseline = engine.run(job, &mut mem, &mut hci).expect("baseline run");
     let z_base = mem.load_f16_slice(job.z_addr, shape.z_len()).expect("Z");
 
     let budget = baseline.cycles.count() / 2;
     let supervisor =
         Supervisor::new(engine.clone()).with_limits(Limits::none().with_max_cycles(budget));
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let partial = supervisor
         .run(job, &mut mem, &mut hci)
         .expect("supervised run");
@@ -123,7 +126,8 @@ fn cancellation_stops_promptly_and_checkpoint_resumes() {
     token.cancel();
 
     let supervisor = Supervisor::new(engine.clone()).with_cancel_token(token);
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let run = supervisor.run(job, &mut mem, &mut hci).expect("run");
     assert_eq!(run.stop, StopReason::Cancelled);
     assert!(run.degraded);
@@ -158,7 +162,8 @@ fn cycle_deadline_is_deterministic_and_survives_resume() {
     let (x, w) = data(shape, 21);
     let engine = Engine::new(small_cfg());
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let baseline = engine.run(job, &mut mem, &mut hci).expect("baseline run");
     let total = baseline.cycles.count();
 
@@ -167,7 +172,8 @@ fn cycle_deadline_is_deterministic_and_survives_resume() {
     let deadline = total / 2;
     let supervisor =
         Supervisor::new(engine.clone()).with_limits(Limits::none().with_deadline_cycles(deadline));
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let first = supervisor
         .run(job, &mut mem, &mut hci)
         .expect("supervised run");
@@ -177,7 +183,8 @@ fn cycle_deadline_is_deterministic_and_survives_resume() {
     assert!(stop_cycle >= deadline, "stops at the boundary after d");
 
     // Re-running is bit-identical: same stop cycle, same partial state.
-    let (job2, mut mem2, mut hci2) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job2, mut mem2, mut hci2) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let second = supervisor
         .run(job2, &mut mem2, &mut hci2)
         .expect("supervised run");
@@ -211,7 +218,8 @@ fn deterministic_backoff_is_charged_per_retry() {
     let supervisor =
         Supervisor::new(engine.clone()).with_retry_policy(RetryPolicy::deterministic(2, 500));
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     hci.inject_shallow_drop(u32::MAX);
     let run = supervisor
         .run(job, &mut mem, &mut hci)
@@ -226,7 +234,8 @@ fn deterministic_backoff_is_charged_per_retry() {
     assert_eq!(bits(&z), bits(&golden));
 
     // A clean run charges nothing.
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let clean = supervisor.run(job, &mut mem, &mut hci).expect("run");
     assert_eq!(clean.retries, 0);
     assert_eq!(clean.backoff_cycles, 0);
@@ -240,7 +249,8 @@ fn panic_in_simulation_is_isolated_and_retried() {
     let engine = Engine::new(small_cfg());
     let supervisor = Supervisor::new(engine.clone());
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let session = engine.start(job).expect("start");
     let mut armed = true;
     let run = supervisor
@@ -271,7 +281,8 @@ fn persistent_panic_exhausts_retries_and_reports() {
     };
     let supervisor = Supervisor::new(engine.clone()).with_retry_policy(retry);
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let session = engine.start(job).expect("start");
     let run = supervisor
         .run_observed(session, &mut mem, &mut hci, |s| {
@@ -296,7 +307,8 @@ fn watchdog_hang_is_recovered_by_rollback() {
     let engine = Engine::new(small_cfg()).with_watchdog(64);
     let supervisor = Supervisor::new(engine.clone());
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     // A stuck interconnect: every shallow beat vanishes, so the schedule
     // hangs and the engine watchdog fires.
     hci.inject_shallow_drop(u32::MAX);
@@ -324,7 +336,8 @@ fn unrecoverable_watchdog_reports_failed_not_panic() {
     };
     let supervisor = Supervisor::new(engine).with_retry_policy(retry);
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     hci.inject_shallow_drop(u32::MAX);
     let run = supervisor
         .run(job, &mut mem, &mut hci)
@@ -347,7 +360,8 @@ fn checkpoint_container_roundtrips_and_rejects_damage() {
     let (x, w) = data(shape, 41);
     let supervisor =
         Supervisor::new(Engine::new(small_cfg())).with_limits(Limits::none().with_max_cycles(60));
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let run = supervisor.run(job, &mut mem, &mut hci).expect("run");
     let checkpoint = run.checkpoint.expect("degraded run carries a checkpoint");
 

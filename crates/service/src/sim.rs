@@ -22,7 +22,8 @@ use crate::report::{fnv1a64_f16, ServiceJobRecord, ServiceReport, TenantStats};
 use crate::request::{Rejected, RejectedRecord, ServiceStatus, Submission};
 use redmule::obs::{EventLog, TraceEvent};
 use redmule::{
-    stage_gemm_workspace, AccelConfig, Engine, EngineError, FaultInjector, FunctionalGemm,
+    stage_gemm_workspace_in, AccelConfig, Engine, EngineError, FaultInjector, Format,
+    FunctionalGemm,
 };
 use redmule_batch::{BatchError, BatchExecutor, GemmJob, JobFaults, JobResult, JobStatus};
 use redmule_runtime::{Checkpoint, Limits, RetryPolicy, StopReason, Supervisor};
@@ -441,7 +442,8 @@ impl ServiceSim {
                 // Resume at boundary `generation`: the first `generation`
                 // segments already ran before the crash; their counter
                 // sums travel in the checkpoint record's meta header.
-                let (job2, mut mem2, mut hci2) = stage_gemm_workspace(sub.shape, &x, &w, None)?;
+                let (job2, mut mem2, mut hci2) =
+                    stage_gemm_workspace_in(sub.shape, Format::Fp16, &x, &w, None)?;
                 let budget = plan.get(s.generation as usize).copied().flatten();
                 run = supervisor(limits_for(budget)).resume(&s.checkpoint, &mut mem2, &mut hci2)?;
                 hw_job = job2;
@@ -453,7 +455,8 @@ impl ServiceSim {
                 start_idx = s.generation as usize + 1;
             }
             None => {
-                let (job0, mut mem0, mut hci0) = stage_gemm_workspace(sub.shape, &x, &w, None)?;
+                let (job0, mut mem0, mut hci0) =
+                    stage_gemm_workspace_in(sub.shape, Format::Fp16, &x, &w, None)?;
                 let session = if sub.faults.is_empty() {
                     self.engine.start(job0)?
                 } else {
@@ -493,7 +496,8 @@ impl ServiceSim {
                 d.publish_boundary(sub.id, idx as u32, executed, sup_retries, backoff, &bytes)?;
             }
             let ckpt = Checkpoint::from_bytes(&bytes)?;
-            let (_, mut mem2, mut hci2) = stage_gemm_workspace(sub.shape, &x, &w, None)?;
+            let (_, mut mem2, mut hci2) =
+                stage_gemm_workspace_in(sub.shape, Format::Fp16, &x, &w, None)?;
             run = supervisor(limits_for(*lim)).resume(&ckpt, &mut mem2, &mut hci2)?;
             mem = mem2;
             migrations += 1;

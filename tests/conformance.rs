@@ -124,10 +124,10 @@ fn run_accumulate_case(c: Case) -> Result<(), String> {
     let y = matrix(shape.z_len(), c.seed ^ 0x3C3C_3C3C_3C3C_3C3C);
 
     let func = FunctionalGemm::paper_instance()
-        .run_accumulate(shape, &x, &w, &y)
+        .run_accumulate_format(shape, Format::Fp16, &x, &w, &y)
         .map_err(|e| format!("functional backend error: {e}"))?;
     let hw = Accelerator::paper_instance()
-        .gemm_accumulate(shape, &x, &w, &y)
+        .gemm_in(shape, Format::Fp16, &x, &w, Some(&y))
         .map_err(|e| format!("engine error: {e}"))?;
     diff("functional+Y", &func.z, "engine+Y", &hw.z)
 }
@@ -146,7 +146,7 @@ fn run_fp8_case(format: Format, c: Case) -> Result<(), String> {
         .run_format(shape, format, &x, &w)
         .map_err(|e| format!("functional backend error: {e}"))?;
     let hw = Accelerator::paper_instance()
-        .gemm_with_format(shape, format, &x, &w)
+        .gemm_in(shape, format, &x, &w, None)
         .map_err(|e| format!("engine error: {e}"))?;
     diff("functional", &func.z, "engine", &hw.z)
 }
@@ -162,7 +162,7 @@ fn run_fp8_accumulate_case(format: Format, c: Case) -> Result<(), String> {
         .run_accumulate_format(shape, format, &x, &w, &y)
         .map_err(|e| format!("functional backend error: {e}"))?;
     let hw = Accelerator::paper_instance()
-        .gemm_accumulate_with_format(shape, format, &x, &w, &y)
+        .gemm_in(shape, format, &x, &w, Some(&y))
         .map_err(|e| format!("engine error: {e}"))?;
     diff("functional+Y", &func.z, "engine+Y", &hw.z)
 }
@@ -515,7 +515,7 @@ fn fp8_all_special_value_matrices_agree() {
                 .run_format(shape, format, &x, &w)
                 .expect("functional");
             let hw = Accelerator::paper_instance()
-                .gemm_with_format(shape, format, &x, &w)
+                .gemm_in(shape, format, &x, &w, None)
                 .expect("engine");
             assert_eq!(
                 bits(&func.z),

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use redmule_suite::cluster::{baseline::SwGemm, ClusterConfig};
 use redmule_suite::fp16::vector::{gemm_golden, gemm_golden_accumulate, GemmShape};
 use redmule_suite::fp16::F16;
-use redmule_suite::redmule::{AccelConfig, Accelerator};
+use redmule_suite::redmule::{AccelConfig, Accelerator, Format};
 
 fn bits(v: &[F16]) -> Vec<u16> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -89,7 +89,7 @@ proptest! {
         let w = deterministic(shape.w_len(), seed ^ 0x77);
         let y = deterministic(shape.z_len(), seed ^ 0x33);
         let run = Accelerator::paper_instance()
-            .gemm_accumulate(shape, &x, &w, &y)
+            .gemm_in(shape, Format::Fp16, &x, &w, Some(&y))
             .expect("gemm runs");
         let golden = gemm_golden_accumulate(shape, &x, &w, Some(&y));
         prop_assert_eq!(bits(&run.z), bits(&golden));

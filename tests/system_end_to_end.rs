@@ -6,7 +6,7 @@ use redmule_suite::fp16::vector::{gemm_golden, gemm_golden_accumulate, GemmShape
 use redmule_suite::fp16::F16;
 use redmule_suite::nn::backend::{Backend, CycleLedger};
 use redmule_suite::nn::{autoencoder, Tensor};
-use redmule_suite::redmule::{regfile::offsets, Accelerator, Job};
+use redmule_suite::redmule::{regfile::offsets, Accelerator, Format, Job};
 
 fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
     let gen = |len: usize, s: u32| -> Vec<F16> {
@@ -105,7 +105,7 @@ fn accumulate_jobs_compose() {
     let (_, w2) = data(shape, 8);
     let first = accel.gemm(shape, &x, &w1).expect("first job");
     let second = accel
-        .gemm_accumulate(shape, &x, &w2, &first.z)
+        .gemm_in(shape, Format::Fp16, &x, &w2, Some(&first.z))
         .expect("second job");
     let golden = gemm_golden_accumulate(shape, &x, &w2, Some(&gemm_golden(shape, &x, &w1)));
     assert_eq!(bits(&second.z), bits(&golden));
