@@ -276,7 +276,7 @@ impl Tcdm {
 impl Snapshot for Tcdm {
     fn save_state(&self, w: &mut StateWriter) {
         w.put(&self.n_banks);
-        w.put(&self.words);
+        w.put_u32s(&self.words);
         w.put(&self.stuck.len());
         for (&idx, fault) in &self.stuck {
             w.put(&idx);
@@ -293,7 +293,7 @@ impl Snapshot for Tcdm {
                 self.n_banks
             )));
         }
-        let words: Vec<u32> = r.get()?;
+        let words = r.get_u32s()?;
         if words.len() != self.words.len() {
             return Err(SnapshotError::ConfigMismatch(format!(
                 "TCDM holds {} words, target holds {}",

@@ -15,17 +15,20 @@
 //!   steps. Every step still performs the mandatory FP16 round — rounding
 //!   order is the contract — but the pack-to-bits / classify-from-bits
 //!   round trip between steps is gone.
-//! * [`fma_acc`] dispatches on one combined tag test: the all-finite
-//!   round-to-nearest-even common case runs a short branch-free hardware
-//!   path, everything else (special values, directed rounding modes)
-//!   falls back to the scalar softfloat `fma` on the packed encodings.
+//! * [`fma_acc`] dispatches on one combined tag test: the finite (zeros
+//!   included) round-to-nearest-even common case runs a short branch-free
+//!   hardware path, everything else (infinite or NaN multiplicands,
+//!   directed rounding modes) falls back to the scalar softfloat `fma` on
+//!   the packed encodings.
 //!
 //! # Why hardware `f64` is bit-exact here
 //!
 //! The fast path computes `t = a*b + acc` in `f64`. The product of two
 //! binary16 significands has at most 22 bits, so `a*b` is **exact** in
-//! `f64`; the addition then performs a single IEEE rounding of the exact
-//! sum to 53 bits. Rounding that 53-bit result again to binary16's 11-bit
+//! `f64` (a zero multiplicand gives an exact, correctly signed zero, and
+//! the IEEE zero-sum sign rule is the same at both precisions); the
+//! addition then performs a single IEEE rounding of the exact sum to 53
+//! bits. Rounding that 53-bit result again to binary16's 11-bit
 //! significand is an *innocuous double rounding*: a double-rounding
 //! mismatch needs the exact sum to sit within half a 53-bit ulp of an
 //! 11-bit rounding boundary without lying on it, and a sum of a 22-bit
@@ -46,12 +49,13 @@
 use crate::arith::from_f64;
 use crate::round::Round;
 
-/// Tag ordering chosen so `Finite` is 0: the hot-path test for "both
-/// multiplicands finite and non-zero" is a single `|` of the tags against
-/// zero. (The accumulator needs no tag at all: IEEE `f64` arithmetic
-/// propagates its infinities and NaNs exactly as the scalar FMA rules
-/// require once the multiplicands are known finite, and the fast path's
-/// exponent-range check routes every such result to the conversion tail.)
+/// Tag ordering chosen so `Finite` is 0 and `Zero` is 1: the hot-path
+/// test for "neither multiplicand infinite or NaN" is a single `|` of the
+/// tags against `TAG_ZERO`. (The accumulator needs no tag at all: IEEE
+/// `f64` arithmetic propagates its infinities and NaNs exactly as the
+/// scalar FMA rules require once the multiplicands are known finite, and
+/// the fast path's exponent-range check routes every such result to the
+/// conversion tail.)
 const TAG_FINITE: u8 = 0;
 const TAG_ZERO: u8 = 1;
 const TAG_INF: u8 = 2;
@@ -168,10 +172,10 @@ impl Operand {
 /// The value is always exactly one representable binary16 (or its
 /// infinity / NaN) — the kernel rounds on every step, identically to the
 /// scalar path — only the *encoding* work between steps is skipped. The
-/// accumulator carries no class tag: with both multiplicands known finite
-/// and non-zero, IEEE `f64` arithmetic propagates an infinite or NaN
-/// accumulator exactly as the scalar FMA rules require, and every such
-/// result lands in the fast path's out-of-range conversion tail.
+/// accumulator carries no class tag: with both multiplicands known finite,
+/// IEEE `f64` arithmetic propagates an infinite or NaN accumulator exactly
+/// as the scalar FMA rules require, and every such result lands in the
+/// fast path's out-of-range conversion tail.
 // modelcheck-allow: RM-FP-001 -- the f64 field always holds an exactly
 // binary16-representable value (or inf/NaN); see the module docs.
 #[derive(Debug, Clone, Copy)]
@@ -221,10 +225,10 @@ impl Acc {
 // differential suite.
 #[inline(always)]
 pub fn fma_acc(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
-    let out = if a.tag | b.tag == TAG_FINITE && matches!(mode, Round::NearestEven) {
+    let out = if a.tag | b.tag <= TAG_ZERO && matches!(mode, Round::NearestEven) {
         // Finite-multiplicand RNE fast path. `a.v * b.v` is exact (22-bit
-        // product, never zero/inf/NaN), the addition is the single
-        // hardware rounding of the exact sum. An infinite or NaN
+        // product, or a signed zero; never inf/NaN), the addition is the
+        // single hardware rounding of the exact sum. An infinite or NaN
         // accumulator propagates through the addition per IEEE rules —
         // identical to the scalar FMA's special-value rules here — and
         // surfaces as an out-of-range exponent handled by the cold tail.

@@ -97,6 +97,24 @@ impl StateWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Appends a length-prefixed byte slice in one copy: the same bytes
+    /// as `put(&Vec<u8>)`.
+    pub fn put_u8s(&mut self, bytes: &[u8]) {
+        self.put(&bytes.len());
+        self.put_bytes(bytes);
+    }
+
+    /// Appends a length-prefixed `u32` slice in one pass: the same bytes
+    /// as `put(&Vec<u32>)`, without a call per element.
+    pub fn put_u32s(&mut self, words: &[u32]) {
+        self.put(&words.len());
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * words.len(), 0);
+        for (dst, word) in self.buf[start..].chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&word.to_le_bytes());
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -149,6 +167,22 @@ impl<'a> StateReader<'a> {
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Decodes a length-prefixed `u32` slice in one pass: the inverse of
+    /// [`StateWriter::put_u32s`], and equivalent to `get::<Vec<u32>>()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Truncated`] if fewer words remain than the
+    /// prefix declares.
+    pub fn get_u32s(&mut self) -> Result<Vec<u32>, SnapshotError> {
+        let len: usize = self.get()?;
+        let bytes = self.take_bytes(len.checked_mul(4).ok_or(SnapshotError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
     /// Bytes not yet consumed.
@@ -410,6 +444,32 @@ mod tests {
         let bytes = w.finish();
         let mut r = StateReader::new(&bytes);
         assert!(r.get::<Vec<u8>>().is_err());
+    }
+
+    #[test]
+    fn bulk_slices_encode_like_vecs() {
+        let words: Vec<u32> = (0..37u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let bytes: Vec<u8> = (0..41u8).collect();
+        let mut bulk = StateWriter::new();
+        bulk.put_u32s(&words);
+        bulk.put_u8s(&bytes);
+        let mut each = StateWriter::new();
+        each.put(&words);
+        each.put(&bytes);
+        let encoded = bulk.finish();
+        assert_eq!(encoded, each.finish());
+        let mut r = StateReader::new(&encoded);
+        assert_eq!(r.get_u32s().unwrap(), words);
+        assert_eq!(r.get::<Vec<u8>>().unwrap(), bytes);
+        assert!(r.expect_end().is_ok());
+        // A short or absurdly long word array is a truncation, exactly as
+        // for `get::<Vec<u32>>()`.
+        let mut r = StateReader::new(&encoded[..8 + 4 * 36 + 2]);
+        assert_eq!(r.get_u32s(), Err(SnapshotError::Truncated));
+        let mut r = StateReader::new(&encoded[..8 + 4 * 36 + 2]);
+        assert_eq!(r.get::<Vec<u32>>(), Err(SnapshotError::Truncated));
+        let mut r = StateReader::new(&[0xFF; 8]);
+        assert!(r.get_u32s().is_err());
     }
 
     #[test]

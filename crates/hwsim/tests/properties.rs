@@ -3,50 +3,9 @@
 use proptest::prelude::*;
 use redmule_hwsim::arbiter::{RotatingMux, RoundRobin, Side};
 use redmule_hwsim::vcd::VcdWriter;
-use redmule_hwsim::{Pipeline, ShiftRegister, Stats};
+use redmule_hwsim::{ShiftRegister, Stats};
 
 proptest! {
-    /// A pipeline of depth D outputs exactly the input sequence, each item
-    /// delayed by D ticks, with bubbles preserved in position.
-    #[test]
-    fn pipeline_is_a_delay_line(
-        depth in 1usize..8,
-        inputs in prop::collection::vec(prop::option::of(any::<u32>()), 1..64),
-    ) {
-        let mut p: Pipeline<u32> = Pipeline::new(depth);
-        let mut outputs = Vec::new();
-        for i in &inputs {
-            outputs.push(p.tick(*i));
-        }
-        // Drain fully.
-        for _ in 0..depth {
-            outputs.push(p.tick(None));
-        }
-        prop_assert!(p.is_empty());
-        // outputs[t] == inputs[t - depth].
-        for (t, out) in outputs.iter().enumerate() {
-            let want = if t >= depth { inputs.get(t - depth).copied().flatten() } else { None };
-            prop_assert_eq!(*out, want, "tick {}", t);
-        }
-    }
-
-    /// Pipeline occupancy always equals the number of in-flight items.
-    #[test]
-    fn pipeline_occupancy_is_conserved(
-        depth in 1usize..6,
-        inputs in prop::collection::vec(any::<bool>(), 1..40),
-    ) {
-        let mut p: Pipeline<u8> = Pipeline::new(depth);
-        let mut inside = 0usize;
-        for (i, &feed) in inputs.iter().enumerate() {
-            let input = feed.then_some(i as u8);
-            let out = p.tick(input);
-            if feed { inside += 1; }
-            if out.is_some() { inside -= 1; }
-            prop_assert_eq!(p.occupancy(), inside);
-        }
-    }
-
     /// Shift registers are strict FIFOs over full loads.
     #[test]
     fn shift_register_is_fifo(payload in prop::collection::vec(any::<u16>(), 1..32)) {

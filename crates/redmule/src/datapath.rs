@@ -7,60 +7,80 @@
 //! operate in lockstep on the same output column index, offset column by
 //! column by the FMA latency.
 //!
-//! The model is bit-accurate: every active FMA performs one
-//! [`F16::mul_add`] per cycle, so the array's results are exactly those of
-//! FPnew hardware, and cycle counts emerge from the pipeline structure.
+//! The model is bit-accurate: every active FMA performs one FP16 fused
+//! multiply-add per cycle, rounded to nearest-even exactly as FPnew does,
+//! so the array's results are those of the hardware and cycle counts
+//! emerge from the pipeline structure. Each lane computes through the
+//! batched kernel step [`kernel::fma_acc`] — the same "rounding order is
+//! the contract" step the functional backend runs — which is bit-identical
+//! to the scalar [`F16::mul_add`] and, in debug builds, asserted against
+//! the scalar `arith::fma` on every call.
+//!
+//! All `latency × H × L` partial-sum registers live in one flat delay
+//! line: `latency` slots of `H × L` values (column-major, `h * L + r`)
+//! and a rotating head. A tick retires the oldest slot and refills it as
+//! the new stage 0, so no value moves between registers.
 
 use crate::config::AccelConfig;
-use redmule_fp16::F16;
+use redmule_fp16::kernel::{self, Acc, Operand};
+use redmule_fp16::{Round, F16};
 use redmule_hwsim::faults::flip_bit16;
-use redmule_hwsim::Pipeline;
 
 /// Source of the accumulation input for column 0 this cycle.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Acc0 {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Acc0<'a> {
     /// Start of a fresh output tile: accumulate from zero.
     Zero,
     /// Mid-tile: take the row-ring feedback from the last column.
     Ring,
     /// Accumulate mode (`Z += X*W`): start from preloaded Z values, one per
     /// row, for the output column processed this cycle.
-    Init(Vec<F16>),
+    Init(&'a [F16]),
 }
 
 /// Per-column, per-cycle control word.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ColumnCtrl {
     /// W element broadcast to all `L` FMAs of the column this cycle.
     /// `None` leaves the column idle (startup/drain bubble).
     pub w: Option<F16>,
-    /// When present, latches new X operands (one per row) before computing.
-    pub set_x: Option<Vec<F16>>,
+    /// Latches new X operands (the column's `L` entries of the tick's X
+    /// slice) before computing.
+    pub set_x: bool,
     /// Zero-padding of the reduction dimension: the partial sum passes
     /// through unchanged (the FMA lane is clock-gated, so `-0` survives).
     pub passthrough: bool,
 }
 
-/// The array state: one pipeline of partial sums per FMA.
+/// The array state: the X operand held by every FMA and the partial-sum
+/// delay line.
 #[derive(Debug, Clone)]
 pub struct Datapath {
     cfg: AccelConfig,
-    /// `x_ops[h][r]`: operand held by FMA (r, h).
-    x_ops: Vec<Vec<F16>>,
-    /// `pipes[h][r]`: partial-sum pipeline of FMA (r, h), depth `P + 1`.
-    pipes: Vec<Vec<Pipeline<F16>>>,
+    /// `x_ops[h * L + r]`: operand held by FMA (r, h), widened once when
+    /// latched.
+    x_ops: Vec<Operand>,
+    /// `latency` slots of `H × L` registers; stage `s` (0 = newest) of FMA
+    /// (r, h) is `regs[((head + s) % latency) * H * L + h * L + r]`.
+    regs: Vec<Option<F16>>,
+    /// Slot holding stage 0.
+    head: usize,
+    /// The slot retired by the last tick, copied out before any lane
+    /// wrote: hardware registers are read before they are written.
+    outs: Vec<Option<F16>>,
     macs: u64,
 }
 
 impl Datapath {
     /// Builds the array for an accelerator configuration.
     pub fn new(cfg: AccelConfig) -> Datapath {
+        let width = cfg.h * cfg.l;
         Datapath {
             cfg,
-            x_ops: vec![vec![F16::ZERO; cfg.l]; cfg.h],
-            pipes: (0..cfg.h)
-                .map(|_| (0..cfg.l).map(|_| Pipeline::new(cfg.latency())).collect())
-                .collect(),
+            x_ops: vec![Operand::from_bits(F16::ZERO.to_bits()); width],
+            regs: vec![None; cfg.latency() * width],
+            head: 0,
+            outs: vec![None; width],
             macs: 0,
         }
     }
@@ -84,10 +104,14 @@ impl Datapath {
 
     /// `true` when every pipeline stage holds a bubble.
     pub fn is_drained(&self) -> bool {
-        self.pipes.iter().flatten().all(|p| p.is_empty())
+        self.regs.iter().all(Option::is_none)
     }
 
     /// Advances the array one clock cycle.
+    ///
+    /// `x` holds the X operands of the columns whose control word sets
+    /// `set_x`: column `h` latches `x[h * L..(h + 1) * L]`, one per row;
+    /// other columns' entries are ignored.
     ///
     /// Returns the values leaving the **last** column this cycle (one per
     /// row): mid-tile these are the ring feedback, in the final phase they
@@ -97,59 +121,68 @@ impl Datapath {
     ///
     /// Panics if an active column's accumulation input is a bubble — that
     /// is a scheduler bug, since the ring is rate-matched by construction.
-    pub fn tick(&mut self, ctrl: &[ColumnCtrl], acc0: &Acc0) -> Vec<Option<F16>> {
-        assert_eq!(ctrl.len(), self.cfg.h, "one control word per column");
+    pub fn tick(&mut self, ctrl: &[ColumnCtrl], x: &[F16], acc0: &Acc0<'_>) -> &[Option<F16>] {
+        let (h_count, l) = (self.cfg.h, self.cfg.l);
+        assert_eq!(ctrl.len(), h_count, "one control word per column");
+        let width = h_count * l;
+        let lat = self.cfg.latency();
 
-        // Hardware registers are read before they are written: snapshot the
-        // value leaving every pipeline this cycle.
-        let outs: Vec<Vec<Option<F16>>> = self
-            .pipes
-            .iter()
-            .map(|col| col.iter().map(|p| p.back().copied()).collect())
-            .collect();
+        // The oldest slot leaves the array and becomes the new stage 0.
+        self.head = (self.head + lat - 1) % lat;
+        let slot = &mut self.regs[self.head * width..(self.head + 1) * width];
+        self.outs.copy_from_slice(slot);
+        let outs = &self.outs;
 
         for (h, cc) in ctrl.iter().enumerate() {
-            if let Some(new_x) = &cc.set_x {
-                assert_eq!(new_x.len(), self.cfg.l, "one X operand per row");
-                self.x_ops[h].copy_from_slice(new_x);
+            let lanes = h * l..(h + 1) * l;
+            let x_ops = &mut self.x_ops[lanes.clone()];
+            if cc.set_x {
+                assert!(x.len() >= lanes.end, "one X operand per row");
+                for (op, v) in x_ops.iter_mut().zip(&x[lanes.clone()]) {
+                    *op = Operand::from_bits(v.to_bits());
+                }
             }
-            for r in 0..self.cfg.l {
-                let input = match cc.w {
-                    None => None, // idle column: insert a bubble
-                    Some(w) => {
-                        let acc = if h == 0 {
-                            match acc0 {
-                                Acc0::Zero => F16::ZERO,
-                                Acc0::Init(vals) => vals[r],
-                                // modelcheck-allow: RM-PANIC-001 -- datapath
-                                // invariant: the ring feedback path is only
-                                // selected when the last column holds a value.
-                                Acc0::Ring => outs[self.cfg.h - 1][r]
-                                    .expect("ring feedback bubble reached column 0"),
-                            }
-                        } else {
-                            // modelcheck-allow: RM-PANIC-001 -- datapath
-                            // invariant: columns feed forward in lockstep, so
-                            // a mid-row bubble means the schedule is broken.
-                            outs[h - 1][r].expect("partial-sum bubble mid-row")
-                        };
-                        if cc.passthrough {
-                            Some(acc)
-                        } else {
-                            self.macs += 1;
-                            Some(self.x_ops[h][r].mul_add(w, acc))
-                        }
-                    }
-                };
-                // modelcheck-allow: RM-ERR-001 -- name collision: the FMA
-                // pipeline's `tick` returns unit, not the engine's Result.
-                self.pipes[h][r].tick(input);
+            let regs = &mut slot[lanes];
+            let Some(w) = cc.w else {
+                // Idle column: insert bubbles.
+                regs.fill(None);
+                continue;
+            };
+            let lane = Lanes {
+                regs,
+                x_ops,
+                w: Operand::from_bits(w.to_bits()),
+                passthrough: cc.passthrough,
+            };
+            match (h, acc0) {
+                (0, Acc0::Zero) => lane.feed(std::iter::repeat(F16::ZERO)),
+                (0, Acc0::Init(vals)) => {
+                    assert_eq!(vals.len(), l, "one initial value per row");
+                    lane.feed(vals.iter().copied());
+                }
+                // modelcheck-allow: RM-PANIC-001 -- datapath invariant: the
+                // ring feedback path is only selected when the last column
+                // holds a value.
+                (0, Acc0::Ring) => lane.feed(
+                    outs[width - l..]
+                        .iter()
+                        .map(|v| v.expect("ring feedback bubble reached column 0")),
+                ),
+                // modelcheck-allow: RM-PANIC-001 -- datapath invariant:
+                // columns feed forward in lockstep, so a mid-row bubble means
+                // the schedule is broken.
+                _ => lane.feed(
+                    outs[(h - 1) * l..h * l]
+                        .iter()
+                        .map(|v| v.expect("partial-sum bubble mid-row")),
+                ),
+            }
+            if !cc.passthrough {
+                self.macs += l as u64;
             }
         }
 
-        // modelcheck-allow: RM-PANIC-001 -- structural invariant: AccelConfig
-        // rejects H = 0, so the outs vector is never empty.
-        outs.into_iter().next_back().expect("H >= 1")
+        &self.outs[width - l..]
     }
 
     /// Flips `bit` of the partial sum held in pipeline stage `stage`
@@ -159,10 +192,12 @@ impl Datapath {
     /// range — a transient strike on an empty register is architecturally
     /// masked, exactly as in hardware.
     pub fn corrupt(&mut self, col: usize, row: usize, stage: usize, bit: u8) -> bool {
-        let Some(pipe) = self.pipes.get_mut(col).and_then(|c| c.get_mut(row)) else {
+        let (h_count, l, lat) = (self.cfg.h, self.cfg.l, self.cfg.latency());
+        if col >= h_count || row >= l || stage >= lat {
             return false;
-        };
-        match pipe.stage_mut(stage) {
+        }
+        let slot = (self.head + stage) % lat;
+        match &mut self.regs[slot * h_count * l + col * l + row] {
             Some(v) => {
                 *v = F16::from_bits(flip_bit16(v.to_bits(), bit));
                 true
@@ -173,15 +208,38 @@ impl Datapath {
 
     /// Clears all pipelines and operands (between jobs).
     pub fn reset(&mut self) {
-        for col in &mut self.pipes {
-            for p in col {
-                // modelcheck-allow: RM-ERR-001 -- name collision: the FMA
-                // pipeline's `reset` returns unit, not the engine's Result.
-                p.reset();
-            }
-        }
-        for col in &mut self.x_ops {
-            col.fill(F16::ZERO);
+        self.regs.fill(None);
+        self.outs.fill(None);
+        self.x_ops.fill(Operand::from_bits(F16::ZERO.to_bits()));
+    }
+}
+
+/// The `L` FMA lanes of one active column this cycle.
+struct Lanes<'a> {
+    /// The column's stage-0 registers.
+    regs: &'a mut [Option<F16>],
+    /// The X operand latched in each lane.
+    x_ops: &'a [Operand],
+    /// The W element broadcast down the column.
+    w: Operand,
+    /// Clock-gated padding: the accumulation input passes through.
+    passthrough: bool,
+}
+
+impl Lanes<'_> {
+    /// Writes each lane's result, given its accumulation input, into
+    /// stage 0: one round-to-nearest-even FMA, or the input itself when
+    /// the column is clock-gated.
+    #[inline]
+    fn feed(self, acc_in: impl Iterator<Item = F16>) {
+        for ((reg, &x), acc) in self.regs.iter_mut().zip(self.x_ops).zip(acc_in) {
+            *reg = Some(if self.passthrough {
+                acc
+            } else {
+                let sum =
+                    kernel::fma_acc(x, self.w, Acc::from_bits(acc.to_bits()), Round::NearestEven);
+                F16::from_bits(sum.to_bits())
+            });
         }
     }
 }
@@ -213,12 +271,13 @@ mod tests {
         let mut z = vec![vec![F16::ZERO; pw]; l];
         let final_start = total - pw;
 
+        let mut ctrl = vec![ColumnCtrl::default(); cfg.h];
+        let mut xs = vec![F16::ZERO; cfg.h * l];
         for t in 0..total {
-            let mut ctrl: Vec<ColumnCtrl> = Vec::with_capacity(cfg.h);
-            for h in 0..cfg.h {
+            for (h, cc) in ctrl.iter_mut().enumerate() {
                 let t_local = t as i64 - (h * lat) as i64;
                 if t_local < 0 || t_local >= (n_phases * pw) as i64 {
-                    ctrl.push(ColumnCtrl::default());
+                    *cc = ColumnCtrl::default();
                     continue;
                 }
                 let t_local = t_local as usize;
@@ -227,23 +286,19 @@ mod tests {
                 let n_idx = phase * cfg.h + h;
                 let pad = n_idx >= n_real;
                 let w_elem = if pad { F16::ZERO } else { w[n_idx][j] };
-                let set_x = if j == 0 {
-                    Some(
-                        (0..l)
-                            .map(|r| if pad { F16::ZERO } else { x[r][n_idx] })
-                            .collect(),
-                    )
-                } else {
-                    None
-                };
-                ctrl.push(ColumnCtrl {
+                if j == 0 {
+                    for r in 0..l {
+                        xs[h * l + r] = if pad { F16::ZERO } else { x[r][n_idx] };
+                    }
+                }
+                *cc = ColumnCtrl {
                     w: Some(w_elem),
-                    set_x,
+                    set_x: j == 0,
                     passthrough: pad,
-                });
+                };
             }
             let acc0 = if t < pw { Acc0::Zero } else { Acc0::Ring };
-            let outs = dp.tick(&ctrl, &acc0);
+            let outs = dp.tick(&ctrl, &xs, &acc0);
             if t >= final_start && t < final_start + pw {
                 let j = t - final_start;
                 for (r, v) in outs.iter().enumerate() {
@@ -319,11 +374,11 @@ mod tests {
         let mut dp = Datapath::new(cfg);
         let ctrl = [ColumnCtrl {
             w: Some(F16::ONE),
-            set_x: Some(vec![F16::ONE]),
+            set_x: true,
             passthrough: true,
         }];
-        dp.tick(&ctrl, &Acc0::Init(vec![F16::NEG_ZERO]));
-        let out = dp.tick(&[ColumnCtrl::default()], &Acc0::Zero);
+        dp.tick(&ctrl, &[F16::ONE], &Acc0::Init(&[F16::NEG_ZERO]));
+        let out = dp.tick(&[ColumnCtrl::default()], &[], &Acc0::Zero);
         assert_eq!(out[0].expect("value emerges").to_bits(), 0x8000);
         assert_eq!(dp.macs(), 0, "passthrough must not count as a MAC");
     }
@@ -334,17 +389,18 @@ mod tests {
         // exactly L MACs are performed.
         let cfg = AccelConfig::paper();
         let mut dp = Datapath::new(cfg);
-        let mut ctrl: Vec<ColumnCtrl> = (0..cfg.h).map(|_| ColumnCtrl::default()).collect();
+        let xs = vec![F16::ONE; cfg.h * cfg.l];
+        let mut ctrl = vec![ColumnCtrl::default(); cfg.h];
         ctrl[0] = ColumnCtrl {
             w: Some(F16::ONE),
-            set_x: Some(vec![F16::ONE; cfg.l]),
+            set_x: true,
             passthrough: false,
         };
-        dp.tick(&ctrl, &Acc0::Zero);
+        dp.tick(&ctrl, &xs, &Acc0::Zero);
         assert_eq!(dp.macs(), cfg.l as u64);
         // A pad (passthrough) cycle adds nothing.
         ctrl[0].passthrough = true;
-        dp.tick(&ctrl, &Acc0::Zero);
+        dp.tick(&ctrl, &xs, &Acc0::Zero);
         assert_eq!(dp.macs(), cfg.l as u64);
     }
 
@@ -354,11 +410,11 @@ mod tests {
         let mut dp = Datapath::new(cfg);
         let ctrl = [ColumnCtrl {
             w: Some(F16::TWO),
-            set_x: Some(vec![f(3.0), f(4.0)]),
+            set_x: true,
             passthrough: false,
         }];
-        dp.tick(&ctrl, &Acc0::Init(vec![f(10.0), f(20.0)]));
-        let out = dp.tick(&[ColumnCtrl::default()], &Acc0::Zero);
+        dp.tick(&ctrl, &[f(3.0), f(4.0)], &Acc0::Init(&[f(10.0), f(20.0)]));
+        let out = dp.tick(&[ColumnCtrl::default()], &[], &Acc0::Zero);
         assert_eq!(out[0].expect("row 0").to_f32(), 16.0);
         assert_eq!(out[1].expect("row 1").to_f32(), 28.0);
     }
@@ -367,13 +423,13 @@ mod tests {
     fn reset_drains_everything() {
         let cfg = AccelConfig::paper();
         let mut dp = Datapath::new(cfg);
-        let mut ctrl: Vec<ColumnCtrl> = (0..cfg.h).map(|_| ColumnCtrl::default()).collect();
+        let mut ctrl = vec![ColumnCtrl::default(); cfg.h];
         ctrl[0] = ColumnCtrl {
             w: Some(F16::ONE),
-            set_x: Some(vec![F16::ONE; cfg.l]),
+            set_x: true,
             passthrough: false,
         };
-        dp.tick(&ctrl, &Acc0::Zero);
+        dp.tick(&ctrl, &vec![F16::ONE; cfg.h * cfg.l], &Acc0::Zero);
         assert!(!dp.is_drained());
         dp.reset();
         assert!(dp.is_drained());
@@ -383,6 +439,6 @@ mod tests {
     #[should_panic(expected = "one control word per column")]
     fn control_width_checked() {
         let mut dp = Datapath::new(AccelConfig::paper());
-        let _ = dp.tick(&[], &Acc0::Zero);
+        let _ = dp.tick(&[], &[], &Acc0::Zero);
     }
 }

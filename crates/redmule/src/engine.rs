@@ -733,7 +733,6 @@ struct TickObs {
     x_loads: u64,
     z_preloads: u64,
     z_stores: u64,
-    port_conflicts: u64,
     faults: usize,
 }
 
@@ -828,16 +827,15 @@ impl EngineSession {
         self.sim.inject_cycle_faults(self.cycle, mem);
         self.sim.stage_pads();
         let stalls_before = self.sim.stall_cycles;
-        let conflicts_before = self.sim.stats.get("port_conflicts");
         let pre = self.sink.is_some().then(|| self.observe_pre_tick());
         let kind = if self.sim.schedule.n_phases() == 0 {
             self.sim.flush_empty_reduction_tile(mem)?
         } else {
             self.sim.compute_cycle()
         };
-        let log_granted = self
-            .sim
-            .streamer_cycle(mem, hci, self.cycle, log_requests)?;
+        let (log_granted, conflict) =
+            self.sim
+                .streamer_cycle(mem, hci, self.cycle, log_requests)?;
         // Attribute this cycle to exactly one category. A datapath stall
         // whose memory request was denied this same cycle is charged to
         // interconnect contention (`Stall`) rather than the schedule-level
@@ -846,7 +844,7 @@ impl EngineSession {
             CycleKind::Advance => Phase::Compute,
             CycleKind::DrainOnly => Phase::Drain,
             CycleKind::Stalled(cause) => {
-                if self.sim.stats.get("port_conflicts") > conflicts_before {
+                if conflict {
                     Phase::Stall
                 } else {
                     cause
@@ -883,7 +881,7 @@ impl EngineSession {
         }
         self.sim.phases.add(phase);
         if let Some(pre) = pre {
-            self.emit_tick_events(&pre, kind, phase);
+            self.emit_tick_events(&pre, kind, phase, conflict);
         }
         self.cycle = self.cycle.saturating_add(1);
         Ok(TickResult {
@@ -904,7 +902,6 @@ impl EngineSession {
             x_loads: s.stats.get("x_loads"),
             z_preloads: s.stats.get("z_preloads"),
             z_stores: s.stats.get("z_stores"),
-            port_conflicts: s.stats.get("port_conflicts"),
             faults: s
                 .injector
                 .as_ref()
@@ -913,8 +910,9 @@ impl EngineSession {
     }
 
     /// Emits the typed trace events for the cycle that just executed,
-    /// derived from the pre/post counter deltas.
-    fn emit_tick_events(&mut self, pre: &TickObs, kind: CycleKind, phase: Phase) {
+    /// derived from the pre/post counter deltas; `conflict` is whether
+    /// the streamer's request lost HCI arbitration this cycle.
+    fn emit_tick_events(&mut self, pre: &TickObs, kind: CycleKind, phase: Phase, conflict: bool) {
         let Some(sink) = self.sink.as_mut() else {
             return;
         };
@@ -971,7 +969,7 @@ impl EngineSession {
                 pending: s.store_queue.len() as u32,
             });
         }
-        if s.stats.get("port_conflicts") > pre.port_conflicts {
+        if conflict {
             sink.emit(&TraceEvent::HciStall { cycle });
         }
         if matches!(kind, CycleKind::Stalled(_)) {
@@ -1274,6 +1272,15 @@ struct Sim {
     w_inflight: Option<(usize, Vec<F16>)>,
     /// Armed fault injector (None on fault-free runs).
     injector: Option<FaultInjector>,
+    // modelcheck-allow: RM-SNAP-001 -- scratch: the per-cycle column
+    // control words, rebuilt from the cursors on every compute cycle.
+    ctrl: Vec<ColumnCtrl>,
+    // modelcheck-allow: RM-SNAP-001 -- scratch: X operands handed to the
+    // datapath on the cycle they are latched, refilled before each use.
+    x_latch: Vec<F16>,
+    // modelcheck-allow: RM-SNAP-001 -- scratch: the accumulate-mode column
+    // of preloaded Z (the serialised zpre), gathered on each use.
+    z_init: Vec<F16>,
 }
 
 impl Sim {
@@ -1309,6 +1316,9 @@ impl Sim {
             policy,
             w_inflight: None,
             injector: None,
+            ctrl: vec![ColumnCtrl::default(); cfg.h],
+            x_latch: vec![F16::ZERO; cfg.h * cfg.l],
+            z_init: vec![F16::ZERO; cfg.l],
         }
     }
 
@@ -1438,11 +1448,11 @@ impl Sim {
         }
 
         // ---- Build per-column control ----
-        let mut ctrl: Vec<ColumnCtrl> = Vec::with_capacity(h_count);
+        let l = self.cfg.l;
         for h in 0..h_count {
             let t_col = t as i64 - (h * lat) as i64;
             if t_col < 0 || t_col as usize >= n_phases * pw {
-                ctrl.push(ColumnCtrl::default());
+                self.ctrl[h] = ColumnCtrl::default();
                 continue;
             }
             let t_col = t_col as usize;
@@ -1458,28 +1468,24 @@ impl Sim {
             if j == 0 {
                 let ok = self.wb.activate(h);
                 debug_assert!(ok, "stall check guarantees the staged group");
-            }
-            let w_elem = self.wb.broadcast(h);
-            let set_x = if j == 0 {
                 let chunk_elem = (phase % lat) * h_count + h;
-                Some(
-                    (0..self.cfg.l)
-                        .map(|r| self.xb.operand(r, chunk_elem))
-                        .collect(),
-                )
-            } else {
-                None
-            };
-            ctrl.push(ColumnCtrl {
-                w: Some(w_elem),
-                set_x,
+                for (r, x) in self.x_latch[h * l..(h + 1) * l].iter_mut().enumerate() {
+                    *x = self.xb.operand(r, chunk_elem);
+                }
+            }
+            self.ctrl[h] = ColumnCtrl {
+                w: Some(self.wb.broadcast(h)),
+                set_x: j == 0,
                 passthrough: pad,
-            });
+            };
         }
 
         let acc0 = if t < pw {
             if self.job.accumulate {
-                Acc0::Init((0..self.cfg.l).map(|r| self.zpre[r][t]).collect())
+                for (z, row) in self.z_init.iter_mut().zip(&self.zpre) {
+                    *z = row[t];
+                }
+                Acc0::Init(&self.z_init)
             } else {
                 Acc0::Zero
             }
@@ -1487,7 +1493,7 @@ impl Sim {
             Acc0::Ring
         };
 
-        let outs = self.dp.tick(&ctrl, &acc0);
+        let outs = self.dp.tick(&self.ctrl, &self.x_latch, &acc0);
 
         // ---- Capture finished outputs ----
         if t >= final_start && t < final_start + pw {
@@ -1659,18 +1665,21 @@ impl Sim {
     /// carries two picks' worth of elements: a second transaction is
     /// served on the same grant (the castin/castout stages repack bytes,
     /// doubling effective bandwidth — the journal follow-up's headline).
+    ///
+    /// Returns the grant for each logarithmic-branch request and whether
+    /// the streamer's own request lost arbitration (a port conflict).
     fn streamer_cycle(
         &mut self,
         mem: &mut Tcdm,
         hci: &mut Hci,
         cycle: u64,
         log_requests: &[(redmule_cluster::Initiator, u32)],
-    ) -> Result<Vec<bool>, EngineError> {
+    ) -> Result<(Vec<bool>, bool), EngineError> {
         if self.policy == StreamerPolicy::HalfBandwidth && cycle % 2 == 1 {
             self.stats.incr("port_gated");
             self.record_stream_trace(' ', false);
             let grants = hci.arbitrate(log_requests, None);
-            return Ok(grants.log_granted);
+            return Ok((grants.log_granted, false));
         }
 
         // Single-buffered-W ablation: deliver last cycle's load first; the
@@ -1683,7 +1692,7 @@ impl Sim {
             self.stats.incr("port_idle");
             self.record_stream_trace(' ', false);
             let grants = hci.arbitrate(log_requests, None);
-            return Ok(grants.log_granted);
+            return Ok((grants.log_granted, false));
         };
         let kind = match pick {
             Pick::W(..) => 'w',
@@ -1699,7 +1708,7 @@ impl Sim {
         if !grants.shallow_granted {
             self.stats.incr("port_conflicts");
             self.record_stream_trace(kind, false);
-            return Ok(grants.log_granted);
+            return Ok((grants.log_granted, true));
         }
 
         self.serve_pick(pick, mem, cycle)?;
@@ -1713,7 +1722,7 @@ impl Sim {
         }
 
         self.record_stream_trace(kind, true);
-        Ok(grants.log_granted)
+        Ok((grants.log_granted, false))
     }
 
     /// Completes one picked transaction: reads operands through the castin

@@ -28,11 +28,12 @@ use crate::cast;
 use crate::config::AccelConfig;
 use crate::datapath::Datapath;
 use crate::engine::{Engine, EngineError, RunReport};
+use crate::functional::FunctionalGemm;
 use crate::regfile::Job;
 use crate::schedule::Schedule;
 use redmule_cluster::{Hci, Tcdm};
-use redmule_fp16::vector::{gemm_golden_accumulate, GemmShape};
-use redmule_fp16::F16;
+use redmule_fp16::vector::GemmShape;
+use redmule_fp16::{Format, F16};
 use redmule_hwsim::faults::flip_bit16;
 use redmule_hwsim::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
 use redmule_hwsim::{
@@ -842,15 +843,19 @@ impl Engine {
                             )?);
                         }
                         let y_flat: Option<Vec<F16>> = z_pre.as_ref().map(|rows| rows.concat());
-                        // The engine narrows each result through the castout
-                        // stage before it lands in TCDM, so the reference must
-                        // pass through the same quantisation or every clean
-                        // FP8 tile would look corrupted.
-                        let reference: Vec<F16> =
-                            gemm_golden_accumulate(shape, &x_sub, &w_sub, y_flat.as_deref())
-                                .into_iter()
-                                .map(|v| job.format.quantize(v))
-                                .collect();
+                        // The cast-in operands are already FP16, so the
+                        // reference runs the functional kernel at FP16: the
+                        // same per-element fold as the golden model, bit for
+                        // bit. The engine narrows each result through the
+                        // castout stage before it lands in TCDM, so the
+                        // reference must pass through the same quantisation
+                        // or every clean FP8 tile would look corrupted.
+                        let reference: Vec<F16> = FunctionalGemm::new(cfg)
+                            .run_inner(shape, Format::Fp16, &x_sub, &w_sub, y_flat.as_deref())?
+                            .z
+                            .into_iter()
+                            .map(|v| job.format.quantize(v))
+                            .collect();
                         let ref_rows: Vec<Vec<F16>> = reference
                             .chunks(tile.cols_live.max(1))
                             .map(<[F16]>::to_vec)

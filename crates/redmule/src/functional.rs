@@ -282,7 +282,10 @@ impl FunctionalGemm {
         log
     }
 
-    fn run_inner(
+    /// Computes `Z = X * W (+ Y)` with operands stored in `format`: the
+    /// one body behind [`FunctionalGemm::run`] and its format/accumulate
+    /// variants.
+    pub(crate) fn run_inner(
         &self,
         shape: GemmShape,
         format: Format,

@@ -101,9 +101,9 @@ impl Checkpoint {
     /// Serialises the checkpoint into a self-describing byte container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = StateWriter::new();
-        payload.put(&self.session.to_bytes());
-        payload.put(&self.tcdm);
-        payload.put(&self.hci);
+        payload.put_u8s(&self.session.to_bytes());
+        payload.put_u8s(&self.tcdm);
+        payload.put_u8s(&self.hci);
         let payload = payload.finish();
         let mut out = Vec::with_capacity(payload.len() + 24);
         out.extend_from_slice(&CHECKPOINT_MAGIC);

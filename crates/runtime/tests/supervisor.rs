@@ -4,6 +4,7 @@
 use redmule::{stage_gemm_workspace_in, AccelConfig, Engine, Format};
 use redmule_fp16::vector::{gemm_golden, GemmShape};
 use redmule_fp16::F16;
+use redmule_hwsim::snapshot::fnv1a64;
 use redmule_runtime::{CancelToken, Checkpoint, Limits, RetryPolicy, StopReason, Supervisor};
 use std::time::Duration;
 
@@ -381,6 +382,35 @@ fn checkpoint_container_roundtrips_and_rejects_damage() {
     assert!(Checkpoint::from_bytes(&wrong_magic).is_err());
 
     assert!(Checkpoint::from_bytes(&bytes[..bytes.len() - 3]).is_err());
+}
+
+#[test]
+fn checkpoint_container_bytes_are_pinned() {
+    // The RMCK container is a persisted format: the bytes of a fixed
+    // interrupted run stay identical, whatever the encoder's internals.
+    for (format, len, digest) in [
+        (Format::Fp16, 132_147, 0xb8a6_fb58_25c6_9ae5),
+        (Format::Fp8E4M3, 132_149, 0x9d7e_6709_570e_796c),
+    ] {
+        let shape = GemmShape::new(8, 10, 16);
+        let (x, w) = data(shape, 41);
+        let supervisor = Supervisor::new(Engine::new(small_cfg()))
+            .with_limits(Limits::none().with_max_cycles(60));
+        let (job, mut mem, mut hci) =
+            stage_gemm_workspace_in(shape, format, &x, &w, None).expect("stage");
+        let run = supervisor.run(job, &mut mem, &mut hci).expect("run");
+        let bytes = run
+            .checkpoint
+            .expect("degraded run carries a checkpoint")
+            .to_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (len, digest),
+            "{format:?} checkpoint bytes moved"
+        );
+        let decoded = Checkpoint::from_bytes(&bytes).expect("roundtrip");
+        assert_eq!(decoded.to_bytes(), bytes, "{format:?} re-encoding");
+    }
 }
 
 #[test]
