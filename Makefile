@@ -1,7 +1,8 @@
 # Convenience targets for the RedMulE reproduction.
 #
 #   make verify      — tier-1 gate plus the full workspace suite, a
-#                      warning-free clippy pass, a formatting check, the
+#                      warning-free clippy pass over every target (tests
+#                      included), a formatting check, the
 #                      modelcheck static analyzer and the batch-bench
 #                      smoke gate (what CI runs, see
 #                      .github/workflows/ci.yml)
@@ -49,7 +50,7 @@ test-full:
 	$(CARGO) test -q --workspace -- --include-ignored
 
 clippy:
-	$(CARGO) clippy --workspace -- -D warnings
+	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 fmt:
 	$(CARGO) fmt --all -- --check

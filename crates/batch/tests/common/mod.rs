@@ -88,7 +88,7 @@ pub fn adversarial_job_set() -> Vec<GemmJob> {
     let (x, w) = data(shape, 66);
     jobs.push(
         GemmJob::new(7, shape, x, w).with_faults(JobFaults::Protected {
-            plan: FaultPlan::new(0xBAD5_EED).with_random_transients(1, &[TransientTarget::Pipe]),
+            plan: FaultPlan::new(0x0BAD_5EED).with_random_transients(1, &[TransientTarget::Pipe]),
             ft: FtConfig::replay(),
         }),
     );

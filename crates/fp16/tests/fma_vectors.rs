@@ -37,6 +37,10 @@ fn parse_mode(s: &str) -> Option<Round> {
     })
 }
 
+/// One FMA test input: the `a`, `b`, `c` bit patterns and the rounding
+/// mode.
+type FmaInput = (u16, u16, u16, Round);
+
 /// The directed inputs: every case the checked-in file covers, grouped
 /// by the corner it aims at.
 fn directed_inputs() -> Vec<(u16, u16, u16, Round)> {
@@ -229,7 +233,7 @@ fn checked_in_vectors_match_exactly() {
 fn directed_set_covers_every_category() {
     let inputs = directed_inputs();
     assert!(inputs.len() >= 200);
-    let has = |f: &dyn Fn(&(u16, u16, u16, Round)) -> bool| inputs.iter().any(|t| f(t));
+    let has = |f: &dyn Fn(&FmaInput) -> bool| inputs.iter().any(f);
     assert!(has(&|&(a, ..)| a == 0x0001), "subnormal boundary cases");
     assert!(has(&|&(a, ..)| a == 0x7E00), "quiet NaN cases");
     assert!(has(&|&(a, ..)| a == 0x7C01), "signalling NaN cases");

@@ -263,7 +263,7 @@ fn directed_set_covers_every_category() {
     for kind in Fp8Kind::ALL {
         let inputs = directed_inputs(kind);
         assert!(inputs.len() >= 220);
-        let has = |f: &dyn Fn(&(u16, Round)) -> bool| inputs.iter().any(|t| f(t));
+        let has = |f: &dyn Fn(&(u16, Round)) -> bool| inputs.iter().any(f);
         assert!(has(&|&(a, _)| a == 0x7C00), "+Inf case ({kind:?})");
         assert!(has(&|&(a, _)| a == 0x7E00), "quiet NaN case ({kind:?})");
         assert!(

@@ -60,17 +60,63 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME_POWERS[i]` is `FNV_PRIME`^(2^i) mod 2^64.
+const FNV_PRIME_POWERS: [u64; usize::BITS as usize] = {
+    let mut powers = [FNV_PRIME; usize::BITS as usize];
+    let mut i = 1;
+    while i < powers.len() {
+        powers[i] = powers[i - 1].wrapping_mul(powers[i - 1]);
+        i += 1;
+    }
+    powers
+};
+
+/// Feeds `zeros` zero bytes into an FNV-1a state. A zero byte maps
+/// `h` to `h·P`, so `k` of them multiply by `P^k` (mod 2^64), built by
+/// square-and-multiply from [`FNV_PRIME_POWERS`].
+fn fnv_skip_zeros(mut hash: u64, mut zeros: usize) -> u64 {
+    let mut i = 0;
+    while zeros != 0 {
+        if zeros & 1 != 0 {
+            hash = hash.wrapping_mul(FNV_PRIME_POWERS[i]);
+        }
+        zeros >>= 1;
+        i += 1;
+    }
+    hash
+}
+
 /// FNV-1a 64-bit hash — the integrity checksum for snapshot containers.
 ///
 /// Not cryptographic; it guards against truncation and accidental
 /// corruption, which is all an on-disk simulation checkpoint needs.
+///
+/// Containers carry a mostly-zero TCDM image, so runs of all-zero 8-byte
+/// words are fed in one step (`k` zero bytes multiply the state by
+/// `P^k`); every other byte goes through the bytewise definition, and
+/// the digest is identical to it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut hash = FNV_OFFSET;
+    // Zero bytes seen but not yet fed into `hash`.
+    let mut zeros = 0;
+    for word in words {
+        if *word == [0; 8] {
+            zeros += 8;
+            continue;
+        }
+        hash = fnv_skip_zeros(hash, zeros);
+        zeros = 0;
+        for &b in word {
+            hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    hash = fnv_skip_zeros(hash, zeros);
+    for &b in tail {
+        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -167,6 +213,18 @@ impl<'a> StateReader<'a> {
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Decodes a length-prefixed byte slice in one copy: the inverse of
+    /// [`StateWriter::put_u8s`], and equivalent to `get::<Vec<u8>>()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Truncated`] if fewer bytes remain than the
+    /// prefix declares, before anything is allocated.
+    pub fn get_u8s(&mut self) -> Result<Vec<u8>, SnapshotError> {
+        let len: usize = self.get()?;
+        Ok(self.take_bytes(len)?.to_vec())
     }
 
     /// Decodes a length-prefixed `u32` slice in one pass: the inverse of
@@ -374,6 +432,70 @@ pub trait Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Longest length of the offset sweep. Miri interprets every byte
+    /// and runs this suite in CI, so it gets smaller sweeps.
+    const SWEEP: usize = if cfg!(miri) { 48 } else { 1100 };
+    /// Longest all-zero buffer checked.
+    const ZEROS_MAX: usize = if cfg!(miri) { 1 << 11 } else { 1 << 17 };
+    /// Longest zero run checked between nonzero bytes.
+    const RUN_MAX: usize = if cfg!(miri) { 1 << 6 } else { 1 << 12 };
+
+    /// FNV-1a 64 with the multiply done bit by bit (shift-and-add):
+    /// `out[n]` is the digest of `bytes[..n]`.
+    fn bit_serial_prefixes(bytes: &[u8]) -> Vec<u64> {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut out = vec![hash];
+        for &b in bytes {
+            hash ^= u64::from(b);
+            let mut product = 0u64;
+            for bit in 0..64 {
+                if (0x0000_0100_0000_01b3u64 >> bit) & 1 == 1 {
+                    product = product.wrapping_add(hash << bit);
+                }
+            }
+            hash = product;
+            out.push(hash);
+        }
+        out
+    }
+
+    fn bit_serial(bytes: &[u8]) -> u64 {
+        bit_serial_prefixes(bytes)[bytes.len()]
+    }
+
+    /// `len` pseudo-random bytes, each nonzero with probability
+    /// `density / 256`.
+    fn test_bytes(len: usize, density: u32, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = (state >> 33) as u32;
+                if r & 0xFF < density {
+                    (r >> 8) as u8 | 1
+                } else {
+                    0
+                }
+            })
+            .collect()
+    }
+
+    /// Lengths within 17 bytes of the 8- and 16-byte word edges and of
+    /// every power of two.
+    fn edge_lengths(max: usize) -> Vec<usize> {
+        let mut lens: Vec<usize> = (3..usize::BITS)
+            .map(|k| 1usize << k)
+            .flat_map(|c| c.saturating_sub(17)..=c + 17)
+            .filter(|&len| len <= max)
+            .collect();
+        lens.sort_unstable();
+        lens.dedup();
+        lens
+    }
 
     #[test]
     fn primitives_round_trip() {
@@ -460,6 +582,10 @@ mod tests {
         assert_eq!(encoded, each.finish());
         let mut r = StateReader::new(&encoded);
         assert_eq!(r.get_u32s().unwrap(), words);
+        assert_eq!(r.get_u8s().unwrap(), bytes);
+        assert!(r.expect_end().is_ok());
+        let mut r = StateReader::new(&encoded);
+        assert_eq!(r.get::<Vec<u32>>().unwrap(), words);
         assert_eq!(r.get::<Vec<u8>>().unwrap(), bytes);
         assert!(r.expect_end().is_ok());
         // A short or absurdly long word array is a truncation, exactly as
@@ -470,6 +596,14 @@ mod tests {
         assert_eq!(r.get::<Vec<u32>>(), Err(SnapshotError::Truncated));
         let mut r = StateReader::new(&[0xFF; 8]);
         assert!(r.get_u32s().is_err());
+        // Likewise for bytes: one short, or a length far past the buffer.
+        let bytes_at = encoded.len() - 8 - 41;
+        let mut r = StateReader::new(&encoded[bytes_at..encoded.len() - 1]);
+        assert_eq!(r.get_u8s(), Err(SnapshotError::Truncated));
+        let mut r = StateReader::new(&encoded[bytes_at..encoded.len() - 1]);
+        assert_eq!(r.get::<Vec<u8>>(), Err(SnapshotError::Truncated));
+        let mut r = StateReader::new(&[0xFF; 8]);
+        assert_eq!(r.get_u8s(), Err(SnapshotError::Truncated));
     }
 
     #[test]
@@ -487,5 +621,59 @@ mod tests {
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
         assert_ne!(fnv1a64(b"snapshot"), fnv1a64(b"snapshoT"));
+    }
+
+    #[test]
+    fn fnv_matches_bit_serial_at_every_length_and_offset() {
+        for density in [256, 200, 24, 1] {
+            let buf = test_bytes(SWEEP + 16, density, u64::from(density));
+            for offset in 0..16 {
+                let want = bit_serial_prefixes(&buf[offset..offset + SWEEP]);
+                for (len, &want) in want.iter().enumerate() {
+                    let got = fnv1a64(&buf[offset..offset + len]);
+                    assert_eq!(got, want, "density {density}, offset {offset}, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fnv_matches_bit_serial_on_all_zero_buffers() {
+        let zeros = vec![0u8; ZEROS_MAX];
+        let want = bit_serial_prefixes(&zeros);
+        for len in edge_lengths(ZEROS_MAX) {
+            assert_eq!(fnv1a64(&zeros[..len]), want[len], "{len} zero bytes");
+        }
+    }
+
+    #[test]
+    fn fnv_matches_bit_serial_around_zero_runs() {
+        // A zero run of every edge length, entered at every alignment,
+        // with a nonzero byte right before and right after it.
+        let (run_step, lead_step) = if cfg!(miri) { (4, 5) } else { (1, 1) };
+        for run in edge_lengths(RUN_MAX).into_iter().step_by(run_step) {
+            for lead in (0..16).step_by(lead_step) {
+                let mut buf = vec![0xA5; lead + 1];
+                buf.resize(buf.len() + run, 0);
+                buf.push(0x5A);
+                buf.resize(buf.len() + 15 - lead, 0);
+                assert_eq!(fnv1a64(&buf), bit_serial(&buf), "lead {lead}, run {run}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        #[test]
+        fn fnv_matches_bit_serial_on_random_buffers(
+            len in 0usize..6000,
+            density in 0u32..257,
+            seed in any::<u64>(),
+        ) {
+            let len = if cfg!(miri) { len / 20 } else { len };
+            let buf = test_bytes(len, density, seed);
+            prop_assert_eq!(fnv1a64(&buf), bit_serial(&buf));
+        }
     }
 }

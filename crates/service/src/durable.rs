@@ -52,11 +52,6 @@ const DECISION_COMPLETED: u8 = 0;
 const DECISION_EVICTED: u8 = 1;
 const DECISION_FAILED: u8 = 2;
 
-/// Checkpoint-record meta header: counter sums accumulated *before* the
-/// boundary, so a resume seeds them and the final record matches an
-/// uninterrupted run exactly.
-const META_LEN: usize = 8 + 4 + 8;
-
 /// One typed repair applied during recovery. Recovery never panics on
 /// damaged storage and never silently accepts corrupt bytes — every
 /// deviation from a clean read is one of these.
@@ -186,7 +181,9 @@ impl<'a> Durability<'a> {
     }
 
     /// Publishes the checkpoint at boundary `generation` with the
-    /// counter sums accumulated so far (durable run only).
+    /// counter sums accumulated so far (durable run only). The sums lead
+    /// the record as a meta header, so a resume seeds them and the final
+    /// record matches an uninterrupted run exactly.
     pub(crate) fn publish_boundary(
         &mut self,
         job: u64,
@@ -199,13 +196,17 @@ impl<'a> Durability<'a> {
         if !self.persist {
             return Ok(());
         }
-        let mut payload = Vec::with_capacity(META_LEN + container.len());
-        payload.extend_from_slice(&executed.to_le_bytes());
-        payload.extend_from_slice(&sup_retries.to_le_bytes());
-        payload.extend_from_slice(&backoff.to_le_bytes());
-        payload.extend_from_slice(container);
-        self.store
-            .publish(&mut *self.backend, job, generation, &payload)?;
+        self.store.publish_parts(
+            &mut *self.backend,
+            job,
+            generation,
+            &[
+                &executed.to_le_bytes(),
+                &sup_retries.to_le_bytes(),
+                &backoff.to_le_bytes(),
+                container,
+            ],
+        )?;
         Ok(())
     }
 
@@ -712,7 +713,15 @@ fn encode_exec(id: u64, e: &ExecOut) -> Vec<u8> {
     w.put(&e.migrations);
     w.put(&e.z_len);
     w.put(&e.z_fnv);
-    w.put(&e.checkpoint);
+    // The bytes of `put(&e.checkpoint)`, with the container copied in one
+    // piece rather than element by element.
+    match &e.checkpoint {
+        None => w.put(&0u8),
+        Some(bytes) => {
+            w.put(&1u8);
+            w.put_u8s(bytes);
+        }
+    }
     w.finish()
 }
 
@@ -743,7 +752,15 @@ fn decode_exec(payload: &[u8]) -> Result<(u64, ExecOut), ServiceError> {
         migrations: r.get().map_err(&err)?,
         z_len: r.get().map_err(&err)?,
         z_fnv: r.get().map_err(&err)?,
-        checkpoint: r.get().map_err(&err)?,
+        checkpoint: match r.get::<u8>().map_err(&err)? {
+            0 => None,
+            1 => Some(r.get_u8s().map_err(&err)?),
+            other => {
+                return Err(ServiceError::Recover(format!(
+                    "unparseable execution record: unknown checkpoint tag {other}"
+                )))
+            }
+        },
     };
     r.expect_end().map_err(&err)?;
     Ok((id, e))
@@ -788,6 +805,77 @@ mod tests {
         let (id, decoded) = decode_exec(&encode_exec(41, &e)).unwrap();
         assert_eq!(id, 41);
         assert_eq!(decoded, e);
+    }
+
+    /// The checkpoint section is a tag byte plus `put_u8s`: exactly the
+    /// bytes of the generic `Option<Vec<u8>>` encoding, so journals
+    /// written before and after the bulk codec read the same.
+    #[test]
+    fn exec_checkpoint_section_matches_the_generic_encoding() {
+        let mut e = ExecOut {
+            status: ServiceStatus::Evicted,
+            executed_cycles: 77,
+            sup_retries: 0,
+            backoff: 0,
+            fault_events: 1,
+            tiles_done: 2,
+            tiles_total: 5,
+            migrations: 1,
+            z_len: 16,
+            z_fnv: 0x1234,
+            checkpoint: None,
+        };
+        let head = encode_exec(9, &e);
+        let sparse: Vec<u8> = (0..4099u32).map(|i| (i % 97 == 3) as u8).collect();
+        for checkpoint in [None, Some(vec![]), Some(vec![5, 0, 7]), Some(sparse)] {
+            let mut generic = StateWriter::new();
+            generic.put(&checkpoint);
+            let mut expected = head[..head.len() - 1].to_vec();
+            expected.extend_from_slice(&generic.finish());
+            e.checkpoint = checkpoint;
+            assert_eq!(encode_exec(9, &e), expected);
+            assert_eq!(decode_exec(&expected).unwrap(), (9, e.clone()));
+        }
+    }
+
+    #[test]
+    fn exec_checkpoint_section_rejects_bad_tags_and_lying_lengths() {
+        let e = ExecOut {
+            status: ServiceStatus::Completed,
+            executed_cycles: 10,
+            sup_retries: 0,
+            backoff: 0,
+            fault_events: 0,
+            tiles_done: 1,
+            tiles_total: 1,
+            migrations: 0,
+            z_len: 4,
+            z_fnv: 1,
+            checkpoint: Some(vec![1, 2, 3, 4]),
+        };
+        let bytes = encode_exec(3, &e);
+        // Tag byte, then an 8-byte length, then the 4 checkpoint bytes.
+        let tag_at = bytes.len() - 4 - 8 - 1;
+        let mut bad_tag = bytes.clone();
+        bad_tag[tag_at] = 2;
+        assert!(matches!(
+            decode_exec(&bad_tag),
+            Err(ServiceError::Recover(m)) if m.contains("checkpoint tag 2")
+        ));
+        for lie in [5u64, 1 << 40, u64::MAX] {
+            let mut lying = bytes.clone();
+            lying[tag_at + 1..tag_at + 9].copy_from_slice(&lie.to_le_bytes());
+            assert!(matches!(
+                decode_exec(&lying),
+                Err(ServiceError::Recover(m)) if m.contains("truncated")
+            ));
+        }
+        for cut in 0..bytes.len() {
+            assert!(matches!(
+                decode_exec(&bytes[..cut]),
+                Err(ServiceError::Recover(_))
+            ));
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 use redmule::{AccelConfig, Engine, FaultSite};
 use redmule_fp16::vector::GemmShape;
 use redmule_service::{
-    ServiceConfig, ServiceError, ServiceSim, Submission, TenantConfig, JOURNAL_OBJECT,
+    ServiceConfig, ServiceError, ServiceSim, ServiceStatus, Submission, TenantConfig,
+    JOURNAL_OBJECT,
 };
-use redmule_store::{MemBackend, StorageBackend, StorageFault, StorageFaultPlan};
+use redmule_store::{Journal, MemBackend, StorageBackend, StorageFault, StorageFaultPlan};
 
 fn small_cfg() -> AccelConfig {
     AccelConfig::new(4, 2, 1)
@@ -375,4 +376,104 @@ fn empty_backend_recovers_to_an_empty_report() {
         recovery.report.to_canonical_json(),
         expected.to_canonical_json()
     );
+}
+
+/// FNV-1a 64 with the multiply done bit by bit (shift-and-add), so the
+/// pinned digests share no code with the library checksum they guard.
+fn bit_serial_fnv1a64(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        let mut product = 0u64;
+        for bit in 0..64 {
+            if (PRIME >> bit) & 1 == 1 {
+                product = product.wrapping_add(hash << bit);
+            }
+        }
+        hash = product;
+    }
+    hash
+}
+
+/// Every byte a durable run stores is pinned: the journal (including an
+/// execution record that carries an evicted job's checkpoint) and every
+/// checkpoint generation. Name, length and digest of each object were
+/// recorded before the checksum and codec fast paths landed, so a moved
+/// journal or checkpoint byte fails here.
+#[test]
+fn durable_storage_bytes_are_pinned() {
+    let mid = GemmShape::new(6, 4, 8);
+    let strike = FaultSite::Pipe {
+        col: 1,
+        row: 0,
+        stage: 0,
+        bit: 3,
+    };
+    // One server, a one-slot queue: the urgent job preempts and migrates
+    // job 1, then tenant 7's burst displaces queued low-priority work.
+    let config = ServiceConfig::new(1)
+        .with_queue_capacity(1)
+        .with_tenant(TenantConfig::new(0).with_priority(1))
+        .with_tenant(TenantConfig::new(7).with_priority(5));
+    let script = vec![
+        Submission::new(1, 0, 0, GemmShape::new(8, 6, 10))
+            .with_seed(11)
+            .with_faults(vec![(40, strike)]),
+        Submission::new(100, 7, 60, GemmShape::new(1, 1, 2)).with_deadline_cycle(200),
+        Submission::new(2, 0, 300, mid).with_seed(3),
+        Submission::new(3, 0, 300, mid).with_seed(4),
+        Submission::new(4, 7, 301, mid).with_seed(5),
+    ];
+    let mut backend = MemBackend::new();
+    let report = sim(config)
+        .run_durable(&script, &mut backend)
+        .expect("durable run");
+    assert!(
+        report.jobs.iter().any(|j| j.migrations > 0),
+        "script must migrate a job"
+    );
+    let evicted = report
+        .jobs
+        .iter()
+        .find(|j| j.status == ServiceStatus::Evicted)
+        .and_then(|j| j.checkpoint.as_ref())
+        .expect("script must evict a job with its checkpoint");
+    // The checkpoint is the last field of the evicted job's execution
+    // record, so that record's payload ends with its bytes.
+    let scan = Journal::new(JOURNAL_OBJECT).scan(&backend).expect("scan");
+    assert!(
+        scan.records
+            .iter()
+            .any(|(_, payload)| payload.ends_with(evicted)),
+        "an execution record must carry the evicted checkpoint"
+    );
+
+    let stored: Vec<(String, usize, u64)> = backend
+        .object_names()
+        .into_iter()
+        .map(|name| {
+            let bytes = backend.object(&name).expect("listed object");
+            let digest = bit_serial_fnv1a64(bytes);
+            (name, bytes.len(), digest)
+        })
+        .collect();
+    let pinned = [
+        (
+            "service.ckpt.j0000000000000001.g00000001",
+            132_252,
+            0x5e2f_310d_506d_07e8,
+        ),
+        (
+            "service.ckpt.j0000000000000003.g00000001",
+            131_843,
+            0x5460_a61d_55bd_02fb,
+        ),
+        ("service.journal", 133_020, 0x4750_803a_4ae1_38bf),
+    ];
+    let pinned: Vec<(String, usize, u64)> = pinned
+        .iter()
+        .map(|&(name, len, digest)| (name.to_owned(), len, digest))
+        .collect();
+    assert_eq!(stored, pinned);
 }

@@ -90,6 +90,16 @@ pub trait StorageBackend {
     /// backends), or the backend's I/O error.
     fn publish(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError>;
 
+    /// [`Self::publish`] of a buffer the caller no longer needs: a
+    /// backend that keeps objects in memory stores it without a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::publish`].
+    fn publish_owned(&mut self, name: &str, bytes: Vec<u8>) -> Result<(), StoreError> {
+        self.publish(name, &bytes)
+    }
+
     /// Removes `name` if present (missing objects are not an error, so
     /// crash-replayed removes are idempotent).
     ///
@@ -257,10 +267,14 @@ impl StorageBackend for MemBackend {
     }
 
     fn publish(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.publish_owned(name, bytes.to_vec())
+    }
+
+    fn publish_owned(&mut self, name: &str, bytes: Vec<u8>) -> Result<(), StoreError> {
         validate_name(name)?;
         match self.gate_write() {
             Ok(()) => {
-                self.objects.insert(name.to_string(), bytes.to_vec());
+                self.objects.insert(name.to_string(), bytes);
                 self.writes_done += 1;
                 Ok(())
             }

@@ -11,7 +11,7 @@
 //! what makes fallback-to-previous-generation repair possible.
 
 use crate::backend::StorageBackend;
-use crate::frame::{encode_frame, scan_frames, FrameDamage};
+use crate::frame::{encode_frame_parts, scan_frames, FrameDamage};
 use crate::StoreError;
 
 /// Frame kind used by checkpoint records.
@@ -134,13 +134,32 @@ impl CheckpointStore {
         generation: u32,
         container: &[u8],
     ) -> Result<(), StoreError> {
-        let mut payload = Vec::with_capacity(INNER_HEADER_LEN + container.len());
-        payload.extend_from_slice(&job.to_le_bytes());
-        payload.extend_from_slice(&generation.to_le_bytes());
-        payload.extend_from_slice(container);
-        backend.publish(
+        self.publish_parts(backend, job, generation, &[container])
+    }
+
+    /// [`Self::publish`] of a container given as `parts` laid end to
+    /// end. The record is built in one buffer, CRC included, and handed
+    /// to the backend whole, so each part is copied exactly once.
+    ///
+    /// # Errors
+    ///
+    /// The backend's error.
+    pub fn publish_parts<B: StorageBackend + ?Sized>(
+        &self,
+        backend: &mut B,
+        job: u64,
+        generation: u32,
+        parts: &[&[u8]],
+    ) -> Result<(), StoreError> {
+        let mut header = [0u8; INNER_HEADER_LEN];
+        header[..8].copy_from_slice(&job.to_le_bytes());
+        header[8..].copy_from_slice(&generation.to_le_bytes());
+        let payload: Vec<&[u8]> = std::iter::once(&header[..])
+            .chain(parts.iter().copied())
+            .collect();
+        backend.publish_owned(
             &self.object_name(job, generation),
-            &encode_frame(CHECKPOINT_FRAME_KIND, &payload),
+            encode_frame_parts(CHECKPOINT_FRAME_KIND, &payload),
         )
     }
 
@@ -293,6 +312,19 @@ mod tests {
         // The generation cap selects the older record.
         let capped = s.load_latest(&b, 5, Some(1)).unwrap();
         assert_eq!(capped.loaded, Some((1, b"gen-one".to_vec())));
+    }
+
+    #[test]
+    fn parts_publish_like_their_concatenation() {
+        let mut whole = MemBackend::new();
+        let mut parts = MemBackend::new();
+        let s = store();
+        s.publish(&mut whole, 5, 3, b"meta+container").unwrap();
+        s.publish_parts(&mut parts, 5, 3, &[b"meta", b"+", b"container"])
+            .unwrap();
+        let name = s.object_name(5, 3);
+        assert_eq!(parts.object(&name), whole.object(&name));
+        assert_eq!(s.load(&parts, 5, 3).unwrap(), b"meta+container");
     }
 
     #[test]

@@ -34,12 +34,22 @@ pub const FRAME_CRC_LEN: usize = 4;
 
 /// Encodes one frame.
 pub fn encode_frame(kind: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + FRAME_CRC_LEN);
+    encode_frame_parts(kind, &[payload])
+}
+
+/// Encodes one frame whose payload is `parts` laid end to end: the
+/// bytes of `encode_frame(kind, &parts.concat())`, built in one buffer
+/// with the CRC computed in place.
+pub fn encode_frame_parts(kind: u16, parts: &[&[u8]]) -> Vec<u8> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + len + FRAME_CRC_LEN);
     out.extend_from_slice(&FRAME_MAGIC);
     out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
     out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
     let crc = crc32(&out[4..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -248,6 +258,16 @@ mod tests {
         s.extend_from_slice(&encode_frame(2, b""));
         s.extend_from_slice(&encode_frame(3, b"the third payload"));
         s
+    }
+
+    #[test]
+    fn parts_encode_like_their_concatenation() {
+        let parts: [&[u8]; 4] = [b"head", b"", &[0; 40], b"tail"];
+        assert_eq!(
+            encode_frame_parts(9, &parts),
+            encode_frame(9, &parts.concat())
+        );
+        assert_eq!(encode_frame_parts(9, &[]), encode_frame(9, b""));
     }
 
     #[test]

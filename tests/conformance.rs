@@ -44,6 +44,9 @@ impl Case {
     }
 }
 
+/// A named generator of special-value matrix elements.
+type Fill = (&'static str, Box<dyn Fn(usize) -> F16>);
+
 /// Regression-file tag for a format's case lines: the FP16 differential
 /// cases keep the historic `cc` tag, the FP8 ones are tagged by format.
 fn format_tag(format: Format) -> &'static str {
@@ -366,7 +369,7 @@ fn accumulate_mode_agrees_bitwise() {
 #[test]
 fn all_special_value_matrices_agree() {
     let shape = GemmShape::new(9, 17, 20); // crosses every tile boundary
-    let fills: [(&str, Box<dyn Fn(usize) -> F16>); 4] = [
+    let fills: [Fill; 4] = [
         (
             "all-NaN",
             Box::new(|i| F16::from_bits(0x7C01 + (i % 0x3FE) as u16)),
@@ -385,7 +388,7 @@ fn all_special_value_matrices_agree() {
         ),
     ];
     for (name, fill) in &fills {
-        let x: Vec<F16> = (0..shape.x_len()).map(|i| fill(i)).collect();
+        let x: Vec<F16> = (0..shape.x_len()).map(fill).collect();
         let w: Vec<F16> = (0..shape.w_len()).map(|i| fill(i + 7)).collect();
         let func = FunctionalGemm::paper_instance()
             .run(shape, &x, &w)
@@ -489,7 +492,7 @@ fn fp8_accumulate_mode_agrees_bitwise() {
 #[test]
 fn fp8_all_special_value_matrices_agree() {
     let shape = GemmShape::new(9, 17, 20); // crosses every tile boundary
-    let fills: [(&str, Box<dyn Fn(usize) -> F16>); 4] = [
+    let fills: [Fill; 4] = [
         (
             "all-NaN",
             Box::new(|i| F16::from_bits(0x7C01 + (i % 0x3FE) as u16)),
@@ -509,7 +512,7 @@ fn fp8_all_special_value_matrices_agree() {
     ];
     for format in FP8_FORMATS {
         for (name, fill) in &fills {
-            let x: Vec<F16> = (0..shape.x_len()).map(|i| fill(i)).collect();
+            let x: Vec<F16> = (0..shape.x_len()).map(fill).collect();
             let w: Vec<F16> = (0..shape.w_len()).map(|i| fill(i + 7)).collect();
             let func = FunctionalGemm::paper_instance()
                 .run_format(shape, format, &x, &w)
