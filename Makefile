@@ -3,9 +3,8 @@
 #   make verify      — tier-1 gate plus the full workspace suite, a
 #                      warning-free clippy pass over every target (tests
 #                      included), a formatting check, the
-#                      modelcheck static analyzer and the batch-bench
-#                      smoke gate (what CI runs, see
-#                      .github/workflows/ci.yml)
+#                      modelcheck static analyzer and the smoke gate
+#                      (what CI runs, see .github/workflows/ci.yml)
 #   make test        — fast: workspace tests only
 #   make test-full   — workspace tests including the #[ignore]d deep
 #                      sweeps (what nightly CI runs)
@@ -15,30 +14,24 @@
 #   make lint        — static gates only: modelcheck + warning-free
 #                      clippy (the fast pre-push check)
 #   make figures     — regenerate every table/figure (quick sweep sizes)
-#   make batch-smoke — batch-throughput smoke run; fails unless
-#                      BENCH_batch.json exists and scaling holds
-#   make trace-smoke — traced-batch smoke run; fails unless the Chrome
-#                      trace export validates, is byte-identical across
-#                      worker counts, and BENCH_trace.json exists
-#   make service-smoke — service-saturation smoke run; fails unless the
-#                      report is byte-identical across 1/2/8 workers,
-#                      degradation is graceful, and BENCH_service.json
-#                      exists
-#   make recover-smoke — crash-recovery smoke run; kills a durable
-#                      service run at a sweep of storage writes, fails
-#                      unless every recovery is bit-exact, byte-identical
-#                      across 1/2/8 workers, the no-work-lost guard
-#                      holds, and BENCH_recovery.json exists
-#   make fp8-smoke   — FP8 storage-format smoke run; fails unless the
-#                      cycle model stays exact per format, FP8 never
-#                      costs more cycles than FP16, and BENCH_fp8.json
-#                      exists
+#   make smoke       — the crash-recovery test suite, then every
+#                      artefact at CI sizes in one `figures` process,
+#                      writing BENCH_{batch,trace,service,recovery,fp8}.json.
+#                      Fails unless every guard holds: batch scaling; the
+#                      Chrome trace export validates and is byte-identical
+#                      across worker counts; the service report is
+#                      byte-identical across 1/2/8 workers and degrades
+#                      gracefully; every crash recovery is bit-exact,
+#                      byte-identical across 1/2/8 workers and loses no
+#                      work; the cycle model stays exact per format and
+#                      FP8 never costs more cycles than FP16. An unknown
+#                      item also fails it.
 
 CARGO ?= cargo
 
-.PHONY: verify build test test-full clippy fmt lint modelcheck modelcheck-json figures batch-smoke trace-smoke service-smoke recover-smoke fp8-smoke
+.PHONY: verify build test test-full clippy fmt lint modelcheck modelcheck-json figures smoke
 
-verify: build test lint fmt batch-smoke trace-smoke service-smoke recover-smoke fp8-smoke
+verify: build test lint fmt smoke
 
 build:
 	$(CARGO) build --release
@@ -66,23 +59,6 @@ modelcheck-json:
 figures:
 	$(CARGO) run --release -q -p redmule-bench --bin figures -- all
 
-batch-smoke:
-	$(CARGO) run --release -q -p redmule-bench --bin figures -- batch --smoke
-	test -f BENCH_batch.json
-
-trace-smoke:
-	$(CARGO) run --release -q -p redmule-bench --bin figures -- trace --smoke
-	test -f BENCH_trace.json
-
-service-smoke:
-	$(CARGO) run --release -q -p redmule-bench --bin figures -- service --smoke
-	test -f BENCH_service.json
-
-recover-smoke:
+smoke:
 	$(CARGO) test -q -p redmule-service --test recovery
-	$(CARGO) run --release -q -p redmule-bench --bin figures -- recover --smoke
-	test -f BENCH_recovery.json
-
-fp8-smoke:
-	$(CARGO) run --release -q -p redmule-bench --bin figures -- fp8 --smoke
-	test -f BENCH_fp8.json
+	$(CARGO) run --release -q -p redmule-bench --bin figures -- batch trace service recover fp8 --smoke

@@ -2,7 +2,7 @@
 
 use crate::job::{GemmJob, JobFaults, JobResult, JobStatus};
 use crate::report::BatchReport;
-use redmule::obs::{EventLog, TraceEvent};
+use redmule::obs::{EventKind, EventLog, TraceEvent};
 use redmule::{
     cast, stage_gemm_workspace_in, AccelConfig, BackendKind, Engine, FaultInjector, FunctionalGemm,
     Schedule,
@@ -125,7 +125,6 @@ pub struct BatchExecutor {
     workers: usize,
     engine: Engine,
     trace: bool,
-    intra: usize,
 }
 
 impl BatchExecutor {
@@ -135,7 +134,6 @@ impl BatchExecutor {
             workers,
             engine: Engine::new(AccelConfig::paper()),
             trace: false,
-            intra: 1,
         }
     }
 
@@ -157,30 +155,9 @@ impl BatchExecutor {
         self
     }
 
-    /// Splits each *functional-backend* job's compute across up to
-    /// `threads` scoped host threads, one output band per unit of work.
-    /// Bands are dealt round-robin onto the threads and each band writes
-    /// a disjoint `Z` slice ([`FunctionalPlan::compute_band_into`] is
-    /// pure), so results, reports and traces stay byte-identical at any
-    /// setting — this knob only changes wall-clock time. `0` and `1`
-    /// both mean serial (the default). Cycle-accurate jobs are
-    /// inherently serial and ignore it.
-    ///
-    /// [`FunctionalPlan::compute_band_into`]: redmule::FunctionalPlan::compute_band_into
-    #[must_use]
-    pub fn with_intra_job_parallelism(mut self, threads: usize) -> BatchExecutor {
-        self.intra = threads.max(1);
-        self
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The configured intra-job thread count (1 = serial per job).
-    pub fn intra_job_parallelism(&self) -> usize {
-        self.intra
     }
 
     /// Runs every job and returns the batch outcome.
@@ -230,10 +207,9 @@ impl BatchExecutor {
                     let deques = &deques;
                     let results = &results;
                     let trace = self.trace;
-                    let intra = self.intra;
                     scope.spawn(move || {
                         while let Some(idx) = next_job(deques, w) {
-                            let result = exec_job(engine, &jobs_ref[idx], trace, intra);
+                            let result = exec_job(engine, &jobs_ref[idx], trace);
                             lock(results)[idx] = Some(result);
                         }
                     })
@@ -358,11 +334,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Executes one job on a private engine/workspace. Infallible by design:
 /// every failure mode lands in the result's [`JobStatus`].
-fn exec_job(engine: &Engine, job: &GemmJob, trace: bool, intra: usize) -> JobResult {
+fn exec_job(engine: &Engine, job: &GemmJob, trace: bool) -> JobResult {
     let cfg = *engine.config();
     let tiles_total = Schedule::new(&cfg, job.shape, job.format).n_tiles();
     match (&job.faults, job.backend) {
-        (None, BackendKind::Functional) => exec_functional(&cfg, job, tiles_total, trace, intra),
+        (None, BackendKind::Functional) => exec_functional(&cfg, job, tiles_total, trace),
         (Some(JobFaults::Protected { plan, ft }), _) => {
             exec_protected(engine, job, tiles_total, plan, *ft, trace)
         }
@@ -370,46 +346,15 @@ fn exec_job(engine: &Engine, job: &GemmJob, trace: bool, intra: usize) -> JobRes
     }
 }
 
-fn exec_functional(
-    cfg: &AccelConfig,
-    job: &GemmJob,
-    tiles_total: usize,
-    trace: bool,
-    intra: usize,
-) -> JobResult {
+fn exec_functional(cfg: &AccelConfig, job: &GemmJob, tiles_total: usize, trace: bool) -> JobResult {
     let model = FunctionalGemm::new(*cfg);
     let plan = match model.plan(job.shape, job.format, &job.x, &job.w, job.y.as_deref()) {
         Ok(plan) => plan,
         Err(e) => return failed(job, BackendKind::Functional, tiles_total, e.to_string()),
     };
     let mut z = vec![F16::ZERO; job.shape.z_len()];
-    let threads = intra.min(plan.n_bands()).max(1);
-    if threads > 1 {
-        // Each band owns a disjoint row-band slice of Z (exactly what
-        // chunks_mut yields), so the deal below is a pure partition of
-        // the output: which thread computes which band cannot change a
-        // single bit, only the wall-clock time.
-        let mut lanes: Vec<Vec<(usize, &mut [F16])>> = (0..threads).map(|_| Vec::new()).collect();
-        for (band, chunk) in z.chunks_mut(plan.band_stride()).enumerate() {
-            lanes[band % threads].push((band, chunk));
-        }
-        let plan = &plan;
-        // modelcheck-allow: RM-ERR-001 -- name collision: this is
-        // std::thread::scope returning the closure's unit value, not the
-        // workspace's Result-returning `scope`.
-        thread::scope(|scope| {
-            for lane in lanes {
-                scope.spawn(move || {
-                    for (band, out) in lane {
-                        plan.compute_band_into(band, out);
-                    }
-                });
-            }
-        });
-    } else {
-        for (band, chunk) in z.chunks_mut(plan.band_stride()).enumerate() {
-            plan.compute_band_into(band, chunk);
-        }
+    for (band, chunk) in z.chunks_mut(plan.band_stride()).enumerate() {
+        plan.compute_band_into(band, chunk);
     }
     JobResult {
         z,
@@ -439,16 +384,18 @@ fn exec_protected(
     };
     match engine.run_ft(hw_job, &mut mem, &mut hci, plan, ft) {
         Ok(report) => {
-            // run_ft drives multiple internal sub-runs, so a live sink
-            // cannot be threaded through; synthesize Fault events from
-            // the merged fault log instead (same cycles, same order).
+            // run_ft drives multiple internal sub-runs, so a live event
+            // log cannot be threaded through; synthesize Fault events
+            // from the merged fault log instead (same cycles, same order).
             let mut events = EventLog::new();
             if trace {
                 for ev in report.faults.events() {
-                    events.push(TraceEvent::Fault {
+                    events.push(TraceEvent {
                         cycle: ev.cycle,
-                        class: ev.class,
-                        phase: ev.phase,
+                        kind: EventKind::Fault {
+                            class: ev.class,
+                            phase: ev.phase,
+                        },
                     });
                 }
             }
@@ -486,7 +433,7 @@ fn exec_supervised(engine: &Engine, job: &GemmJob, tiles_total: usize, trace: bo
         .with_checkpoint_interval(job.checkpoint_interval);
     let run = session.and_then(|mut s| {
         if trace {
-            s.attach_sink(Box::new(EventLog::new()));
+            s.record_events();
         }
         supervisor.run_session(s, &mut mem, &mut hci)
     });
@@ -639,41 +586,6 @@ mod tests {
         );
         assert!(parallel.schedule.parallel_speedup() > 1.5);
         assert_eq!(serial.schedule.parallel_speedup(), 1.0);
-    }
-
-    #[test]
-    fn intra_job_parallelism_is_invisible_in_the_report() {
-        // All-functional jobs with shapes spanning 1..5 row bands, traced,
-        // so both the canonical report bytes and the event logs are under
-        // test. Any intra-thread count must reproduce the serial bytes.
-        let jobs: Vec<GemmJob> = (0..8u64)
-            .map(|id| {
-                let dims = [(4, 8, 6), (40, 16, 16), (17, 5, 33), (25, 12, 40)][id as usize % 4];
-                let shape = GemmShape::new(dims.0, dims.1, dims.2);
-                let (x, w) = data(shape, id as u32);
-                GemmJob::new(id, shape, x, w).with_backend(BackendKind::Functional)
-            })
-            .collect();
-        let serial = BatchExecutor::new(2)
-            .with_event_trace()
-            .run(jobs.clone())
-            .expect("serial batch");
-        let baseline = serial.report.to_canonical_json();
-        for intra in [2, 4, 7] {
-            let outcome = BatchExecutor::new(2)
-                .with_event_trace()
-                .with_intra_job_parallelism(intra)
-                .run(jobs.clone())
-                .expect("parallel batch");
-            assert_eq!(
-                outcome.report.to_canonical_json(),
-                baseline,
-                "canonical report must be byte-identical at intra={intra}"
-            );
-            for (a, b) in serial.report.jobs.iter().zip(outcome.report.jobs.iter()) {
-                assert_eq!(a.events.events(), b.events.events(), "job {} trace", a.id);
-            }
-        }
     }
 
     #[test]

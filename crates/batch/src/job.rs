@@ -4,6 +4,7 @@ use redmule::obs::EventLog;
 use redmule::{BackendKind, FaultPlan, FaultSite, Format, FtConfig};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
+use redmule_hwsim::fnv1a64;
 use redmule_runtime::{Limits, RetryPolicy, StopReason};
 
 /// Fault activity requested for one job.
@@ -281,19 +282,18 @@ impl JobResult {
         }
     }
 
-    /// FNV-1a 64-bit digest of the output bits — a stable, order-
-    /// sensitive fingerprint of `z` for canonical serializations (the
-    /// full matrix would bloat them).
+    /// [`fnv1a64_f16`] of the output.
     pub fn z_checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in &self.z {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        fnv1a64_f16(&self.z)
     }
+}
+
+/// FNV-1a 64-bit digest of an FP16 slice's little-endian bit patterns —
+/// a stable, order-sensitive fingerprint of an output for canonical
+/// serializations (the full matrix would bloat them).
+pub fn fnv1a64_f16(z: &[F16]) -> u64 {
+    let bytes: Vec<u8> = z.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+    fnv1a64(&bytes)
 }
 
 #[cfg(test)]

@@ -63,6 +63,6 @@ mod job;
 mod report;
 
 pub use executor::{BatchError, BatchExecutor, BatchOutcome, ScheduleStats};
-pub use job::{GemmJob, JobFaults, JobResult, JobStatus};
+pub use job::{fnv1a64_f16, GemmJob, JobFaults, JobResult, JobStatus};
 pub use redmule::{BackendKind, Format};
 pub use report::BatchReport;

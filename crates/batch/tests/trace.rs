@@ -7,7 +7,7 @@
 mod common;
 
 use common::adversarial_job_set;
-use redmule::obs::{validate_chrome_trace, TraceEvent};
+use redmule::obs::{validate_chrome_trace, EventKind, TraceEvent};
 use redmule_batch::BatchExecutor;
 
 #[test]
@@ -55,18 +55,20 @@ fn traced_batch_exports_valid_and_populated_chrome_json() {
             job.events
                 .events()
                 .iter()
-                .any(|e| matches!(e, TraceEvent::TileStart { .. })),
+                .any(|e| matches!(e.kind, EventKind::TileStart { .. })),
             "job {} recorded no tile spans",
             job.id
         );
     }
     let all: Vec<&TraceEvent> = report.jobs.iter().flat_map(|j| j.events.events()).collect();
     assert!(
-        all.iter().any(|e| matches!(e, TraceEvent::Fault { .. })),
+        all.iter()
+            .any(|e| matches!(e.kind, EventKind::Fault { .. })),
         "the fault-injection jobs must surface Fault events"
     );
     assert!(
-        all.iter().any(|e| matches!(e, TraceEvent::Refill { .. })),
+        all.iter()
+            .any(|e| matches!(e.kind, EventKind::Refill { .. })),
         "cycle-accurate jobs must surface Refill events"
     );
 }

@@ -10,12 +10,15 @@
 //! 512^3 takes ~30 s in release mode).
 //!
 //! Every experiment runs isolated: a panic or an engine error in one
-//! artefact is recorded and the sweep continues with the next. The
-//! process exits nonzero if anything failed, after printing a summary of
-//! which artefacts succeeded and which did not.
+//! artefact is recorded and the sweep continues with the next. An
+//! unknown item is recorded as a failure too, so a misspelt item cannot
+//! pass a smoke gate by running nothing. The process exits nonzero if
+//! anything failed, after printing a summary of which artefacts
+//! succeeded and which did not.
 
 use redmule::EngineError;
 use redmule_bench::{experiments, workloads};
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One artefact's outcome for the end-of-run summary.
@@ -23,6 +26,7 @@ enum Outcome {
     Ok,
     Error(EngineError),
     Panic(String),
+    Unknown,
 }
 
 /// Runs one experiment closure isolated from the rest of the sweep:
@@ -49,14 +53,25 @@ fn run_isolated(name: &str, exp: impl FnOnce() -> Result<String, EngineError>) -
     }
 }
 
-/// Writes a benchmark artefact atomically: the bytes land in a temp
-/// file first and are renamed over the target, so an interrupted run
-/// never leaves a half-written `BENCH_*.json` behind.
-fn write_artifact(name: &str, contents: &str) -> Result<(), EngineError> {
-    let tmp = format!("{name}.tmp");
-    std::fs::write(&tmp, contents)
-        .and_then(|()| std::fs::rename(&tmp, name))
-        .map_err(|e| EngineError::InvalidJob(format!("cannot write {name}: {e}")))
+/// Writes a benchmark artefact, then applies its guard: `json` lands in
+/// `file` atomically (a temp file renamed over the target, so an
+/// interrupted run never leaves a half-written `BENCH_*.json` behind),
+/// even when `violation` then fails the artefact. On success returns
+/// `text` followed by a `wrote <file>` line.
+fn publish(
+    file: &str,
+    text: impl Display,
+    json: &str,
+    violation: Option<String>,
+) -> Result<String, EngineError> {
+    let tmp = format!("{file}.tmp");
+    std::fs::write(&tmp, json)
+        .and_then(|()| std::fs::rename(&tmp, file))
+        .map_err(|e| EngineError::InvalidJob(format!("cannot write {file}: {e}")))?;
+    match violation {
+        Some(v) => Err(EngineError::InvalidJob(v)),
+        None => Ok(format!("{text}wrote {file}\n")),
+    }
 }
 
 fn main() {
@@ -156,66 +171,56 @@ fn main() {
                 item,
                 run_isolated(item, || {
                     let bt = experiments::batch_throughput(smoke || !full)?;
-                    write_artifact("BENCH_batch.json", &bt.to_json())?;
-                    if let Some(violation) = bt.scaling_violation() {
-                        return Err(EngineError::InvalidJob(format!(
-                            "batch scaling guard failed: {violation}"
-                        )));
-                    }
-                    Ok(format!("{bt}wrote BENCH_batch.json\n"))
+                    let violation = bt
+                        .scaling_violation()
+                        .map(|v| format!("batch scaling guard failed: {v}"));
+                    publish("BENCH_batch.json", &bt, &bt.to_json(), violation)
                 }),
             ),
             "trace" => record(
                 item,
                 run_isolated(item, || {
                     let te = experiments::trace_export(smoke || !full)?;
-                    write_artifact("BENCH_trace.json", &te.json)?;
-                    Ok(format!("{te}wrote BENCH_trace.json\n"))
+                    publish("BENCH_trace.json", &te, &te.json, None)
                 }),
             ),
             "service" => record(
                 item,
                 run_isolated(item, || {
                     let ss = experiments::service_saturation(smoke || !full)?;
-                    write_artifact("BENCH_service.json", &ss.to_json())?;
-                    if let Some(violation) = ss.degradation_violation() {
-                        return Err(EngineError::InvalidJob(format!(
-                            "service degradation guard failed: {violation}"
-                        )));
-                    }
-                    Ok(format!("{ss}wrote BENCH_service.json\n"))
+                    let violation = ss
+                        .degradation_violation()
+                        .map(|v| format!("service degradation guard failed: {v}"));
+                    publish("BENCH_service.json", &ss, &ss.to_json(), violation)
                 }),
             ),
             "recover" => record(
                 item,
                 run_isolated(item, || {
                     let rs = experiments::crash_recovery(smoke || !full)?;
-                    write_artifact("BENCH_recovery.json", &rs.to_json())?;
-                    if let Some(violation) = rs.no_work_lost_violation() {
-                        return Err(EngineError::InvalidJob(format!(
-                            "recovery no-work-lost guard failed: {violation}"
-                        )));
-                    }
-                    Ok(format!("{rs}wrote BENCH_recovery.json\n"))
+                    let violation = rs
+                        .no_work_lost_violation()
+                        .map(|v| format!("recovery no-work-lost guard failed: {v}"));
+                    publish("BENCH_recovery.json", &rs, &rs.to_json(), violation)
                 }),
             ),
             "fp8" => record(
                 item,
                 run_isolated(item, || {
                     let cmp = experiments::fp8_comparison(smoke || !full)?;
-                    write_artifact("BENCH_fp8.json", &cmp.to_json())?;
-                    if let Some(violation) = cmp.guard() {
-                        return Err(EngineError::InvalidJob(format!(
-                            "fp8 comparison guard failed: {violation}"
-                        )));
-                    }
-                    Ok(format!("{cmp}wrote BENCH_fp8.json\n"))
+                    let violation = cmp
+                        .guard()
+                        .map(|v| format!("fp8 comparison guard failed: {v}"));
+                    publish("BENCH_fp8.json", &cmp, &cmp.to_json(), violation)
                 }),
             ),
-            other => eprintln!(
-                "unknown item `{other}` (try: all, table1, fig3a..fig4d, ablations, faults, \
-                 degradation, batch, trace, service, recover, fp8)"
-            ),
+            other => {
+                eprintln!(
+                    "unknown item `{other}` (try: all, table1, fig3a..fig4d, ablations, faults, \
+                     degradation, batch, trace, service, recover, fp8)"
+                );
+                record(other, Outcome::Unknown);
+            }
         }
     }
 
@@ -232,6 +237,7 @@ fn main() {
         match outcome {
             Outcome::Error(e) => eprintln!("  FAILED {name}: {e}"),
             Outcome::Panic(msg) => eprintln!("  PANICKED {name}: {msg}"),
+            Outcome::Unknown => eprintln!("  UNKNOWN item {name}"),
             Outcome::Ok => unreachable!("filtered above"),
         }
     }

@@ -14,7 +14,7 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::event::TraceEvent;
+use crate::event::{EventKind, TraceEvent};
 use std::fmt::Write as _;
 
 /// One horizontal lane of a Chrome trace: a named thread (`tid`) plus the
@@ -95,93 +95,84 @@ pub fn chrome_trace(lanes: &[TraceLane<'_>]) -> String {
 }
 
 fn render_event(out: &mut String, ev: &TraceEvent, tid: u64) {
-    match ev {
-        TraceEvent::TileStart {
-            cycle,
+    let ts = ev.cycle;
+    match &ev.kind {
+        EventKind::TileStart {
             tile,
             row0,
             rows,
             cols,
         } => {
-            push_event_header(out, &format!("tile {tile}"), "tile", 'B', *cycle, tid);
+            push_event_header(out, &format!("tile {tile}"), "tile", 'B', ts, tid);
             let _ = write!(
                 out,
                 ",\"args\":{{\"row0\":{row0},\"rows\":{rows},\"cols\":{cols}}}}}"
             );
         }
-        TraceEvent::TileEnd { cycle, tile } => {
+        EventKind::TileEnd { tile } => {
             push_event_header(
                 out,
                 &format!("tile {tile}"),
                 "tile",
                 'E',
-                cycle.saturating_add(1),
+                ts.saturating_add(1),
                 tid,
             );
             out.push('}');
         }
-        TraceEvent::Refill {
-            cycle,
-            channel,
-            seq,
-        } => {
+        EventKind::Refill { channel, seq } => {
             push_event_header(
                 out,
                 &format!("refill {}", channel.label()),
                 "mem",
                 'i',
-                *cycle,
+                ts,
                 tid,
             );
             let _ = write!(out, ",\"s\":\"t\",\"args\":{{\"seq\":{seq}}}}}");
         }
-        TraceEvent::StoreDrain { cycle, pending } => {
-            push_event_header(out, "store drain", "mem", 'i', *cycle, tid);
+        EventKind::StoreDrain { pending } => {
+            push_event_header(out, "store drain", "mem", 'i', ts, tid);
             let _ = write!(out, ",\"s\":\"t\",\"args\":{{\"pending\":{pending}}}}}");
         }
-        TraceEvent::HciStall { cycle } => {
-            push_event_header(out, "hci stall", "stall", 'i', *cycle, tid);
+        EventKind::HciStall => {
+            push_event_header(out, "hci stall", "stall", 'i', ts, tid);
             out.push_str(",\"s\":\"t\"}");
         }
-        TraceEvent::Stall { cycle, phase } => {
+        EventKind::Stall { phase } => {
             push_event_header(
                 out,
                 &format!("stall {}", phase.label()),
                 "stall",
                 'i',
-                *cycle,
+                ts,
                 tid,
             );
             out.push_str(",\"s\":\"t\"}");
         }
-        TraceEvent::Fault {
-            cycle,
-            class,
-            phase,
-        } => {
-            push_event_header(out, &format!("fault {phase}"), "fault", 'i', *cycle, tid);
+        EventKind::Fault { class, phase } => {
+            push_event_header(out, &format!("fault {phase}"), "fault", 'i', ts, tid);
             let _ = write!(out, ",\"s\":\"t\",\"args\":{{\"class\":\"{class}\"}}}}");
         }
-        TraceEvent::Checkpoint { cycle, tile } => {
-            push_event_header(out, "checkpoint", "runtime", 'i', *cycle, tid);
+        EventKind::Checkpoint { tile } => {
+            push_event_header(out, "checkpoint", "runtime", 'i', ts, tid);
             let _ = write!(out, ",\"s\":\"t\",\"args\":{{\"tile\":{tile}}}}}");
         }
-        TraceEvent::Watchdog { cycle, stalled_for } => {
-            push_event_header(out, "watchdog", "runtime", 'i', *cycle, tid);
+        EventKind::Watchdog { stalled_for } => {
+            push_event_header(out, "watchdog", "runtime", 'i', ts, tid);
             let _ = write!(
                 out,
                 ",\"s\":\"t\",\"args\":{{\"stalled_for\":{stalled_for}}}}}"
             );
         }
-        TraceEvent::Admitted { cycle, tenant, job } => {
-            push_event_header(out, "admitted", "service", 'i', *cycle, tid);
+        EventKind::Admitted { tenant, job } => {
+            push_event_header(out, "admitted", "service", 'i', ts, tid);
             let _ = write!(
                 out,
                 ",\"s\":\"t\",\"args\":{{\"tenant\":{tenant},\"job\":{job}}}}}"
             );
         }
-        TraceEvent::AdmissionRejected {
-            cycle,
+        EventKind::AdmissionRejected {
             tenant,
             job,
             reason,
@@ -191,7 +182,7 @@ fn render_event(out: &mut String, ev: &TraceEvent, tid: u64) {
                 &format!("rejected {}", reason.label()),
                 "service",
                 'i',
-                *cycle,
+                ts,
                 tid,
             );
             let _ = write!(
@@ -199,69 +190,54 @@ fn render_event(out: &mut String, ev: &TraceEvent, tid: u64) {
                 ",\"s\":\"t\",\"args\":{{\"tenant\":{tenant},\"job\":{job}}}}}"
             );
         }
-        TraceEvent::Preempted {
-            cycle,
-            tenant,
-            job,
-            by,
-        } => {
-            push_event_header(out, "preempted", "service", 'i', *cycle, tid);
+        EventKind::Preempted { tenant, job, by } => {
+            push_event_header(out, "preempted", "service", 'i', ts, tid);
             let _ = write!(
                 out,
                 ",\"s\":\"t\",\"args\":{{\"tenant\":{tenant},\"job\":{job},\"by\":{by}}}}}"
             );
         }
-        TraceEvent::Shed { cycle, tenant, job } => {
-            push_event_header(out, "shed", "service", 'i', *cycle, tid);
+        EventKind::Shed { tenant, job } => {
+            push_event_header(out, "shed", "service", 'i', ts, tid);
             let _ = write!(
                 out,
                 ",\"s\":\"t\",\"args\":{{\"tenant\":{tenant},\"job\":{job}}}}}"
             );
         }
-        TraceEvent::RecoveryStart {
-            cycle,
+        EventKind::RecoveryStart {
             records,
             torn_bytes,
         } => {
-            push_event_header(out, "recovery start", "recovery", 'i', *cycle, tid);
+            push_event_header(out, "recovery start", "recovery", 'i', ts, tid);
             let _ = write!(
                 out,
                 ",\"s\":\"t\",\"args\":{{\"records\":{records},\"torn_bytes\":{torn_bytes}}}}}"
             );
         }
-        TraceEvent::JournalReplay {
-            cycle,
+        EventKind::JournalReplay {
             submissions,
             decisions,
         } => {
-            push_event_header(out, "journal replay", "recovery", 'i', *cycle, tid);
+            push_event_header(out, "journal replay", "recovery", 'i', ts, tid);
             let _ = write!(
                 out,
                 ",\"s\":\"t\",\"args\":{{\"submissions\":{submissions},\"decisions\":{decisions}}}}}"
             );
         }
-        TraceEvent::CheckpointRestore {
-            cycle,
-            job,
-            generation,
-        } => {
-            push_event_header(out, "checkpoint restore", "recovery", 'i', *cycle, tid);
+        EventKind::CheckpointRestore { job, generation } => {
+            push_event_header(out, "checkpoint restore", "recovery", 'i', ts, tid);
             let _ = write!(
                 out,
                 ",\"s\":\"t\",\"args\":{{\"job\":{job},\"generation\":{generation}}}}}"
             );
         }
-        TraceEvent::CorruptionDetected {
-            cycle,
-            artefact,
-            damage,
-        } => {
+        EventKind::CorruptionDetected { artefact, damage } => {
             push_event_header(
                 out,
                 &format!("corruption {artefact}"),
                 "recovery",
                 'i',
-                *cycle,
+                ts,
                 tid,
             );
             out.push_str(",\"s\":\"t\",\"args\":{\"damage\":\"");
@@ -593,82 +569,91 @@ mod tests {
     use crate::phase::Phase;
 
     fn sample_events() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::TileStart {
-                cycle: 12,
-                tile: 0,
-                row0: 0,
-                rows: 4,
-                cols: 16,
-            },
-            TraceEvent::Refill {
-                cycle: 13,
-                channel: Channel::W,
-                seq: 5,
-            },
-            TraceEvent::Stall {
-                cycle: 14,
-                phase: Phase::Refill,
-            },
-            TraceEvent::HciStall { cycle: 15 },
-            TraceEvent::TileEnd { cycle: 90, tile: 0 },
-            TraceEvent::StoreDrain {
-                cycle: 91,
-                pending: 3,
-            },
-            TraceEvent::Checkpoint { cycle: 92, tile: 1 },
-            TraceEvent::Watchdog {
-                cycle: 93,
-                stalled_for: 64,
-            },
-            TraceEvent::Fault {
-                cycle: 94,
-                class: redmule_hwsim::FaultClass::TransientFlip,
-                phase: redmule_hwsim::FaultPhase::Detected,
-            },
-            TraceEvent::Admitted {
-                cycle: 95,
-                tenant: 0,
-                job: 3,
-            },
-            TraceEvent::AdmissionRejected {
-                cycle: 96,
-                tenant: 1,
-                job: 4,
-                reason: crate::event::RejectReason::QueueFull,
-            },
-            TraceEvent::Preempted {
-                cycle: 97,
-                tenant: 0,
-                job: 3,
-                by: 5,
-            },
-            TraceEvent::Shed {
-                cycle: 98,
-                tenant: 2,
-                job: 6,
-            },
-            TraceEvent::RecoveryStart {
-                cycle: 99,
-                records: 12,
-                torn_bytes: 5,
-            },
-            TraceEvent::JournalReplay {
-                cycle: 100,
-                submissions: 4,
-                decisions: 8,
-            },
-            TraceEvent::CheckpointRestore {
-                cycle: 101,
-                job: 3,
-                generation: 2,
-            },
-            TraceEvent::CorruptionDetected {
-                cycle: 102,
-                artefact: "journal",
-                damage: "checksum-mismatch",
-            },
+        [
+            (
+                12,
+                EventKind::TileStart {
+                    tile: 0,
+                    row0: 0,
+                    rows: 4,
+                    cols: 16,
+                },
+            ),
+            (
+                13,
+                EventKind::Refill {
+                    channel: Channel::W,
+                    seq: 5,
+                },
+            ),
+            (
+                14,
+                EventKind::Stall {
+                    phase: Phase::Refill,
+                },
+            ),
+            (15, EventKind::HciStall),
+            (90, EventKind::TileEnd { tile: 0 }),
+            (91, EventKind::StoreDrain { pending: 3 }),
+            (92, EventKind::Checkpoint { tile: 1 }),
+            (93, EventKind::Watchdog { stalled_for: 64 }),
+            (
+                94,
+                EventKind::Fault {
+                    class: redmule_hwsim::FaultClass::TransientFlip,
+                    phase: redmule_hwsim::FaultPhase::Detected,
+                },
+            ),
+            (95, EventKind::Admitted { tenant: 0, job: 3 }),
+            (
+                96,
+                EventKind::AdmissionRejected {
+                    tenant: 1,
+                    job: 4,
+                    reason: crate::event::RejectReason::QueueFull,
+                },
+            ),
+            (
+                97,
+                EventKind::Preempted {
+                    tenant: 0,
+                    job: 3,
+                    by: 5,
+                },
+            ),
+            (98, EventKind::Shed { tenant: 2, job: 6 }),
+            (
+                99,
+                EventKind::RecoveryStart {
+                    records: 12,
+                    torn_bytes: 5,
+                },
+            ),
+            (
+                100,
+                EventKind::JournalReplay {
+                    submissions: 4,
+                    decisions: 8,
+                },
+            ),
+            (
+                101,
+                EventKind::CheckpointRestore {
+                    job: 3,
+                    generation: 2,
+                },
+            ),
+            (
+                102,
+                EventKind::CorruptionDetected {
+                    artefact: "journal",
+                    damage: "checksum-mismatch",
+                },
+            ),
         ]
+        .into_iter()
+        .map(|(cycle, kind)| TraceEvent { cycle, kind })
+        .collect()
     }
 
     #[test]
@@ -691,6 +676,47 @@ mod tests {
         assert_eq!(summary.lanes, 2);
         assert_eq!(summary.events, events.len() + 2);
         assert_eq!(summary.max_ts, 102);
+    }
+
+    /// FNV-1a 64 with the multiply done bit by bit (shift-and-add), so
+    /// the pinned digest shares no code with any library checksum.
+    fn bit_serial_fnv1a64(bytes: &[u8]) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            let mut product = 0u64;
+            for bit in 0..64 {
+                if (PRIME >> bit) & 1 == 1 {
+                    product = product.wrapping_add(hash << bit);
+                }
+            }
+            hash = product;
+        }
+        hash
+    }
+
+    /// Locks the rendered bytes of every event kind, escaping included,
+    /// so a change to the event types or the renderer that moves a single
+    /// byte of an exported trace fails here.
+    #[test]
+    fn rendered_bytes_of_every_event_kind_are_pinned() {
+        let events = sample_events();
+        let lanes = [
+            TraceLane {
+                tid: 0,
+                name: "job 0 \"quoted\"".to_owned(),
+                events: &events,
+            },
+            TraceLane {
+                tid: 7,
+                name: "job 7".to_owned(),
+                events: &events,
+            },
+        ];
+        let json = chrome_trace(&lanes);
+        assert_eq!(json.len(), 3695);
+        assert_eq!(bit_serial_fnv1a64(json.as_bytes()), 0x8ab2_6834_7315_c9d8);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Typed trace events, timestamped in simulated cycles.
+//! Typed trace events, timestamped in simulated cycles, and the log that
+//! records them.
 
 use crate::phase::Phase;
 use redmule_hwsim::{FaultClass, FaultPhase};
@@ -22,7 +23,7 @@ pub enum Channel {
 }
 
 impl Channel {
-    /// Stable lowercase label, used for counter names and JSON.
+    /// Stable lowercase label, used in exported event names.
     pub fn label(self) -> &'static str {
         match self {
             Channel::W => "w",
@@ -41,17 +42,26 @@ impl fmt::Display for Channel {
 
 /// One sim-cycle-timestamped observation from the engine.
 ///
-/// Every variant carries `cycle`, the value of the session's cycle counter
-/// when the event was emitted. Because the engine is cycle-deterministic,
-/// the event stream for a given job is a pure function of the job — host
-/// thread count and wall-clock timing never appear.
+/// `cycle` is the value of the session's cycle counter when the event was
+/// emitted (for service and recovery events, the virtual clock). Because
+/// the engine is cycle-deterministic, the event stream for a given job is
+/// a pure function of the job — host thread count and wall-clock timing
+/// never appear.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
+pub struct TraceEvent {
+    /// Simulated cycle the event is stamped with.
+    pub cycle: u64,
+    /// What happened.
+    pub kind: EventKind,
+}
+
+/// What a [`TraceEvent`] observed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EventKind {
     /// A compute tile left the stall-at-start state and began issuing
     /// FMA phases (or, for empty-reduction jobs, flushed in one cycle).
+    /// Stamped with the tile's first compute tick.
     TileStart {
-        /// Cycle of the first compute tick of the tile.
-        cycle: u64,
         /// Tile index in schedule order.
         tile: u32,
         /// First output row covered by the tile.
@@ -62,17 +72,14 @@ pub enum TraceEvent {
         cols: u32,
     },
     /// A compute tile finished its last FMA tick and enqueued its stores.
+    /// Stamped with the tile's last compute tick.
     TileEnd {
-        /// Cycle of the last compute tick of the tile.
-        cycle: u64,
         /// Tile index in schedule order.
         tile: u32,
     },
     /// The streamer completed a buffer load on a channel (`W`, `X` or
     /// `ZPre`).
     Refill {
-        /// Completion cycle.
-        cycle: u64,
         /// Which buffer was refilled.
         channel: Channel,
         /// Running per-channel sequence number (1-based).
@@ -80,29 +87,20 @@ pub enum TraceEvent {
     },
     /// The streamer drained one computed row from the store queue.
     StoreDrain {
-        /// Completion cycle.
-        cycle: u64,
         /// Store-queue depth after the drain.
         pending: u32,
     },
     /// The HCI (or the streamer policy) denied this cycle's memory
     /// request — interconnect contention, not a schedule hazard.
-    HciStall {
-        /// Cycle of the denied request.
-        cycle: u64,
-    },
+    HciStall,
     /// The datapath could not advance this cycle; `phase` records the
     /// attribution category the ledger charged it to.
     Stall {
-        /// The stalled cycle.
-        cycle: u64,
         /// Attribution category (`Fill`, `Refill`, `Stall` or `Drain`).
         phase: Phase,
     },
     /// A fault lifecycle observation (injection, detection, correction).
     Fault {
-        /// Cycle the fault event was recorded.
-        cycle: u64,
         /// Fault kind.
         class: FaultClass,
         /// Lifecycle stage.
@@ -110,23 +108,17 @@ pub enum TraceEvent {
     },
     /// A checkpoint container was captured at a tile boundary.
     Checkpoint {
-        /// Capture cycle.
-        cycle: u64,
         /// Next tile to compute after resume.
         tile: u32,
     },
     /// The progress-signature watchdog (or the structural cycle bound)
     /// tripped; the session aborts after emitting this.
     Watchdog {
-        /// Cycle of the trip.
-        cycle: u64,
         /// Consecutive cycles without forward progress.
         stalled_for: u64,
     },
     /// A service front end admitted a job into its queue.
     Admitted {
-        /// Virtual-clock cycle of the admission decision.
-        cycle: u64,
         /// Tenant the job belongs to.
         tenant: u32,
         /// Service-level job id.
@@ -134,8 +126,6 @@ pub enum TraceEvent {
     },
     /// A service front end rejected a submission at admission.
     AdmissionRejected {
-        /// Virtual-clock cycle of the admission decision.
-        cycle: u64,
         /// Tenant the submission belonged to.
         tenant: u32,
         /// Service-level job id.
@@ -147,8 +137,6 @@ pub enum TraceEvent {
     /// returned to the queue so a tighter-slack job could take its
     /// server.
     Preempted {
-        /// Virtual-clock cycle of the preemption.
-        cycle: u64,
         /// Tenant of the preempted job.
         tenant: u32,
         /// Service-level id of the preempted job.
@@ -160,19 +148,16 @@ pub enum TraceEvent {
     /// the service returns it as degraded-with-checkpoint, never drops
     /// it silently.
     Shed {
-        /// Virtual-clock cycle of the eviction.
-        cycle: u64,
         /// Tenant of the evicted job.
         tenant: u32,
         /// Service-level id of the evicted job.
         job: u64,
     },
     /// A crash-recovery pass opened the durable journal and started
-    /// rebuilding service state from it.
+    /// rebuilding service state from it. Stamped with the virtual clock
+    /// the interrupted run had reached according to the journal (0 when
+    /// the crash predates any decision).
     RecoveryStart {
-        /// Virtual-clock cycle the interrupted run had reached according
-        /// to the journal (0 when the crash predates any decision).
-        cycle: u64,
         /// Intact journal records found ahead of any damaged tail.
         records: u64,
         /// Bytes of torn tail truncated during journal repair (0 when
@@ -180,20 +165,17 @@ pub enum TraceEvent {
         torn_bytes: u64,
     },
     /// Journal replay reconstructed the pre-crash admission and
-    /// scheduling decisions.
+    /// scheduling decisions. Stamped with the virtual clock they reached.
     JournalReplay {
-        /// Virtual clock reached by the replayed decisions.
-        cycle: u64,
         /// Submissions reconstructed from the journal.
         submissions: u64,
         /// Scheduling decisions reconstructed from the journal.
         decisions: u64,
     },
     /// A job resumed execution from a durable checkpoint generation
-    /// instead of re-running from cycle zero.
+    /// instead of re-running from cycle zero. Stamped with the virtual
+    /// clock the restored checkpoint corresponds to.
     CheckpointRestore {
-        /// Virtual-clock cycle the restored checkpoint corresponds to.
-        cycle: u64,
         /// Service-level id of the restored job.
         job: u64,
         /// Checkpoint generation the job resumed from.
@@ -203,15 +185,49 @@ pub enum TraceEvent {
     /// truncation or generation fallback — never by accepting corrupt
     /// bytes.
     CorruptionDetected {
-        /// Virtual-clock cycle recovery had reached when the damage
-        /// surfaced.
-        cycle: u64,
         /// Stable label of the damaged artefact (`"journal"` or
         /// `"checkpoint"`).
         artefact: &'static str,
         /// Stable damage-kind label (e.g. `"checksum-mismatch"`).
         damage: &'static str,
     },
+}
+
+/// In-order event recorder: what the engine, the supervisor, the batch
+/// executor and the service write their events into.
+///
+/// Comparable with `==` so determinism tests can assert two runs produced
+/// the *identical* stream.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EventLog {
+    events: Vec<TraceEvent>,
+}
+
+impl EventLog {
+    /// Creates an empty log.
+    pub fn new() -> EventLog {
+        EventLog::default()
+    }
+
+    /// Appends one event.
+    pub fn push(&mut self, ev: TraceEvent) {
+        self.events.push(ev);
+    }
+
+    /// All recorded events in emission order.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.events
+    }
+
+    /// Number of recorded events.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// `true` if nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
 }
 
 /// Why a service front end turned a submission away at admission.
@@ -242,155 +258,9 @@ impl fmt::Display for RejectReason {
     }
 }
 
-impl TraceEvent {
-    /// The simulated cycle the event is stamped with.
-    pub fn cycle(&self) -> u64 {
-        match self {
-            TraceEvent::TileStart { cycle, .. }
-            | TraceEvent::TileEnd { cycle, .. }
-            | TraceEvent::Refill { cycle, .. }
-            | TraceEvent::StoreDrain { cycle, .. }
-            | TraceEvent::HciStall { cycle }
-            | TraceEvent::Stall { cycle, .. }
-            | TraceEvent::Fault { cycle, .. }
-            | TraceEvent::Checkpoint { cycle, .. }
-            | TraceEvent::Watchdog { cycle, .. }
-            | TraceEvent::Admitted { cycle, .. }
-            | TraceEvent::AdmissionRejected { cycle, .. }
-            | TraceEvent::Preempted { cycle, .. }
-            | TraceEvent::Shed { cycle, .. }
-            | TraceEvent::RecoveryStart { cycle, .. }
-            | TraceEvent::JournalReplay { cycle, .. }
-            | TraceEvent::CheckpointRestore { cycle, .. }
-            | TraceEvent::CorruptionDetected { cycle, .. } => *cycle,
-        }
-    }
-
-    /// Stable kind label, used as the counter name in [`crate::CounterSink`]
-    /// and as the event name stem in the Chrome exporter.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            TraceEvent::TileStart { .. } => "tile_start",
-            TraceEvent::TileEnd { .. } => "tile_end",
-            TraceEvent::Refill { channel, .. } => match channel {
-                Channel::W => "refill_w",
-                Channel::X => "refill_x",
-                Channel::ZPre => "refill_zpre",
-                Channel::ZStore => "refill_zstore",
-            },
-            TraceEvent::StoreDrain { .. } => "store_drain",
-            TraceEvent::HciStall { .. } => "hci_stall",
-            TraceEvent::Stall { .. } => "stall",
-            TraceEvent::Fault { phase, .. } => match phase {
-                FaultPhase::Injected => "fault_injected",
-                FaultPhase::Detected => "fault_detected",
-                FaultPhase::Corrected => "fault_corrected",
-            },
-            TraceEvent::Checkpoint { .. } => "checkpoint",
-            TraceEvent::Watchdog { .. } => "watchdog",
-            TraceEvent::Admitted { .. } => "admitted",
-            TraceEvent::AdmissionRejected { reason, .. } => match reason {
-                RejectReason::Quota => "rejected_quota",
-                RejectReason::QueueFull => "rejected_queue_full",
-                RejectReason::DeadlineInfeasible => "rejected_deadline",
-            },
-            TraceEvent::Preempted { .. } => "preempted",
-            TraceEvent::Shed { .. } => "shed",
-            TraceEvent::RecoveryStart { .. } => "recovery_start",
-            TraceEvent::JournalReplay { .. } => "journal_replay",
-            TraceEvent::CheckpointRestore { .. } => "checkpoint_restore",
-            TraceEvent::CorruptionDetected { .. } => "corruption_detected",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cycle_accessor_covers_every_variant() {
-        let evs = [
-            TraceEvent::TileStart {
-                cycle: 1,
-                tile: 0,
-                row0: 0,
-                rows: 4,
-                cols: 16,
-            },
-            TraceEvent::TileEnd { cycle: 2, tile: 0 },
-            TraceEvent::Refill {
-                cycle: 3,
-                channel: Channel::W,
-                seq: 1,
-            },
-            TraceEvent::StoreDrain {
-                cycle: 4,
-                pending: 0,
-            },
-            TraceEvent::HciStall { cycle: 5 },
-            TraceEvent::Stall {
-                cycle: 6,
-                phase: Phase::Refill,
-            },
-            TraceEvent::Fault {
-                cycle: 7,
-                class: FaultClass::TransientFlip,
-                phase: FaultPhase::Injected,
-            },
-            TraceEvent::Checkpoint { cycle: 8, tile: 1 },
-            TraceEvent::Watchdog {
-                cycle: 9,
-                stalled_for: 64,
-            },
-            TraceEvent::Admitted {
-                cycle: 10,
-                tenant: 0,
-                job: 7,
-            },
-            TraceEvent::AdmissionRejected {
-                cycle: 11,
-                tenant: 1,
-                job: 8,
-                reason: RejectReason::Quota,
-            },
-            TraceEvent::Preempted {
-                cycle: 12,
-                tenant: 0,
-                job: 7,
-                by: 9,
-            },
-            TraceEvent::Shed {
-                cycle: 13,
-                tenant: 2,
-                job: 10,
-            },
-            TraceEvent::RecoveryStart {
-                cycle: 14,
-                records: 5,
-                torn_bytes: 3,
-            },
-            TraceEvent::JournalReplay {
-                cycle: 15,
-                submissions: 4,
-                decisions: 6,
-            },
-            TraceEvent::CheckpointRestore {
-                cycle: 16,
-                job: 7,
-                generation: 2,
-            },
-            TraceEvent::CorruptionDetected {
-                cycle: 17,
-                artefact: "checkpoint",
-                damage: "checksum-mismatch",
-            },
-        ];
-        for (i, ev) in evs.iter().enumerate() {
-            assert_eq!(ev.cycle(), i as u64 + 1);
-            assert!(!ev.kind_label().is_empty());
-        }
-    }
 
     #[test]
     fn reject_reason_labels_are_distinct() {

@@ -7,9 +7,10 @@
 //! a schedule regression from a workload change — this crate closes that
 //! gap with three pieces:
 //!
-//! * [`TraceEvent`] — a typed, sim-cycle-timestamped event taxonomy (tile
-//!   start/end, W/X/Z buffer traffic, HCI stalls, faults, checkpoints,
-//!   watchdog trips) emitted by the engine through the [`TraceSink`] trait.
+//! * [`TraceEvent`] — a sim-cycle timestamp plus a typed [`EventKind`]
+//!   (tile start/end, W/X/Z buffer traffic, HCI stalls, faults,
+//!   checkpoints, watchdog trips, service and recovery decisions),
+//!   recorded straight into an [`EventLog`].
 //! * [`PhaseCycles`] — an always-on per-cycle attribution ledger
 //!   (compute / refill / stall / fill / drain) whose categories sum
 //!   *exactly* to the run's total cycle count.
@@ -27,9 +28,7 @@
 pub mod chrome;
 pub mod event;
 pub mod phase;
-pub mod sink;
 
 pub use chrome::{chrome_trace, validate_chrome_trace, ChromeTraceSummary, TraceLane};
-pub use event::{Channel, RejectReason, TraceEvent};
+pub use event::{Channel, EventKind, EventLog, RejectReason, TraceEvent};
 pub use phase::{Phase, PhaseCycles};
-pub use sink::{CounterSink, EventLog, RingSink, TraceSink};

@@ -32,7 +32,7 @@ use redmule_fp16::F16;
 use redmule_hwsim::snapshot::{fnv1a64, Snapshot, SnapshotError, StateReader, StateWriter};
 use redmule_hwsim::stream::{Handshake, StreamMonitor};
 use redmule_hwsim::{Cycle, FaultLog, FaultPhase, Stats};
-use redmule_obs::{Channel, EventLog, Phase, PhaseCycles, TraceEvent, TraceSink};
+use redmule_obs::{Channel, EventKind, EventLog, Phase, PhaseCycles, TraceEvent};
 use std::cell::Cell;
 use std::fmt;
 
@@ -341,8 +341,8 @@ impl Engine {
     }
 
     /// Like [`Engine::run`], but records the typed trace-event stream
-    /// (see [`TraceEvent`]) alongside the report. For custom sinks (ring
-    /// buffers, counters) use [`EngineSession::attach_sink`] directly.
+    /// (see [`TraceEvent`]) alongside the report. Stepped sessions record
+    /// through [`EngineSession::record_events`].
     ///
     /// # Errors
     ///
@@ -354,14 +354,11 @@ impl Engine {
         hci: &mut Hci,
     ) -> Result<(RunReport, EventLog), EngineError> {
         let mut session = self.start(job)?;
-        session.attach_sink(Box::new(EventLog::new()));
+        session.record_events();
         while !session.is_finished() {
             session.tick(mem, hci, &[])?;
         }
-        let events = session
-            .detach_sink()
-            .and_then(EventLog::from_sink)
-            .unwrap_or_default();
+        let events = session.take_events().unwrap_or_default();
         Ok((session.finish(), events))
     }
 
@@ -686,10 +683,10 @@ pub struct EngineSession {
     // restored scheduler cursors (progress_sig) at the end of resume().
     last_sig: Option<ProgressSig>,
     stalled_for: u64,
-    // modelcheck-allow: RM-SNAP-001 -- telemetry: trace sinks are attached
+    // modelcheck-allow: RM-SNAP-001 -- telemetry: event logs are started
     // per session by the caller and intentionally not serialised; a resumed
-    // session starts unsinked (see DESIGN.md §12).
-    sink: Option<Box<dyn TraceSink>>,
+    // session starts unrecorded (see DESIGN.md §12).
+    events: Option<EventLog>,
     // modelcheck-allow: RM-SNAP-001 -- telemetry cache: monotonicity clamp
     // for estimated_remaining_cycles; resets to the no-estimate-yet state
     // on resume, which only relaxes the clamp.
@@ -724,7 +721,7 @@ enum CycleKind {
 }
 
 /// Pre-tick counter snapshot used to reconstruct trace events from deltas
-/// (only taken when a sink is attached).
+/// (only taken while recording events).
 #[derive(Debug, Clone, Copy)]
 struct TickObs {
     tile: usize,
@@ -758,29 +755,28 @@ impl EngineSession {
             watchdog,
             last_sig: None,
             stalled_for: 0,
-            sink: None,
+            events: None,
             est_clamp: Cell::new(u64::MAX),
         }
     }
 
-    /// Attaches a trace sink; subsequent ticks emit typed
-    /// [`TraceEvent`]s into it. At most one sink is held — attaching
-    /// replaces (and drops) any previous sink. With no sink attached the
-    /// event-assembly path is skipped entirely (tracing is zero-cost when
-    /// disabled); the [`PhaseCycles`] ledger is always on either way.
-    pub fn attach_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+    /// Starts a fresh [`EventLog`]; subsequent ticks record typed
+    /// [`TraceEvent`]s into it. Any log already being recorded is
+    /// dropped. While not recording, the event-assembly path is skipped
+    /// entirely (tracing is zero-cost when disabled); the [`PhaseCycles`]
+    /// ledger is always on either way.
+    pub fn record_events(&mut self) {
+        self.events = Some(EventLog::new());
     }
 
-    /// Detaches and returns the current sink, if any. Use
-    /// [`EventLog::from_sink`] to recover a concrete event log.
-    pub fn detach_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+    /// Stops recording and returns the log, if one was being recorded.
+    pub fn take_events(&mut self) -> Option<EventLog> {
+        self.events.take()
     }
 
-    /// `true` while a trace sink is attached.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
+    /// `true` while events are being recorded.
+    pub fn is_recording(&self) -> bool {
+        self.events.is_some()
     }
 
     /// The per-phase cycle attribution accumulated so far.
@@ -827,7 +823,7 @@ impl EngineSession {
         self.sim.inject_cycle_faults(self.cycle, mem);
         self.sim.stage_pads();
         let stalls_before = self.sim.stall_cycles;
-        let pre = self.sink.is_some().then(|| self.observe_pre_tick());
+        let pre = self.events.is_some().then(|| self.observe_pre_tick());
         let kind = if self.sim.schedule.n_phases() == 0 {
             self.sim.flush_empty_reduction_tile(mem)?
         } else {
@@ -891,8 +887,8 @@ impl EngineSession {
     }
 
     /// Counter snapshot taken before a tick so events can be
-    /// reconstructed from deltas afterwards. Only assembled when a sink is
-    /// attached.
+    /// reconstructed from deltas afterwards. Only assembled while
+    /// recording events.
     fn observe_pre_tick(&self) -> TickObs {
         let s = &self.sim;
         TickObs {
@@ -909,46 +905,39 @@ impl EngineSession {
         }
     }
 
-    /// Emits the typed trace events for the cycle that just executed,
+    /// Records the typed trace events for the cycle that just executed,
     /// derived from the pre/post counter deltas; `conflict` is whether
     /// the streamer's request lost HCI arbitration this cycle.
     fn emit_tick_events(&mut self, pre: &TickObs, kind: CycleKind, phase: Phase, conflict: bool) {
-        let Some(sink) = self.sink.as_mut() else {
+        let Some(log) = self.events.as_mut() else {
             return;
         };
         let s = &self.sim;
         let cycle = self.cycle;
-        if s.schedule.n_phases() > 0 {
-            if !pre.started && s.started {
-                let tile = s.schedule.tile(pre.tile);
-                sink.emit(&TraceEvent::TileStart {
-                    cycle,
-                    tile: pre.tile as u32,
-                    row0: tile.row0 as u32,
-                    rows: tile.rows_live as u32,
-                    cols: tile.cols_live as u32,
-                });
-            }
-            if s.compute_tile > pre.tile {
-                sink.emit(&TraceEvent::TileEnd {
-                    cycle,
-                    tile: pre.tile as u32,
-                });
-            }
-        } else if s.compute_tile > pre.tile {
-            // Empty-reduction tiles flush in a single cycle.
+        let mut emit = |kind| log.push(TraceEvent { cycle, kind });
+        let tile_start = || {
             let tile = s.schedule.tile(pre.tile);
-            sink.emit(&TraceEvent::TileStart {
-                cycle,
+            EventKind::TileStart {
                 tile: pre.tile as u32,
                 row0: tile.row0 as u32,
                 rows: tile.rows_live as u32,
                 cols: tile.cols_live as u32,
-            });
-            sink.emit(&TraceEvent::TileEnd {
-                cycle,
-                tile: pre.tile as u32,
-            });
+            }
+        };
+        let tile_end = EventKind::TileEnd {
+            tile: pre.tile as u32,
+        };
+        if s.schedule.n_phases() > 0 {
+            if !pre.started && s.started {
+                emit(tile_start());
+            }
+            if s.compute_tile > pre.tile {
+                emit(tile_end);
+            }
+        } else if s.compute_tile > pre.tile {
+            // Empty-reduction tiles flush in a single cycle.
+            emit(tile_start());
+            emit(tile_end);
         }
         for (channel, before, after) in [
             (Channel::W, pre.w_loads, s.stats.get("w_loads")),
@@ -956,43 +945,46 @@ impl EngineSession {
             (Channel::X, pre.x_loads, s.stats.get("x_loads")),
         ] {
             if after > before {
-                sink.emit(&TraceEvent::Refill {
-                    cycle,
+                emit(EventKind::Refill {
                     channel,
                     seq: after,
                 });
             }
         }
         if s.stats.get("z_stores") > pre.z_stores {
-            sink.emit(&TraceEvent::StoreDrain {
-                cycle,
+            emit(EventKind::StoreDrain {
                 pending: s.store_queue.len() as u32,
             });
         }
         if conflict {
-            sink.emit(&TraceEvent::HciStall { cycle });
+            emit(EventKind::HciStall);
         }
         if matches!(kind, CycleKind::Stalled(_)) {
-            sink.emit(&TraceEvent::Stall { cycle, phase });
+            emit(EventKind::Stall { phase });
         }
         if let Some(inj) = &s.injector {
             for fe in &inj.log().events()[pre.faults..] {
-                sink.emit(&TraceEvent::Fault {
+                log.push(TraceEvent {
                     cycle: fe.cycle,
-                    class: fe.class,
-                    phase: fe.phase,
+                    kind: EventKind::Fault {
+                        class: fe.class,
+                        phase: fe.phase,
+                    },
                 });
             }
         }
     }
 
-    /// Emits a watchdog trip event (just before the session aborts with
+    /// Records a watchdog trip event (just before the session aborts with
     /// [`EngineError::Watchdog`]).
     fn emit_watchdog(&mut self) {
-        let cycle = self.cycle;
-        let stalled_for = self.stalled_for;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.emit(&TraceEvent::Watchdog { cycle, stalled_for });
+        if let Some(log) = self.events.as_mut() {
+            log.push(TraceEvent {
+                cycle: self.cycle,
+                kind: EventKind::Watchdog {
+                    stalled_for: self.stalled_for,
+                },
+            });
         }
     }
 
@@ -1107,8 +1099,8 @@ impl EngineSession {
     /// [`EngineError::Snapshot`] when called mid-tile or on a session with
     /// per-cycle tracing enabled (traces are not serialised).
     ///
-    /// Takes `&mut self` only to emit a [`TraceEvent::Checkpoint`] into an
-    /// attached sink; the simulation state itself is not modified.
+    /// Takes `&mut self` only to record an [`EventKind::Checkpoint`]
+    /// event; the simulation state itself is not modified.
     pub fn checkpoint(&mut self) -> Result<SessionState, EngineError> {
         let s = &self.sim;
         if s.trace.is_some() {
@@ -1176,10 +1168,13 @@ impl EngineSession {
                 injector.save_state(&mut w);
             }
         }
-        let tile = self.sim.compute_tile as u32;
-        let cycle = self.cycle;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.emit(&TraceEvent::Checkpoint { cycle, tile });
+        if let Some(log) = self.events.as_mut() {
+            log.push(TraceEvent {
+                cycle: self.cycle,
+                kind: EventKind::Checkpoint {
+                    tile: self.sim.compute_tile as u32,
+                },
+            });
         }
         Ok(SessionState {
             payload: w.finish(),

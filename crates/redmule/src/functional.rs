@@ -37,7 +37,7 @@ use redmule_fp16::kernel::{fma_row_staged, Acc, Staged};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::{Format, Round, F16};
 use redmule_hwsim::Cycle;
-use redmule_obs::{EventLog, TraceEvent};
+use redmule_obs::{EventKind, EventLog, TraceEvent};
 
 /// Which execution model a GEMM runs on.
 ///
@@ -267,16 +267,18 @@ impl FunctionalGemm {
                 // last cycle.
                 end = schedule.total_cycles().count().saturating_sub(1);
             }
-            log.push(TraceEvent::TileStart {
+            log.push(TraceEvent {
                 cycle: start,
-                tile: idx as u32,
-                row0: tile.row0 as u32,
-                rows: tile.rows_live as u32,
-                cols: tile.cols_live as u32,
+                kind: EventKind::TileStart {
+                    tile: idx as u32,
+                    row0: tile.row0 as u32,
+                    rows: tile.rows_live as u32,
+                    cols: tile.cols_live as u32,
+                },
             });
-            log.push(TraceEvent::TileEnd {
+            log.push(TraceEvent {
                 cycle: end,
-                tile: idx as u32,
+                kind: EventKind::TileEnd { tile: idx as u32 },
             });
         }
         log
@@ -331,12 +333,6 @@ impl FunctionalPlan {
     /// The job's shape.
     pub fn shape(&self) -> GemmShape {
         self.schedule.shape()
-    }
-
-    /// Number of L-row output bands (`ceil(m / L)`). A band is one row of
-    /// tiles and owns the contiguous `Z` slice `[band*L*k, ..)`.
-    pub fn n_bands(&self) -> usize {
-        self.schedule.n_bands()
     }
 
     /// Elements of `Z` covered by one full band (`L * k`); the final band
@@ -606,18 +602,14 @@ mod tests {
                 let starts: Vec<u64> = log
                     .events()
                     .iter()
-                    .filter_map(|e| match e {
-                        TraceEvent::TileStart { cycle, .. } => Some(*cycle),
-                        _ => None,
-                    })
+                    .filter(|e| matches!(e.kind, EventKind::TileStart { .. }))
+                    .map(|e| e.cycle)
                     .collect();
                 let ends: Vec<u64> = log
                     .events()
                     .iter()
-                    .filter_map(|e| match e {
-                        TraceEvent::TileEnd { cycle, .. } => Some(*cycle),
-                        _ => None,
-                    })
+                    .filter(|e| matches!(e.kind, EventKind::TileEnd { .. }))
+                    .map(|e| e.cycle)
                     .collect();
                 assert!(!ends.is_empty(), "at {m}x{n}x{k}");
                 if n > 0 {

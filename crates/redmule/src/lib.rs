@@ -86,11 +86,11 @@ pub use schedule::{Schedule, Tile};
 pub use redmule_fp16::Format;
 
 /// Observability vocabulary re-exported from [`redmule_obs`] so engine
-/// callers can attach sinks and consume [`RunReport::phases`] without a
+/// callers can record events and consume [`RunReport::phases`] without a
 /// direct dependency on the obs crate.
 pub mod obs {
     pub use redmule_obs::{
-        chrome_trace, validate_chrome_trace, Channel, ChromeTraceSummary, CounterSink, EventLog,
-        Phase, PhaseCycles, RejectReason, RingSink, TraceEvent, TraceLane, TraceSink,
+        chrome_trace, validate_chrome_trace, Channel, ChromeTraceSummary, EventKind, EventLog,
+        Phase, PhaseCycles, RejectReason, TraceEvent, TraceLane,
     };
 }

@@ -18,7 +18,7 @@
 //!    backend's synthetic trace and every reported tile total describe
 //!    the same tiles, in every storage format.
 
-use redmule::obs::{validate_chrome_trace, EventLog, TraceEvent, TraceLane};
+use redmule::obs::{validate_chrome_trace, EventKind, EventLog, TraceLane};
 use redmule::{
     stage_gemm_workspace_in, AccelConfig, BackendKind, Engine, FaultPlan, Format, FtConfig,
     FunctionalGemm, RunReport, StreamerPolicy, TransientTarget,
@@ -268,16 +268,16 @@ fn run_logged_emits_a_consistent_event_stream() {
     let starts: Vec<u32> = events
         .events()
         .iter()
-        .filter_map(|e| match e {
-            TraceEvent::TileStart { tile, .. } => Some(*tile),
+        .filter_map(|e| match e.kind {
+            EventKind::TileStart { tile, .. } => Some(tile),
             _ => None,
         })
         .collect();
     let ends: Vec<u32> = events
         .events()
         .iter()
-        .filter_map(|e| match e {
-            TraceEvent::TileEnd { tile, .. } => Some(*tile),
+        .filter_map(|e| match e.kind {
+            EventKind::TileEnd { tile } => Some(tile),
             _ => None,
         })
         .collect();
@@ -287,21 +287,21 @@ fn run_logged_emits_a_consistent_event_stream() {
         events
             .events()
             .iter()
-            .any(|e| matches!(e, TraceEvent::Refill { .. })),
+            .any(|e| matches!(e.kind, EventKind::Refill { .. })),
         "operand refills must be visible"
     );
     for ev in events.events() {
         assert!(
-            ev.cycle() < report.cycles.count(),
+            ev.cycle < report.cycles.count(),
             "event {ev:?} timestamped past the end of the run"
         );
     }
     // Timestamps never decrease for the same kind of bracketing event.
     let mut prev = 0;
     for e in events.events() {
-        if let TraceEvent::TileEnd { cycle, .. } = e {
-            assert!(*cycle >= prev);
-            prev = *cycle;
+        if let EventKind::TileEnd { .. } = e.kind {
+            assert!(e.cycle >= prev);
+            prev = e.cycle;
         }
     }
 
@@ -320,7 +320,7 @@ fn run_logged_emits_a_consistent_event_stream() {
 
 #[test]
 fn untraced_sessions_charge_no_observation_state() {
-    // Zero-cost-when-disabled: a session without a sink must produce a
+    // Zero-cost-when-disabled: an unrecorded session must produce a
     // bit-identical report to a traced one (tracing is read-only), and
     // an empty event log.
     let engine = Engine::new(AccelConfig::paper());
@@ -335,9 +335,6 @@ fn untraced_sessions_charge_no_observation_state() {
     assert_eq!(plain.macs, traced.macs);
     assert_eq!(plain.phases, traced.phases);
     assert!(!events.is_empty());
-    let mut log = EventLog::new();
-    events.replay_into(&mut log);
-    assert_eq!(log, events);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,13 +345,12 @@ fn untraced_sessions_charge_no_observation_state() {
 fn tile_starts(log: &EventLog) -> Vec<(u32, u32, u32, u32)> {
     log.events()
         .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::TileStart {
+        .filter_map(|e| match e.kind {
+            EventKind::TileStart {
                 tile,
                 row0,
                 rows,
                 cols,
-                ..
             } => Some((tile, row0, rows, cols)),
             _ => None,
         })

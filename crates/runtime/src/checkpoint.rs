@@ -44,8 +44,8 @@ impl Checkpoint {
     /// Captures a checkpoint of `session` and the cluster state it runs
     /// against. Only legal at a tile boundary (see
     /// [`EngineSession::checkpoint`]). The session is borrowed mutably
-    /// only so the capture shows up as a `Checkpoint` trace event in any
-    /// attached sink; its simulation state is untouched.
+    /// only so the capture shows up as a `Checkpoint` trace event when
+    /// the session is recording events; its simulation state is untouched.
     ///
     /// # Errors
     ///

@@ -199,8 +199,8 @@ pub struct SupervisedRun {
     /// untouched, but deterministic schedulers add this to the job's
     /// cost.
     pub backoff_cycles: u64,
-    /// Trace events captured during the run when the driven session had
-    /// an [`EventLog`] sink attached; empty for untraced runs. After a
+    /// Trace events captured during the run when the driven session was
+    /// recording events; empty for untraced runs. After a
     /// rollback the stream covers the committed timeline only (from the
     /// restored checkpoint onwards) — events from the rolled-back attempt
     /// are discarded, so the log always matches the state that produced
@@ -405,10 +405,7 @@ impl Supervisor {
                 let cycles_executed = session.cycle().saturating_sub(start_cycle);
                 let tiles_done = session.tiles_completed();
                 let tiles_total = session.tiles_total();
-                let events = session
-                    .detach_sink()
-                    .and_then(EventLog::from_sink)
-                    .unwrap_or_default();
+                let events = session.take_events().unwrap_or_default();
                 return Ok(SupervisedRun {
                     report: session.finish(),
                     degraded: false,
@@ -502,9 +499,9 @@ impl Supervisor {
                             self.retry.backoff_cycles.saturating_mul(u64::from(retries)),
                         );
                         self.backoff(retries);
-                        session = self.rollback(&last_ckpt, mem, hci, session.has_sink())?;
+                        session = self.rollback(&last_ckpt, mem, hci, session.is_recording())?;
                     } else {
-                        session = self.rollback(&last_ckpt, mem, hci, session.has_sink())?;
+                        session = self.rollback(&last_ckpt, mem, hci, session.is_recording())?;
                         return Ok(self.degraded(
                             session,
                             StopReason::Failed(e),
@@ -523,9 +520,9 @@ impl Supervisor {
                             self.retry.backoff_cycles.saturating_mul(u64::from(retries)),
                         );
                         self.backoff(retries);
-                        session = self.rollback(&last_ckpt, mem, hci, session.has_sink())?;
+                        session = self.rollback(&last_ckpt, mem, hci, session.is_recording())?;
                     } else {
-                        session = self.rollback(&last_ckpt, mem, hci, session.has_sink())?;
+                        session = self.rollback(&last_ckpt, mem, hci, session.is_recording())?;
                         return Ok(self.degraded(
                             session,
                             StopReason::Panicked(msg),
@@ -542,9 +539,9 @@ impl Supervisor {
 
     /// Restores the whole job (session + cluster) from `ckpt` and clears
     /// any armed interconnect-drop fault state — the recovery action for
-    /// a hung schedule. When `traced`, a fresh [`EventLog`] sink is
-    /// attached so events after the rollback point are captured; the
-    /// rolled-back attempt's events are discarded with the old session.
+    /// a hung schedule. When `traced`, a fresh [`EventLog`] is started so
+    /// events after the rollback point are captured; the rolled-back
+    /// attempt's events are discarded with the old session.
     fn rollback(
         &self,
         ckpt: &Checkpoint,
@@ -554,7 +551,7 @@ impl Supervisor {
     ) -> Result<EngineSession, EngineError> {
         let mut session = ckpt.restore(&self.engine, mem, hci)?;
         if traced {
-            session.attach_sink(Box::new(EventLog::new()));
+            session.record_events();
         }
         hci.inject_shallow_drop(0);
         Ok(session)
@@ -576,10 +573,7 @@ impl Supervisor {
         retries: u32,
         backoff_cycles: u64,
     ) -> SupervisedRun {
-        let events = session
-            .detach_sink()
-            .and_then(EventLog::from_sink)
-            .unwrap_or_default();
+        let events = session.take_events().unwrap_or_default();
         SupervisedRun {
             report: session.partial_report(),
             degraded: true,

@@ -25,7 +25,7 @@ use crate::request::{ServiceStatus, Submission};
 use crate::sim::{ExecOut, Outcome, ServiceError, ServiceSim, Timeline};
 use crate::{ServiceConfig, ServiceRetry, TenantConfig};
 use redmule::faults::{load_fault_site, save_fault_site};
-use redmule::obs::{EventLog, TraceEvent};
+use redmule::obs::{EventKind, EventLog, TraceEvent};
 use redmule::{AccelConfig, BackendKind};
 use redmule_fp16::vector::GemmShape;
 use redmule_hwsim::snapshot::{SnapshotError, StateReader, StateWriter};
@@ -246,10 +246,9 @@ impl<'a> Durability<'a> {
         };
         self.report.checkpoints_restored += 1;
         self.report.cycles_saved = self.report.cycles_saved.saturating_add(executed);
-        self.report.events.push(TraceEvent::CheckpointRestore {
+        self.report.events.push(TraceEvent {
             cycle: executed,
-            job,
-            generation,
+            kind: EventKind::CheckpointRestore { job, generation },
         });
         Ok(Some(ResumeSeed {
             generation,
@@ -261,10 +260,12 @@ impl<'a> Durability<'a> {
     }
 
     fn note_damaged_generation(&mut self, job: u64, d: &DamagedGeneration) {
-        self.report.events.push(TraceEvent::CorruptionDetected {
+        self.report.events.push(TraceEvent {
             cycle: 0,
-            artefact: "checkpoint",
-            damage: d.damage.label(),
+            kind: EventKind::CorruptionDetected {
+                artefact: "checkpoint",
+                damage: d.damage.label(),
+            },
         });
         self.report.repairs.push(RepairEvent {
             artefact: "checkpoint",
@@ -275,10 +276,12 @@ impl<'a> Durability<'a> {
     }
 
     fn note_discarded(&mut self, job: u64, generation: u32, damage: &str) {
-        self.report.events.push(TraceEvent::CorruptionDetected {
+        self.report.events.push(TraceEvent {
             cycle: 0,
-            artefact: "checkpoint",
-            damage: "bad-payload",
+            kind: EventKind::CorruptionDetected {
+                artefact: "checkpoint",
+                damage: "bad-payload",
+            },
         });
         self.report.repairs.push(RepairEvent {
             artefact: "checkpoint",
@@ -380,16 +383,20 @@ impl ServiceSim {
         let scan = journal.scan(backend)?;
         report.journal_records = scan.records.len() as u64;
         report.torn_bytes = scan.torn_bytes() as u64;
-        report.events.push(TraceEvent::RecoveryStart {
+        report.events.push(TraceEvent {
             cycle: 0,
-            records: scan.records.len() as u64,
-            torn_bytes: scan.torn_bytes() as u64,
+            kind: EventKind::RecoveryStart {
+                records: scan.records.len() as u64,
+                torn_bytes: scan.torn_bytes() as u64,
+            },
         });
         if let Some(damage) = &scan.damage {
-            report.events.push(TraceEvent::CorruptionDetected {
+            report.events.push(TraceEvent {
                 cycle: 0,
-                artefact: "journal",
-                damage: damage.label(),
+                kind: EventKind::CorruptionDetected {
+                    artefact: "journal",
+                    damage: damage.label(),
+                },
             });
             report.repairs.push(RepairEvent {
                 artefact: "journal",
@@ -478,10 +485,12 @@ impl ServiceSim {
         report.decisions_recovered = decisions.len() as u64;
         report.decisions_sealed = decisions_sealed;
         report.exec_records_recovered = reuse.len() as u64;
-        report.events.push(TraceEvent::JournalReplay {
+        report.events.push(TraceEvent {
             cycle: makespan,
-            submissions: script.len() as u64,
-            decisions: decisions.len() as u64,
+            kind: EventKind::JournalReplay {
+                submissions: script.len() as u64,
+                decisions: decisions.len() as u64,
+            },
         });
 
         // Phase 1 over the recovered prefix. With a sealed decision set

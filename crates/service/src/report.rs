@@ -2,6 +2,7 @@
 
 use crate::request::{RejectedRecord, ServiceStatus};
 use redmule::obs::{chrome_trace, EventLog, TraceLane};
+use redmule_hwsim::fnv1a64;
 use std::fmt::Write as _;
 
 /// Final record of one *accepted* job.
@@ -298,26 +299,6 @@ impl ServiceReport {
     }
 }
 
-/// FNV-1a-64 over raw bytes; used to fold outputs and checkpoints into
-/// the integer-only canonical report.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a-64 over the bit patterns of an FP16 slice.
-pub(crate) fn fnv1a64_f16(z: &[redmule_fp16::F16]) -> u64 {
-    let mut bytes = Vec::with_capacity(z.len() * 2);
-    for v in z {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fnv1a64(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,13 +387,5 @@ mod tests {
         // (messages can vary in wording; the label is the contract).
         assert!(!json.contains("boom"));
         assert!(!json.contains('.'), "canonical JSON must be integer-only");
-    }
-
-    #[test]
-    fn fnv_digests_are_stable() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
-        let z = [redmule_fp16::F16::ONE, redmule_fp16::F16::ZERO];
-        assert_eq!(fnv1a64_f16(&z), fnv1a64_f16(&z));
     }
 }

@@ -18,14 +18,16 @@
 
 use crate::config::{bucket_credit, ConfigError, ServiceConfig, TenantConfig};
 use crate::durable::Durability;
-use crate::report::{fnv1a64_f16, ServiceJobRecord, ServiceReport, TenantStats};
+use crate::report::{ServiceJobRecord, ServiceReport, TenantStats};
 use crate::request::{Rejected, RejectedRecord, ServiceStatus, Submission};
-use redmule::obs::{EventLog, TraceEvent};
+use redmule::obs::{EventKind, EventLog, TraceEvent};
 use redmule::{
     stage_gemm_workspace_in, AccelConfig, Engine, EngineError, FaultInjector, Format,
     FunctionalGemm,
 };
-use redmule_batch::{BatchError, BatchExecutor, GemmJob, JobFaults, JobResult, JobStatus};
+use redmule_batch::{
+    fnv1a64_f16, BatchError, BatchExecutor, GemmJob, JobFaults, JobResult, JobStatus,
+};
 use redmule_runtime::{Checkpoint, Limits, RetryPolicy, StopReason, Supervisor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -589,7 +591,7 @@ impl ExecOut {
             tiles_total: r.tiles_total,
             migrations: 0,
             z_len: r.z.len(),
-            z_fnv: fnv1a64_f16(&r.z),
+            z_fnv: r.z_checksum(),
             checkpoint: None,
         }
     }
@@ -790,6 +792,14 @@ impl<'a> Timeline<'a> {
         }
     }
 
+    /// Records a timeline event stamped with the current virtual clock.
+    fn record(&mut self, kind: EventKind) {
+        self.events.push(TraceEvent {
+            cycle: self.now,
+            kind,
+        });
+    }
+
     /// The earliest `(finish_cycle, job_id, server)` among running jobs;
     /// ties resolve to the lowest job id, keeping the loop deterministic.
     fn next_completion(&self) -> Option<(u64, u64, usize)> {
@@ -878,8 +888,7 @@ impl<'a> Timeline<'a> {
         };
 
         if let Some(reason) = reject {
-            self.events.push(TraceEvent::AdmissionRejected {
-                cycle: self.now,
+            self.record(EventKind::AdmissionRejected {
                 tenant: sub.tenant,
                 job: sub.id,
                 reason: reason.reason(),
@@ -921,8 +930,7 @@ impl<'a> Timeline<'a> {
             backoff_charged: 0,
             outcome: None,
         });
-        self.events.push(TraceEvent::Admitted {
-            cycle: self.now,
+        self.record(EventKind::Admitted {
             tenant: sub.tenant,
             job: sub.id,
         });
@@ -990,8 +998,7 @@ impl<'a> Timeline<'a> {
     }
 
     fn shed_acc(&mut self, a: usize) {
-        self.events.push(TraceEvent::Shed {
-            cycle: self.now,
+        self.record(EventKind::Shed {
             tenant: self.acc[a].tenant_id,
             job: self.acc[a].id,
         });
@@ -1085,8 +1092,7 @@ impl<'a> Timeline<'a> {
                     self.acc[w_acc].remaining -= run_len;
                 }
                 self.acc[w_acc].preemptions += 1;
-                self.events.push(TraceEvent::Preempted {
-                    cycle: self.now,
+                self.record(EventKind::Preempted {
                     tenant: self.acc[w_acc].tenant_id,
                     job: self.acc[w_acc].id,
                     by: self.acc[b].id,
