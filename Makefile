@@ -1,13 +1,15 @@
 # Convenience targets for the RedMulE reproduction.
 #
-#   make verify      — tier-1 gate plus the full workspace suite, a
-#                      warning-free clippy pass over every target (tests
-#                      included), a formatting check, the
-#                      modelcheck static analyzer and the smoke gate
-#                      (what CI runs, see .github/workflows/ci.yml)
+#   make verify      — tier-1 gate plus the full workspace suite with
+#                      the #[ignore]d deep sweeps, a warning-free clippy
+#                      pass over every target (tests included), a
+#                      formatting check, the modelcheck static analyzer
+#                      and the smoke gate (what CI runs, see
+#                      .github/workflows/ci.yml)
 #   make test        — fast: workspace tests only
 #   make test-full   — workspace tests including the #[ignore]d deep
-#                      sweeps (what nightly CI runs)
+#                      sweeps and vector drift checks (what CI's verify
+#                      job runs on every push and pull request)
 #   make modelcheck  — model-hygiene static analysis (DESIGN.md §10)
 #   make modelcheck-json — same scan, machine-readable report written to
 #                      modelcheck-report.json (the CI artifact)
@@ -31,7 +33,7 @@ CARGO ?= cargo
 
 .PHONY: verify build test test-full clippy fmt lint modelcheck modelcheck-json figures smoke
 
-verify: build test lint fmt smoke
+verify: build test-full lint fmt smoke
 
 build:
 	$(CARGO) build --release

@@ -468,6 +468,7 @@ fn failed(job: &GemmJob, backend: BackendKind, tiles_total: usize, msg: String) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redmule::Format;
     use redmule_fp16::vector::{gemm_golden, GemmShape};
     use redmule_fp16::F16;
     use redmule_runtime::Limits;
@@ -548,6 +549,35 @@ mod tests {
             BatchExecutor::new(1).run(bad),
             Err(BatchError::InvalidJob(_))
         ));
+    }
+
+    #[test]
+    fn oversized_shapes_fail_the_batch_before_any_worker_starts() {
+        // An element count past usize, and a workspace past the TCDM's
+        // 32-bit address space, on either backend and in any format: the
+        // whole batch is an `InvalidJob`, never a panic, a wrapped
+        // "completed" job or a `WorkerPanicked`.
+        for shape in [
+            GemmShape::new(1 << 62, 4, 1 << 62),
+            GemmShape::new(1 << 31, 0, 1 << 31),
+        ] {
+            for backend in [BackendKind::Functional, BackendKind::CycleAccurate] {
+                for format in Format::ALL {
+                    let mut jobs = mixed_jobs(2);
+                    jobs.push(
+                        GemmJob::new(9, shape, Vec::new(), Vec::new())
+                            .with_backend(backend)
+                            .with_format(format),
+                    );
+                    match BatchExecutor::new(2).run(jobs) {
+                        Err(BatchError::InvalidJob(msg)) => {
+                            assert!(msg.contains("too large"), "{msg}")
+                        }
+                        other => panic!("{shape} {backend:?} {format}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -137,12 +137,16 @@ impl GemmJob {
         self
     }
 
-    /// Checks operand lengths against the shape.
+    /// Checks that the shape is small enough to run on either backend
+    /// ([`redmule::shape_sizes`] at the job's format) and the operand
+    /// lengths against it.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first mismatch.
+    /// A human-readable description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
+        let sizes = redmule::shape_sizes(self.shape, self.format)
+            .map_err(|e| format!("job {}: {e}", self.id))?;
         let check = |name: &str, expected: usize, got: usize| {
             if expected == got {
                 Ok(())
@@ -153,10 +157,10 @@ impl GemmJob {
                 ))
             }
         };
-        check("X", self.shape.x_len(), self.x.len())?;
-        check("W", self.shape.w_len(), self.w.len())?;
+        check("X", sizes.x_len, self.x.len())?;
+        check("W", sizes.w_len, self.w.len())?;
         if let Some(y) = &self.y {
-            check("Y", self.shape.z_len(), y.len())?;
+            check("Y", sizes.z_len, y.len())?;
         }
         Ok(())
     }

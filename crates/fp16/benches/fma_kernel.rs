@@ -1,48 +1,44 @@
 //! Micro-benchmark: scalar `fma` fold vs the batched kernel's `fma_acc`
-//! path on the same reduction rows.
+//! step and its `gemm_staged` band.
 //!
 //! ```text
 //! cargo bench -p redmule-fp16 --bench fma_kernel
 //! ```
 //!
-//! Four variants over identical data:
-//! * `scalar_fma` — one `arith::fma` call per step, classify + re-pack
-//!   every time (what `FunctionalGemm` did before the batched kernel);
-//! * `fma_acc` — pre-classified operands, accumulator kept unpacked
-//!   between the per-step roundings;
-//! * `fma_row_x16` — the GEMM inner-loop shape: one X operand broadcast
-//!   against a 16-wide panel of accumulators;
-//! * `fma_row_staged_x16` — the same shape through the structure-of-arrays
-//!   vector kernel `FunctionalGemm` actually runs.
+//! Two groups:
+//! * `fma4096` — one 4096-step reduction chain: `scalar_fma` makes one
+//!   `arith::fma` call per step, classify + re-pack every time (what
+//!   `FunctionalGemm` did before the batched kernel); `fma_acc` runs
+//!   pre-classified operands with the accumulator kept unpacked between
+//!   the per-step roundings.
+//! * `gemm_staged` — whole bands through the register-blocked kernel
+//!   `FunctionalGemm` actually runs: a 64x64x64 band of full blocks, and
+//!   a ragged 33x40x37 band whose last block row and column are tails.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use redmule_fp16::arith::fma;
-use redmule_fp16::kernel::{dot_acc, fma_row, fma_row_staged, Acc, Operand, Staged};
-use redmule_fp16::{Round, F16};
+use redmule_fp16::kernel::{fma_acc, gemm_staged, Acc, Operand, Staged};
+use redmule_fp16::Round;
 
 const N: usize = 4096;
 
-fn rows() -> (Vec<u16>, Vec<u16>) {
-    let gen = |seed: u32| -> Vec<u16> {
-        let mut state = seed | 1;
-        (0..N)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 17;
-                state ^= state << 5;
-                // Finite, mid-range exponents: the all-finite common case.
-                0x2C00 | (state as u16 & 0x0FFF)
-            })
-            .collect()
-    };
-    (gen(0x1234_5678), gen(0x8765_4321))
+fn operands(len: usize, seed: u32) -> Vec<u16> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            // Finite, mid-range exponents: the all-finite common case.
+            0x2C00 | (state as u16 & 0x0FFF)
+        })
+        .collect()
 }
 
 fn bench_fma(c: &mut Criterion) {
-    let (xs, ws) = rows();
+    let (xs, ws) = (operands(N, 0x1234_5678), operands(N, 0x8765_4321));
     let xo: Vec<Operand> = xs.iter().map(|&v| Operand::from_bits(v)).collect();
     let wo: Vec<Operand> = ws.iter().map(|&v| Operand::from_bits(v)).collect();
-    let xf: Vec<F16> = xs.iter().map(|&v| F16::from_bits(v)).collect();
 
     let mut g = c.benchmark_group("fma4096");
     g.bench_function("scalar_fma", |b| {
@@ -55,37 +51,28 @@ fn bench_fma(c: &mut Criterion) {
         })
     });
     g.bench_function("fma_acc", |b| {
-        b.iter(|| black_box(dot_acc(&xo, &wo, Acc::ZERO, Round::NearestEven).to_bits()))
-    });
-    g.bench_function("fma_row_x16", |b| {
-        // 4096 steps spread over a 16-wide accumulator panel, matching the
-        // paper instance's phase width: 256 row steps of 16 lanes.
         b.iter(|| {
-            let mut acc = [Acc::ZERO; 16];
-            for (chunk, &a) in wo.chunks_exact(16).zip(xf.iter().step_by(16)) {
-                fma_row(
-                    Operand::from_bits(a.to_bits()),
-                    chunk,
-                    &mut acc,
-                    Round::NearestEven,
-                );
+            let mut acc = Acc::ZERO;
+            for (&a, &w) in xo.iter().zip(wo.iter()) {
+                acc = fma_acc(a, w, acc, Round::NearestEven);
             }
-            black_box(acc[0].to_bits())
+            black_box(acc.to_bits())
         })
     });
-    g.bench_function("fma_row_staged_x16", |b| {
-        // Same 256 x 16 walk through the SoA vector kernel: one staged X
-        // row of 256 elements against a staged 256 x 16 W panel.
-        let xst = Staged::from_bits_iter(xs.iter().step_by(16).copied());
-        let wst = Staged::from_bits_iter(ws.iter().copied());
-        b.iter(|| {
-            let mut acc = [Acc::ZERO; 16];
-            for l in 0..xst.len() {
-                fma_row_staged(&xst, l, &wst, l * 16, &mut acc, Round::NearestEven);
-            }
-            black_box(acc[0].to_bits())
-        })
-    });
+    g.finish();
+
+    let mut g = c.benchmark_group("gemm_staged");
+    for (m, n, k) in [(64, 64, 64), (33, 40, 37)] {
+        let x = Staged::from_bits_iter(operands(m * n, 0x1234_5678).into_iter());
+        let w = Staged::from_bits_iter(operands(n * k, 0x8765_4321).into_iter());
+        g.bench_function(format!("{m}x{n}x{k}"), |b| {
+            b.iter(|| {
+                let mut acc = vec![Acc::ZERO; m * k];
+                gemm_staged(&x, 0, n, &w, k, &mut acc);
+                black_box(acc[0].to_bits())
+            })
+        });
+    }
     g.finish();
 }
 

@@ -61,8 +61,34 @@ const E5M2_SPEC: Spec = Spec {
     top_code_is_nan: false,
 };
 
+/// Round-to-nearest-even narrowing of a binary16 magnitude (sign bit
+/// clear) to an E4M3 magnitude code, in a few integer operations.
+///
+/// From 2^-6, E4M3's smallest normal, up: round binary16's 10-bit
+/// fraction at bit 7 (a carry ripples into the exponent), then re-bias
+/// the exponent from 15 to 7, which is 8 binades of 8 codes. A result
+/// past 448, the largest finite, is the NaN code; infinities and NaNs
+/// land there too. Below 2^-6 the value rounds onto the 2^-9 subnormal
+/// grid, a carry out of it encoding the smallest normal.
+fn e4m3_rne_magnitude(mag: u16) -> u8 {
+    let mag = u32::from(mag);
+    if mag >= 0x2400 {
+        let code = ((mag + 0x3F + ((mag >> 7) & 1)) >> 7) - 0x40;
+        return if code > 0x7E { 0x7F } else { code as u8 };
+    }
+    // Significand with its hidden bit (none for binary16 subnormals), in
+    // units of 2^-24 scaled up by the binade: shifting right by
+    // `16 - max(e, 1)` counts it in 2^-9 steps.
+    let e = mag >> 10;
+    let sig = if e == 0 { mag } else { (mag & 0x3FF) | 0x400 };
+    let shift = 16 - e.max(1);
+    ((sig + (1 << (shift - 1)) - 1 + ((sig >> shift) & 1)) >> shift) as u8
+}
+
 /// Narrows a finite, non-zero unpacked binary16 value to an FP8 magnitude
-/// encoding (sign excluded), in a single correctly-rounded step.
+/// encoding (sign excluded), in a single correctly-rounded step. Only the
+/// directed modes and round-to-nearest-max-magnitude take this path:
+/// round-to-nearest-even has integer shortcuts in `from_f16`.
 fn narrow_finite(u: Unpacked, mode: Round, spec: &Spec) -> u8 {
     let sign8 = if u.sign { SIGN8 } else { 0 };
     // Value is sig * 2^q with sig normalised into [2^10, 2^11); the
@@ -200,6 +226,9 @@ impl E4M3 {
     pub fn from_f16(v: F16, mode: Round) -> E4M3 {
         let bits = v.to_bits();
         let sign8 = ((bits >> 8) as u8) & SIGN8;
+        if matches!(mode, Round::NearestEven) {
+            return E4M3(sign8 | e4m3_rne_magnitude(bits & 0x7FFF));
+        }
         match arith::classify(bits) {
             Class::Nan => E4M3(sign8 | 0x7F),
             Class::Inf { sign } => E4M3(if sign { 0xFF } else { 0x7F }),
@@ -283,6 +312,14 @@ impl E5M2 {
     pub fn from_f16(v: F16, mode: Round) -> E5M2 {
         let bits = v.to_bits();
         let sign8 = ((bits >> 8) as u8) & SIGN8;
+        if matches!(mode, Round::NearestEven) && bits & 0x7FFF <= 0x7C00 {
+            // Every non-NaN value: round binary16's low byte to nearest
+            // even at bit 8. A carry ripples into the exponent, and past
+            // 57344 into the infinity code, exactly as IEEE overflow
+            // under RNE requires; infinities keep their code.
+            let b = u32::from(bits);
+            return E5M2(((b + 0x7F + ((b >> 8) & 1)) >> 8) as u8);
+        }
         match arith::classify(bits) {
             Class::Nan => {
                 // Keep the top two payload bits; force the quiet bit if

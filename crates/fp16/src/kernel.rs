@@ -9,8 +9,7 @@
 //! each FMA's output straight into the next one's addend. This module
 //! exploits that structure while preserving the result bits exactly:
 //!
-//! * [`Operand`] classifies an input **once**; rows of pre-classified
-//!   operands are built with [`Operand::classify_slice`] and reused freely.
+//! * [`Operand`] classifies an input **once** and is reused freely.
 //! * [`Acc`] keeps the running accumulator in `f64` form between FMA
 //!   steps. Every step still performs the mandatory FP16 round — rounding
 //!   order is the contract — but the pack-to-bits / classify-from-bits
@@ -19,7 +18,14 @@
 //!   included) round-to-nearest-even common case runs a short branch-free
 //!   hardware path, everything else (infinite or NaN multiplicands,
 //!   directed rounding modes) falls back to the scalar softfloat `fma` on
-//!   the packed encodings.
+//!   the packed encodings. The cycle-accurate engine runs every lane of
+//!   its FMA array through it.
+//! * [`gemm_staged`] folds a whole band of outputs over the full
+//!   reduction the way the array does: [`Staged`] operands, a register
+//!   block of accumulators kept for all steps, each W-row segment loaded
+//!   once per step for every row of the block, and a whole-block scalar
+//!   redo in the rare case a lane leaves the range its fast rounding
+//!   covers.
 //!
 //! # Why hardware `f64` is bit-exact here
 //!
@@ -34,16 +40,20 @@
 //! 11-bit rounding boundary without lying on it, and a sum of a 22-bit
 //! product and an 11-bit addend never has enough significant bits to get
 //! that close (53 well exceeds the 3·11+2 bound for FMA). The claim is
-//! not taken on faith: every `fma_acc` in a debug build re-checks itself
-//! against `arith::fma`, and the release kernel is locked by the frozen
-//! FMA vectors, an exhaustive-pairs differential sweep and a class-aware
-//! proptest.
+//! not taken on faith: in a debug build every `fma_acc` and every
+//! in-window lane of a `gemm_staged` block re-checks itself against
+//! `arith::fma`, and the release kernel is locked by the frozen FMA
+//! vectors, an exhaustive-pairs differential sweep, a window-edge sweep
+//! over every ragged block shape and class-aware proptests.
 //!
-//! The equivalence contract:
+//! The equivalence contracts:
 //!
 //! ```text
 //! fma_acc(classify(a), classify(b), Acc::from_bits(c)).to_bits()
 //!     == arith::fma(a, b, c)          for all a, b, c, and every mode
+//! gemm_staged(X, r0, n, W, k, Y)[r][j]
+//!     == fold over l in 0..n of arith::fma(X[r0+r][l], W[l][j], ·, RNE)
+//!        starting from Y[r][j]        for every element
 //! ```
 
 use crate::arith::from_f64;
@@ -121,9 +131,8 @@ fn narrow(v: f64) -> u16 {
 
 /// An FP16 input pre-classified for repeated use as an FMA multiplicand.
 ///
-/// Classify once with [`Operand::from_bits`] (or a whole row with
-/// [`Operand::classify_slice`]), then feed the copy to as many
-/// [`fma_acc`] / [`fma_row`] steps as the schedule needs.
+/// Classify once with [`Operand::from_bits`], then feed the copy to as
+/// many [`fma_acc`] steps as the schedule needs.
 // modelcheck-allow: RM-FP-001 -- the f64 field is the exact (lossless)
 // widening of a binary16 value; see the module docs for the bit-exactness
 // argument and the differential locks.
@@ -156,13 +165,6 @@ impl Operand {
             bits,
             tag,
         }
-    }
-
-    /// Classifies a whole row of values in one pass.
-    pub fn classify_slice(row: &[crate::F16]) -> Vec<Operand> {
-        row.iter()
-            .map(|v| Operand::from_bits(v.to_bits()))
-            .collect()
     }
 }
 
@@ -308,30 +310,15 @@ fn fma_acc_slow(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
     Acc::from_bits(crate::arith::fma(a.bits, b.bits, acc.to_bits(), mode))
 }
 
-/// One reduction step for a whole row of accumulators:
-/// `acc[j] = a * w[j] + acc[j]` for every `j`.
-///
-/// This is the GEMM inner loop shape: one X element (classified once) is
-/// broadcast against a contiguous row of pre-classified W operands. The
-/// per-element FMA order of each accumulator chain is untouched — the row
-/// form only reorders *between* independent output elements.
-#[inline]
-pub fn fma_row(a: Operand, w: &[Operand], acc: &mut [Acc], mode: Round) {
-    debug_assert_eq!(w.len(), acc.len());
-    for (acc, &b) in acc.iter_mut().zip(w.iter()) {
-        *acc = fma_acc(a, b, *acc, mode);
-    }
-}
-
 /// An operand matrix staged in structure-of-arrays form: the exact `f64`
-/// widening of every element for the vector fast path, plus the original
-/// packed encodings for the scalar fallback.
+/// widening of every element for the block kernel's fast path, plus the
+/// original packed encodings for its scalar fallback.
 ///
-/// Built once per matrix with [`Staged::from_bits_iter`]; consumed by
-/// [`fma_row_staged`], which reads a contiguous row slice per reduction
-/// step. Unlike [`Operand`] rows, the value lane is a flat `f64` array —
-/// stride 8, no tags interleaved — which is what lets the compiler
-/// vectorise the row kernel.
+/// Built once per matrix with [`Staged::from_bits_iter`] and consumed by
+/// [`gemm_staged`], which reads contiguous row segments of it. Unlike
+/// [`Operand`] rows, the value lane is a flat `f64` array — stride 8, no
+/// tags interleaved — which is what lets the compiler vectorise the
+/// register block.
 // modelcheck-allow: RM-FP-001 -- the f64 lane holds exact (lossless)
 // widenings of the binary16 elements; see the module docs for the
 // bit-exactness argument and the differential locks.
@@ -362,145 +349,257 @@ impl Staged {
     }
 }
 
-/// One broadcast reduction step over a whole row of accumulators with
-/// staged operands: `acc[j] = x[xi] * w[w0 + j] + acc[j]`, each lane
-/// rounded once under `mode` — bit-for-bit `arith::fma` per lane, exactly
-/// like [`fma_row`].
+/// Output rows of one register block: the rows that share each W-row
+/// segment.
+const BR: usize = 4;
+/// Output columns of one register block: two 4-lane AVX2 vectors.
+const BC: usize = 8;
+
+/// Magnitude bits of 2^-14, binary16's smallest normal: the window's
+/// lower bound.
+const WIN_MIN: u64 = 0x3F10_0000_0000_0000;
+/// Magnitude bits of 65520, the window's exclusive upper bound: the
+/// midpoint between 65504 (binary16's largest finite) and 2^16, which
+/// round-to-nearest-even ties up to infinity.
+const WIN_LIMIT: u64 = 0x40EF_FE00_0000_0000;
+
+/// The operands of one band: everything the blocks read but the
+/// accumulators.
+#[derive(Clone, Copy)]
+struct Band<'a> {
+    x: &'a Staged,
+    x_row0: usize,
+    n: usize,
+    w: &'a Staged,
+    k: usize,
+}
+
+/// One register block of a band: `rows_live x cols_live` outputs at
+/// band row `r0`, column `c0`.
+#[derive(Clone, Copy)]
+struct Block {
+    r0: usize,
+    rows_live: usize,
+    c0: usize,
+    cols_live: usize,
+}
+
+/// Folds a whole band of GEMM outputs over the full reduction under
+/// round-to-nearest-even: for every band row `r` (`acc.len() / k` of
+/// them) and column `j`,
+/// `acc[r*k + j] = fma(x[x_row0+r][n-1], w[n-1][j], … fma(x[x_row0+r][0], w[0][j], acc[r*k + j]))`,
+/// rounded to binary16 after every step — bit for bit the scalar fold of
+/// `arith::fma` per element.
 ///
-/// The round-to-nearest-even common case runs a branchless two-pass
-/// vector kernel over the flat `f64` lanes; any lane whose result leaves
-/// the binary16 normal range — which includes every special operand or
-/// accumulator, since infinities and NaNs surface as an all-ones `f64`
-/// exponent in the sum — reverts the whole row to the scalar
-/// [`fma_acc`] path on the packed encodings.
-#[inline]
-pub fn fma_row_staged(x: &Staged, xi: usize, w: &Staged, w0: usize, acc: &mut [Acc], mode: Round) {
-    if !matches!(mode, Round::NearestEven) {
-        fma_row_slow(x, xi, w, w0, acc, mode);
+/// `x` is a staged row-major X with `n` columns (the band's rows start at
+/// `x_row0`), `w` the staged row-major `n x k` W, and `acc` the band's
+/// `rows x k` accumulators: the initial values (`Y`, or zeros) on entry,
+/// the results on return.
+///
+/// The band is cut into `4 x 8` register blocks, the FMA array's
+/// broadcast pattern in miniature. A block's accumulators live in a
+/// local array for all `n` steps; each step loads the block's W-row
+/// segment once and uses it for all four rows. Per lane, the unrounded
+/// `f64` sum is checked against the window — an exact zero, or a
+/// magnitude in `[2^-14, 65520)` — where rounding at bit 42 is the
+/// binary16 result; one integer word per column collects the verdicts.
+/// If any live lane ever left the window, the block is redone on the
+/// scalar [`fma_acc`] from its initial accumulators, which stay untouched
+/// in `acc` until the block succeeds.
+///
+/// # Panics
+///
+/// If `acc` does not hold whole rows of `k`, `w` holds fewer than `n`
+/// rows of `k`, or `x` ends before the band's last row.
+pub fn gemm_staged(x: &Staged, x_row0: usize, n: usize, w: &Staged, k: usize, acc: &mut [Acc]) {
+    if k == 0 {
         return;
     }
-    let a = x.vals[xi];
-    let n = acc.len();
-    let mut j = 0;
-    while j < n {
-        let c = CHUNK.min(n - j);
-        if !fma_chunk_fast(a, &w.vals[w0 + j..w0 + j + c], &mut acc[j..j + c]) {
-            fma_row_slow(x, xi, w, w0 + j, &mut acc[j..j + c], mode);
-        }
-        j += c;
-    }
-}
-
-/// Scalar redo of a (sub)row on the packed encodings: the pre-kernel code
-/// path, handling every special value and rounding mode.
-#[cold]
-fn fma_row_slow(x: &Staged, xi: usize, w: &Staged, w0: usize, acc: &mut [Acc], mode: Round) {
-    let a = Operand::from_bits(x.bits[xi]);
-    let wb = &w.bits[w0..w0 + acc.len()];
-    for (c, &b) in acc.iter_mut().zip(wb.iter()) {
-        *c = fma_acc(a, Operand::from_bits(b), *c, mode);
-    }
-}
-
-/// Maximum lanes per vector-kernel chunk: bounds the stack undo buffer
-/// and the blast radius of a scalar redo.
-const CHUNK: usize = 32;
-
-/// Branchless vector core of [`fma_row_staged`]: attempts one chunk of at
-/// most [`CHUNK`] lanes on the `f64` fast path, restoring `acc` untouched
-/// and returning `false` if *any* lane falls outside the binary16
-/// normal-result range.
-///
-/// Every lane is verified as it is computed: the sum's biased exponent
-/// must sit in the binary16 normal window `[1009, 1038]` before rounding
-/// and at most `1038` after the rounding carry. Zero, subnormal and
-/// overflowing results fail the window, and so does every infinity or NaN
-/// in any operand or accumulator (their sums carry the all-ones
-/// exponent), which is why the loop needs no classification tags. The
-/// loop is straight-line arithmetic over stride-8 lanes, which the
-/// compiler vectorises; original accumulator values are spilled to a
-/// stack buffer so a failed chunk unwinds exactly.
-// modelcheck-allow: RM-FP-001 -- f64 vector fast path dispatcher; see
-// `fma_chunk_fast_portable` for the bit-exactness argument.
-#[inline]
-fn fma_chunk_fast(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
-    // The portable loop is straight-line IEEE f64 arithmetic and integer
+    assert!(
+        acc.len().is_multiple_of(k) && w.len() / k >= n,
+        "gemm_staged: {} accumulators or {} W elements do not fit k = {k}, n = {n}",
+        acc.len(),
+        w.len()
+    );
+    let band = Band { x, x_row0, n, w, k };
+    // The portable body is straight-line IEEE f64 arithmetic and integer
     // bit manipulation, so recompiling it with wider vector units changes
     // which instructions execute but not a single result bit. The x86-64
-    // baseline (SSE2) lacks the 64-bit vector compares the range check
-    // needs, so the loop only vectorises when AVX2 is known available —
-    // detected once at runtime, skipped under Miri (which interprets the
-    // portable path).
+    // baseline (SSE2) lacks the 64-bit vector arithmetic the window check
+    // vectorises to, so the blocks only run 4 lanes wide when AVX2 is
+    // known available — detected at runtime once per band, skipped under
+    // Miri (which interprets the portable path).
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 availability is verified by the runtime detection
-        // above; the function body is the safe portable loop, merely
+        // above; the function body is the safe portable walk, merely
         // compiled with the wider instruction set enabled.
-        return unsafe { fma_chunk_fast_avx2(a, w, acc) };
+        return unsafe { gemm_staged_avx2(band, acc) };
     }
-    fma_chunk_fast_portable(a, w, acc)
+    gemm_staged_portable(band, acc);
 }
 
-/// The portable chunk loop recompiled with AVX2 codegen enabled, so the
-/// compiler auto-vectorises it four `f64` lanes wide.
-// modelcheck-allow: RM-FP-001 -- identical safe code to
-// `fma_chunk_fast_portable`, only the enabled instruction set differs.
+/// The portable band walk recompiled with AVX2 codegen enabled, so the
+/// compiler vectorises each block row four `f64` lanes wide.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
-unsafe fn fma_chunk_fast_avx2(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
-    fma_chunk_fast_portable(a, w, acc)
+unsafe fn gemm_staged_avx2(band: Band<'_>, acc: &mut [Acc]) {
+    gemm_staged_portable(band, acc);
 }
 
+#[inline(always)]
+fn gemm_staged_portable(band: Band<'_>, acc: &mut [Acc]) {
+    let rows = acc.len() / band.k;
+    for r0 in (0..rows).step_by(BR) {
+        for c0 in (0..band.k).step_by(BC) {
+            let blk = Block {
+                r0,
+                rows_live: BR.min(rows - r0),
+                c0,
+                cols_live: BC.min(band.k - c0),
+            };
+            // Full-width blocks load their W segment as one fixed-size
+            // array; a variable-length copy would cost a `memcpy` call
+            // per step.
+            let done = if blk.cols_live == BC {
+                block_fast::<true>(band, acc, blk)
+            } else {
+                block_fast::<false>(band, acc, blk)
+            };
+            if !done {
+                block_scalar(band, acc, blk);
+            }
+        }
+    }
+}
+
+/// The block's fast path: all `n` steps in registers, then one
+/// write-back. Returns `false`, leaving `acc` untouched, if any live lane
+/// left the window at any step.
+///
+/// Missing rows of a ragged block alias the last live row — same
+/// operands, same initial accumulators, so the same verdicts. Missing
+/// columns are `+0.0` lanes: a finite X element keeps them at `+0`,
+/// which is in the window, and an infinite or NaN one also throws every
+/// live lane of its row out of it. The results of both are discarded.
 // modelcheck-allow: RM-FP-001 -- f64 vector fast path: exact 22-bit
 // products, one hardware rounding per lane, innocuous double rounding to
-// binary16 (module docs); locked lane-for-lane against `arith::fma` by
-// the debug assertion below and the kernel differential tests.
+// binary16 inside the window (module docs); locked lane-for-lane against
+// `arith::fma` by the debug assertion below and the kernel differential
+// tests.
 #[inline(always)]
-fn fma_chunk_fast_portable(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
+fn block_fast<const FULL: bool>(band: Band<'_>, acc: &mut [Acc], blk: Block) -> bool {
+    const SIGN: u64 = 1 << 63;
     const HALF_M1: u64 = (1u64 << 41) - 1;
     const TRUNC: u64 = !((1u64 << 42) - 1);
-    debug_assert!(w.len() == acc.len() && acc.len() <= CHUNK);
-    let mut saved = [0.0f64; CHUNK];
-    let mut ok = true;
-    for ((c, &b), s) in acc.iter_mut().zip(w.iter()).zip(saved.iter_mut()) {
-        *s = c.v;
-        let tb = (a * b + c.v).to_bits();
-        let pre = ((tb >> 52) & 0x7FF).wrapping_sub(1009);
-        let rb = tb + ((tb >> 42) & 1) + HALF_M1;
-        // Bitwise `&`, not `&&`: keeps the check branch-free so the loop
-        // stays straight-line vector code.
-        ok &= (pre <= 29) & ((rb >> 52) & 0x7FF <= 1038);
-        #[cfg(debug_assertions)]
-        if pre <= 29 && (rb >> 52) & 0x7FF <= 1038 {
-            debug_assert_eq!(
-                narrow(f64::from_bits(rb & TRUNC)),
-                crate::arith::fma(narrow(a), narrow(b), narrow(c.v), Round::NearestEven),
-                "vector lane drifted from scalar fma: a={a} b={b} c={}",
-                c.v,
-            );
-        }
-        c.v = f64::from_bits(rb & TRUNC);
-    }
-    if !ok {
-        // Rare unwind: put the chunk back exactly as it was so the caller
-        // can redo it on the scalar path.
-        for (c, &s) in acc.iter_mut().zip(saved.iter()) {
-            c.v = s;
+    let Band { x, x_row0, n, w, k } = band;
+    let Block {
+        r0,
+        rows_live,
+        c0,
+        cols_live,
+    } = blk;
+    // A constant width lets full blocks load and store their accumulators
+    // without a `memcpy` call.
+    let cols_live = if FULL { BC } else { cols_live };
+    let row = |i: usize| r0 + i.min(rows_live - 1);
+    let xr: [&[f64]; BR] = std::array::from_fn(|i| &x.vals[(x_row0 + row(i)) * n..][..n]);
+    let mut z = [[0.0; BC]; BR];
+    for (i, zrow) in z.iter_mut().enumerate() {
+        for (zv, a) in zrow.iter_mut().zip(&acc[row(i) * k + c0..][..cols_live]) {
+            *zv = a.v;
         }
     }
-    ok
+    // One word per column; a set sign bit means some lane of the column
+    // left the window at some step.
+    let mut flags = [0u64; BC];
+    #[cfg(debug_assertions)]
+    let mut clean = [[true; BC]; BR];
+    for (l, wrow) in w.vals.chunks_exact(k).take(n).enumerate() {
+        let seg: [f64; BC] = if FULL {
+            let s = &wrow[c0..][..BC];
+            std::array::from_fn(|j| s[j])
+        } else {
+            let s = &wrow[c0..][..cols_live];
+            std::array::from_fn(|j| if j < cols_live { s[j] } else { 0.0 })
+        };
+        for (i, zrow) in z.iter_mut().enumerate() {
+            let a = xr[i][l];
+            for (j, zv) in zrow.iter_mut().enumerate() {
+                let tb = (a * seg[j] + *zv).to_bits();
+                let mag = tb & !SIGN;
+                // Sign bit set iff the lane is outside the window: nonzero
+                // below 2^-14 (first term), or at least 65520 (second),
+                // which covers infinity and NaN. Integer subtract, and-not
+                // and or keep the check one vector word per lane.
+                let out = (mag.wrapping_sub(WIN_MIN) & !mag.wrapping_sub(1))
+                    | (WIN_LIMIT - 1).wrapping_sub(mag);
+                flags[j] |= out;
+                // Round the 52-bit fraction to binary16's 10 fraction bits
+                // in place (kept lsb at bit 42, round bit at 41, sticky
+                // below): adding `lsb + (half - 1)` carries into bit 42
+                // exactly when the discarded fraction exceeds half an ulp,
+                // or equals it with an odd kept lsb, and a significand
+                // carry ripples into the exponent as IEEE renormalisation
+                // requires. Exact zeros pass through unchanged, with the
+                // IEEE zero-sum sign the hardware addition gave them.
+                let rb = tb.wrapping_add(((tb >> 42) & 1) + HALF_M1) & TRUNC;
+                #[cfg(debug_assertions)]
+                {
+                    let inside = out & SIGN == 0;
+                    if clean[i][j] && inside && i < rows_live && j < cols_live {
+                        debug_assert_eq!(
+                            narrow(f64::from_bits(rb)),
+                            crate::arith::fma(
+                                narrow(a),
+                                narrow(seg[j]),
+                                narrow(*zv),
+                                Round::NearestEven
+                            ),
+                            "block lane drifted from scalar fma: a={a} b={} c={}",
+                            seg[j],
+                            *zv,
+                        );
+                    }
+                    clean[i][j] &= inside;
+                }
+                *zv = f64::from_bits(rb);
+            }
+        }
+    }
+    if flags.iter().fold(0, |f, &g| f | g) & SIGN != 0 {
+        return false;
+    }
+    for (i, zrow) in z.iter().enumerate().take(rows_live) {
+        for (a, &zv) in acc[(r0 + i) * k + c0..][..cols_live].iter_mut().zip(zrow) {
+            a.v = zv;
+        }
+    }
+    true
 }
 
-/// Full dot-product fold: `init + sum_i x[i] * w[i]`, accumulating through
-/// one FP16 rounding per step in index order — exactly
-/// `fold(fma)` on the packed encodings.
-pub fn dot_acc(x: &[Operand], w: &[Operand], init: Acc, mode: Round) -> Acc {
-    debug_assert_eq!(x.len(), w.len());
-    let mut acc = init;
-    for (&a, &b) in x.iter().zip(w.iter()) {
-        acc = fma_acc(a, b, acc, mode);
+/// Scalar redo of one block on the packed encodings, from the initial
+/// accumulators still in `acc`: every special value and range edge goes
+/// through [`fma_acc`]'s own checks.
+#[cold]
+#[inline(never)]
+fn block_scalar(band: Band<'_>, acc: &mut [Acc], blk: Block) {
+    let Band { x, x_row0, n, w, k } = band;
+    for r in blk.r0..blk.r0 + blk.rows_live {
+        let xrow = &x.bits[(x_row0 + r) * n..][..n];
+        for j in blk.c0..blk.c0 + blk.cols_live {
+            let mut c = acc[r * k + j];
+            for (l, &a) in xrow.iter().enumerate() {
+                let b = Operand::from_bits(w.bits[l * k + j]);
+                c = fma_acc(Operand::from_bits(a), b, c, Round::NearestEven);
+            }
+            acc[r * k + j] = c;
+        }
     }
-    acc
 }
 
 #[cfg(test)]
@@ -552,93 +651,101 @@ mod tests {
         }
     }
 
+    /// Runs `gemm_staged` on a fresh band: X is `rows x n`, W is `n x k`,
+    /// the accumulators start from `y`.
+    fn band(xs: &[u16], n: usize, ws: &[u16], k: usize, y: &[u16]) -> Vec<u16> {
+        let x = Staged::from_bits_iter(xs.iter().copied());
+        let w = Staged::from_bits_iter(ws.iter().copied());
+        let mut acc: Vec<Acc> = y.iter().map(|&b| Acc::from_bits(b)).collect();
+        gemm_staged(&x, 0, n, &w, k, &mut acc);
+        acc.iter().map(|a| a.to_bits()).collect()
+    }
+
+    /// The scalar reference: each output folds `fma` over the reduction.
+    fn fold(xs: &[u16], n: usize, ws: &[u16], k: usize, y: &[u16]) -> Vec<u16> {
+        let mut z = y.to_vec();
+        for (idx, zv) in z.iter_mut().enumerate() {
+            let (r, j) = (idx / k, idx % k);
+            for l in 0..n {
+                *zv = fma(xs[r * n + l], ws[l * k + j], *zv, Round::NearestEven);
+            }
+        }
+        z
+    }
+
     #[test]
     fn chained_accumulation_matches_fold_of_fma() {
         // A long alternating-sign chain with cancellation, kept unpacked
-        // throughout, must match feeding every intermediate through bits.
+        // throughout, must match feeding every intermediate through bits:
+        // through `fma_acc` in every mode, and as a one-element band
+        // through `gemm_staged`.
         let xs: Vec<u16> = (0..64u16).map(|i| 0x3C00 + (i * 37) % 512).collect();
         let ws: Vec<u16> = (0..64u16)
             .map(|i| (0xBC00 + (i * 91) % 512) ^ ((i & 1) << 15))
             .collect();
         for mode in Round::ALL {
-            let xo: Vec<Operand> = xs.iter().map(|&v| Operand::from_bits(v)).collect();
-            let wo: Vec<Operand> = ws.iter().map(|&v| Operand::from_bits(v)).collect();
-            let fast = dot_acc(&xo, &wo, Acc::ZERO, mode).to_bits();
+            let mut fast = Acc::ZERO;
+            for (&a, &b) in xs.iter().zip(ws.iter()) {
+                fast = fma_acc(Operand::from_bits(a), Operand::from_bits(b), fast, mode);
+            }
             let mut slow = 0u16;
             for (&a, &b) in xs.iter().zip(ws.iter()) {
                 slow = fma(a, b, slow, mode);
             }
-            assert_eq!(fast, slow, "mode={mode:?}");
+            assert_eq!(fast.to_bits(), slow, "mode={mode:?}");
+            if mode == Round::NearestEven {
+                assert_eq!(band(&xs, 64, &ws, 1, &[0]), [slow]);
+            }
         }
     }
 
     #[test]
     fn staged_rows_match_scalar_fma_lane_for_lane() {
-        // Mixed rows: normals, zeros, subnormals, infinities, NaNs and
-        // near-boundary exponents, walked as repeated broadcast steps with
-        // every accumulator chain checked against fold-of-`fma`.
+        // Mixed operands: normals, zeros, subnormals, infinities, NaNs and
+        // near-boundary exponents, folded as one ragged band (two row
+        // blocks, the second one row high) with every accumulator chain
+        // checked against fold-of-`fma`.
         let pool = [
             0x3C00u16, 0xBC00, 0x0000, 0x8000, 0x0001, 0x83FF, 0x0400, 0x7BFF, 0xFBFF, 0x7C00,
             0xFC00, 0x7E00, 0x3C01, 0x4000, 0x1400, 0x2E66,
         ];
-        let n = 24;
-        let k = 16;
-        let xs: Vec<u16> = (0..n).map(|i| pool[(i * 7 + 3) % pool.len()]).collect();
+        let (m, n, k) = (5, 24, 16);
+        let xs: Vec<u16> = (0..m * n).map(|i| pool[(i * 7 + 3) % pool.len()]).collect();
         let ws: Vec<u16> = (0..n * k).map(|i| pool[(i * 5 + 1) % pool.len()]).collect();
         let x = Staged::from_bits_iter(xs.iter().copied());
-        let w = Staged::from_bits_iter(ws.iter().copied());
-        assert_eq!((x.len(), w.len()), (n, n * k));
+        assert_eq!(x.len(), m * n);
         assert!(!x.is_empty());
-        for mode in Round::ALL {
-            let mut acc = vec![Acc::ZERO; k];
-            let mut slow = vec![0u16; k];
-            for l in 0..n {
-                fma_row_staged(&x, l, &w, l * k, &mut acc, mode);
-                for (j, s) in slow.iter_mut().enumerate() {
-                    *s = fma(xs[l], ws[l * k + j], *s, mode);
-                }
-            }
-            let got: Vec<u16> = acc.iter().map(|a| a.to_bits()).collect();
-            assert_eq!(got, slow, "mode={mode:?}");
-        }
+        let y = vec![0u16; m * k];
+        assert_eq!(band(&xs, n, &ws, k, &y), fold(&xs, n, &ws, k, &y));
     }
 
     #[test]
     fn staged_rows_handle_range_edges() {
-        // Rows engineered to straddle the fast path's exponent window:
-        // overflow to infinity, cancellation to zero, gradual underflow.
-        let cases: [(&[u16], &[u16], u16); 3] = [
+        // Bands engineered to straddle the fast path's window: overflow
+        // to infinity, cancellation to zero, gradual underflow.
+        let cases: [(u16, u16, u16); 3] = [
             // 60000 * 2 overflows binary16 -> +inf.
-            (&[0x7BFF], &[0x4000], 0x0000),
+            (0x7BFF, 0x4000, 0x0000),
             // 1.0 * 1.0 + (-1.0) cancels to exactly +0.
-            (&[0x3C00], &[0x3C00], 0xBC00),
+            (0x3C00, 0x3C00, 0xBC00),
             // min_subnormal * 0.5 underflows onto the subnormal grid.
-            (&[0x0001], &[0x3800], 0x0000),
+            (0x0001, 0x3800, 0x0000),
         ];
-        for (xs, ws, y0) in cases {
-            let x = Staged::from_bits_iter(xs.iter().copied());
-            let w = Staged::from_bits_iter(ws.iter().copied());
-            let mut acc = [Acc::from_bits(y0)];
-            fma_row_staged(&x, 0, &w, 0, &mut acc, Round::NearestEven);
+        for (a, b, y0) in cases {
             assert_eq!(
-                acc[0].to_bits(),
-                fma(xs[0], ws[0], y0, Round::NearestEven),
-                "xs={xs:#06x?} ws={ws:#06x?} y0={y0:#06x}"
+                band(&[a], 1, &[b], 1, &[y0]),
+                [fma(a, b, y0, Round::NearestEven)],
+                "a={a:#06x} b={b:#06x} y0={y0:#06x}"
             );
         }
     }
 
     #[test]
     fn fma_row_applies_one_step_per_column() {
-        let a = Operand::from_bits(0x4000); // 2.0
-        let w: Vec<Operand> = [0x3C00u16, 0xBC00, 0x0000, 0x7C00]
-            .iter()
-            .map(|&v| Operand::from_bits(v))
-            .collect();
-        let mut acc = vec![Acc::from_bits(0x3800); 4]; // 0.5
-        fma_row(a, &w, &mut acc, Round::NearestEven);
-        let got: Vec<u16> = acc.iter().map(|a| a.to_bits()).collect();
-        let want: Vec<u16> = [0x3C00u16, 0xBC00, 0x0000, 0x7C00]
+        // One X element broadcast against a W row: one step per column.
+        let ws = [0x3C00u16, 0xBC00, 0x0000, 0x7C00];
+        let got = band(&[0x4000], 1, &ws, 4, &[0x3800; 4]); // 2.0, 0.5
+        let want: Vec<u16> = ws
             .iter()
             .map(|&b| fma(0x4000, b, 0x3800, Round::NearestEven))
             .collect();

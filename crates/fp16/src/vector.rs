@@ -96,6 +96,56 @@ impl GemmShape {
     pub const fn footprint_bytes(&self) -> usize {
         2 * (self.x_len() + self.w_len() + self.z_len())
     }
+
+    /// The shape's operand element counts and the bytes its staged TCDM
+    /// workspace needs with `elem_bytes`-wide elements, or `None` when the
+    /// shape is too large to run: a count overflows `usize`, or the
+    /// workspace (`elem_bytes * (x + w + z)` plus 256 bytes of slack) does
+    /// not fit the TCDM's 32-bit address space.
+    ///
+    /// Every entry point that accepts a caller's shape checks it here
+    /// first, so oversized shapes get a typed error — the same one on
+    /// every backend — before anything multiplies unchecked.
+    ///
+    /// ```
+    /// use redmule_fp16::vector::GemmShape;
+    /// let sizes = GemmShape::new(2, 3, 4).checked_sizes(2).expect("small shape");
+    /// assert_eq!((sizes.x_len, sizes.w_len, sizes.z_len), (6, 12, 8));
+    /// assert_eq!(sizes.workspace_bytes, 2 * 26 + 256);
+    /// assert!(GemmShape::new(1 << 31, 0, 1 << 31).checked_sizes(2).is_none());
+    /// ```
+    pub fn checked_sizes(&self, elem_bytes: usize) -> Option<GemmSizes> {
+        let x_len = self.m.checked_mul(self.n)?;
+        let w_len = self.n.checked_mul(self.k)?;
+        let z_len = self.m.checked_mul(self.k)?;
+        let workspace_bytes = x_len
+            .checked_add(w_len)?
+            .checked_add(z_len)?
+            .checked_mul(elem_bytes)?
+            .checked_add(WORKSPACE_SLACK_BYTES)?;
+        (workspace_bytes as u64 <= 1 << 32).then_some(GemmSizes {
+            x_len,
+            w_len,
+            z_len,
+            workspace_bytes,
+        })
+    }
+}
+
+/// Bytes a staged workspace reserves past its operands.
+const WORKSPACE_SLACK_BYTES: usize = 256;
+
+/// The sizes of a shape that passed [`GemmShape::checked_sizes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GemmSizes {
+    /// Elements of `X` (`m * n`).
+    pub x_len: usize,
+    /// Elements of `W` (`n * k`).
+    pub w_len: usize,
+    /// Elements of `Z`, and of `Y` when accumulating (`m * k`).
+    pub z_len: usize,
+    /// Bytes of the staged TCDM workspace; at most 2^32.
+    pub workspace_bytes: usize,
 }
 
 impl std::fmt::Display for GemmShape {

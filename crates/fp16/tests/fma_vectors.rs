@@ -164,11 +164,11 @@ fn render_vectors() -> String {
 
 /// Without `REGEN_FMA_VECTORS=1` this is a dry-run: it renders the file
 /// from the reference and asserts it matches what is checked in (the
-/// nightly CI drift check). With the variable set — only when adding
+/// drift check CI runs through `make test-full`). With the variable set — only when adding
 /// new directed cases — it (re)writes `tests/vectors/fma.txt`; review
 /// the diff, existing lines changing means the reference moved.
 #[test]
-#[ignore = "slow-path drift check; nightly CI runs it via --include-ignored"]
+#[ignore = "slow-path drift check; CI runs it via `make test-full` (--include-ignored)"]
 fn regenerate_vectors() {
     let out = render_vectors();
     let exists = std::path::Path::new(VECTORS_PATH).exists();

@@ -185,12 +185,12 @@ fn render_vectors(kind: Fp8Kind) -> String {
 
 /// Without `REGEN_FP8_VECTORS=1` this is a dry-run: it renders both files
 /// from the reference and asserts they match what is checked in (the
-/// nightly CI drift check). With the variable set — only when adding new
+/// drift check CI runs through `make test-full`). With the variable set — only when adding new
 /// directed cases — it (re)writes `tests/vectors/e4m3.txt` and
 /// `e5m2.txt`; review the diff, existing lines changing means the
 /// reference moved.
 #[test]
-#[ignore = "slow-path drift check; nightly CI runs it via --include-ignored"]
+#[ignore = "slow-path drift check; CI runs it via `make test-full` (--include-ignored)"]
 fn regenerate_vectors() {
     for kind in Fp8Kind::ALL {
         let out = render_vectors(kind);

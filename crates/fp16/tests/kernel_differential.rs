@@ -1,19 +1,22 @@
 //! Differential lock of the batched kernel against the scalar `fma`.
 //!
 //! [`fma_acc`] must be bit-for-bit equivalent to `arith::fma` on the packed
-//! encodings — every rounding mode, every special-value combination. Three
-//! locks, in increasing breadth:
+//! encodings — every rounding mode, every special-value combination — and
+//! [`gemm_staged`] to the scalar fold of `arith::fma` under RNE. Four
+//! locks:
 //!
 //! 1. the 200 frozen FMA vectors (`tests/vectors/fma.txt`) replayed through
 //!    the kernel — the same ground truth that pins the scalar path;
 //! 2. an exhaustive-pairs sweep: **every** one of the 65 536 bit patterns
 //!    in one operand slot against a class-covering set in the other two
 //!    slots, rotated through all three positions;
-//! 3. a dense pseudo-random soak across all five rounding modes.
+//! 3. a dense pseudo-random soak across all five rounding modes;
+//! 4. the block kernel's window edges, one event at a time, in every
+//!    ragged block shape.
 
 use redmule_fp16::arith::fma;
-use redmule_fp16::kernel::{fma_acc, Acc, Operand};
-use redmule_fp16::Round;
+use redmule_fp16::kernel::{fma_acc, gemm_staged, Acc, Operand, Staged};
+use redmule_fp16::{Round, F16};
 
 const VECTORS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/vectors/fma.txt");
 
@@ -140,4 +143,176 @@ fn kernel_matches_fma_randomly_in_every_mode() {
             );
         }
     }
+}
+
+/// One window-edge event: the accumulator `c` a lane meets at the event's
+/// first step, the `(x, w)` operands of its one or two steps, and the
+/// binary16 value the lane must hold after them.
+struct Event {
+    what: &'static str,
+    c: u16,
+    steps: &'static [(u16, u16)],
+    want: u16,
+}
+
+const fn ev(what: &'static str, c: u16, steps: &'static [(u16, u16)], want: u16) -> Event {
+    Event {
+        what,
+        c,
+        steps,
+        want,
+    }
+}
+
+/// The events. Window: the unrounded `f64` sum is an exact zero, or its
+/// magnitude lies in `[2^-14, 65520)`.
+const EVENTS: &[Event] = &[
+    // Exact zero sums stay in the window with IEEE's zero-sum sign: -0
+    // only when the product and the accumulator are both -0.
+    ev("+0*+1 + +0", 0x0000, &[(0x0000, 0x3C00)], 0x0000),
+    ev("+0*+1 + -0", 0x8000, &[(0x0000, 0x3C00)], 0x0000),
+    ev("+0*-1 + +0", 0x0000, &[(0x0000, 0xBC00)], 0x0000),
+    ev("+0*-1 + -0", 0x8000, &[(0x0000, 0xBC00)], 0x8000),
+    ev("-0*+1 + +0", 0x0000, &[(0x8000, 0x3C00)], 0x0000),
+    ev("-0*+1 + -0", 0x8000, &[(0x8000, 0x3C00)], 0x8000),
+    ev("-0*-1 + +0", 0x0000, &[(0x8000, 0xBC00)], 0x0000),
+    ev("-0*-1 + -0", 0x8000, &[(0x8000, 0xBC00)], 0x0000),
+    ev("+1*+0 + -0", 0x8000, &[(0x3C00, 0x0000)], 0x0000),
+    ev("+1*-0 + -0", 0x8000, &[(0x3C00, 0x8000)], 0x8000),
+    ev("-1*+0 + -0", 0x8000, &[(0xBC00, 0x0000)], 0x8000),
+    ev("-1*-0 + +0", 0x0000, &[(0xBC00, 0x8000)], 0x0000),
+    // Exact cancellation of nonzero terms gives +0 for every sign pattern.
+    ev("2*0.5 - 1", 0xBC00, &[(0x4000, 0x3800)], 0x0000),
+    ev("-2*0.5 + 1", 0x3C00, &[(0xC000, 0x3800)], 0x0000),
+    ev("2*-0.5 + 1", 0x3C00, &[(0x4000, 0xB800)], 0x0000),
+    ev("-2*-0.5 - 1", 0xBC00, &[(0xC000, 0xB800)], 0x0000),
+    // 2^-14 - 2^-25 is just below the window; it ties up to 2^-14.
+    ev("just below 2^-14", 0x0400, &[(0x0001, 0xB800)], 0x0400),
+    // The top of the range: 65504 and (65504, 65520) stay finite, 65520
+    // ties to +inf, anything above overflows.
+    ev("= 65504", 0x0000, &[(0x7BFF, 0x3C00)], 0x7BFF),
+    ev("65504 + 8", 0x7BFF, &[(0x4800, 0x3C00)], 0x7BFF),
+    ev("65504 + 16 = 65520", 0x7BFF, &[(0x4C00, 0x3C00)], 0x7C00),
+    ev("-65504 - 16", 0xFBFF, &[(0xCC00, 0x3C00)], 0xFC00),
+    ev("65504 + 32", 0x7BFF, &[(0x5000, 0x3C00)], 0x7C00),
+    // Binary16 subnormal results: (1 + 2^-10) * 2^-15 ties down onto the
+    // subnormal grid, which an 11-bit round would keep.
+    ev("subnormal tie", 0x0000, &[(0x3C01, 0x0200)], 0x0200),
+    ev("min subnormal", 0x0000, &[(0x0001, 0x3C00)], 0x0001),
+    // Lanes that leave the window and come back.
+    ev(
+        "to 2^-15 and back",
+        0x0400,
+        &[(0x8200, 0x3C00), (0x3C00, 0x3C00)],
+        0x3C00,
+    ),
+    ev(
+        "to 65520 and back",
+        0x7BFF,
+        &[(0x4C00, 0x3C00), (0xD000, 0x3C00)],
+        0x7C00,
+    ),
+    ev(
+        "to -65520 and further",
+        0xFBFF,
+        &[(0xCC00, 0x3C00), (0xD800, 0x3C00)],
+        0xFC00,
+    ),
+    ev(
+        "to 2^-24 and back",
+        0x0000,
+        &[(0x0001, 0x3C00), (0x2000, 0x3C00)],
+        0x2000,
+    ),
+    // Infinities and NaNs in X, W and Y, and inf * 0.
+    ev("inf in X", 0x0000, &[(0x7C00, 0x3C00)], 0x7C00),
+    ev("-inf in X", 0x0000, &[(0xFC00, 0x3C00)], 0xFC00),
+    ev("inf in W", 0x0000, &[(0x3C00, 0x7C00)], 0x7C00),
+    ev("inf in Y", 0x7C00, &[(0x3C00, 0x3C00)], 0x7C00),
+    ev("-inf in Y", 0xFC00, &[(0x3C00, 0x3C00)], 0xFC00),
+    ev("inf - inf", 0xFC00, &[(0x7C00, 0x3C00)], 0x7E00),
+    ev("NaN in X", 0x0000, &[(0x7E00, 0x3C00)], 0x7E00),
+    ev("NaN in W", 0x0000, &[(0x3C00, 0x7E00)], 0x7E00),
+    ev("NaN in Y", 0x7E00, &[(0x3C00, 0x3C00)], 0x7E00),
+    ev("sNaN pattern in Y", 0x7C01, &[(0x3C00, 0x3C00)], 0x7E00),
+    ev("inf * 0", 0x0000, &[(0x7C00, 0x0000)], 0x7E00),
+    ev("0 * -inf", 0x0000, &[(0x0000, 0xFC00)], 0x7E00),
+];
+
+/// Lock 4: the block kernel's window edges. A band of in-window data —
+/// X on a 1/64 grid in [-1, 1] with zeros, W positive on it, Y on it, so
+/// every accumulator is zero or a multiple of 2^-12 — gets one event at a
+/// chosen (row, column, step). Before the event the lane's X elements are
+/// zeros of the accumulator's sign, so against positive W it meets exactly
+/// `c`. The band must equal the scalar fold everywhere, for every tail
+/// class (rows mod 4 x columns mod 8, each beside a full block, plus the
+/// single-lane band, whose block has no other live lane to leave the
+/// window) and for n in {1, 2, 33}; when the event ends the reduction,
+/// the lane must also hold the event's value.
+#[test]
+fn gemm_staged_window_edges_in_every_tail_class() {
+    let grid =
+        |i: usize, salt: usize| (i.wrapping_mul(2_654_435_761).wrapping_add(salt) >> 7) % 129;
+    let f16 = |v: f32| F16::from_f32(v).to_bits();
+    let bands = (5..=8)
+        .flat_map(|rows| (9..=16).map(move |cols| (rows, cols)))
+        .chain([(1, 1)]);
+    let mut checked = 0usize;
+    for (rows, cols) in bands {
+        for n in [1usize, 2, 33] {
+            for (e, event) in EVENTS.iter().enumerate() {
+                if event.steps.len() > n {
+                    continue;
+                }
+                // Alternate the event between the band's last lane
+                // (inside the ragged tail block) and a lane elsewhere.
+                let (row, col) = if e % 2 == 0 {
+                    (rows - 1, cols - 1)
+                } else {
+                    (e % rows, (e * 5) % cols)
+                };
+                let s = (n / 2).min(n - event.steps.len());
+                let mut xs: Vec<u16> = (0..rows * n)
+                    .map(|i| f16(grid(i, 1) as f32 / 64.0 - 1.0))
+                    .collect();
+                let mut ws: Vec<u16> = (0..n * cols)
+                    .map(|i| f16((1 + grid(i, 2) % 64) as f32 / 64.0))
+                    .collect();
+                let mut y: Vec<u16> = (0..rows * cols)
+                    .map(|i| f16(grid(i, 3) as f32 / 64.0 - 1.0))
+                    .collect();
+                for x in &mut xs[row * n..row * n + s] {
+                    *x = event.c & 0x8000;
+                }
+                for (t, &(a, b)) in event.steps.iter().enumerate() {
+                    xs[row * n + s + t] = a;
+                    ws[(s + t) * cols + col] = b;
+                }
+                y[row * cols + col] = event.c;
+
+                let x = Staged::from_bits_iter(xs.iter().copied());
+                let w = Staged::from_bits_iter(ws.iter().copied());
+                let mut acc: Vec<Acc> = y.iter().map(|&v| Acc::from_bits(v)).collect();
+                gemm_staged(&x, 0, n, &w, cols, &mut acc);
+                let got: Vec<u16> = acc.iter().map(|a| a.to_bits()).collect();
+                let mut want = y.clone();
+                for (idx, z) in want.iter_mut().enumerate() {
+                    let (r, j) = (idx / cols, idx % cols);
+                    for l in 0..n {
+                        *z = fma(xs[r * n + l], ws[l * cols + j], *z, Round::NearestEven);
+                    }
+                }
+                let at = format!("{} at ({row}, {col}, {s}) of {rows}x{n}x{cols}", event.what);
+                assert_eq!(got, want, "{at}");
+                if s + event.steps.len() == n {
+                    assert_eq!(got[row * cols + col], event.want, "{at}");
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(
+        checked,
+        33 * (2 * EVENTS.len() + EVENTS.iter().filter(|e| e.steps.len() == 1).count())
+    );
 }

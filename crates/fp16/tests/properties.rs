@@ -250,33 +250,50 @@ fn any_class_f16() -> impl Strategy<Value = u16> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The batched kernel's row fold must equal the scalar fold of `fma`
-    /// over the same row, in every rounding mode — including rows salted
-    /// with NaN/Inf/zero/subnormal operands and special initial
-    /// accumulators.
+    /// The block kernel must equal the scalar fold of `fma` under RNE,
+    /// element by element, on random ragged bands: any-class operands and
+    /// an optional any-class `Y`, with a varying share of them tamed into
+    /// `[0.5, 1)` so that whole blocks also stay on the fast path, single
+    /// wild lanes send their block to the scalar redo, and everything in
+    /// between.
     #[test]
-    fn fma_acc_row_fold_matches_scalar_fma_fold(
-        xs in prop::collection::vec(any_class_f16(), 0..48),
-        ws in prop::collection::vec(any_class_f16(), 0..48),
-        init in any_class_f16(),
-        mode in prop::sample::select(Round::ALL.to_vec()),
+    fn gemm_staged_matches_scalar_fma_fold(
+        m in 0usize..10,
+        n in 0usize..25,
+        k in 0usize..18,
+        pool in prop::collection::vec(any_class_f16(), 9 * 24 + 24 * 17 + 9 * 17),
+        accumulate in any::<bool>(),
+        wild_one_in in prop::sample::select(vec![1usize, 16, 256, usize::MAX]),
     ) {
-        let len = xs.len().min(ws.len());
-        let (xs, ws) = (&xs[..len], &ws[..len]);
-        let xo: Vec<kernel::Operand> = xs.iter().map(|&v| kernel::Operand::from_bits(v)).collect();
-        let wo: Vec<kernel::Operand> = ws.iter().map(|&v| kernel::Operand::from_bits(v)).collect();
-        let fast = kernel::dot_acc(&xo, &wo, kernel::Acc::from_bits(init), mode).to_bits();
-        let mut slow = init;
-        for (&a, &b) in xs.iter().zip(ws.iter()) {
-            slow = arith::fma(a, b, slow, mode);
-        }
-        // A NaN that survives zero steps stays un-canonicalised in the
-        // scalar fold but canonicalises through Acc; both encode the same
-        // value class.
-        if len == 0 && F16::from_bits(init).is_nan() {
-            prop_assert!(F16::from_bits(fast).is_nan());
+        let pick = |i: usize| {
+            let v = pool[i];
+            if i.wrapping_mul(0x9E37_79B9).is_multiple_of(wild_one_in) { v } else { (v & 0x83FF) | 0x3800 }
+        };
+        let xs: Vec<u16> = (0..m * n).map(pick).collect();
+        let ws: Vec<u16> = (m * n..m * n + n * k).map(pick).collect();
+        let y: Vec<u16> = if accumulate {
+            (m * n + n * k..m * n + n * k + m * k).map(pick).collect()
         } else {
-            prop_assert_eq!(fast, slow, "len={} mode={:?}", len, mode);
+            vec![0; m * k]
+        };
+        let x = kernel::Staged::from_bits_iter(xs.iter().copied());
+        let w = kernel::Staged::from_bits_iter(ws.iter().copied());
+        let mut acc: Vec<kernel::Acc> = y.iter().map(|&b| kernel::Acc::from_bits(b)).collect();
+        kernel::gemm_staged(&x, 0, n, &w, k, &mut acc);
+        for (idx, (a, &init)) in acc.iter().zip(y.iter()).enumerate() {
+            let (r, j) = (idx / k, idx % k);
+            let mut slow = init;
+            for l in 0..n {
+                slow = arith::fma(xs[r * n + l], ws[l * k + j], slow, Round::NearestEven);
+            }
+            // A NaN that survives zero steps stays un-canonicalised in the
+            // scalar fold but canonicalises through Acc; both encode the
+            // same value class.
+            if n == 0 && F16::from_bits(init).is_nan() {
+                prop_assert!(F16::from_bits(a.to_bits()).is_nan());
+            } else {
+                prop_assert_eq!(a.to_bits(), slow, "{}x{}x{} at ({}, {})", m, n, k, r, j);
+            }
         }
     }
 

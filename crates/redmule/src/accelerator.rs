@@ -3,7 +3,7 @@
 
 use crate::cast;
 use crate::config::AccelConfig;
-use crate::engine::{Engine, EngineError, RunReport};
+use crate::engine::{shape_sizes, Engine, EngineError, RunReport};
 use crate::faults::{FaultPlan, FtConfig};
 use crate::regfile::{Job, RegFile};
 use redmule_cluster::{ClusterConfig, Hci, Tcdm};
@@ -203,6 +203,8 @@ impl Accelerator {
 ///
 /// # Errors
 ///
+/// [`EngineError::ShapeTooLarge`] when the shape's element counts or its
+/// workspace overflow the TCDM's 32-bit address space;
 /// [`EngineError::ShapeMismatch`] when a slice length does not match
 /// `shape`; [`EngineError::Memory`] when the operands cannot be placed.
 pub fn stage_gemm_workspace_in(
@@ -223,14 +225,14 @@ pub fn stage_gemm_workspace_in(
             })
         }
     };
-    check("X", x.len(), shape.x_len())?;
-    check("W", w.len(), shape.w_len())?;
+    let sizes = shape_sizes(shape, format)?;
+    check("X", x.len(), sizes.x_len)?;
+    check("W", w.len(), sizes.w_len)?;
     if let Some(y) = y {
-        check("Y", y.len(), shape.z_len())?;
+        check("Y", y.len(), sizes.z_len)?;
     }
 
-    let esz = format.elem_bytes();
-    let needed = esz * (shape.x_len() + shape.w_len() + shape.z_len()) + 256;
+    let needed = sizes.workspace_bytes;
     let mut ccfg = ClusterConfig::default();
     if needed > ccfg.tcdm_bytes() {
         ccfg = ccfg.with_tcdm_kib(needed.div_ceil(1024));
@@ -238,9 +240,11 @@ pub fn stage_gemm_workspace_in(
     let mut mem = Tcdm::new(&ccfg);
     let hci = Hci::new(&ccfg);
 
+    // The workspace fits 32-bit addresses, so every offset below does.
+    let esz = format.elem_bytes();
     let x_addr = 0u32;
-    let w_addr = x_addr + (esz * shape.x_len()) as u32;
-    let z_addr = w_addr + (esz * shape.w_len()) as u32;
+    let w_addr = x_addr + (esz * sizes.x_len) as u32;
+    let z_addr = w_addr + (esz * sizes.w_len) as u32;
     cast::castout_slice(&mut mem, format, x_addr, x)?;
     cast::castout_slice(&mut mem, format, w_addr, w)?;
     let mut job = Job::new(x_addr, w_addr, z_addr, shape.m, shape.n, shape.k).with_format(format);
@@ -610,6 +614,33 @@ mod tests {
             err,
             EngineError::ShapeMismatch { operand: "Y", .. }
         ));
+    }
+
+    #[test]
+    fn oversized_shapes_are_typed_errors() {
+        // An element count past usize, and a workspace past the TCDM's
+        // 32-bit address space: staging rejects both before sizing the
+        // TCDM, with the error the functional backend gives.
+        for shape in [
+            GemmShape::new(1 << 62, 4, 1 << 62),
+            GemmShape::new(1 << 31, 0, 1 << 31),
+        ] {
+            for format in Format::ALL {
+                assert_eq!(
+                    stage_gemm_workspace_in(shape, format, &[], &[], None).err(),
+                    Some(EngineError::ShapeTooLarge { shape, format })
+                );
+            }
+            let err = Accelerator::paper_instance()
+                .gemm(shape, &[], &[])
+                .expect_err("oversized shape");
+            assert!(err.to_string().contains("too large"), "{err}");
+        }
+        // The largest FP8 workspace that fits 32-bit addresses is
+        // accepted by the rule (no TCDM is sized for it here).
+        let edge = GemmShape::new(1, 0, (1 << 32) - 256);
+        assert!(edge.checked_sizes(1).is_some());
+        assert!(edge.checked_sizes(2).is_none());
     }
 
     #[test]

@@ -28,7 +28,8 @@ use crate::faults::FaultInjector;
 use crate::regfile::Job;
 use crate::schedule::{Schedule, Tile};
 use redmule_cluster::{Hci, MemError, Tcdm};
-use redmule_fp16::F16;
+use redmule_fp16::vector::{GemmShape, GemmSizes};
+use redmule_fp16::{Format, F16};
 use redmule_hwsim::snapshot::{fnv1a64, Snapshot, SnapshotError, StateReader, StateWriter};
 use redmule_hwsim::stream::{Handshake, StreamMonitor};
 use redmule_hwsim::{Cycle, FaultLog, FaultPhase, Stats};
@@ -41,6 +42,16 @@ use std::fmt;
 pub enum EngineError {
     /// The job descriptor is malformed (alignment).
     InvalidJob(String),
+    /// The job shape is too large to run: an operand's element count
+    /// overflows `usize`, or its staged workspace does not fit the TCDM's
+    /// 32-bit address space (see `GemmShape::checked_sizes`). Both
+    /// backends reject the same shapes.
+    ShapeTooLarge {
+        /// The rejected shape.
+        shape: GemmShape,
+        /// The storage format whose element width sized the workspace.
+        format: Format,
+    },
     /// An operand slice length does not match the job shape.
     ShapeMismatch {
         /// Which operand mismatched (`"X"`, `"W"`, `"Y"` or `"Z"`).
@@ -84,6 +95,11 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::InvalidJob(msg) => write!(f, "invalid job: {msg}"),
+            EngineError::ShapeTooLarge { shape, format } => write!(
+                f,
+                "shape {shape} is too large: its element counts or its {format} workspace \
+                 overflow the TCDM's 32-bit address space"
+            ),
             EngineError::ShapeMismatch {
                 operand,
                 expected,
@@ -111,6 +127,21 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// The operand sizes of a job with `shape` stored in `format`, or
+/// [`EngineError::ShapeTooLarge`]: the one admission rule both backends,
+/// the batch executor and the service apply before sizing anything.
+///
+/// # Errors
+///
+/// [`EngineError::ShapeTooLarge`] when an element count overflows `usize`
+/// or the staged workspace does not fit the TCDM's 32-bit address space
+/// (`GemmShape::checked_sizes`).
+pub fn shape_sizes(shape: GemmShape, format: Format) -> Result<GemmSizes, EngineError> {
+    shape
+        .checked_sizes(format.elem_bytes())
+        .ok_or(EngineError::ShapeTooLarge { shape, format })
+}
 
 impl From<MemError> for EngineError {
     fn from(e: MemError) -> EngineError {

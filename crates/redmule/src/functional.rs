@@ -14,11 +14,13 @@
 //!
 //! Execution is staged through a [`FunctionalPlan`]: operands are cast
 //! through the storage format and pre-staged into the batched kernel's
-//! structure-of-arrays [`Staged`] form **once**, then every output element
-//! folds its reduction through `redmule_fp16::kernel::fma_row_staged` —
-//! the per-element FMA order (the bit-exactness contract) is untouched;
-//! only work *between* independent output elements is restructured for
-//! speed and vectorisation. The plan exposes a pure per-band
+//! structure-of-arrays [`Staged`] form **once**, then each band of `L`
+//! output rows folds its whole reduction in one call to
+//! `redmule_fp16::kernel::gemm_staged` — the per-element FMA order (the
+//! bit-exactness contract) is untouched; only work *between* independent
+//! output elements is restructured for speed and vectorisation, the way
+//! the array keeps a tile of partial sums and broadcasts each W element
+//! down its column. The plan exposes a pure per-band
 //! ([`FunctionalPlan::compute_band_into`]) entry point so hosts can
 //! partition a job across threads with deterministic writeback.
 //!
@@ -31,11 +33,11 @@
 //! only occasionally need a cycle-accurate calibration run.
 
 use crate::config::AccelConfig;
-use crate::engine::EngineError;
+use crate::engine::{shape_sizes, EngineError};
 use crate::schedule::Schedule;
-use redmule_fp16::kernel::{fma_row_staged, Acc, Staged};
+use redmule_fp16::kernel::{gemm_staged, Acc, Staged};
 use redmule_fp16::vector::GemmShape;
-use redmule_fp16::{Format, Round, F16};
+use redmule_fp16::{Format, F16};
 use redmule_hwsim::Cycle;
 use redmule_obs::{EventKind, EventLog, TraceEvent};
 
@@ -125,8 +127,7 @@ impl FunctionalGemm {
     ///
     /// # Errors
     ///
-    /// [`EngineError::ShapeMismatch`] when an operand slice length does
-    /// not match `shape`.
+    /// As [`FunctionalGemm::plan`].
     pub fn run(
         &self,
         shape: GemmShape,
@@ -148,8 +149,7 @@ impl FunctionalGemm {
     ///
     /// # Errors
     ///
-    /// [`EngineError::ShapeMismatch`] when an operand slice length does
-    /// not match `shape`.
+    /// As [`FunctionalGemm::plan`].
     pub fn run_format(
         &self,
         shape: GemmShape,
@@ -165,8 +165,7 @@ impl FunctionalGemm {
     ///
     /// # Errors
     ///
-    /// [`EngineError::ShapeMismatch`] when an operand slice length does
-    /// not match `shape` (`Y` must be `m x k`).
+    /// As [`FunctionalGemm::plan`].
     pub fn run_accumulate_format(
         &self,
         shape: GemmShape,
@@ -186,6 +185,8 @@ impl FunctionalGemm {
     ///
     /// # Errors
     ///
+    /// [`EngineError::ShapeTooLarge`] when the shape's sizes overflow, the
+    /// same rule the engine's staging applies;
     /// [`EngineError::ShapeMismatch`] when an operand slice length does
     /// not match `shape` (`Y` must be `m x k`).
     pub fn plan(
@@ -196,10 +197,11 @@ impl FunctionalGemm {
         w: &[F16],
         y: Option<&[F16]>,
     ) -> Result<FunctionalPlan, EngineError> {
-        check_len("X", shape.x_len(), x.len())?;
-        check_len("W", shape.w_len(), w.len())?;
+        let sizes = shape_sizes(shape, format)?;
+        check_len("X", sizes.x_len, x.len())?;
+        check_len("W", sizes.w_len, w.len())?;
         if let Some(y) = y {
-            check_len("Y", shape.z_len(), y.len())?;
+            check_len("Y", sizes.z_len, y.len())?;
         }
         // Operands pass through TCDM storage on the way in: quantise them
         // through the format once, exactly as castout-at-staging followed
@@ -382,21 +384,7 @@ impl FunctionalPlan {
                 .collect(),
             None => vec![Acc::ZERO; out.len()],
         };
-        for l in 0..n {
-            // One W row serves every live output row of the band; the
-            // staged kernel slices it once per call, keeping the vector
-            // inner loop bounds-check free.
-            for (r, arow) in accs.chunks_exact_mut(k).enumerate() {
-                fma_row_staged(
-                    &self.xo,
-                    (row0 + r) * n + l,
-                    &self.wo,
-                    l * k,
-                    arow,
-                    Round::NearestEven,
-                );
-            }
-        }
+        gemm_staged(&self.xo, row0, n, &self.wo, k, &mut accs);
         for (z, acc) in out.iter_mut().zip(accs.iter()) {
             *z = self.cast_out(*acc);
         }
@@ -559,6 +547,31 @@ mod tests {
             f.run_accumulate_format(shape, Format::Fp16, &good, &good, &bad),
             Err(EngineError::ShapeMismatch { operand: "Y", .. })
         ));
+    }
+
+    #[test]
+    fn oversized_shapes_are_typed_errors() {
+        // An element count past usize, and a workspace past the TCDM's
+        // 32-bit address space: the same rule as the engine's staging.
+        let f = FunctionalGemm::paper_instance();
+        for shape in [
+            GemmShape::new(1 << 62, 4, 1 << 62),
+            GemmShape::new(1 << 31, 0, 1 << 31),
+        ] {
+            for format in Format::ALL {
+                assert_eq!(
+                    f.plan(shape, format, &[], &[], None).err(),
+                    Some(EngineError::ShapeTooLarge { shape, format })
+                );
+            }
+            assert_eq!(
+                f.run(shape, &[], &[]).err(),
+                Some(EngineError::ShapeTooLarge {
+                    shape,
+                    format: Format::Fp16
+                })
+            );
+        }
     }
 
     #[test]

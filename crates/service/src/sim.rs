@@ -165,7 +165,8 @@ impl ServiceSim {
         self.replay(script, tl, probe, None)
     }
 
-    /// Checks the script (unique ids, known tenants) and returns the
+    /// Checks the script (unique ids, known tenants, shapes small enough
+    /// to run at FP16 by [`redmule::shape_sizes`]) and returns the
     /// deterministic arrival order `(arrival_cycle, id)`.
     pub(crate) fn validate_script(
         &self,
@@ -186,6 +187,8 @@ impl ServiceSim {
                     s.id, s.tenant
                 )));
             }
+            redmule::shape_sizes(s.shape, Format::Fp16)
+                .map_err(|e| ServiceError::Script(format!("submission {}: {e}", s.id)))?;
         }
         let mut order: Vec<usize> = (0..script.len()).collect();
         order.sort_by_key(|&i| (script[i].arrival_cycle, script[i].id));

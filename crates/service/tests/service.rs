@@ -4,9 +4,10 @@
 use redmule::{AccelConfig, Engine, FaultSite, FunctionalGemm};
 use redmule_fp16::vector::GemmShape;
 use redmule_service::{
-    Rejected, ServiceConfig, ServiceJobRecord, ServiceReport, ServiceRetry, ServiceSim,
-    ServiceStatus, Submission, TenantConfig,
+    Rejected, ServiceConfig, ServiceError, ServiceJobRecord, ServiceReport, ServiceRetry,
+    ServiceSim, ServiceStatus, Submission, TenantConfig,
 };
+use redmule_store::MemBackend;
 
 fn small_cfg() -> AccelConfig {
     AccelConfig::new(4, 2, 1)
@@ -108,6 +109,33 @@ fn rejections_are_typed_and_admission_is_conservative() {
             t.submitted,
             t.admitted + t.rejected_quota + t.rejected_queue_full + t.rejected_deadline
         );
+    }
+}
+
+#[test]
+fn oversized_shapes_are_script_errors() {
+    // An element count past usize, and a workspace past the TCDM's 32-bit
+    // address space: both are rejected up front, plain and durable,
+    // before any operand is generated.
+    for shape in [
+        GemmShape::new(1 << 62, 4, 1 << 62),
+        GemmShape::new(1 << 31, 0, 1 << 31),
+    ] {
+        let config = ServiceConfig::new(1).with_tenant(TenantConfig::new(0));
+        let script = [
+            Submission::new(0, 0, 0, GemmShape::new(4, 4, 4)),
+            Submission::new(1, 0, 5, shape),
+        ];
+        let service = sim(config);
+        let err = service.run(&script).expect_err("oversized shape");
+        assert!(
+            matches!(&err, ServiceError::Script(msg) if msg.contains("too large")),
+            "{shape}: {err:?}"
+        );
+        let err = service
+            .run_durable(&script, &mut MemBackend::new())
+            .expect_err("oversized shape, durably");
+        assert!(matches!(err, ServiceError::Script(_)), "{shape}: {err:?}");
     }
 }
 

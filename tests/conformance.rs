@@ -405,9 +405,10 @@ fn all_special_value_matrices_agree() {
 }
 
 /// Deep sweep over larger shapes — slow, so it only runs under
-/// `cargo test -- --include-ignored` (the nightly CI job).
+/// `cargo test -- --include-ignored`: `make test-full`, which CI's verify
+/// job runs on every push and pull request.
 #[test]
-#[ignore = "deep conformance sweep; run with --include-ignored (nightly CI)"]
+#[ignore = "deep conformance sweep; run with --include-ignored (`make test-full`, run by CI)"]
 fn deep_sweep_over_larger_shapes() {
     let mut rng = TestRng::seeded(base_seed("deep_sweep_over_larger_shapes"));
     for _ in 0..256 {
@@ -529,9 +530,11 @@ fn fp8_all_special_value_matrices_agree() {
     }
 }
 
-/// FP8 deep sweep over larger shapes — nightly CI only.
+/// FP8 deep sweep over larger shapes — slow, so it only runs under
+/// `cargo test -- --include-ignored`: `make test-full`, which CI's verify
+/// job runs on every push and pull request.
 #[test]
-#[ignore = "deep FP8 conformance sweep; run with --include-ignored (nightly CI)"]
+#[ignore = "deep FP8 conformance sweep; run with --include-ignored (`make test-full`, run by CI)"]
 fn fp8_deep_sweep_over_larger_shapes() {
     for format in FP8_FORMATS {
         let tag = format_tag(format);
