@@ -27,7 +27,10 @@
 #                      byte-identical across 1/2/8 workers and loses no
 #                      work; the cycle model stays exact per format and
 #                      FP8 never costs more cycles than FP16. An unknown
-#                      item also fails it.
+#                      item also fails it. Then runs the Fig. 2c example
+#                      (examples/trace_schedule.rs), which rebuilds the
+#                      streamer timeline from the engine's event log and
+#                      fails unless the steady-state W cadence is P+1.
 
 CARGO ?= cargo
 
@@ -64,3 +67,4 @@ figures:
 smoke:
 	$(CARGO) test -q -p redmule-service --test recovery
 	$(CARGO) run --release -q -p redmule-bench --bin figures -- batch trace service recover fp8 --smoke
+	$(CARGO) run --release -q --example trace_schedule

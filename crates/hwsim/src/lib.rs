@@ -8,11 +8,12 @@
 //!   wall-clock time at an operating point.
 //! * [`ShiftRegister`] — the W-buffer's serial-in, broadcast-out
 //!   registers.
-//! * [`stream`] — ready/valid handshake bookkeeping matching the paper's
-//!   Fig. 2c memory-access schedule notation.
 //! * [`arbiter`] — round-robin arbitration (HCI logarithmic branch) and the
 //!   starvation-free rotating multiplexer between interconnect branches.
 //! * [`Stats`] — named event counters with utilization helpers.
+//! * [`faults`] — bit-flip and stuck-at primitives and the cycle-stamped
+//!   [`FaultLog`].
+//! * [`rng`] — seeded PRNGs for reproducible fault campaigns.
 //! * [`snapshot`] — versioned state serialisation so long simulations can
 //!   checkpoint and resume bit-exactly.
 //! * [`vcd`] — a waveform writer producing standard VCD files viewable in
@@ -29,7 +30,6 @@ pub mod faults;
 pub mod rng;
 mod shift;
 pub mod snapshot;
-pub mod stream;
 pub mod vcd;
 
 pub use counters::Stats;

@@ -64,13 +64,6 @@ impl Accelerator {
         }
     }
 
-    /// Enables per-cycle port tracing on the underlying engine.
-    #[must_use]
-    pub fn with_trace(mut self) -> Accelerator {
-        self.engine = self.engine.clone().with_trace();
-        self
-    }
-
     /// The instance parameters.
     pub fn config(&self) -> &AccelConfig {
         self.engine.config()
@@ -259,6 +252,7 @@ pub fn stage_gemm_workspace_in(
 mod tests {
     use super::*;
     use redmule_fp16::vector::{gemm_golden, gemm_golden_accumulate};
+    use redmule_obs::{Channel, EventKind, EventLog, TraceEvent};
 
     fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
         let gen = |len: usize, s: u32| -> Vec<F16> {
@@ -274,6 +268,21 @@ mod tests {
 
     fn bits(v: &[F16]) -> Vec<u16> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs `shape` on the paper instance with its event log recorded.
+    fn run_logged(
+        shape: GemmShape,
+        format: Format,
+        x: &[F16],
+        w: &[F16],
+        y: Option<&[F16]>,
+    ) -> (RunReport, EventLog) {
+        let (job, mut mem, mut hci) =
+            stage_gemm_workspace_in(shape, format, x, w, y).expect("staging");
+        Engine::new(AccelConfig::paper())
+            .run_logged(job, &mut mem, &mut hci)
+            .expect("gemm runs")
     }
 
     #[test]
@@ -408,19 +417,24 @@ mod tests {
     #[test]
     fn w_port_cadence_matches_the_paper_schedule() {
         // In steady state the W stream must fire once every P+1 = 4 cycles.
-        let accel = Accelerator::paper_instance().with_trace();
         let shape = GemmShape::new(8, 64, 16); // single tile, 16 phases
         let (x, w) = data(shape, 13);
-        let run = accel.gemm(shape, &x, &w).expect("gemm runs");
-        let trace = run.report.trace.expect("tracing enabled");
-        let fires: Vec<usize> = trace
-            .w
-            .history()
+        let (report, log) = run_logged(shape, Format::Fp16, &x, &w, None);
+        let fires: Vec<u64> = log
+            .events()
             .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.fires().then_some(i))
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Refill {
+                        channel: Channel::W,
+                        ..
+                    }
+                )
+            })
+            .map(|e| e.cycle)
             .collect();
-        assert_eq!(fires.len() as u64, run.report.stats.get("w_loads"));
+        assert_eq!(fires.len() as u64, report.stats.get("w_loads"));
         // Steady-state gaps are exactly 4 cycles; startup may be denser.
         let steady = &fires[8..fires.len() - 2];
         for pair in steady.windows(2) {
@@ -434,20 +448,110 @@ mod tests {
 
     #[test]
     fn x_and_z_interleave_between_w_accesses() {
-        let accel = Accelerator::paper_instance().with_trace();
+        // One event per transfer on every channel and format: the single
+        // shallow port serves one transfer per beat, two on FP8.
         let shape = GemmShape::new(16, 64, 32); // several tiles
         let (x, w) = data(shape, 17);
-        let run = accel.gemm(shape, &x, &w).expect("gemm runs");
-        let trace = run.report.trace.expect("tracing enabled");
-        // On any cycle at most one stream fires (single shallow port).
-        for i in 0..trace.w.cycles() {
-            let fired = [&trace.w, &trace.x, &trace.z]
-                .iter()
-                .filter(|m| m.history()[i].fires())
-                .count();
-            assert!(fired <= 1, "port can only serve one stream per cycle");
+        let y: Vec<F16> = (0..shape.z_len())
+            .map(|i| F16::from_f32(i as f32 / 8.0 - 4.0))
+            .collect();
+        for format in Format::ALL {
+            for y in [None, Some(&y[..])] {
+                let case = format!("{format:?} accumulate={}", y.is_some());
+                let (report, log) = run_logged(shape, format, &x, &w, y);
+                let stat = |key| report.stats.get(key);
+                // Refill sequence numbers of W, X and Z-preload (in
+                // `Channel` order), store drains, stalls, and the transfer
+                // events on each cycle.
+                let mut seqs = [Vec::new(), Vec::new(), Vec::new()];
+                let (mut drains, mut stalls) = (0, 0);
+                let mut per_cycle = vec![0; report.cycles.count() as usize];
+                for e in log.events() {
+                    match e.kind {
+                        EventKind::Refill { channel, seq } => seqs[channel as usize].push(seq),
+                        EventKind::StoreDrain { .. } => drains += 1,
+                        EventKind::Stall { .. } => {
+                            stalls += 1;
+                            continue;
+                        }
+                        _ => continue,
+                    }
+                    per_cycle[e.cycle as usize] += 1;
+                }
+                for (seqs, key) in seqs.iter().zip(["w_loads", "x_loads", "z_preloads"]) {
+                    let expected: Vec<u64> = (1..=stat(key)).collect();
+                    assert_eq!(seqs, &expected, "{case}: {key} refill sequence");
+                }
+                assert_eq!(drains, stat("z_stores"), "{case}: store drains");
+                assert_eq!(stalls, report.stall_cycles, "{case}: stall events");
+                assert!(stat("x_loads") > 0 && stat("z_stores") > 0, "{case}");
+                assert_eq!(y.is_some(), stat("z_preloads") > 0, "{case}");
+                let beat = if format.is_fp8() { 2 } else { 1 };
+                assert!(
+                    per_cycle.iter().all(|&n| n <= beat),
+                    "{case}: at most {beat} transfers per beat"
+                );
+                let pairs = per_cycle.iter().filter(|&&n| n == 2).count() as u64;
+                assert_eq!(pairs, stat("fp8_pair_beats"), "{case}: paired beats");
+            }
         }
-        assert!(trace.x.fires() > 0 && trace.z.fires() > 0);
+    }
+
+    #[test]
+    fn hci_stalls_and_the_watchdog_are_logged_by_the_engine() {
+        let shape = GemmShape::new(16, 64, 32);
+        let (x, w) = data(shape, 23);
+        for format in Format::ALL {
+            // Each dropped beat is one port conflict and one `HciStall`.
+            let (job, mut mem, mut hci) =
+                stage_gemm_workspace_in(shape, format, &x, &w, None).expect("staging");
+            hci.inject_shallow_drop(7);
+            let (report, log) = Engine::new(AccelConfig::paper())
+                .run_logged(job, &mut mem, &mut hci)
+                .expect("a few drops only delay the job");
+            let hci_stalls = log
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::HciStall)
+                .count() as u64;
+            assert_eq!(report.stats.get("port_conflicts"), 7, "{format:?}");
+            assert_eq!(hci_stalls, 7, "{format:?}: one HciStall per conflict");
+
+            // A port that drops every beat from mid-run on hangs the job;
+            // the aborting cycle records its `Watchdog` event and nothing
+            // else.
+            let (job, mut mem, mut hci) =
+                stage_gemm_workspace_in(shape, format, &x, &w, None).expect("staging");
+            let mut session = Engine::new(AccelConfig::paper())
+                .with_watchdog(64)
+                .start(job)
+                .expect("start");
+            session.record_events();
+            for _ in 0..100 {
+                session.tick(&mut mem, &mut hci, &[]).expect("healthy tick");
+            }
+            hci.inject_shallow_drop(u32::MAX);
+            let err = loop {
+                match session.tick(&mut mem, &mut hci, &[]) {
+                    Ok(tick) => assert!(!tick.finished, "{format:?}: a hung port finished"),
+                    Err(e) => break e,
+                }
+            };
+            let EngineError::Watchdog { cycle, stalled_for } = err else {
+                panic!("{format:?}: expected a watchdog abort, got {err}");
+            };
+            let log = session.take_events().expect("recording");
+            assert_eq!(
+                log.events().last(),
+                Some(&TraceEvent {
+                    cycle,
+                    kind: EventKind::Watchdog { stalled_for },
+                }),
+                "{format:?}"
+            );
+            let on_abort = log.events().iter().filter(|e| e.cycle == cycle).count();
+            assert_eq!(on_abort, 1, "{format:?}: only the watchdog on its cycle");
+        }
     }
 
     #[test]
@@ -530,28 +634,33 @@ mod tests {
 
     #[test]
     fn occupancy_trace_captures_startup_stalls_and_steady_state() {
-        let accel = Accelerator::paper_instance().with_trace();
         let shape = GemmShape::new(8, 64, 16);
         let (x, w) = data(shape, 57);
-        let run = accel.gemm(shape, &x, &w).expect("gemm runs");
-        let trace = run.report.trace.expect("tracing enabled");
-        assert_eq!(trace.occupancy.len() as u64, run.report.cycles.count());
+        let (report, log) = run_logged(shape, Format::Fp16, &x, &w, None);
+        let mut stalled = vec![false; report.cycles.count() as usize];
+        for e in log.events() {
+            if let EventKind::Stall { .. } = e.kind {
+                stalled[e.cycle as usize] = true;
+            }
+        }
         // Startup: the first cycles stall while the X buffer preloads.
-        assert!(trace.occupancy[0].stalled, "cycle 0 must stall on preload");
-        let startup_stalls = trace.occupancy[..12].iter().filter(|s| s.stalled).count();
+        assert!(stalled[0], "cycle 0 must stall on preload");
+        let startup_stalls = stalled[..12].iter().filter(|&&s| s).count();
         assert!(startup_stalls >= 6, "startup stalls = {startup_stalls}");
-        // Steady state (middle third): no stalls, X staging mostly full.
-        let n = trace.occupancy.len();
-        let mid = &trace.occupancy[n / 3..2 * n / 3];
+        // Steady state (middle third): no stalls.
+        let n = stalled.len();
         assert!(
-            mid.iter().all(|s| !s.stalled),
+            stalled[n / 3..2 * n / 3].iter().all(|&s| !s),
             "steady state must not stall"
         );
         // The recorded stall count matches the report.
-        let total_stalls = trace.occupancy.iter().filter(|s| s.stalled).count() as u64;
-        assert_eq!(total_stalls, run.report.stall_cycles);
-        // Z rows appear in the queue near the end.
-        assert!(trace.occupancy.iter().any(|s| s.z_pending > 0));
+        let total_stalls = stalled.iter().filter(|&&s| s).count() as u64;
+        assert_eq!(total_stalls, report.stall_cycles);
+        // Z rows queue up behind the store port near the end.
+        assert!(log
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::StoreDrain { pending } if pending > 0)));
     }
 
     #[test]

@@ -31,7 +31,6 @@ use redmule_cluster::{Hci, MemError, Tcdm};
 use redmule_fp16::vector::{GemmShape, GemmSizes};
 use redmule_fp16::{Format, F16};
 use redmule_hwsim::snapshot::{fnv1a64, Snapshot, SnapshotError, StateReader, StateWriter};
-use redmule_hwsim::stream::{Handshake, StreamMonitor};
 use redmule_hwsim::{Cycle, FaultLog, FaultPhase, Stats};
 use redmule_obs::{Channel, EventKind, EventLog, Phase, PhaseCycles, TraceEvent};
 use std::cell::Cell;
@@ -161,33 +160,6 @@ impl From<DecodeError> for EngineError {
     }
 }
 
-/// Optional per-cycle port-activity traces (Fig. 2c observability).
-#[derive(Debug, Clone)]
-pub struct EngineTrace {
-    /// W-load port handshakes, one entry per cycle.
-    pub w: StreamMonitor,
-    /// X-load port handshakes.
-    pub x: StreamMonitor,
-    /// Z-store port handshakes.
-    pub z: StreamMonitor,
-    /// Buffer/datapath occupancy, one sample per cycle (Fig. 2d-style
-    /// pipeline observability).
-    pub occupancy: Vec<OccupancySample>,
-}
-
-/// One cycle of internal state, recorded when tracing is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OccupancySample {
-    /// The datapath was clock-gated this cycle waiting for a buffer.
-    pub stalled: bool,
-    /// W staging slots currently holding a prefetched group (0..=H).
-    pub w_staged: u8,
-    /// X staging rows currently filled (0..=L).
-    pub x_staged: u8,
-    /// Z rows waiting in the store queue.
-    pub z_pending: u8,
-}
-
 /// Outcome of one accelerator job.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -207,9 +179,6 @@ pub struct RunReport {
     pub phases: PhaseCycles,
     /// Event counters (`w_loads`, `x_loads`, `z_stores`, `port_idle`, ...).
     pub stats: Stats,
-    /// Per-cycle port traces when the engine was built with
-    /// [`Engine::with_trace`].
-    pub trace: Option<EngineTrace>,
     /// Cycle-stamped fault activity (empty on fault-free runs). Feed it to
     /// [`redmule_hwsim::FaultLog::dump_vcd`] for waveform inspection.
     pub faults: FaultLog,
@@ -305,7 +274,6 @@ pub enum StreamerPolicy {
 #[derive(Debug, Clone)]
 pub struct Engine {
     cfg: AccelConfig,
-    trace: bool,
     policy: StreamerPolicy,
     watchdog: u64,
 }
@@ -320,7 +288,6 @@ impl Engine {
     pub fn new(cfg: AccelConfig) -> Engine {
         Engine {
             cfg,
-            trace: false,
             policy: StreamerPolicy::Interleaved,
             watchdog: DEFAULT_WATCHDOG,
         }
@@ -330,16 +297,6 @@ impl Engine {
     #[must_use]
     pub fn with_streamer_policy(self, policy: StreamerPolicy) -> Engine {
         Engine { policy, ..self }
-    }
-
-    /// Enables per-cycle port tracing (costly on long runs; intended for
-    /// schedule verification and waveform export).
-    #[must_use]
-    pub fn with_trace(self) -> Engine {
-        Engine {
-            trace: true,
-            ..self
-        }
     }
 
     /// Overrides the watchdog window (cycles without forward progress
@@ -402,7 +359,7 @@ impl Engine {
     pub fn start(&self, job: Job) -> Result<EngineSession, EngineError> {
         job.validate().map_err(EngineError::InvalidJob)?;
         Ok(EngineSession::new(
-            Sim::new(self.cfg, job, self.trace, self.policy),
+            Sim::new(self.cfg, job, self.policy),
             self.watchdog,
         ))
     }
@@ -420,7 +377,7 @@ impl Engine {
         injector: FaultInjector,
     ) -> Result<EngineSession, EngineError> {
         job.validate().map_err(EngineError::InvalidJob)?;
-        let mut sim = Sim::new(self.cfg, job, self.trace, self.policy);
+        let mut sim = Sim::new(self.cfg, job, self.policy);
         sim.injector = Some(injector);
         Ok(EngineSession::new(sim, self.watchdog))
     }
@@ -454,20 +411,14 @@ impl Engine {
     /// completion is bit-identical to never having interrupted the
     /// original — results, cycle counts and fault telemetry all match
     /// (the caller must restore the matching TCDM/HCI state alongside).
+    /// The resumed session starts without an event log; call
+    /// [`EngineSession::record_events`] to record from the resume point on.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Snapshot`] when the snapshot is damaged, was taken
-    /// under different instance parameters or a different streamer policy,
-    /// or this engine has per-cycle tracing enabled (traces are not
-    /// serialised, so a resumed trace would be incomplete).
+    /// [`EngineError::Snapshot`] when the snapshot is damaged or was taken
+    /// under different instance parameters or a different streamer policy.
     pub fn resume(&self, state: &SessionState) -> Result<EngineSession, EngineError> {
-        if self.trace {
-            return Err(EngineError::Snapshot(
-                "cannot resume into a tracing engine: per-cycle traces are not serialised"
-                    .to_string(),
-            ));
-        }
         let mut r = StateReader::new(&state.payload);
         let (h, l, p): (usize, usize, usize) = r.get()?;
         if (h, l, p) != (self.cfg.h, self.cfg.l, self.cfg.p) {
@@ -489,7 +440,7 @@ impl Engine {
         let cycle: u64 = r.get()?;
         let stalled_for: u64 = r.get()?;
 
-        let mut sim = Sim::new(self.cfg, job, false, self.policy);
+        let mut sim = Sim::new(self.cfg, job, self.policy);
         let corrupt = |what: &str| EngineError::Snapshot(format!("corrupt snapshot: {what}"));
         sim.compute_tile = r.get()?;
         if sim.compute_tile > sim.schedule.n_tiles() {
@@ -714,10 +665,6 @@ pub struct EngineSession {
     // restored scheduler cursors (progress_sig) at the end of resume().
     last_sig: Option<ProgressSig>,
     stalled_for: u64,
-    // modelcheck-allow: RM-SNAP-001 -- telemetry: event logs are started
-    // per session by the caller and intentionally not serialised; a resumed
-    // session starts unrecorded (see DESIGN.md §12).
-    events: Option<EventLog>,
     // modelcheck-allow: RM-SNAP-001 -- telemetry cache: monotonicity clamp
     // for estimated_remaining_cycles; resets to the no-estimate-yet state
     // on resume, which only relaxes the clamp.
@@ -751,19 +698,6 @@ enum CycleKind {
     Stalled(Phase),
 }
 
-/// Pre-tick counter snapshot used to reconstruct trace events from deltas
-/// (only taken while recording events).
-#[derive(Debug, Clone, Copy)]
-struct TickObs {
-    tile: usize,
-    started: bool,
-    w_loads: u64,
-    x_loads: u64,
-    z_preloads: u64,
-    z_stores: u64,
-    faults: usize,
-}
-
 /// Outcome of one [`EngineSession::tick`].
 #[derive(Debug, Clone)]
 pub struct TickResult {
@@ -786,28 +720,29 @@ impl EngineSession {
             watchdog,
             last_sig: None,
             stalled_for: 0,
-            events: None,
             est_clamp: Cell::new(u64::MAX),
         }
     }
 
     /// Starts a fresh [`EventLog`]; subsequent ticks record typed
-    /// [`TraceEvent`]s into it. Any log already being recorded is
-    /// dropped. While not recording, the event-assembly path is skipped
-    /// entirely (tracing is zero-cost when disabled); the [`PhaseCycles`]
-    /// ledger is always on either way.
+    /// [`TraceEvent`]s into it, each on the cycle it happens: one
+    /// `Refill` or `StoreDrain` per streamer transfer (an FP8 beat can
+    /// carry two), tile brackets, stalls, faults and checkpoints. Any log
+    /// already being recorded is dropped. The log is not part of a
+    /// checkpoint, so a resumed session starts unrecorded. The
+    /// [`PhaseCycles`] ledger is always on either way.
     pub fn record_events(&mut self) {
-        self.events = Some(EventLog::new());
+        self.sim.events = Some(EventLog::new());
     }
 
     /// Stops recording and returns the log, if one was being recorded.
     pub fn take_events(&mut self) -> Option<EventLog> {
-        self.events.take()
+        self.sim.events.take()
     }
 
     /// `true` while events are being recorded.
     pub fn is_recording(&self) -> bool {
-        self.events.is_some()
+        self.sim.events.is_some()
     }
 
     /// The per-phase cycle attribution accumulated so far.
@@ -853,12 +788,11 @@ impl EngineSession {
         }
         self.sim.inject_cycle_faults(self.cycle, mem);
         self.sim.stage_pads();
-        let stalls_before = self.sim.stall_cycles;
-        let pre = self.events.is_some().then(|| self.observe_pre_tick());
+        let faults_before = self.sim.fault_count();
         let kind = if self.sim.schedule.n_phases() == 0 {
-            self.sim.flush_empty_reduction_tile(mem)?
+            self.sim.flush_empty_reduction_tile(self.cycle)
         } else {
-            self.sim.compute_cycle()
+            self.sim.compute_cycle(self.cycle)
         };
         let (log_granted, conflict) =
             self.sim
@@ -878,20 +812,6 @@ impl EngineSession {
                 }
             }
         };
-        if let Some(trace) = &mut self.sim.trace {
-            let w_staged = (0..self.sim.cfg.h)
-                .filter(|&h| !self.sim.wb.staging_free(h))
-                .count();
-            let x_staged = (0..self.sim.cfg.l)
-                .filter(|&r| !self.sim.xb.staging_free(r))
-                .count();
-            trace.occupancy.push(OccupancySample {
-                stalled: self.sim.stall_cycles > stalls_before,
-                w_staged: w_staged as u8,
-                x_staged: x_staged as u8,
-                z_pending: self.sim.store_queue.len() as u8,
-            });
-        }
         let sig = self.sim.progress_sig();
         if self.last_sig == Some(sig) {
             self.stalled_for += 1;
@@ -907,9 +827,16 @@ impl EngineSession {
             self.stalled_for = 0;
         }
         self.sim.phases.add(phase);
-        if let Some(pre) = pre {
-            self.emit_tick_events(&pre, kind, phase, conflict);
+        // Tile brackets and transfers were recorded where they happened.
+        // The cycle's stall and fault events follow the watchdog check, so
+        // an aborting cycle records only its `Watchdog` event.
+        if conflict {
+            self.sim.emit(self.cycle, EventKind::HciStall);
         }
+        if matches!(kind, CycleKind::Stalled(_)) {
+            self.sim.emit(self.cycle, EventKind::Stall { phase });
+        }
+        self.sim.emit_faults(faults_before);
         self.cycle = self.cycle.saturating_add(1);
         Ok(TickResult {
             log_granted,
@@ -917,106 +844,12 @@ impl EngineSession {
         })
     }
 
-    /// Counter snapshot taken before a tick so events can be
-    /// reconstructed from deltas afterwards. Only assembled while
-    /// recording events.
-    fn observe_pre_tick(&self) -> TickObs {
-        let s = &self.sim;
-        TickObs {
-            tile: s.compute_tile,
-            started: s.started,
-            w_loads: s.stats.get("w_loads"),
-            x_loads: s.stats.get("x_loads"),
-            z_preloads: s.stats.get("z_preloads"),
-            z_stores: s.stats.get("z_stores"),
-            faults: s
-                .injector
-                .as_ref()
-                .map_or(0, |inj| inj.log().events().len()),
-        }
-    }
-
-    /// Records the typed trace events for the cycle that just executed,
-    /// derived from the pre/post counter deltas; `conflict` is whether
-    /// the streamer's request lost HCI arbitration this cycle.
-    fn emit_tick_events(&mut self, pre: &TickObs, kind: CycleKind, phase: Phase, conflict: bool) {
-        let Some(log) = self.events.as_mut() else {
-            return;
-        };
-        let s = &self.sim;
-        let cycle = self.cycle;
-        let mut emit = |kind| log.push(TraceEvent { cycle, kind });
-        let tile_start = || {
-            let tile = s.schedule.tile(pre.tile);
-            EventKind::TileStart {
-                tile: pre.tile as u32,
-                row0: tile.row0 as u32,
-                rows: tile.rows_live as u32,
-                cols: tile.cols_live as u32,
-            }
-        };
-        let tile_end = EventKind::TileEnd {
-            tile: pre.tile as u32,
-        };
-        if s.schedule.n_phases() > 0 {
-            if !pre.started && s.started {
-                emit(tile_start());
-            }
-            if s.compute_tile > pre.tile {
-                emit(tile_end);
-            }
-        } else if s.compute_tile > pre.tile {
-            // Empty-reduction tiles flush in a single cycle.
-            emit(tile_start());
-            emit(tile_end);
-        }
-        for (channel, before, after) in [
-            (Channel::W, pre.w_loads, s.stats.get("w_loads")),
-            (Channel::ZPre, pre.z_preloads, s.stats.get("z_preloads")),
-            (Channel::X, pre.x_loads, s.stats.get("x_loads")),
-        ] {
-            if after > before {
-                emit(EventKind::Refill {
-                    channel,
-                    seq: after,
-                });
-            }
-        }
-        if s.stats.get("z_stores") > pre.z_stores {
-            emit(EventKind::StoreDrain {
-                pending: s.store_queue.len() as u32,
-            });
-        }
-        if conflict {
-            emit(EventKind::HciStall);
-        }
-        if matches!(kind, CycleKind::Stalled(_)) {
-            emit(EventKind::Stall { phase });
-        }
-        if let Some(inj) = &s.injector {
-            for fe in &inj.log().events()[pre.faults..] {
-                log.push(TraceEvent {
-                    cycle: fe.cycle,
-                    kind: EventKind::Fault {
-                        class: fe.class,
-                        phase: fe.phase,
-                    },
-                });
-            }
-        }
-    }
-
     /// Records a watchdog trip event (just before the session aborts with
     /// [`EngineError::Watchdog`]).
     fn emit_watchdog(&mut self) {
-        if let Some(log) = self.events.as_mut() {
-            log.push(TraceEvent {
-                cycle: self.cycle,
-                kind: EventKind::Watchdog {
-                    stalled_for: self.stalled_for,
-                },
-            });
-        }
+        let stalled_for = self.stalled_for;
+        let kind = EventKind::Watchdog { stalled_for };
+        self.sim.emit(self.cycle, kind);
     }
 
     /// Consumes the session, producing the final report.
@@ -1060,7 +893,6 @@ impl EngineSession {
             stall_cycles: self.sim.stall_cycles,
             phases: self.sim.phases,
             stats: self.sim.stats,
-            trace: self.sim.trace,
             faults,
         }
     }
@@ -1127,19 +959,13 @@ impl EngineSession {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Snapshot`] when called mid-tile or on a session with
-    /// per-cycle tracing enabled (traces are not serialised).
+    /// [`EngineError::Snapshot`] when called mid-tile.
     ///
     /// Takes `&mut self` only to record an [`EventKind::Checkpoint`]
-    /// event; the simulation state itself is not modified.
+    /// event; the simulation state itself is not modified, and the event
+    /// log is not part of the snapshot.
     pub fn checkpoint(&mut self) -> Result<SessionState, EngineError> {
         let s = &self.sim;
-        if s.trace.is_some() {
-            return Err(EngineError::Snapshot(
-                "cannot checkpoint a tracing session: per-cycle traces are not serialised"
-                    .to_string(),
-            ));
-        }
         if !self.at_tile_boundary() {
             return Err(EngineError::Snapshot(format!(
                 "not at a tile boundary (tile {}, local cycle {})",
@@ -1199,14 +1025,8 @@ impl EngineSession {
                 injector.save_state(&mut w);
             }
         }
-        if let Some(log) = self.events.as_mut() {
-            log.push(TraceEvent {
-                cycle: self.cycle,
-                kind: EventKind::Checkpoint {
-                    tile: self.sim.compute_tile as u32,
-                },
-            });
-        }
+        let tile = s.compute_tile as u32;
+        self.sim.emit(self.cycle, EventKind::Checkpoint { tile });
         Ok(SessionState {
             payload: w.finish(),
         })
@@ -1239,7 +1059,6 @@ impl EngineSession {
             stall_cycles: self.sim.stall_cycles,
             phases: self.sim.phases,
             stats,
-            trace: None,
             faults,
         }
     }
@@ -1291,7 +1110,10 @@ struct Sim {
     /// Always-on per-cycle attribution ledger: exactly one [`Phase`] is
     /// charged per executed cycle.
     phases: PhaseCycles,
-    trace: Option<EngineTrace>,
+    // modelcheck-allow: RM-SNAP-001 -- telemetry: event logs are started
+    // per session by the caller and intentionally not serialised; a resumed
+    // session starts unrecorded (see DESIGN.md §12).
+    events: Option<EventLog>,
     policy: StreamerPolicy,
     /// Single-buffered-W ablation: a loaded group spends one cycle in
     /// flight before it can be staged (no prefetch hides this latency).
@@ -1310,7 +1132,7 @@ struct Sim {
 }
 
 impl Sim {
-    fn new(cfg: AccelConfig, job: Job, trace: bool, policy: StreamerPolicy) -> Sim {
+    fn new(cfg: AccelConfig, job: Job, policy: StreamerPolicy) -> Sim {
         let pw = cfg.phase_width();
         Sim {
             cfg,
@@ -1333,12 +1155,7 @@ impl Sim {
             useful_macs: 0,
             stall_cycles: 0,
             phases: PhaseCycles::new(),
-            trace: trace.then(|| EngineTrace {
-                w: StreamMonitor::new("w_load"),
-                x: StreamMonitor::new("x_load"),
-                z: StreamMonitor::new("z_store"),
-                occupancy: Vec::new(),
-            }),
+            events: None,
             policy,
             w_inflight: None,
             injector: None,
@@ -1354,6 +1171,49 @@ impl Sim {
         if let Some(inj) = self.injector.as_mut() {
             inj.on_cycle(cycle, &mut self.dp, mem);
         }
+    }
+
+    /// Records `kind` at `cycle` when an event log is attached.
+    fn emit(&mut self, cycle: u64, kind: EventKind) {
+        if let Some(log) = self.events.as_mut() {
+            log.push(TraceEvent { cycle, kind });
+        }
+    }
+
+    /// Entries in the fault injector's log so far.
+    fn fault_count(&self) -> usize {
+        self.injector
+            .as_ref()
+            .map_or(0, |inj| inj.log().events().len())
+    }
+
+    /// Copies the fault-log entries from index `from` on into the event
+    /// log, stamped with the cycle each fault was logged at.
+    fn emit_faults(&mut self, from: usize) {
+        let (Some(log), Some(inj)) = (self.events.as_mut(), &self.injector) else {
+            return;
+        };
+        for fe in &inj.log().events()[from..] {
+            log.push(TraceEvent {
+                cycle: fe.cycle,
+                kind: EventKind::Fault {
+                    class: fe.class,
+                    phase: fe.phase,
+                },
+            });
+        }
+    }
+
+    /// Records the start of the current compute tile.
+    fn emit_tile_start(&mut self, cycle: u64) {
+        let tile = self.schedule.tile(self.compute_tile);
+        let kind = EventKind::TileStart {
+            tile: self.compute_tile as u32,
+            row0: tile.row0 as u32,
+            rows: tile.rows_live as u32,
+            cols: tile.cols_live as u32,
+        };
+        self.emit(cycle, kind);
     }
 
     fn progress_sig(&self) -> ProgressSig {
@@ -1375,18 +1235,19 @@ impl Sim {
 
     /// N == 0: every output tile is all zeros (or the preloaded Z in
     /// accumulate mode). One tile is flushed per cycle.
-    fn flush_empty_reduction_tile(&mut self, _mem: &mut Tcdm) -> Result<CycleKind, EngineError> {
+    fn flush_empty_reduction_tile(&mut self, cycle: u64) -> CycleKind {
         if self.compute_tile >= self.schedule.n_tiles() {
-            return Ok(CycleKind::DrainOnly);
+            return CycleKind::DrainOnly;
         }
         if self.zb.is_occupied() {
-            return Ok(CycleKind::Stalled(Phase::Drain));
+            return CycleKind::Stalled(Phase::Drain);
         }
         if self.job.accumulate && self.zpre_ready_tile != self.compute_tile {
             // Wait for the Z preload of this tile to finish streaming in.
-            return Ok(CycleKind::Stalled(Phase::Refill));
+            return CycleKind::Stalled(Phase::Refill);
         }
         let tile = self.schedule.tile(self.compute_tile);
+        self.emit_tile_start(cycle);
         for r in 0..tile.rows_live {
             for j in 0..self.cfg.phase_width() {
                 let v = if self.job.accumulate {
@@ -1400,14 +1261,16 @@ impl Sim {
         self.zb.seal();
         self.enqueue_stores(tile);
         self.zb.release();
+        let done = self.compute_tile as u32;
+        self.emit(cycle, EventKind::TileEnd { tile: done });
         self.compute_tile += 1;
         self.zpre_ready_tile = usize::MAX;
         self.zpre_cursor = (self.compute_tile, 0);
-        Ok(CycleKind::Advance)
+        CycleKind::Advance
     }
 
     /// One datapath cycle (or a stall).
-    fn compute_cycle(&mut self) -> CycleKind {
+    fn compute_cycle(&mut self, cycle: u64) -> CycleKind {
         if self.compute_tile >= self.schedule.n_tiles() {
             return CycleKind::DrainOnly;
         }
@@ -1440,6 +1303,7 @@ impl Sim {
             }
             self.xb.swap();
             self.started = true;
+            self.emit_tile_start(cycle);
         } else {
             // Column phase starts needing a staged W group this cycle.
             for h in 0..h_count {
@@ -1538,6 +1402,8 @@ impl Sim {
             self.zb.seal();
             self.enqueue_stores(tile);
             self.zb.release();
+            let done = self.compute_tile as u32;
+            self.emit(cycle, EventKind::TileEnd { tile: done });
             self.compute_tile += 1;
             self.t_local = 0;
             self.started = false;
@@ -1703,7 +1569,6 @@ impl Sim {
     ) -> Result<(Vec<bool>, bool), EngineError> {
         if self.policy == StreamerPolicy::HalfBandwidth && cycle % 2 == 1 {
             self.stats.incr("port_gated");
-            self.record_stream_trace(' ', false);
             let grants = hci.arbitrate(log_requests, None);
             return Ok((grants.log_granted, false));
         }
@@ -1716,15 +1581,8 @@ impl Sim {
 
         let Some(pick) = self.select_pick() else {
             self.stats.incr("port_idle");
-            self.record_stream_trace(' ', false);
             let grants = hci.arbitrate(log_requests, None);
             return Ok((grants.log_granted, false));
-        };
-        let kind = match pick {
-            Pick::W(..) => 'w',
-            Pick::ZPre(..) => 'p',
-            Pick::X(..) => 'x',
-            Pick::ZStore => 'z',
         };
 
         // The shallow port is a single wide transaction; arbitration with
@@ -1733,7 +1591,6 @@ impl Sim {
         let grants = hci.arbitrate(log_requests, Some(addr));
         if !grants.shallow_granted {
             self.stats.incr("port_conflicts");
-            self.record_stream_trace(kind, false);
             return Ok((grants.log_granted, true));
         }
 
@@ -1746,20 +1603,19 @@ impl Sim {
                 self.stats.incr("fp8_pair_beats");
             }
         }
-
-        self.record_stream_trace(kind, true);
         Ok((grants.log_granted, false))
     }
 
     /// Completes one picked transaction: reads operands through the castin
     /// stage (widening FP8 storage to FP16) or drains one store row
     /// through the castout stage (narrowing FP16 results to the job's
-    /// storage format).
+    /// storage format). Counts the transfer and records it as one
+    /// `Refill` (W, Z-preload, X) or `StoreDrain` event.
     fn serve_pick(&mut self, pick: Pick, mem: &mut Tcdm, cycle: u64) -> Result<(), EngineError> {
         let format = self.job.format;
         let esz = format.elem_bytes() as u32;
         let pw = self.cfg.phase_width();
-        match pick {
+        let (counter, channel) = match pick {
             Pick::W(tile, phase, col) => {
                 let n_idx = phase * self.cfg.h + col;
                 let t = self.schedule.tile(tile);
@@ -1785,7 +1641,7 @@ impl Sim {
                     self.wb.stage_group(col, group);
                 }
                 self.advance_w();
-                self.stats.incr("w_loads");
+                ("w_loads", Channel::W)
             }
             Pick::ZPre(tile, row) => {
                 let t = self.schedule.tile(tile);
@@ -1806,7 +1662,7 @@ impl Sim {
                     self.zpre_ready_tile = tile;
                     self.zpre_cursor = (tile, 0);
                 }
-                self.stats.incr("z_preloads");
+                ("z_preloads", Channel::ZPre)
             }
             Pick::X(tile, chunk, row) => {
                 let t = self.schedule.tile(tile);
@@ -1829,7 +1685,7 @@ impl Sim {
                 }
                 self.xb.stage_row(row, data);
                 self.advance_x();
-                self.stats.incr("x_loads");
+                ("x_loads", Channel::X)
             }
             Pick::ZStore => {
                 // modelcheck-allow: RM-PANIC-001 -- arbitration invariant:
@@ -1843,37 +1699,23 @@ impl Sim {
                 for (jj, v) in data.iter().enumerate() {
                     cast::castout(mem, format, addr + esz * jj as u32, *v)?;
                 }
-                self.stats.incr("z_stores");
-            }
-        }
-        Ok(())
-    }
-
-    /// Records one cycle of port activity per stream. `kind` identifies
-    /// which stream drove the port this cycle (`'w'`, `'x'`, `'z'`, `'p'`
-    /// for Z-preload, or `' '` for an idle slot); `fired` is whether the
-    /// HCI granted the transaction.
-    fn record_stream_trace(&mut self, kind: char, fired: bool) {
-        let Some(trace) = &mut self.trace else { return };
-        let active = if fired {
-            Handshake::FIRE
-        } else {
-            Handshake {
-                valid: true,
-                ready: false,
+                ("z_stores", Channel::ZStore)
             }
         };
-        trace
-            .w
-            .record(if kind == 'w' { active } else { Handshake::IDLE });
-        trace
-            .x
-            .record(if kind == 'x' { active } else { Handshake::IDLE });
-        // Z preloads share the Z port direction bookkeeping.
-        trace.z.record(if kind == 'z' || kind == 'p' {
-            active
-        } else {
-            Handshake::IDLE
-        });
+        self.stats.incr(counter);
+        // Only a recording session pays for reading the running count.
+        if self.events.is_some() {
+            let kind = match channel {
+                Channel::ZStore => EventKind::StoreDrain {
+                    pending: self.store_queue.len() as u32,
+                },
+                channel => EventKind::Refill {
+                    channel,
+                    seq: self.stats.get(counter),
+                },
+            };
+            self.emit(cycle, kind);
+        }
+        Ok(())
     }
 }

@@ -939,7 +939,6 @@ impl Engine {
             stall_cycles,
             phases,
             stats,
-            trace: None,
             faults: log,
         })
     }

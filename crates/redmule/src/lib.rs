@@ -67,8 +67,8 @@ pub use accelerator::{stage_gemm_workspace_in, Accelerator, GemmRun};
 pub use config::AccelConfig;
 pub use decode::DecodeError;
 pub use engine::{
-    shape_sizes, Engine, EngineError, EngineSession, EngineTrace, OccupancySample, RunReport,
-    SessionState, StreamerPolicy, TickResult, DEFAULT_WATCHDOG, SESSION_STATE_VERSION,
+    shape_sizes, Engine, EngineError, EngineSession, RunReport, SessionState, StreamerPolicy,
+    TickResult, DEFAULT_WATCHDOG, SESSION_STATE_VERSION,
 };
 pub use faults::{
     FaultInjector, FaultPlan, FaultSite, FaultSpec, FtConfig, FtMode, TransientTarget,

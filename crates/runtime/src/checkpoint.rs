@@ -50,7 +50,7 @@ impl Checkpoint {
     /// # Errors
     ///
     /// [`EngineError::Snapshot`] when the session cannot be serialised
-    /// (mid-tile, or per-cycle tracing enabled).
+    /// (mid-tile).
     pub fn capture(
         session: &mut EngineSession,
         mem: &Tcdm,

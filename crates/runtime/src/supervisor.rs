@@ -93,26 +93,15 @@ impl Limits {
 /// from its last checkpoint and clears any armed interconnect-drop fault
 /// state — the model-level equivalent of resetting a hung interconnect.
 ///
-/// Backoff comes in two denominations:
-///
-/// * [`RetryPolicy::backoff_cycles`] — **deterministic**: retry `k` is
-///   *charged* `k * backoff_cycles` simulated cycles. Nothing sleeps; the
-///   charge accumulates in [`SupervisedRun::backoff_cycles`] so schedulers
-///   (the batch executor's virtual replay, the service front end) can
-///   account the recovery delay on the simulated clock. This is the
-///   default mode and the only one visible in reports.
-/// * [`RetryPolicy::backoff`] — an **opt-in host-side** wall-clock sleep
-///   before each retry (scaled linearly, `k * backoff`). It exists for
-///   interactive host deployments that want to pace real resource resets;
-///   it is nondeterministic by nature, untestable in CI, and never
-///   affects simulated state or reports. Defaults to zero (no sleep).
+/// Backoff is denominated in simulated cycles only: retry `k` is
+/// *charged* `k * backoff_cycles` cycles. Nothing sleeps; the charge
+/// accumulates in [`SupervisedRun::backoff_cycles`] so schedulers (the
+/// batch executor's virtual replay, the service front end) can account
+/// the recovery delay on the simulated clock.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Maximum recovery attempts before the run is reported as failed.
     pub max_retries: u32,
-    /// Host-side wall-clock sleep before retry `k` (scaled linearly:
-    /// `k * backoff`). Opt-in and nondeterministic; see the type docs.
-    pub backoff: Duration,
     /// Simulated cycles charged for retry `k` (scaled linearly:
     /// `k * backoff_cycles`). Deterministic; accumulated in
     /// [`SupervisedRun::backoff_cycles`].
@@ -123,20 +112,17 @@ impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_retries: 2,
-            backoff: Duration::ZERO,
             backoff_cycles: 0,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A fully deterministic policy: `max_retries` attempts, each retry
-    /// `k` charged `k * backoff_cycles` simulated cycles, no wall-clock
-    /// sleeping.
+    /// A policy of `max_retries` attempts, each retry `k` charged
+    /// `k * backoff_cycles` simulated cycles.
     pub fn deterministic(max_retries: u32, backoff_cycles: u64) -> RetryPolicy {
         RetryPolicy {
             max_retries,
-            backoff: Duration::ZERO,
             backoff_cycles,
         }
     }
@@ -277,8 +263,9 @@ impl Supervisor {
     /// # Errors
     ///
     /// Errors only on setup failures ([`EngineError::InvalidJob`], or
-    /// [`EngineError::Snapshot`] when the engine cannot checkpoint, e.g.
-    /// per-cycle tracing is enabled). Runtime failures are reported in
+    /// [`EngineError::Snapshot`] when the session cannot be checkpointed
+    /// at its entry point, e.g. one handed to [`Supervisor::run_session`]
+    /// mid-tile). Runtime failures are reported in
     /// [`SupervisedRun::stop`], not as errors.
     pub fn run(
         &self,
@@ -391,8 +378,8 @@ impl Supervisor {
         let wall_start = self.limits.deadline.map(|_| Instant::now());
         let start_cycle = session.cycle();
         // The entry point (cycle 0 or a resume point) is always a tile
-        // boundary; failing to checkpoint here means the configuration
-        // cannot be supervised at all, which *is* an error.
+        // boundary; failing to checkpoint here means the session was
+        // handed over mid-tile, which *is* an error.
         let mut last_ckpt = Checkpoint::capture(&mut session, mem, hci)?;
         let mut ckpt_tiles = session.tiles_completed();
         let mut retries = 0u32;
@@ -498,7 +485,6 @@ impl Supervisor {
                         backoff_charged = backoff_charged.saturating_add(
                             self.retry.backoff_cycles.saturating_mul(u64::from(retries)),
                         );
-                        self.backoff(retries);
                         session = self.rollback(&last_ckpt, mem, hci, session.is_recording())?;
                     } else {
                         session = self.rollback(&last_ckpt, mem, hci, session.is_recording())?;
@@ -519,7 +505,6 @@ impl Supervisor {
                         backoff_charged = backoff_charged.saturating_add(
                             self.retry.backoff_cycles.saturating_mul(u64::from(retries)),
                         );
-                        self.backoff(retries);
                         session = self.rollback(&last_ckpt, mem, hci, session.is_recording())?;
                     } else {
                         session = self.rollback(&last_ckpt, mem, hci, session.is_recording())?;
@@ -555,13 +540,6 @@ impl Supervisor {
         }
         hci.inject_shallow_drop(0);
         Ok(session)
-    }
-
-    fn backoff(&self, attempt: u32) {
-        let wait = self.retry.backoff * attempt;
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
     }
 
     fn degraded(

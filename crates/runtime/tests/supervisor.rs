@@ -275,11 +275,7 @@ fn persistent_panic_exhausts_retries_and_reports() {
     let shape = GemmShape::new(4, 6, 8);
     let (x, w) = data(shape, 13);
     let engine = Engine::new(small_cfg());
-    let retry = RetryPolicy {
-        max_retries: 2,
-        backoff: Duration::ZERO,
-        backoff_cycles: 0,
-    };
+    let retry = RetryPolicy::deterministic(2, 0);
     let supervisor = Supervisor::new(engine.clone()).with_retry_policy(retry);
 
     let (job, mut mem, mut hci) =
@@ -330,11 +326,7 @@ fn unrecoverable_watchdog_reports_failed_not_panic() {
     let shape = GemmShape::new(4, 4, 8);
     let (x, w) = data(shape, 29);
     let engine = Engine::new(small_cfg()).with_watchdog(64);
-    let retry = RetryPolicy {
-        max_retries: 0,
-        backoff: Duration::ZERO,
-        backoff_cycles: 0,
-    };
+    let retry = RetryPolicy::deterministic(0, 0);
     let supervisor = Supervisor::new(engine).with_retry_policy(retry);
 
     let (job, mut mem, mut hci) =
@@ -411,15 +403,4 @@ fn checkpoint_container_bytes_are_pinned() {
         let decoded = Checkpoint::from_bytes(&bytes).expect("roundtrip");
         assert_eq!(decoded.to_bytes(), bytes, "{format:?} re-encoding");
     }
-}
-
-#[test]
-fn tracing_engine_cannot_be_supervised() {
-    let shape = GemmShape::new(4, 4, 8);
-    let (x, w) = data(shape, 2);
-    let supervisor = Supervisor::new(Engine::new(small_cfg()).with_trace());
-    assert!(
-        supervisor.gemm(shape, &x, &w).is_err(),
-        "per-cycle traces are not serialisable, so supervision must refuse"
-    );
 }

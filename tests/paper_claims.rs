@@ -8,8 +8,9 @@
 use redmule_suite::cluster::{baseline::SwGemm, ClusterConfig};
 use redmule_suite::energy::{AreaModel, OperatingPoint, PowerModel, Technology};
 use redmule_suite::fp16::vector::GemmShape;
-use redmule_suite::fp16::F16;
-use redmule_suite::redmule::Accelerator;
+use redmule_suite::fp16::{Format, F16};
+use redmule_suite::redmule::obs::{Channel, EventKind};
+use redmule_suite::redmule::{stage_gemm_workspace_in, Accelerator};
 
 fn operands(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
     let gen = |len: usize, s: u32| -> Vec<F16> {
@@ -150,17 +151,28 @@ fn port_escalation_claim() {
 /// schedule claim as a machine-checkable property.
 #[test]
 fn w_cadence_claim() {
-    let accel = Accelerator::paper_instance().with_trace();
+    let accel = Accelerator::paper_instance();
     let shape = GemmShape::new(8, 64, 16);
     let (x, w) = operands(shape, 9);
-    let run = accel.gemm(shape, &x, &w).expect("gemm runs");
-    let trace = run.report.trace.expect("tracing enabled");
-    let fires: Vec<usize> = trace
-        .w
-        .history()
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("staging");
+    let (_, log) = accel
+        .engine()
+        .run_logged(job, &mut mem, &mut hci)
+        .expect("gemm runs");
+    let fires: Vec<u64> = log
+        .events()
         .iter()
-        .enumerate()
-        .filter_map(|(i, h)| h.fires().then_some(i))
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::Refill {
+                    channel: Channel::W,
+                    ..
+                }
+            )
+        })
+        .map(|e| e.cycle)
         .collect();
     for pair in fires[8..fires.len() - 2].windows(2) {
         assert_eq!(pair[1] - pair[0], 4, "steady-state W cadence");
