@@ -3,9 +3,9 @@
 #   make verify      — tier-1 gate plus the full workspace suite with
 #                      the #[ignore]d deep sweeps, a warning-free clippy
 #                      pass over every target (tests included), a
-#                      formatting check, the modelcheck static analyzer
-#                      and the smoke gate (what CI runs, see
-#                      .github/workflows/ci.yml)
+#                      formatting check, the modelcheck static analyzer,
+#                      the rustdoc gate and the smoke gate (what CI runs,
+#                      see .github/workflows/ci.yml)
 #   make test        — fast: workspace tests only
 #   make test-full   — workspace tests including the #[ignore]d deep
 #                      sweeps and vector drift checks (what CI's verify
@@ -15,6 +15,12 @@
 #                      modelcheck-report.json (the CI artifact)
 #   make lint        — static gates only: modelcheck + warning-free
 #                      clippy (the fast pre-push check)
+#   make doc         — rustdoc with warnings denied, so a deleted item
+#                      cannot leave a stale intra-doc link behind.
+#                      redmule-perf is excluded: it is the benchmark
+#                      harness, edited only together with the benchmark,
+#                      and its one broken link (Workload::output_digest in
+#                      crates/perf/src/workload.rs) waits for such a change
 #   make figures     — regenerate every table/figure (quick sweep sizes)
 #   make smoke       — the crash-recovery test suite, then every
 #                      artefact at CI sizes in one `figures` process,
@@ -34,9 +40,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test test-full clippy fmt lint modelcheck modelcheck-json figures smoke
+.PHONY: verify build test test-full clippy fmt doc lint modelcheck modelcheck-json figures smoke
 
-verify: build test-full lint fmt smoke
+verify: build test-full lint fmt doc smoke
 
 build:
 	$(CARGO) build --release
@@ -52,6 +58,9 @@ clippy:
 
 fmt:
 	$(CARGO) fmt --all -- --check
+
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --exclude redmule-perf --no-deps
 
 lint: modelcheck clippy
 

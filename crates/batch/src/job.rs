@@ -55,9 +55,9 @@ pub struct GemmJob {
     /// Execution model. A job with [`JobFaults`] always uses the
     /// cycle-accurate engine — fault injection needs real cycles.
     pub backend: BackendKind,
-    /// Supervision budgets for the cycle-accurate path. A wall-clock
-    /// deadline makes the *outcome* timing-dependent; use cycle budgets
-    /// when batch determinism matters.
+    /// Supervision budget for the cycle-accurate path. A budget stop
+    /// lands at a tile boundary fixed by the job, so it is as
+    /// deterministic as a completed run.
     pub limits: Limits,
     /// Optional fault activity.
     pub faults: Option<JobFaults>,
@@ -71,7 +71,7 @@ pub struct GemmJob {
 }
 
 impl GemmJob {
-    /// A plain cycle-accurate job with no budgets and no faults.
+    /// A plain cycle-accurate job with no budget and no faults.
     pub fn new(id: u64, shape: GemmShape, x: Vec<F16>, w: Vec<F16>) -> GemmJob {
         GemmJob {
             id,
@@ -109,7 +109,7 @@ impl GemmJob {
         self
     }
 
-    /// Sets the supervision budgets.
+    /// Sets the supervision cycle budget.
     #[must_use]
     pub fn with_limits(mut self, limits: Limits) -> GemmJob {
         self.limits = limits;
@@ -174,13 +174,6 @@ pub enum JobStatus {
     Completed,
     /// Stopped at the cycle budget; `z` is partial, a checkpoint existed.
     CycleBudget,
-    /// Stopped at the wall-clock deadline; `z` is partial.
-    Deadline,
-    /// Stopped at the simulated-cycle deadline; `z` is partial. Unlike
-    /// [`JobStatus::Deadline`] this stop point is deterministic.
-    DeadlineCycles,
-    /// Cancelled via the supervisor's token; `z` is partial.
-    Cancelled,
     /// The simulation panicked persistently (a model bug).
     Panicked(String),
     /// The run failed with an engine error (message retained).
@@ -193,9 +186,6 @@ impl JobStatus {
         match self {
             JobStatus::Completed => "completed",
             JobStatus::CycleBudget => "cycle-budget",
-            JobStatus::Deadline => "deadline",
-            JobStatus::DeadlineCycles => "deadline-cycles",
-            JobStatus::Cancelled => "cancelled",
             JobStatus::Panicked(_) => "panicked",
             JobStatus::Failed(_) => "failed",
         }
@@ -205,9 +195,6 @@ impl JobStatus {
         match stop {
             StopReason::Completed => JobStatus::Completed,
             StopReason::CycleBudget => JobStatus::CycleBudget,
-            StopReason::Deadline => JobStatus::Deadline,
-            StopReason::DeadlineCycles => JobStatus::DeadlineCycles,
-            StopReason::Cancelled => JobStatus::Cancelled,
             StopReason::Panicked(msg) => JobStatus::Panicked(msg),
             StopReason::Failed(e) => JobStatus::Failed(e.to_string()),
         }
@@ -326,7 +313,6 @@ mod tests {
     fn status_labels_are_stable() {
         assert_eq!(JobStatus::Completed.label(), "completed");
         assert_eq!(JobStatus::CycleBudget.label(), "cycle-budget");
-        assert_eq!(JobStatus::DeadlineCycles.label(), "deadline-cycles");
         assert_eq!(JobStatus::Panicked("x".into()).label(), "panicked");
         assert_eq!(JobStatus::Failed("y".into()).label(), "failed");
     }

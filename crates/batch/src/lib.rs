@@ -7,8 +7,9 @@
 //! functional) job is single-threaded. This crate is the host-side bridge:
 //!
 //! * [`GemmJob`] — one independent `Z = X * W (+ Y)` work item with its
-//!   own execution model ([`BackendKind`]), supervision [`Limits`], fault
-//!   plan and checkpoint cadence.
+//!   own execution model ([`BackendKind`]), supervision
+//!   [`Limits`](redmule_runtime::Limits), fault plan and checkpoint
+//!   cadence.
 //! * [`BatchExecutor`] — a work-stealing thread pool: each worker owns a
 //!   deque of jobs and steals from its peers when it drains, so an
 //!   imbalanced mix of heavy and light jobs still keeps every worker

@@ -14,10 +14,6 @@ use std::fmt::Write as _;
 /// property is the ordering-bug canary pinned by the determinism
 /// regression test (`tests/determinism.rs`): the same job set run with
 /// 1, 2 and 8 workers must serialize byte-identically.
-///
-/// The one escape hatch is a job with a wall-clock deadline in its
-/// [`Limits`](redmule_runtime::Limits): where it stops depends on host
-/// timing by definition. Use cycle budgets when determinism matters.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     /// Per-job results, sorted by job id.
@@ -61,7 +57,7 @@ impl BatchReport {
         self.count(|s| matches!(s, JobStatus::Completed))
     }
 
-    /// Jobs cut short at a budget (cycle, deadline or cancellation).
+    /// Jobs cut short at their cycle budget.
     pub fn degraded(&self) -> usize {
         self.jobs.iter().filter(|j| j.degraded).count()
     }

@@ -31,16 +31,6 @@ pub struct StuckBit {
 }
 
 impl StuckBit {
-    /// Applies the fault to a 16-bit read.
-    pub fn apply16(self, value: u16) -> u16 {
-        let mask = 1u16 << (self.bit % 16);
-        if self.value {
-            value | mask
-        } else {
-            value & !mask
-        }
-    }
-
     /// Applies the fault to a 32-bit read.
     pub fn apply32(self, value: u32) -> u32 {
         let mask = 1u32 << (self.bit % 32);
@@ -311,13 +301,12 @@ mod tests {
             bit: 3,
             value: true,
         };
-        assert_eq!(s1.apply16(0), 0b1000);
-        assert_eq!(s1.apply16(0b1000), 0b1000);
+        assert_eq!(s1.apply32(0), 0b1000);
+        assert_eq!(s1.apply32(0b1000), 0b1000);
         let s0 = StuckBit {
             bit: 3,
             value: false,
         };
-        assert_eq!(s0.apply16(0xFFFF), 0xFFF7);
         assert_eq!(s0.apply32(0xFFFF_FFFF), 0xFFFF_FFF7);
     }
 

@@ -107,18 +107,6 @@ impl<T> ShiftRegister<T> {
     pub fn shift(&mut self) -> Option<T> {
         self.data.pop_front()
     }
-
-    /// Mutable access to the `idx`-th pending element (0 = next to shift
-    /// out), or `None` when out of range. Fault-injection hook for the
-    /// W-buffer broadcast registers.
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut T> {
-        self.data.get_mut(idx)
-    }
-
-    /// Discards any remaining contents (synchronous reset).
-    pub fn reset(&mut self) {
-        self.data.clear();
-    }
 }
 
 impl<T: Persist> Snapshot for ShiftRegister<T> {
@@ -188,16 +176,6 @@ mod tests {
         sr.load(vec![3, 4])
             .expect("drained register accepts a load");
         assert_eq!(sr.capacity(), 2);
-    }
-
-    #[test]
-    fn shift_register_reset_clears() {
-        let mut sr = ShiftRegister::new(2);
-        sr.load(vec![1, 2]).expect("load fits");
-        sr.reset();
-        assert!(sr.is_empty());
-        sr.load(vec![5, 6]).expect("reset register accepts a load");
-        assert_eq!(sr.shift(), Some(5));
     }
 
     #[test]

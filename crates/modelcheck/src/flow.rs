@@ -17,7 +17,7 @@
 //! * [`statements`] — recursive statement segmentation inside a block:
 //!   `;`-terminated statements, control-flow blocks (`if`/`match`/...)
 //!   and the trailing tail expression, each as a token range;
-//! * receiver/path utilities ([`path_before`], [`path_at`]) that walk a
+//! * receiver/path utilities (`path_before`, `path_at`) that walk a
 //!   dotted field/method chain around a token index.
 //!
 //! Everything operates on the *non-test* token stream (tests are free to

@@ -311,9 +311,8 @@ impl Backend {
                     StopReason::Completed => Ok((z, run.report.cycles)),
                     StopReason::Failed(e) => Err(e),
                     StopReason::Panicked(msg) => panic!("supervised GEMM panicked: {msg}"),
-                    // No limits or cancel token are configured on this
-                    // supervisor, so budget stops cannot occur.
-                    other => unreachable!("unlimited supervised run stopped with {other:?}"),
+                    // No budget is configured on this supervisor.
+                    StopReason::CycleBudget => unreachable!("unbudgeted run hit a budget"),
                 }
             }
             Inner::HwFn(f) => {

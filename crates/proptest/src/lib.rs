@@ -515,7 +515,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: an exact `usize` or a
+    /// Element-count specification for [`vec()`]: an exact `usize` or a
     /// half-open `Range<usize>`.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
@@ -539,7 +539,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -13,12 +13,7 @@
 //!   accesses are interleaved into free memory slots.
 
 use redmule_fp16::F16;
-use redmule_hwsim::faults::flip_bit16;
 use redmule_hwsim::ShiftRegister;
-
-fn flip_f16(value: &mut F16, bit: u8) {
-    *value = F16::from_bits(flip_bit16(value.to_bits(), bit));
-}
 
 /// Double-buffered X operand storage.
 ///
@@ -115,30 +110,6 @@ impl XBuffer {
             .as_ref()
             .expect("no current chunk; datapath should have stalled")[idx]
     }
-
-    /// Flips `bit` of the operand at `idx` within `row`'s **current**
-    /// chunk. Returns `false` (fault masked) when no chunk is current or an
-    /// index is out of range.
-    pub fn corrupt_current(&mut self, row: usize, idx: usize, bit: u8) -> bool {
-        match self
-            .current
-            .get_mut(row)
-            .and_then(Option::as_mut)
-            .and_then(|c| c.get_mut(idx))
-        {
-            Some(v) => {
-                flip_f16(v, bit);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Clears both halves (soft reset between jobs).
-    pub fn reset(&mut self) {
-        self.current.iter_mut().for_each(|c| *c = None);
-        self.staging.iter_mut().for_each(|c| *c = None);
-    }
 }
 
 /// Per-column W broadcast registers with one staged group each.
@@ -231,45 +202,6 @@ impl WBuffer {
             .shift()
             .expect("W register underrun; datapath should have stalled")
     }
-
-    /// Flips `bit` of the `elem`-th element of `col`'s **staged** group.
-    /// Returns `false` (fault masked) when nothing is staged there.
-    pub fn corrupt_staged(&mut self, col: usize, elem: usize, bit: u8) -> bool {
-        match self
-            .staging
-            .get_mut(col)
-            .and_then(Option::as_mut)
-            .and_then(|g| g.get_mut(elem))
-        {
-            Some(v) => {
-                flip_f16(v, bit);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Flips `bit` of the `idx`-th pending element (0 = next broadcast) of
-    /// `col`'s active shift register. Returns `false` when out of range.
-    pub fn corrupt_register(&mut self, col: usize, idx: usize, bit: u8) -> bool {
-        match self.current.get_mut(col).and_then(|r| r.get_mut(idx)) {
-            Some(v) => {
-                flip_f16(v, bit);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Clears registers and staging (soft reset).
-    pub fn reset(&mut self) {
-        for r in &mut self.current {
-            // modelcheck-allow: RM-ERR-001 -- name collision: the register
-            // row's `reset` returns unit, not the engine's Result.
-            r.reset();
-        }
-        self.staging.iter_mut().for_each(|s| *s = None);
-    }
 }
 
 /// Output tile collector.
@@ -331,18 +263,6 @@ impl ZBuffer {
     pub fn release(&mut self) {
         self.occupied = false;
     }
-
-    /// Flips `bit` of the element at (`row`, `col`). Returns `false` when
-    /// an index is out of range.
-    pub fn corrupt(&mut self, row: usize, col: usize, bit: u8) -> bool {
-        match self.rows.get_mut(row).and_then(|r| r.get_mut(col)) {
-            Some(v) => {
-                flip_f16(v, bit);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -380,15 +300,6 @@ mod tests {
         let mut xb = XBuffer::new(1, 2);
         xb.stage_row(0, vec![F16::ONE; 2]);
         xb.stage_row(0, vec![F16::ONE; 2]);
-    }
-
-    #[test]
-    fn x_reset_clears() {
-        let mut xb = XBuffer::new(1, 2);
-        xb.stage_row(0, vec![F16::ONE; 2]);
-        xb.swap();
-        xb.reset();
-        assert!(xb.staging_free(0));
     }
 
     #[test]

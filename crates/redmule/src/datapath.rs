@@ -205,13 +205,6 @@ impl Datapath {
             None => false,
         }
     }
-
-    /// Clears all pipelines and operands (between jobs).
-    pub fn reset(&mut self) {
-        self.regs.fill(None);
-        self.outs.fill(None);
-        self.x_ops.fill(Operand::from_bits(F16::ZERO.to_bits()));
-    }
 }
 
 /// The `L` FMA lanes of one active column this cycle.
@@ -417,22 +410,6 @@ mod tests {
         let out = dp.tick(&[ColumnCtrl::default()], &[], &Acc0::Zero);
         assert_eq!(out[0].expect("row 0").to_f32(), 16.0);
         assert_eq!(out[1].expect("row 1").to_f32(), 28.0);
-    }
-
-    #[test]
-    fn reset_drains_everything() {
-        let cfg = AccelConfig::paper();
-        let mut dp = Datapath::new(cfg);
-        let mut ctrl = vec![ColumnCtrl::default(); cfg.h];
-        ctrl[0] = ColumnCtrl {
-            w: Some(F16::ONE),
-            set_x: true,
-            passthrough: false,
-        };
-        dp.tick(&ctrl, &vec![F16::ONE; cfg.h * cfg.l], &Acc0::Zero);
-        assert!(!dp.is_drained());
-        dp.reset();
-        assert!(dp.is_drained());
     }
 
     #[test]

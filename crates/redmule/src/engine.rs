@@ -575,12 +575,6 @@ impl SessionState {
         let payload = decode_container(SESSION_CONTAINER, bytes)?;
         Ok(SessionState { payload })
     }
-
-    /// Size of the serialised payload in bytes (excluding the container
-    /// header and checksum).
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
 }
 
 fn policy_tag(policy: StreamerPolicy) -> u8 {
@@ -745,11 +739,6 @@ impl EngineSession {
         self.sim.events.is_some()
     }
 
-    /// The per-phase cycle attribution accumulated so far.
-    pub fn phase_cycles(&self) -> PhaseCycles {
-        self.sim.phases
-    }
-
     /// `true` once the job has fully drained (further ticks are no-ops).
     pub fn is_finished(&self) -> bool {
         self.no_work || self.sim.finished()
@@ -860,12 +849,6 @@ impl EngineSession {
     /// until [`EngineSession::is_finished`]).
     pub fn finish(mut self) -> RunReport {
         assert!(self.is_finished(), "job still in flight");
-        self.sim.stats.add("stall_cycles", self.sim.stall_cycles);
-        self.sim.stats.add("macs", self.sim.useful_macs);
-        self.sim.stats.add("lane_macs", self.sim.dp.macs());
-        for (label, cycles) in self.sim.phases.iter() {
-            self.sim.stats.add(&format!("phase_{label}"), cycles);
-        }
         debug_assert_eq!(
             self.sim.phases.total(),
             self.cycle,
@@ -876,25 +859,14 @@ impl EngineSession {
             self.sim.job.shape().macs(),
             "useful-MAC accounting must cover the job exactly"
         );
+        let stats = std::mem::take(&mut self.sim.stats);
         let faults = self
             .sim
             .injector
             .take()
             .map(FaultInjector::into_log)
             .unwrap_or_default();
-        if !faults.is_empty() {
-            self.sim
-                .stats
-                .add("faults_injected", faults.count(FaultPhase::Injected));
-        }
-        RunReport {
-            cycles: Cycle::new(self.cycle),
-            macs: self.sim.useful_macs,
-            stall_cycles: self.sim.stall_cycles,
-            phases: self.sim.phases,
-            stats: self.sim.stats,
-            faults,
-        }
+        self.report(stats, faults)
     }
 
     /// Cycles executed so far.
@@ -1033,23 +1005,30 @@ impl EngineSession {
     }
 
     /// A [`RunReport`] covering the work done *so far*, for a session that
-    /// will not run to completion (deadline hit, cancellation). Unlike
-    /// [`EngineSession::finish`] this does not consume the session, never
-    /// panics mid-flight and skips the full-job MAC accounting check.
+    /// will not run to completion (a budget stop or an unrecovered
+    /// failure). Unlike [`EngineSession::finish`] this does not consume
+    /// the session, never panics mid-flight and skips the full-job MAC
+    /// accounting check.
     pub fn partial_report(&self) -> RunReport {
-        let mut stats = self.sim.stats.clone();
-        stats.add("stall_cycles", self.sim.stall_cycles);
-        stats.add("macs", self.sim.useful_macs);
-        stats.add("lane_macs", self.sim.dp.macs());
-        for (label, cycles) in self.sim.phases.iter() {
-            stats.add(&format!("phase_{label}"), cycles);
-        }
         let faults = self
             .sim
             .injector
             .as_ref()
             .map(|injector| injector.log().clone())
             .unwrap_or_default();
+        self.report(self.sim.stats.clone(), faults)
+    }
+
+    /// Assembles the report from the session's counters, mirroring the
+    /// stall, MAC and per-phase totals (and the injected-fault count when
+    /// `faults` is non-empty) into `stats`.
+    fn report(&self, mut stats: Stats, faults: FaultLog) -> RunReport {
+        stats.add("stall_cycles", self.sim.stall_cycles);
+        stats.add("macs", self.sim.useful_macs);
+        stats.add("lane_macs", self.sim.dp.macs());
+        for (label, cycles) in self.sim.phases.iter() {
+            stats.add(&format!("phase_{label}"), cycles);
+        }
         if !faults.is_empty() {
             stats.add("faults_injected", faults.count(FaultPhase::Injected));
         }

@@ -9,7 +9,6 @@
 use crate::engine::EngineError;
 use redmule_fp16::Format;
 use redmule_hwsim::snapshot::{SnapshotError, StateReader, StateWriter};
-use redmule_hwsim::StuckBit;
 use std::fmt;
 
 /// Register offsets (byte addresses in the HWPE peripheral window).
@@ -281,9 +280,6 @@ pub struct RegFile {
     z_stride: u32,
     triggered: bool,
     busy: bool,
-    /// Injected stuck-at applied to values written through the offset it
-    /// is armed for — models a fault on the peripheral-bus write path.
-    write_fault: Option<(u32, StuckBit)>,
 }
 
 impl RegFile {
@@ -313,19 +309,9 @@ impl RegFile {
     /// [`EngineError::UnmappedRegister`] when no register decodes at
     /// `offset` (the model's equivalent of an HWPE bus error).
     pub fn try_write(&mut self, offset: u32, value: u32) -> Result<(), EngineError> {
-        let value = match self.write_fault {
-            Some((off, stuck)) if off == offset => stuck.apply32(value),
-            _ => value,
-        };
         match offset {
             offsets::TRIGGER => self.triggered = true,
-            offsets::SOFT_CLEAR => {
-                // Soft-clear resets the job configuration; a physical
-                // write-path defect survives the reset.
-                let fault = self.write_fault;
-                *self = RegFile::new();
-                self.write_fault = fault;
-            }
+            offsets::SOFT_CLEAR => *self = RegFile::new(),
             offsets::X_ADDR => self.x_addr = value,
             offsets::W_ADDR => self.w_addr = value,
             offsets::Z_ADDR => self.z_addr = value,
@@ -379,17 +365,6 @@ impl RegFile {
             offsets::Z_STRIDE => self.z_stride,
             other => return Err(EngineError::UnmappedRegister { offset: other }),
         })
-    }
-
-    /// Arms a stuck-at fault on the write path of the register at
-    /// `offset`: every subsequent value written there has the bit pinned.
-    pub fn inject_write_stuck(&mut self, offset: u32, fault: StuckBit) {
-        self.write_fault = Some((offset, fault));
-    }
-
-    /// Removes an armed write-path fault.
-    pub fn clear_write_fault(&mut self) {
-        self.write_fault = None;
     }
 
     /// Consumes a pending trigger, decoding the programmed job and marking
@@ -540,26 +515,6 @@ mod tests {
         ));
         assert!(rf.try_write(offsets::M_SIZE, 5).is_ok());
         assert_eq!(rf.try_read(offsets::M_SIZE), Ok(5));
-    }
-
-    #[test]
-    fn write_fault_pins_bits_and_survives_soft_clear() {
-        let mut rf = RegFile::new();
-        rf.inject_write_stuck(
-            offsets::M_SIZE,
-            StuckBit {
-                bit: 0,
-                value: true,
-            },
-        );
-        rf.write(offsets::M_SIZE, 4);
-        assert_eq!(rf.read(offsets::M_SIZE), 5, "LSB pinned high");
-        rf.write(offsets::SOFT_CLEAR, 1);
-        rf.write(offsets::M_SIZE, 2);
-        assert_eq!(rf.read(offsets::M_SIZE), 3, "defect survives soft-clear");
-        rf.clear_write_fault();
-        rf.write(offsets::M_SIZE, 2);
-        assert_eq!(rf.read(offsets::M_SIZE), 2);
     }
 
     #[test]

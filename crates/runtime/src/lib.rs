@@ -9,11 +9,11 @@
 //!   boundaries. Resuming from any checkpoint is **bit-identical** to
 //!   never having interrupted the run: results, cycle counts and fault
 //!   telemetry all match.
-//! * [`Supervisor`] — drives an [`redmule::EngineSession`] under cycle
-//!   budgets and wall-clock deadlines ([`Limits`]), with cooperative
-//!   cancellation ([`CancelToken`]), per-job panic isolation and bounded
-//!   retry-with-backoff ([`RetryPolicy`]) on recoverable engine errors
-//!   (watchdog trips from dropped interconnect beats).
+//! * [`Supervisor`] — drives an [`redmule::EngineSession`] under a
+//!   simulated-cycle budget ([`Limits`]), with per-job panic isolation
+//!   and bounded retry-with-backoff ([`RetryPolicy`]) on recoverable
+//!   engine errors (watchdog trips from dropped interconnect beats). It
+//!   reads no clock: where a run stops is a pure function of the job.
 //! * **Graceful degradation** — an over-budget job is checkpointed at the
 //!   next tile boundary and returns a partial [`redmule::RunReport`] plus
 //!   an analytical estimate of the remaining cycles, flagged
@@ -46,4 +46,4 @@ mod checkpoint;
 mod supervisor;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
-pub use supervisor::{CancelToken, Limits, RetryPolicy, StopReason, SupervisedRun, Supervisor};
+pub use supervisor::{Limits, RetryPolicy, StopReason, SupervisedRun, Supervisor};

@@ -1,4 +1,4 @@
-//! The supervisor: deadlines, cancellation, retries and degradation.
+//! The supervisor: cycle budgets, retries and degradation.
 
 use crate::checkpoint::Checkpoint;
 use redmule::{
@@ -9,59 +9,19 @@ use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
 use redmule_obs::EventLog;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-// modelcheck-allow: RM-DET-002 -- host-side supervision: wall-clock deadlines
-// bound *real* runtime of a simulation, orthogonal to model time (Cycle);
-// they never influence simulated state, only when the host stops driving it.
-use std::time::{Duration, Instant};
 
-/// A cooperative cancellation flag shared between the supervisor and any
-/// number of controller threads. Cancellation is honoured at the next
-/// tile boundary, where the job can be checkpointed for later resumption.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// Creates a token in the not-cancelled state.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation (idempotent, callable from any thread).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` once cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Execution budgets for one supervised run. A run that exhausts a budget
-/// is not an error: it is checkpointed and returned as a degraded
+/// Execution budget for one supervised run. A run that exhausts it is
+/// not an error: it is checkpointed and returned as a degraded
 /// [`SupervisedRun`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Limits {
     /// Maximum simulated cycles this call may execute (`None` = no
     /// budget). Counted per call, so a resumed run gets a fresh budget.
     pub max_cycles: Option<u64>,
-    /// Wall-clock deadline for this call (`None` = no deadline). Where a
-    /// run stops under this limit depends on host timing by definition;
-    /// prefer [`Limits::deadline_cycles`] when determinism matters.
-    pub deadline: Option<Duration>,
-    /// Simulated-cycle deadline (`None` = no deadline), checked against
-    /// the session's *absolute* cycle counter. Unlike
-    /// [`Limits::max_cycles`] it survives resumption: a job resumed from
-    /// a checkpoint at cycle `c` with `deadline_cycles = d` may only run
-    /// `d - c` further cycles. Fully deterministic — the stop point is a
-    /// pure function of the job.
-    pub deadline_cycles: Option<u64>,
 }
 
 impl Limits {
-    /// No budgets: run to completion.
+    /// No budget: run to completion.
     pub fn none() -> Limits {
         Limits::default()
     }
@@ -70,20 +30,6 @@ impl Limits {
     #[must_use]
     pub fn with_max_cycles(mut self, cycles: u64) -> Limits {
         self.max_cycles = Some(cycles);
-        self
-    }
-
-    /// Wall-clock deadline for this call.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Limits {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Simulated-cycle deadline on the session's absolute cycle counter.
-    #[must_use]
-    pub fn with_deadline_cycles(mut self, cycle: u64) -> Limits {
-        self.deadline_cycles = Some(cycle);
         self
     }
 }
@@ -135,12 +81,6 @@ pub enum StopReason {
     Completed,
     /// The [`Limits::max_cycles`] budget was exhausted.
     CycleBudget,
-    /// The [`Limits::deadline`] wall-clock deadline passed.
-    Deadline,
-    /// The [`Limits::deadline_cycles`] simulated-cycle deadline passed.
-    DeadlineCycles,
-    /// The [`CancelToken`] was triggered.
-    Cancelled,
     /// The simulation panicked and the retry budget could not recover it.
     /// The payload is the panic message.
     Panicked(String),
@@ -194,36 +134,35 @@ pub struct SupervisedRun {
     pub events: EventLog,
 }
 
-/// Drives [`EngineSession`]s to completion under supervision: budgets and
-/// deadlines degrade gracefully into checkpoints, panics are isolated,
-/// recoverable errors are retried from the last checkpoint.
+/// Drives [`EngineSession`]s to completion under supervision: an
+/// exhausted cycle budget degrades gracefully into a checkpoint, panics
+/// are isolated, recoverable errors are retried from the last checkpoint.
 ///
 /// The supervisor checkpoints at tile boundaries (where the engine's
-/// micro-architectural state is compact and serialisable); budget and
-/// cancellation stops are therefore honoured at the next boundary.
+/// micro-architectural state is compact and serialisable); a budget stop
+/// is therefore honoured at the next boundary, so where a run stops is a
+/// pure function of the job and its budget.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     engine: Engine,
     limits: Limits,
     retry: RetryPolicy,
-    cancel: CancelToken,
     checkpoint_every: usize,
 }
 
 impl Supervisor {
-    /// Creates a supervisor with no budgets, the default retry policy and
+    /// Creates a supervisor with no budget, the default retry policy and
     /// a checkpoint at every tile boundary.
     pub fn new(engine: Engine) -> Supervisor {
         Supervisor {
             engine,
             limits: Limits::none(),
             retry: RetryPolicy::default(),
-            cancel: CancelToken::new(),
             checkpoint_every: 1,
         }
     }
 
-    /// Sets the execution budgets.
+    /// Sets the execution budget.
     #[must_use]
     pub fn with_limits(mut self, limits: Limits) -> Supervisor {
         self.limits = limits;
@@ -234,13 +173,6 @@ impl Supervisor {
     #[must_use]
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Supervisor {
         self.retry = retry;
-        self
-    }
-
-    /// Attaches a cancellation token (keep a clone to trigger it).
-    #[must_use]
-    pub fn with_cancel_token(mut self, cancel: CancelToken) -> Supervisor {
-        self.cancel = cancel;
         self
     }
 
@@ -371,11 +303,6 @@ impl Supervisor {
         hci: &mut Hci,
         observe: &mut dyn FnMut(&EngineSession),
     ) -> Result<SupervisedRun, EngineError> {
-        // modelcheck-allow: RM-DET-002 -- host-side supervision: wall-clock
-        // deadline enforcement, armed only when the caller opted into a
-        // wall-clock deadline; model time remains session.cycle(), and
-        // deterministic deadlines use Limits::deadline_cycles instead.
-        let wall_start = self.limits.deadline.map(|_| Instant::now());
         let start_cycle = session.cycle();
         // The entry point (cycle 0 or a resume point) is always a tile
         // boundary; failing to checkpoint here means the session was
@@ -384,7 +311,7 @@ impl Supervisor {
         let mut ckpt_tiles = session.tiles_completed();
         let mut retries = 0u32;
         let mut backoff_charged = 0u64;
-        let mut stopping: Option<StopReason> = None;
+        let mut stopping = false;
         let mut overrun: u64 = 0;
 
         loop {
@@ -408,32 +335,14 @@ impl Supervisor {
                 });
             }
 
-            if stopping.is_none() {
-                if self.cancel.is_cancelled() {
-                    stopping = Some(StopReason::Cancelled);
-                } else if self
+            if !stopping {
+                stopping = self
                     .limits
                     .max_cycles
-                    .is_some_and(|max| session.cycle().saturating_sub(start_cycle) >= max)
-                {
-                    stopping = Some(StopReason::CycleBudget);
-                } else if self
-                    .limits
-                    .deadline_cycles
-                    .is_some_and(|d| session.cycle() >= d)
-                {
-                    stopping = Some(StopReason::DeadlineCycles);
-                } else if self
-                    .limits
-                    .deadline
-                    .zip(wall_start)
-                    .is_some_and(|(d, s)| s.elapsed() >= d)
-                {
-                    stopping = Some(StopReason::Deadline);
-                }
+                    .is_some_and(|max| session.cycle().saturating_sub(start_cycle) >= max);
             }
 
-            if let Some(reason) = &stopping {
+            if stopping {
                 if session.at_tile_boundary() {
                     // Fresh checkpoint right at the stop point; fall back
                     // to the rolling one if this session cannot snapshot.
@@ -442,7 +351,7 @@ impl Supervisor {
                     }
                     return Ok(self.degraded(
                         session,
-                        reason.clone(),
+                        StopReason::CycleBudget,
                         last_ckpt,
                         start_cycle,
                         retries,
@@ -451,7 +360,7 @@ impl Supervisor {
                 }
                 // Search for the next boundary, but never overrun by more
                 // than ~two tiles: a hung schedule must not turn a
-                // deadline stop into an infinite wait.
+                // budget stop into an infinite wait.
                 overrun += 1;
                 let remaining_tiles =
                     (session.tiles_total() - session.tiles_completed()).max(1) as u64;
@@ -459,7 +368,7 @@ impl Supervisor {
                 if overrun > 2 * per_tile + 10_000 {
                     return Ok(self.degraded(
                         session,
-                        reason.clone(),
+                        StopReason::CycleBudget,
                         last_ckpt,
                         start_cycle,
                         retries,

@@ -514,7 +514,7 @@ impl ServiceSim {
             StopReason::Completed => ServiceStatus::Completed,
             StopReason::Failed(e) => ServiceStatus::Failed(e.to_string()),
             StopReason::Panicked(m) => ServiceStatus::Failed(m.clone()),
-            _ => ServiceStatus::Evicted,
+            StopReason::CycleBudget => ServiceStatus::Evicted,
         };
         let checkpoint = if matches!(status, ServiceStatus::Completed) {
             None

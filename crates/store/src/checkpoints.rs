@@ -269,22 +269,6 @@ impl CheckpointStore {
             damaged,
         })
     }
-
-    /// Removes every stored generation of `job` (idempotent).
-    ///
-    /// # Errors
-    ///
-    /// The backend's error.
-    pub fn reset_job<B: StorageBackend + ?Sized>(
-        &self,
-        backend: &mut B,
-        job: u64,
-    ) -> Result<(), StoreError> {
-        for generation in self.generations(backend, job)? {
-            backend.remove(&self.object_name(job, generation))?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
