@@ -22,18 +22,21 @@
 #                      and its one broken link (Workload::output_digest in
 #                      crates/perf/src/workload.rs) waits for such a change
 #   make figures     — regenerate every table/figure (quick sweep sizes)
-#   make smoke       — the crash-recovery test suite, then every
-#                      artefact at CI sizes in one `figures` process,
-#                      writing BENCH_{batch,trace,service,recovery,fp8}.json.
-#                      Fails unless every guard holds: batch scaling; the
-#                      Chrome trace export validates and is byte-identical
-#                      across worker counts; the service report is
-#                      byte-identical across 1/2/8 workers and degrades
-#                      gracefully; every crash recovery is bit-exact,
-#                      byte-identical across 1/2/8 workers and loses no
-#                      work; the cycle model stays exact per format and
-#                      FP8 never costs more cycles than FP16. An unknown
-#                      item also fails it. Then runs the Fig. 2c example
+#   make smoke       — the crash-recovery test suite, then every paper
+#                      artefact (Table I, Figs. 3a-4d, ablations, faults,
+#                      degradation) and every BENCH_*.json artefact at CI
+#                      sizes in one `figures -- all` process, writing
+#                      BENCH_{batch,trace,service,recovery,fp8}.json.
+#                      Fails if any artefact hits an engine error or
+#                      panics, or unless every guard holds: batch scaling;
+#                      the Chrome trace export validates and is
+#                      byte-identical across worker counts; the service
+#                      report is byte-identical across 1/2/8 workers and
+#                      degrades gracefully; every crash recovery is
+#                      bit-exact, byte-identical across 1/2/8 workers and
+#                      loses no work; the cycle model stays exact per
+#                      format and FP8 never costs more cycles than FP16.
+#                      Then runs the Fig. 2c example
 #                      (examples/trace_schedule.rs), which rebuilds the
 #                      streamer timeline from the engine's event log and
 #                      fails unless the steady-state W cadence is P+1.
@@ -75,5 +78,5 @@ figures:
 
 smoke:
 	$(CARGO) test -q -p redmule-service --test recovery
-	$(CARGO) run --release -q -p redmule-bench --bin figures -- batch trace service recover fp8 --smoke
+	$(CARGO) run --release -q -p redmule-bench --bin figures -- all
 	$(CARGO) run --release -q --example trace_schedule

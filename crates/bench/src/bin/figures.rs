@@ -5,9 +5,12 @@
 //! cargo run --release -p redmule-bench --bin figures -- table1 fig4a
 //! ```
 //!
-//! Without `--full`, the size sweeps stop at 128 (fast); with it they
-//! extend to 512 like the paper (the software baseline simulation of
-//! 512^3 takes ~30 s in release mode).
+//! Without `--full`, the size sweeps stop at 128 and the `BENCH_*.json`
+//! artefacts run at their CI sizes (fast); with it the sweeps extend to
+//! 512 like the paper (the software baseline simulation of 512^3 takes
+//! ~30 s in release mode). Any other flag stops the run before anything
+//! executes (exit code 2), so a misspelt `--full` cannot silently run
+//! the quick sweep.
 //!
 //! Every experiment runs isolated: a panic or an engine error in one
 //! artefact is recorded and the sweep continues with the next. An
@@ -74,36 +77,61 @@ fn publish(
     }
 }
 
+/// Every item `all` (or an empty item list) stands for, in run order.
+const ALL: [&str; 17] = [
+    "table1",
+    "fig3a",
+    "fig3b",
+    "fig3c",
+    "fig3d",
+    "fig4a",
+    "fig4b",
+    "fig4c",
+    "fig4d",
+    "ablations",
+    "faults",
+    "degradation",
+    "batch",
+    "trace",
+    "service",
+    "recover",
+    "fp8",
+];
+
+/// Splits the command line into the `--full` switch and the requested
+/// items, expanding `all` (or no item at all) to [`ALL`].
+///
+/// # Errors
+///
+/// Names the first flag other than `--full`: a misspelt flag fails the
+/// run instead of silently running the quick sweep.
+fn parse_args(args: &[String]) -> Result<(bool, Vec<&str>), String> {
+    let mut full = false;
+    let mut wanted = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--full" => full = true,
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag `{flag}` (the only flag is --full)"))
+            }
+            item => wanted.push(item),
+        }
+    }
+    if wanted.is_empty() || wanted.contains(&"all") {
+        wanted = ALL.to_vec();
+    }
+    Ok((full, wanted))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if wanted.is_empty() || wanted.contains(&"all") {
-        wanted = vec![
-            "table1",
-            "fig3a",
-            "fig3b",
-            "fig3c",
-            "fig3d",
-            "fig4a",
-            "fig4b",
-            "fig4c",
-            "fig4d",
-            "ablations",
-            "faults",
-            "degradation",
-            "batch",
-            "trace",
-            "service",
-            "recover",
-            "fp8",
-        ];
-    }
+    let (full, wanted) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("figures: {e}");
+            std::process::exit(2);
+        }
+    };
     let sizes = workloads::sweep_sizes(full);
 
     let mut results: Vec<(String, Outcome)> = Vec::new();
@@ -170,7 +198,7 @@ fn main() {
             "batch" => record(
                 item,
                 run_isolated(item, || {
-                    let bt = experiments::batch_throughput(smoke || !full)?;
+                    let bt = experiments::batch_throughput(!full)?;
                     let violation = bt
                         .scaling_violation()
                         .map(|v| format!("batch scaling guard failed: {v}"));
@@ -180,14 +208,14 @@ fn main() {
             "trace" => record(
                 item,
                 run_isolated(item, || {
-                    let te = experiments::trace_export(smoke || !full)?;
+                    let te = experiments::trace_export(!full)?;
                     publish("BENCH_trace.json", &te, &te.json, None)
                 }),
             ),
             "service" => record(
                 item,
                 run_isolated(item, || {
-                    let ss = experiments::service_saturation(smoke || !full)?;
+                    let ss = experiments::service_saturation(!full)?;
                     let violation = ss
                         .degradation_violation()
                         .map(|v| format!("service degradation guard failed: {v}"));
@@ -197,7 +225,7 @@ fn main() {
             "recover" => record(
                 item,
                 run_isolated(item, || {
-                    let rs = experiments::crash_recovery(smoke || !full)?;
+                    let rs = experiments::crash_recovery(!full)?;
                     let violation = rs
                         .no_work_lost_violation()
                         .map(|v| format!("recovery no-work-lost guard failed: {v}"));
@@ -207,7 +235,7 @@ fn main() {
             "fp8" => record(
                 item,
                 run_isolated(item, || {
-                    let cmp = experiments::fp8_comparison(smoke || !full)?;
+                    let cmp = experiments::fp8_comparison(!full)?;
                     let violation = cmp
                         .guard()
                         .map(|v| format!("fp8 comparison guard failed: {v}"));
@@ -243,5 +271,31 @@ fn main() {
     }
     if !failures.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn owned(args: &[&str]) -> Vec<String> {
+        args.iter().map(|&a| a.to_owned()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_fail_the_run() {
+        assert_eq!(parse_args(&owned(&[])), Ok((false, ALL.to_vec())));
+        assert_eq!(
+            parse_args(&owned(&["all", "--full"])),
+            Ok((true, ALL.to_vec()))
+        );
+        assert_eq!(
+            parse_args(&owned(&["fig4a", "table1"])),
+            Ok((false, vec!["fig4a", "table1"]))
+        );
+        for flag in ["--ful", "--smoke", "-f"] {
+            let err = parse_args(&owned(&["table1", flag])).expect_err(flag);
+            assert!(err.contains(flag), "{err}");
+        }
     }
 }

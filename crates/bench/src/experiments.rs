@@ -2065,6 +2065,39 @@ mod tests {
         assert!(ss.to_string().contains("p95 (cyc)"));
     }
 
+    /// The data rows of a rendered ablation table (title and header
+    /// skipped), split into columns.
+    fn table_rows(text: &str) -> Vec<Vec<&str>> {
+        text.lines()
+            .skip(2)
+            .map(|l| l.split_whitespace().collect())
+            .collect()
+    }
+
+    #[test]
+    fn ablation_tables_match_experiments_md() {
+        let pipeline = ablation_pipeline().expect("pipeline ablation");
+        let rows = table_rows(&pipeline);
+        let cycles: Vec<&str> = rows.iter().map(|r| r[3]).collect();
+        let util: Vec<&str> = rows.iter().map(|r| r[4]).collect();
+        assert_eq!(cycles, ["25600", "8723", "9811", "8723", "10899", "9811"]);
+        assert_eq!(util, ["32.0", "93.9", "83.5", "93.9", "75.2", "83.5"]);
+
+        let streamer = ablation_streamer().expect("streamer ablation");
+        let rows: Vec<[&str; 4]> = table_rows(&streamer)
+            .iter()
+            .map(|r| [r[0], r[1], r[2], r[3]])
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ["interleaved", "2195", "12", "1.00x"],
+                ["half-bandwidth", "2213", "23", "1.01x"],
+                ["single-buffered-W", "2675", "492", "1.22x"],
+            ]
+        );
+    }
+
     #[test]
     fn degradation_slices_resume_to_the_exact_result() {
         let text = degradation().expect("degradation experiment");

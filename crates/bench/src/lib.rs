@@ -22,9 +22,11 @@
 //! | crash recovery (`BENCH_recovery.json`) | [`experiments::crash_recovery`] |
 //!
 //! The `figures` binary prints any subset (`cargo run --release -p
-//! redmule-bench --bin figures -- all --full`); the Criterion benches in
-//! `benches/` wrap the same functions and additionally measure simulator
-//! throughput.
+//! redmule-bench --bin figures -- all --full`); `make smoke` runs all of
+//! them at the quick sizes on every CI run. The host wall-clock cost of
+//! the simulators and kernels underneath is measured per layer by the
+//! `redmule-perf` benchmark (`perf run --workload <name> --trace 1`), not
+//! here.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,5 +1,6 @@
-//! Typed decoding of the serialised state containers (`RMSS` session
-//! snapshots here, `RMCK` checkpoints in `redmule-runtime`).
+//! The serialised state containers (`RMSS` session snapshots here,
+//! `RMCK` checkpoints in `redmule-runtime`): one envelope writer and its
+//! typed decoder.
 //!
 //! Both containers share one envelope — magic, little-endian format
 //! version, `u64` payload length, payload, FNV-1a-64 payload checksum —
@@ -154,6 +155,20 @@ pub struct ContainerSpec {
     pub version: u32,
 }
 
+/// Wraps `payload` in the envelope of `spec`: magic, version, `u64`
+/// payload length, the payload, then its FNV-1a-64 checksum. The one
+/// writer [`decode_container`] reads; the container is built in a single
+/// pre-sized allocation.
+pub fn encode_container(spec: ContainerSpec, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(CONTAINER_HEADER_LEN + payload.len() + CONTAINER_CHECKSUM_LEN);
+    out.extend_from_slice(&spec.magic);
+    out.extend_from_slice(&spec.version.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out
+}
+
 /// Validates the envelope of `bytes` against `spec` and returns the
 /// payload. Total function of the input: any byte stream yields either
 /// the payload or a typed [`DecodeError`] — never a panic.
@@ -262,19 +277,9 @@ mod tests {
         version: 3,
     };
 
-    fn encode(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&SPEC.magic);
-        out.extend_from_slice(&SPEC.version.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        out
-    }
-
     #[test]
     fn round_trip_and_typed_damage() {
-        let bytes = encode(b"payload-bytes");
+        let bytes = encode_container(SPEC, b"payload-bytes");
         assert_eq!(decode_container(SPEC, &bytes).unwrap(), b"payload-bytes");
 
         let mut wrong_magic = bytes.clone();

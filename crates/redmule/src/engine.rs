@@ -23,14 +23,14 @@ use crate::buffers::{WBuffer, XBuffer, ZBuffer};
 use crate::cast;
 use crate::config::AccelConfig;
 use crate::datapath::{Acc0, ColumnCtrl, Datapath};
-use crate::decode::{decode_container, ContainerSpec, DecodeError};
+use crate::decode::{decode_container, encode_container, ContainerSpec, DecodeError};
 use crate::faults::FaultInjector;
 use crate::regfile::Job;
 use crate::schedule::{Schedule, Tile};
 use redmule_cluster::{Hci, MemError, Tcdm};
 use redmule_fp16::vector::{GemmShape, GemmSizes};
 use redmule_fp16::{Format, F16};
-use redmule_hwsim::snapshot::{fnv1a64, Snapshot, SnapshotError, StateReader, StateWriter};
+use redmule_hwsim::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
 use redmule_hwsim::{Cycle, FaultLog, FaultPhase, Stats};
 use redmule_obs::{Channel, EventKind, EventLog, Phase, PhaseCycles, TraceEvent};
 use std::cell::Cell;
@@ -514,9 +514,6 @@ impl Engine {
     }
 }
 
-/// Container magic identifying serialised engine sessions.
-const SESSION_MAGIC: [u8; 4] = *b"RMSS";
-
 /// Version of the session snapshot payload format. Bumped whenever the
 /// serialised state layout changes; old snapshots are rejected rather than
 /// misread. Version 3 appended the job's operand [`Format`] tag to the
@@ -525,11 +522,11 @@ const SESSION_MAGIC: [u8; 4] = *b"RMSS";
 /// [`Format`]: redmule_fp16::Format
 pub const SESSION_STATE_VERSION: u32 = 3;
 
-/// Envelope description of the `RMSS` session container, for the typed
-/// decoder.
+/// Envelope description of the `RMSS` session container, for the
+/// envelope writer and the typed decoder.
 const SESSION_CONTAINER: ContainerSpec = ContainerSpec {
     name: "session",
-    magic: SESSION_MAGIC,
+    magic: *b"RMSS",
     version: SESSION_STATE_VERSION,
 };
 
@@ -554,13 +551,7 @@ pub struct SessionState {
 impl SessionState {
     /// Serialises the snapshot into a self-describing byte container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 24);
-        out.extend_from_slice(&SESSION_MAGIC);
-        out.extend_from_slice(&SESSION_STATE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&fnv1a64(&self.payload).to_le_bytes());
-        out
+        encode_container(SESSION_CONTAINER, &self.payload)
     }
 
     /// Parses a container produced by [`SessionState::to_bytes`],

@@ -7,22 +7,21 @@
 //! a run restored on a fresh cluster is bit-identical to one that never
 //! stopped.
 
-use redmule::decode::{decode_container, take_byte_section, ContainerSpec, DecodeError};
+use redmule::decode::{
+    decode_container, encode_container, take_byte_section, ContainerSpec, DecodeError,
+};
 use redmule::{Engine, EngineError, EngineSession, SessionState};
 use redmule_cluster::{Hci, Tcdm};
-use redmule_hwsim::snapshot::{fnv1a64, Snapshot, StateReader, StateWriter};
-
-/// Container magic identifying serialised checkpoints.
-const CHECKPOINT_MAGIC: [u8; 4] = *b"RMCK";
+use redmule_hwsim::snapshot::{Snapshot, StateReader, StateWriter};
 
 /// Version of the checkpoint container format.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 /// Envelope description of the `RMCK` checkpoint container, for the
-/// typed decoder.
+/// envelope writer and the typed decoder.
 const CHECKPOINT_CONTAINER: ContainerSpec = ContainerSpec {
     name: "checkpoint",
-    magic: CHECKPOINT_MAGIC,
+    magic: *b"RMCK",
     version: CHECKPOINT_VERSION,
 };
 
@@ -104,14 +103,7 @@ impl Checkpoint {
         payload.put_u8s(&self.session.to_bytes());
         payload.put_u8s(&self.tcdm);
         payload.put_u8s(&self.hci);
-        let payload = payload.finish();
-        let mut out = Vec::with_capacity(payload.len() + 24);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out
+        encode_container(CHECKPOINT_CONTAINER, &payload.finish())
     }
 
     /// Parses a container produced by [`Checkpoint::to_bytes`], verifying
