@@ -578,7 +578,7 @@ impl SwGemm {
             stats.add("fma_stalls", core.fma_stalls);
             stats.add("mem_retries", core.mem_retries);
         }
-        stats.merge(hci.stats());
+        stats.merge(&hci.stats());
         stats.add("macs", shape.macs());
 
         let z = mem.load_f16_slice(z_base, shape.z_len())?;

@@ -41,6 +41,60 @@ pub struct HciGrants {
     pub shallow_granted: bool,
 }
 
+/// The HCI's arbitration counters, kept as plain fields on the per-cycle
+/// path and folded into the [`Stats`] view by [`Hci::stats`] and the
+/// snapshot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counters {
+    log_grants: u64,
+    log_conflicts: u64,
+    shallow_grants: u64,
+    shallow_conflicts: u64,
+    shallow_dropped: u64,
+    /// `arbitrate` has run: from then on the `log_*` keys are present,
+    /// at zero if nothing was granted or refused. The `shallow_*` keys
+    /// appear with their first count.
+    arbitrated: bool,
+}
+
+impl Counters {
+    fn stats(&self) -> Stats {
+        let log = [
+            ("log_conflicts", self.log_conflicts),
+            ("log_grants", self.log_grants),
+        ];
+        let shallow = [
+            ("shallow_conflicts", self.shallow_conflicts),
+            ("shallow_dropped", self.shallow_dropped),
+            ("shallow_grants", self.shallow_grants),
+        ];
+        let log = log.into_iter().filter(|_| self.arbitrated);
+        log.chain(shallow.into_iter().filter(|&(_, v)| v > 0))
+            .collect()
+    }
+
+    fn from_stats(stats: &Stats) -> Result<Counters, SnapshotError> {
+        let mut c = Counters::default();
+        for (key, v) in stats.iter() {
+            let field = match key {
+                "log_conflicts" => &mut c.log_conflicts,
+                "log_grants" => &mut c.log_grants,
+                "shallow_conflicts" => &mut c.shallow_conflicts,
+                "shallow_dropped" => &mut c.shallow_dropped,
+                "shallow_grants" => &mut c.shallow_grants,
+                _ => {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "unknown HCI counter {key:?}"
+                    )))
+                }
+            };
+            *field = v;
+            c.arbitrated |= key.starts_with("log_");
+        }
+        Ok(c)
+    }
+}
+
 /// Cycle-by-cycle interconnect arbiter.
 ///
 /// Call [`Hci::arbitrate`] once per simulated cycle with every access
@@ -66,7 +120,7 @@ pub struct Hci {
     shallow_banks: usize,
     bank_arb: Vec<RoundRobin>,
     group_mux: RotatingMux,
-    stats: Stats,
+    counters: Counters,
     // modelcheck-allow: RM-SNAP-001 -- configuration constant, rebuilt from
     // ClusterConfig on restore; never mutated after `new`.
     max_log_initiators: usize,
@@ -104,7 +158,7 @@ impl Hci {
                 .map(|_| RoundRobin::new(max_log_initiators))
                 .collect(),
             group_mux: RotatingMux::new(cfg.rotation_streak),
-            stats: Stats::new(),
+            counters: Counters::default(),
             max_log_initiators,
             drop_shallow: 0,
             scratch_requests: vec![false; max_log_initiators],
@@ -133,7 +187,7 @@ impl Hci {
     /// carries the accelerator's wide access address.
     ///
     /// Statistics recorded: `log_grants`, `log_conflicts`,
-    /// `shallow_grants`, `shallow_conflicts`.
+    /// `shallow_grants`, `shallow_conflicts`, `shallow_dropped`.
     pub fn arbitrate(
         &mut self,
         log_requests: &[(Initiator, u32)],
@@ -145,7 +199,7 @@ impl Hci {
         // it will retry next cycle (forever, if drops persist).
         let shallow_request = if shallow_request.is_some() && self.drop_shallow > 0 {
             self.drop_shallow = self.drop_shallow.saturating_sub(1);
-            self.stats.incr("shallow_dropped");
+            self.counters.shallow_dropped += 1;
             None
         } else {
             shallow_request
@@ -174,9 +228,9 @@ impl Hci {
         };
         if shallow_request.is_some() {
             if shallow_granted {
-                self.stats.incr("shallow_grants");
+                self.counters.shallow_grants += 1;
             } else {
-                self.stats.incr("shallow_conflicts");
+                self.counters.shallow_conflicts += 1;
             }
         }
 
@@ -215,9 +269,9 @@ impl Hci {
             }
         }
 
-        self.stats.add("log_grants", grants);
-        self.stats
-            .add("log_conflicts", log_requests.len() as u64 - grants);
+        self.counters.log_grants += grants;
+        self.counters.log_conflicts += log_requests.len() as u64 - grants;
+        self.counters.arbitrated = true;
 
         HciGrants {
             log_granted,
@@ -247,9 +301,12 @@ impl Hci {
         self.drop_shallow
     }
 
-    /// Accumulated arbitration statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Accumulated arbitration statistics: `log_grants` and
+    /// `log_conflicts` once any cycle was arbitrated, and each of
+    /// `shallow_grants`, `shallow_conflicts` and `shallow_dropped` once it
+    /// counted a beat.
+    pub fn stats(&self) -> Stats {
+        self.counters.stats()
     }
 }
 
@@ -260,7 +317,7 @@ impl Snapshot for Hci {
             arb.save_state(w);
         }
         self.group_mux.save_state(w);
-        self.stats.save_state(w);
+        self.counters.stats().save_state(w);
         w.put(&self.drop_shallow);
         // Scratch buffers are per-cycle temporaries; not state.
     }
@@ -277,7 +334,9 @@ impl Snapshot for Hci {
             arb.restore_state(r)?;
         }
         self.group_mux.restore_state(r)?;
-        self.stats.restore_state(r)?;
+        let mut stats = Stats::new();
+        stats.restore_state(r)?;
+        self.counters = Counters::from_stats(&stats)?;
         self.drop_shallow = r.get()?;
         Ok(())
     }
@@ -392,6 +451,35 @@ mod tests {
         let g = h.arbitrate(&[(Initiator::Core(0), 8)], Some(0));
         assert!(!g.shallow_granted);
         assert!(g.log_granted[0]);
+    }
+
+    #[test]
+    fn stats_view_keeps_key_presence_and_snapshot_bytes() {
+        let mut h = hci();
+        assert!(h.stats().is_empty(), "no key before the first cycle");
+        let _ = h.arbitrate(&[], None);
+        let keys = |h: &Hci| -> Vec<(String, u64)> {
+            h.stats().iter().map(|(k, v)| (k.to_owned(), v)).collect()
+        };
+        let zero = |k: &str| (k.to_owned(), 0);
+        assert_eq!(keys(&h), [zero("log_conflicts"), zero("log_grants")]);
+        h.inject_shallow_drop(1);
+        let _ = h.arbitrate(&[(Initiator::Core(0), 8)], Some(0));
+        let _ = h.arbitrate(&[(Initiator::Core(0), 8)], Some(0));
+        assert_eq!(h.stats().get("shallow_dropped"), 1);
+        assert_eq!(h.stats().get("shallow_grants"), 1);
+        assert!(!keys(&h).iter().any(|(k, _)| k == "shallow_conflicts"));
+
+        // The snapshot carries the same view, and restores it exactly.
+        let mut w = StateWriter::new();
+        h.save_state(&mut w);
+        let bytes = w.finish();
+        let mut back = hci();
+        back.restore_state(&mut StateReader::new(&bytes)).unwrap();
+        assert_eq!(keys(&back), keys(&h));
+        let mut w = StateWriter::new();
+        back.save_state(&mut w);
+        assert_eq!(w.finish(), bytes);
     }
 
     #[test]

@@ -154,6 +154,34 @@ impl Tcdm {
         Ok(idx)
     }
 
+    /// The words spanning the `len`-byte run that starts at `addr`, or
+    /// `None` when the run leaves the scratchpad.
+    fn span(&self, addr: u32, len: usize) -> Option<std::ops::Range<usize>> {
+        let first = addr as usize / 4;
+        let end = (addr as usize).checked_add(len)?.div_ceil(4);
+        (end <= self.words.len()).then_some(first..end)
+    }
+
+    /// The stored words holding the `len`-byte run that starts at byte
+    /// `addr`, so a caller can decode the whole run with one bounds
+    /// check. `None` when the run leaves the scratchpad or any stuck-at
+    /// fault is armed: such reads take the per-access path, which applies
+    /// the fault and reports the first failing address.
+    pub fn run(&self, addr: u32, len: usize) -> Option<&[u32]> {
+        if !self.stuck.is_empty() {
+            return None;
+        }
+        self.span(addr, len).map(|span| &self.words[span])
+    }
+
+    /// The stored words holding the `len`-byte run that starts at byte
+    /// `addr`, for writing the whole run with one bounds check; `None`
+    /// when the run leaves the scratchpad. (Stuck-at faults pin reads
+    /// only, so they do not matter here.)
+    pub fn run_mut(&mut self, addr: u32, len: usize) -> Option<&mut [u32]> {
+        self.span(addr, len).map(|span| &mut self.words[span])
+    }
+
     /// Reads an aligned 32-bit word.
     ///
     /// # Errors
@@ -421,6 +449,34 @@ mod tests {
         for (a, b) in data.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn runs_cover_their_bytes_or_refuse() {
+        let mut m = mem();
+        let size = m.size_bytes() as u32;
+        m.write_u32(8, 0x1111_2222).unwrap();
+        m.write_u32(12, 0x3333_4444).unwrap();
+        // Bytes 10..13 straddle two words.
+        assert_eq!(m.run(10, 3), Some(&[0x1111_2222, 0x3333_4444][..]));
+        assert_eq!(m.run(8, 4).map(<[u32]>::len), Some(1));
+        assert_eq!(m.run(size - 2, 2).map(<[u32]>::len), Some(1));
+        assert_eq!(m.run(size - 2, 3), None, "run leaves the TCDM");
+        assert_eq!(m.run(u32::MAX, 2), None);
+        m.run_mut(12, 4).unwrap()[0] = 7;
+        assert_eq!(m.read_u32(12).unwrap(), 7);
+        assert!(m.run_mut(size, 1).is_none());
+        // A stuck-at fault anywhere sends reads through the access path.
+        m.set_stuck(
+            0,
+            StuckBit {
+                bit: 0,
+                value: true,
+            },
+        )
+        .unwrap();
+        assert_eq!(m.run(8, 4), None);
+        assert!(m.run_mut(8, 4).is_some(), "writes are unaffected");
     }
 
     #[test]

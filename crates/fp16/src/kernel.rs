@@ -18,8 +18,11 @@
 //!   included) round-to-nearest-even common case runs a short branch-free
 //!   hardware path, everything else (infinite or NaN multiplicands,
 //!   directed rounding modes) falls back to the scalar softfloat `fma` on
-//!   the packed encodings. The cycle-accurate engine runs every lane of
-//!   its FMA array through it.
+//!   the packed encodings.
+//! * [`fma_column`] is one cycle of one column of the engine's FMA array:
+//!   every lane's X against the column's broadcast W, on accumulators kept
+//!   as raw binary16 bits, with [`gemm_staged`]'s window check and round
+//!   and a scalar [`fma_acc`] redo of any lane group that left the window.
 //! * [`gemm_staged`] folds a whole band of outputs over the full
 //!   reduction the way the array does: [`Staged`] operands, a register
 //!   block of accumulators kept for all steps, each W-row segment loaded
@@ -54,6 +57,8 @@
 //! gemm_staged(X, r0, n, W, k, Y)[r][j]
 //!     == fold over l in 0..n of arith::fma(X[r0+r][l], W[l][j], ·, RNE)
 //!        starting from Y[r][j]        for every element
+//! fma_column(x, w, acc, out) leaves out[r]
+//!     == arith::fma(x[r], w, acc[r], RNE)   for every lane, bit for bit
 //! ```
 
 use crate::arith::from_f64;
@@ -363,6 +368,39 @@ const WIN_MIN: u64 = 0x3F10_0000_0000_0000;
 /// round-to-nearest-even ties up to infinity.
 const WIN_LIMIT: u64 = 0x40EF_FE00_0000_0000;
 
+/// The sign bit of an `f64` encoding.
+const SIGN: u64 = 1 << 63;
+
+/// One lane's window verdict and round-to-nearest-even: given the
+/// unrounded `f64` sum `t`, returns `(out, rb)`.
+///
+/// The sign bit of `out` is set iff the lane is outside the window:
+/// nonzero below 2^-14 (first term), or at least 65520 (second), which
+/// covers infinity and NaN. Integer subtract, and-not and or keep the
+/// check one vector word per lane.
+///
+/// `rb` is `t` with its 52-bit fraction rounded in place to binary16's 10
+/// fraction bits (kept lsb at bit 42, round bit at 41, sticky below):
+/// adding `lsb + (half - 1)` carries into bit 42 exactly when the
+/// discarded fraction exceeds half an ulp, or equals it with an odd kept
+/// lsb, and a significand carry ripples into the exponent as IEEE
+/// renormalisation requires. Exact zeros pass through unchanged, with the
+/// IEEE zero-sum sign the hardware addition gave them. Inside the window,
+/// `rb` encodes the binary16 result.
+// modelcheck-allow: RM-FP-001 -- reads the bits of the f64 fast-path sum;
+// the window check and the round are integer operations on them.
+#[inline(always)]
+fn round_lane(t: f64) -> (u64, u64) {
+    const HALF_M1: u64 = (1u64 << 41) - 1;
+    const TRUNC: u64 = !((1u64 << 42) - 1);
+    let tb = t.to_bits();
+    let mag = tb & !SIGN;
+    let out =
+        (mag.wrapping_sub(WIN_MIN) & !mag.wrapping_sub(1)) | (WIN_LIMIT - 1).wrapping_sub(mag);
+    let rb = tb.wrapping_add(((tb >> 42) & 1) + HALF_M1) & TRUNC;
+    (out, rb)
+}
+
 /// The operands of one band: everything the blocks read but the
 /// accumulators.
 #[derive(Clone, Copy)]
@@ -493,9 +531,6 @@ fn gemm_staged_portable(band: Band<'_>, acc: &mut [Acc]) {
 // tests.
 #[inline(always)]
 fn block_fast<const FULL: bool>(band: Band<'_>, acc: &mut [Acc], blk: Block) -> bool {
-    const SIGN: u64 = 1 << 63;
-    const HALF_M1: u64 = (1u64 << 41) - 1;
-    const TRUNC: u64 = !((1u64 << 42) - 1);
     let Band { x, x_row0, n, w, k } = band;
     let Block {
         r0,
@@ -530,24 +565,8 @@ fn block_fast<const FULL: bool>(band: Band<'_>, acc: &mut [Acc], blk: Block) -> 
         for (i, zrow) in z.iter_mut().enumerate() {
             let a = xr[i][l];
             for (j, zv) in zrow.iter_mut().enumerate() {
-                let tb = (a * seg[j] + *zv).to_bits();
-                let mag = tb & !SIGN;
-                // Sign bit set iff the lane is outside the window: nonzero
-                // below 2^-14 (first term), or at least 65520 (second),
-                // which covers infinity and NaN. Integer subtract, and-not
-                // and or keep the check one vector word per lane.
-                let out = (mag.wrapping_sub(WIN_MIN) & !mag.wrapping_sub(1))
-                    | (WIN_LIMIT - 1).wrapping_sub(mag);
+                let (out, rb) = round_lane(a * seg[j] + *zv);
                 flags[j] |= out;
-                // Round the 52-bit fraction to binary16's 10 fraction bits
-                // in place (kept lsb at bit 42, round bit at 41, sticky
-                // below): adding `lsb + (half - 1)` carries into bit 42
-                // exactly when the discarded fraction exceeds half an ulp,
-                // or equals it with an odd kept lsb, and a significand
-                // carry ripples into the exponent as IEEE renormalisation
-                // requires. Exact zeros pass through unchanged, with the
-                // IEEE zero-sum sign the hardware addition gave them.
-                let rb = tb.wrapping_add(((tb >> 42) & 1) + HALF_M1) & TRUNC;
                 #[cfg(debug_assertions)]
                 {
                     let inside = out & SIGN == 0;
@@ -600,6 +619,170 @@ fn block_scalar(band: Band<'_>, acc: &mut [Acc], blk: Block) {
             acc[r * k + j] = c;
         }
     }
+}
+
+/// Lanes the column step computes as one group: the paper's `L = 8` rows,
+/// two 256-bit AVX2 registers of `f64`.
+const CW: usize = 8;
+
+/// One FMA step down a column of the engine's array under
+/// round-to-nearest-even: `out[r] = fma(x[r], w, acc[r])` for every lane
+/// `r`, on raw binary16 bits — bit for bit `arith::fma` per lane.
+///
+/// Each lane widens its X element and its accumulator exactly to `f64`,
+/// computes `x·w + acc` there (an exact product and one hardware rounding
+/// of the sum), takes the same window check and in-place round as
+/// [`gemm_staged`]'s blocks, and narrows back to bits, eight lanes at a
+/// time (a short last group pads with `+0` lanes whose results are
+/// discarded). If any lane left the window — a result in the subnormal
+/// range or past the largest finite value, or an infinite or NaN operand
+/// — the whole column is redone lane by lane on the scalar [`fma_acc`]
+/// from `acc`, which the fast pass never writes.
+///
+/// The accumulator bits are taken as they are: a non-canonical NaN (a
+/// struck pipeline register) yields the canonical NaN, as in `arith::fma`.
+/// Debug builds assert every lane of a fast column against `arith::fma`.
+///
+/// # Panics
+///
+/// If `x`, `acc` and `out` differ in length.
+pub fn fma_column(x: &[u16], w: u16, acc: &[u16], out: &mut [u16]) {
+    assert!(
+        x.len() == acc.len() && acc.len() == out.len(),
+        "fma_column: one X operand, accumulator and result per lane"
+    );
+    // The same dispatch as `gemm_staged`: the portable body recompiled
+    // with AVX2 computes the same bits, four lanes per instruction.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 availability is verified by the runtime detection
+        // above; the function body is the safe portable step, merely
+        // compiled with the wider instruction set enabled.
+        return unsafe { fma_column_avx2(x, w, acc, out) };
+    }
+    fma_column_portable(x, w, acc, out);
+}
+
+/// The portable column step recompiled with AVX2 codegen enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+unsafe fn fma_column_avx2(x: &[u16], w: u16, acc: &[u16], out: &mut [u16]) {
+    fma_column_portable(x, w, acc, out);
+}
+
+#[inline(always)]
+fn fma_column_portable(x: &[u16], w: u16, acc: &[u16], out: &mut [u16]) {
+    let wv = widen_lane(w);
+    let (xg, xt) = x.as_chunks::<CW>();
+    let (ag, at) = acc.as_chunks::<CW>();
+    let (og, ot) = out.as_chunks_mut::<CW>();
+    // The fast path writes every group's results, the inputs stay intact,
+    // and one word collects the window verdicts.
+    let mut flags = 0;
+    for ((xs, cs), zs) in xg.iter().zip(ag).zip(og) {
+        flags |= group_fast(xs, wv, cs, zs);
+    }
+    if !xt.is_empty() {
+        let pad = |s: &[u16]| -> [u16; CW] { std::array::from_fn(|j| s.get(j).map_or(0, |&b| b)) };
+        let mut z = [0; CW];
+        flags |= group_fast(&pad(xt), wv, &pad(at), &mut z);
+        ot.copy_from_slice(&z[..ot.len()]);
+    }
+    if flags & SIGN == 0 {
+        debug_check_lanes(x, w, acc, out);
+    } else {
+        lanes_scalar(x, w, acc, out);
+    }
+}
+
+/// The fast path of one lane group: writes the rounded bits of every lane
+/// and returns the or of the lanes' window verdicts (sign bit set if any
+/// lane left the window, whose results are then not binary16 results).
+// modelcheck-allow: RM-FP-001 -- f64 fast path: exact 22-bit products, one
+// hardware rounding per lane, innocuous double rounding to binary16 inside
+// the window (module docs); locked lane for lane against `arith::fma` by
+// the debug check and the column differential tests.
+#[inline(always)]
+fn group_fast(x: &[u16; CW], w: f64, acc: &[u16; CW], out: &mut [u16; CW]) -> u64 {
+    let mut flags = 0u64;
+    for ((z, &a), &c) in out.iter_mut().zip(x).zip(acc) {
+        let (o, rb) = round_lane(widen_lane(a) * w + widen_lane(c));
+        flags |= o;
+        *z = narrow_lane(rb);
+    }
+    flags
+}
+
+/// Debug builds: every lane of a fast column equals `arith::fma` on the
+/// raw bits.
+#[inline(always)]
+fn debug_check_lanes(x: &[u16], w: u16, acc: &[u16], out: &[u16]) {
+    for ((&a, &c), &z) in x.iter().zip(acc).zip(out) {
+        debug_assert_eq!(
+            z,
+            crate::arith::fma(a, w, c, Round::NearestEven),
+            "column lane drifted from scalar fma: x={a:#06x} w={w:#06x} acc={c:#06x}"
+        );
+    }
+}
+
+/// Scalar redo of a column on the packed encodings: every special value
+/// and range edge goes through [`fma_acc`]'s own checks.
+#[cold]
+#[inline(never)]
+fn lanes_scalar(x: &[u16], w: u16, acc: &[u16], out: &mut [u16]) {
+    let b = Operand::from_bits(w);
+    for ((&a, &c), z) in x.iter().zip(acc).zip(out) {
+        *z = fma_acc(
+            Operand::from_bits(a),
+            b,
+            Acc::from_bits(c),
+            Round::NearestEven,
+        )
+        .to_bits();
+    }
+}
+
+/// Exact widening of a binary16 bit pattern to `f64` without a branch,
+/// by [`widen`]'s rescale: the halfword's sign, exponent and fraction
+/// moved into an `f32` encoding (sign-extended, then masked) are the value
+/// times 2^-112, so one power-of-two multiply gives every finite value
+/// exactly (a binary16 subnormal starts as an `f32` subnormal) and the
+/// `f32 -> f64` widening is lossless; infinities and NaNs select the
+/// all-ones `f32` exponent instead.
+// modelcheck-allow: RM-FP-001 -- lossless binary16 -> f64 widening by an
+// exact power-of-two rescale; locked by the column differential tests.
+#[inline(always)]
+fn widen_lane(bits: u16) -> f64 {
+    let moved = ((i32::from(bits as i16) << 13) as u32) & 0x8FFF_E000;
+    let v = if moved & 0x0F80_0000 == 0x0F80_0000 {
+        f32::from_bits(moved | 0x7F80_0000)
+    } else {
+        f32::from_bits(moved) * f32::from_bits(0x7780_0000)
+    };
+    f64::from(v)
+}
+
+/// The binary16 encoding of an in-window rounded lane (an exact zero or a
+/// normal binary16 value): narrowed to `f32`, which is exact, its
+/// magnitude's top bits rebiased from the `f32` exponent to binary16's.
+/// Lanes outside the window yield bits the callers discard.
+// modelcheck-allow: RM-FP-001 -- exact f64 -> f32 narrowing of a value
+// already rounded to binary16; the re-encoding is integer arithmetic.
+#[inline(always)]
+fn narrow_lane(rb: u64) -> u16 {
+    let fb = (f64::from_bits(rb) as f32).to_bits();
+    let mag = fb & 0x7FFF_FFFF;
+    let m = if mag == 0 {
+        0
+    } else {
+        (mag >> 13).wrapping_sub(112 << 10)
+    };
+    ((fb >> 16) & 0x8000 | m) as u16
 }
 
 #[cfg(test)]

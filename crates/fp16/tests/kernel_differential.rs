@@ -1,9 +1,9 @@
 //! Differential lock of the batched kernel against the scalar `fma`.
 //!
 //! [`fma_acc`] must be bit-for-bit equivalent to `arith::fma` on the packed
-//! encodings — every rounding mode, every special-value combination — and
-//! [`gemm_staged`] to the scalar fold of `arith::fma` under RNE. Four
-//! locks:
+//! encodings — every rounding mode, every special-value combination —
+//! [`gemm_staged`] to the scalar fold of `arith::fma` under RNE, and
+//! [`fma_column`] to `arith::fma` per lane under RNE. Five locks:
 //!
 //! 1. the 200 frozen FMA vectors (`tests/vectors/fma.txt`) replayed through
 //!    the kernel — the same ground truth that pins the scalar path;
@@ -12,10 +12,12 @@
 //!    slots, rotated through all three positions;
 //! 3. a dense pseudo-random soak across all five rounding modes;
 //! 4. the block kernel's window edges, one event at a time, in every
-//!    ragged block shape.
+//!    ragged block shape;
+//! 5. the column step's special lanes, one at a time, at every position of
+//!    every column height from 1 to 9, against ordinary and special `w`.
 
 use redmule_fp16::arith::fma;
-use redmule_fp16::kernel::{fma_acc, gemm_staged, Acc, Operand, Staged};
+use redmule_fp16::kernel::{fma_acc, fma_column, gemm_staged, Acc, Operand, Staged};
 use redmule_fp16::{Round, F16};
 
 const VECTORS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/vectors/fma.txt");
@@ -315,4 +317,84 @@ fn gemm_staged_window_edges_in_every_tail_class() {
         checked,
         33 * (2 * EVENTS.len() + EVENTS.iter().filter(|e| e.steps.len() == 1).count())
     );
+}
+
+/// One special lane of the column step: its X element and accumulator
+/// bits. The named result class holds for `w = 1.0`; the other `w` values
+/// move it around, and every lane is checked against `arith::fma` anyway.
+const LANES: &[(&str, u16, u16)] = &[
+    ("subnormal result", 0x0001, 0x0000),
+    ("subnormal sum", 0x0200, 0x8001),
+    ("just below 2^-14 ties up", 0x0001, 0x03FF),
+    ("+0 sum of nonzero terms", 0x3C00, 0xBC00),
+    ("+0 sum of zeros", 0x0000, 0x0000),
+    ("-0 sum of zeros", 0x8000, 0x8000),
+    ("overflow to +inf", 0x7BFF, 0x7BFF),
+    ("overflow to -inf", 0xFBFF, 0xFBFF),
+    ("65520 ties to +inf", 0x4C00, 0x7BFF),
+    ("+inf accumulator", 0x3C00, 0x7C00),
+    ("-inf accumulator", 0xBC00, 0xFC00),
+    ("canonical NaN accumulator", 0x3C00, 0x7E00),
+    ("non-canonical NaN accumulator", 0x3C00, 0x7C01),
+    ("negative NaN accumulator", 0x0000, 0xFFFF),
+    ("infinite X", 0x7C00, 0x3C00),
+    ("NaN X", 0x7D00, 0x0000),
+];
+
+/// Lock 5: the column step. For every height from 1 to 9 lanes, every `w`
+/// of the set (ordinary values, both zeros, both infinities, canonical and
+/// non-canonical NaNs) and every special lane at every position, in a
+/// column of ordinary in-window lanes: each lane equals `arith::fma` on
+/// its raw bits, and the ordinary lanes equal what they compute in a
+/// column without the special lane. Miri runs a strided subset.
+#[test]
+fn fma_column_matches_fma_lane_for_lane() {
+    let ws: &[u16] = &[
+        0x3C00, 0xBC00, 0x3555, 0x5640, 0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0x7C01,
+    ];
+    let stride = if cfg!(miri) { 5 } else { 1 };
+    let grid =
+        |i: usize, salt: usize| (i.wrapping_mul(2_654_435_761).wrapping_add(salt) >> 7) % 129;
+    let f16 = |v: f32| F16::from_f32(v).to_bits();
+    let mut checked = 0usize;
+    for lanes in 1..=9usize {
+        let x: Vec<u16> = (0..lanes)
+            .map(|i| f16(grid(i, lanes) as f32 / 64.0 - 1.0))
+            .collect();
+        let y: Vec<u16> = (0..lanes)
+            .map(|i| f16(grid(i, 7 * lanes) as f32 / 32.0 - 2.0))
+            .collect();
+        for (wi, &w) in ws.iter().enumerate() {
+            let mut plain = vec![0; lanes];
+            fma_column(&x, w, &y, &mut plain);
+            for (r, &z) in plain.iter().enumerate() {
+                assert_eq!(
+                    z,
+                    fma(x[r], w, y[r], Round::NearestEven),
+                    "{lanes} lanes, w={w:#06x}, lane {r}"
+                );
+            }
+            for (ci, &(what, bx, by)) in LANES.iter().enumerate() {
+                for at in (0..lanes).filter(|at| (wi + ci + at) % stride == 0) {
+                    let (mut xs, mut acc) = (x.clone(), y.clone());
+                    xs[at] = bx;
+                    acc[at] = by;
+                    let mut out = vec![0; lanes];
+                    fma_column(&xs, w, &acc, &mut out);
+                    for (r, &z) in out.iter().enumerate() {
+                        let want = fma(xs[r], w, acc[r], Round::NearestEven);
+                        let ctx = format!("{what} at lane {at} of {lanes}, w={w:#06x}, lane {r}");
+                        assert_eq!(z, want, "{ctx}");
+                        if r != at {
+                            assert_eq!(z, plain[r], "{ctx}: a neighbour moved");
+                        }
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    if !cfg!(miri) {
+        assert_eq!(checked, 45 * ws.len() * LANES.len());
+    }
 }

@@ -6,8 +6,6 @@
 //!
 //! * [`Cycle`] and [`Frequency`] — simulation time and its conversion to
 //!   wall-clock time at an operating point.
-//! * [`ShiftRegister`] — the W-buffer's serial-in, broadcast-out
-//!   registers.
 //! * [`arbiter`] — round-robin arbitration (HCI logarithmic branch) and the
 //!   starvation-free rotating multiplexer between interconnect branches.
 //! * [`Stats`] — named event counters with utilization helpers.
@@ -28,7 +26,6 @@ mod counters;
 mod cycle;
 pub mod faults;
 pub mod rng;
-mod shift;
 pub mod snapshot;
 pub mod vcd;
 
@@ -36,5 +33,4 @@ pub use counters::Stats;
 pub use cycle::{Cycle, Frequency};
 pub use faults::{FaultClass, FaultEvent, FaultLog, FaultPhase, StuckBit};
 pub use rng::{SplitMix64, Xoshiro256};
-pub use shift::{LoadError, ShiftRegister};
 pub use snapshot::{fnv1a64, Persist, Snapshot, SnapshotError, StateReader, StateWriter};

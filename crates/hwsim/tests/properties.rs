@@ -3,22 +3,9 @@
 use proptest::prelude::*;
 use redmule_hwsim::arbiter::{RotatingMux, RoundRobin, Side};
 use redmule_hwsim::vcd::VcdWriter;
-use redmule_hwsim::{ShiftRegister, Stats};
+use redmule_hwsim::Stats;
 
 proptest! {
-    /// Shift registers are strict FIFOs over full loads.
-    #[test]
-    fn shift_register_is_fifo(payload in prop::collection::vec(any::<u16>(), 1..32)) {
-        let mut sr = ShiftRegister::new(payload.len());
-        sr.load(payload.clone()).expect("empty register accepts load");
-        let mut out = Vec::new();
-        while let Some(v) = sr.shift() {
-            out.push(v);
-        }
-        prop_assert_eq!(out, payload);
-        prop_assert!(sr.is_empty());
-    }
-
     /// Round-robin: every grant answers a real request, and under any
     /// request pattern a continuously requesting index waits at most n-1
     /// grants rounds.

@@ -238,11 +238,11 @@ pub fn stage_gemm_workspace_in(
     let x_addr = 0u32;
     let w_addr = x_addr + (esz * sizes.x_len) as u32;
     let z_addr = w_addr + (esz * sizes.w_len) as u32;
-    cast::castout_slice(&mut mem, format, x_addr, x)?;
-    cast::castout_slice(&mut mem, format, w_addr, w)?;
+    cast::castout_run(&mut mem, format, x_addr, x)?;
+    cast::castout_run(&mut mem, format, w_addr, w)?;
     let mut job = Job::new(x_addr, w_addr, z_addr, shape.m, shape.n, shape.k).with_format(format);
     if let Some(y) = y {
-        cast::castout_slice(&mut mem, format, z_addr, y)?;
+        cast::castout_run(&mut mem, format, z_addr, y)?;
         job = job.with_accumulate();
     }
     Ok((job, mem, hci))

@@ -8,11 +8,13 @@
 //! (`castout`, the FPU's default mode — the single rounding the real cast
 //! unit performs).
 //!
-//! The slice helpers are the software-visible counterpart: they lay a matrix
-//! of FP16 values out in TCDM in the job's storage format
-//! ([`castout_slice`]) and read it back widened ([`castin_slice`]), which is
-//! what the accelerator front end uses to stage workspaces and collect
-//! results for any format.
+//! The run helpers move a dense run of elements in one pass:
+//! [`castin_run`] widens a run into a caller's buffer (the streamer casts
+//! each transfer straight into its buffer slot) and [`castout_run`]
+//! narrows one out to TCDM. The accelerator front end uses the same two
+//! to lay a matrix of FP16 values out in TCDM in the job's storage format
+//! and to read results back widened ([`castin_slice`] allocates the
+//! buffer), for any format.
 
 use redmule_cluster::{MemError, Tcdm};
 use redmule_fp16::{Format, Round, E4M3, E5M2, F16};
@@ -49,21 +51,101 @@ pub fn castout(mem: &mut Tcdm, format: Format, addr: u32, value: F16) -> Result<
     }
 }
 
-/// Stores a dense slice of FP16 values at `addr` in `format`
-/// (elements are `format.elem_bytes()` apart).
+/// The one-pass form of a run at `addr` in `format`: the byte offset of
+/// its first element inside the run's first word, or `None` when the run
+/// must take the per-element path (an odd FP16 address, which that path
+/// reports as misaligned).
+fn run_offset(format: Format, addr: u32) -> Option<usize> {
+    (format != Format::Fp16 || addr.is_multiple_of(2)).then_some((addr & 3) as usize)
+}
+
+/// Reads `out.len()` densely stored elements at `addr` in `format`,
+/// widened to FP16, into `out`.
+///
+/// A run inside the TCDM is decoded from its words in one pass, with one
+/// bounds check. A run that leaves the TCDM, a misaligned FP16 run or an
+/// armed stuck-at fault takes the per-element [`castin`] path instead,
+/// which fails on the first bad element.
 ///
 /// # Errors
 ///
-/// As [`castout`]; partial writes are possible on error.
-pub fn castout_slice(
+/// As [`castin`], for the first failing element; `out` is then partly
+/// written.
+pub fn castin_run(mem: &Tcdm, format: Format, addr: u32, out: &mut [F16]) -> Result<(), MemError> {
+    let esz = format.elem_bytes();
+    let fast =
+        run_offset(format, addr).and_then(|off| Some((off, mem.run(addr, out.len() * esz)?)));
+    let Some((off, words)) = fast else {
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = castin(mem, format, addr + (esz * i) as u32)?;
+        }
+        return Ok(());
+    };
+    let bytes = || words.iter().flat_map(|w| w.to_le_bytes()).skip(off);
+    match format {
+        Format::Fp16 => {
+            let halves = words.iter().flat_map(|&w| [w as u16, (w >> 16) as u16]);
+            for (v, h) in out.iter_mut().zip(halves.skip(off / 2)) {
+                *v = F16::from_bits(h);
+            }
+        }
+        Format::Fp8E4M3 => {
+            for (v, b) in out.iter_mut().zip(bytes()) {
+                *v = E4M3::from_bits(b).to_f16();
+            }
+        }
+        Format::Fp8E5M2 => {
+            for (v, b) in out.iter_mut().zip(bytes()) {
+                *v = E5M2::from_bits(b).to_f16();
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Narrows a dense run of FP16 values to `format` with
+/// round-to-nearest-even and stores it at `addr` (elements are
+/// `format.elem_bytes()` apart).
+///
+/// A run inside the TCDM is written in one pass, with one bounds check; a
+/// run that leaves the TCDM or a misaligned FP16 run takes the
+/// per-element [`castout`] path, which fails on the first bad element.
+///
+/// # Errors
+///
+/// As [`castout`], for the first failing element; the elements before it
+/// are written.
+pub fn castout_run(
     mem: &mut Tcdm,
     format: Format,
     addr: u32,
     data: &[F16],
 ) -> Result<(), MemError> {
-    let esz = format.elem_bytes() as u32;
+    let esz = format.elem_bytes();
+    let off = run_offset(format, addr);
+    let Some((off, words)) = off.and_then(|off| Some((off, mem.run_mut(addr, data.len() * esz)?)))
+    else {
+        for (i, v) in data.iter().enumerate() {
+            castout(mem, format, addr + (esz * i) as u32, *v)?;
+        }
+        return Ok(());
+    };
     for (i, v) in data.iter().enumerate() {
-        castout(mem, format, addr + esz * i as u32, *v)?;
+        let (bits, mask) = match format {
+            Format::Fp16 => (u32::from(v.to_bits()), 0xFFFF),
+            Format::Fp8E4M3 => (
+                E4M3::from_f16(*v, Round::NearestEven).to_bits().into(),
+                0xFF,
+            ),
+            Format::Fp8E5M2 => (
+                E5M2::from_f16(*v, Round::NearestEven).to_bits().into(),
+                0xFF,
+            ),
+        };
+        let byte = off + esz * i;
+        let shift = 8 * (byte & 3);
+        let word = &mut words[byte / 4];
+        *word = (*word & !(mask << shift)) | (bits << shift);
     }
     Ok(())
 }
@@ -72,12 +154,11 @@ pub fn castout_slice(
 ///
 /// # Errors
 ///
-/// As [`castin`].
+/// As [`castin_run`].
 pub fn castin_slice(mem: &Tcdm, format: Format, addr: u32, n: usize) -> Result<Vec<F16>, MemError> {
-    let esz = format.elem_bytes() as u32;
-    (0..n)
-        .map(|i| castin(mem, format, addr + esz * i as u32))
-        .collect()
+    let mut out = vec![F16::ZERO; n];
+    castin_run(mem, format, addr, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -128,11 +209,71 @@ mod tests {
         assert!(E5M2::from_bits(m.read_u8(0).unwrap()).is_infinite());
     }
 
+    /// The per-element reference a run must reproduce, error included.
+    fn castin_each(m: &Tcdm, format: Format, addr: u32, n: usize) -> Result<Vec<u16>, MemError> {
+        let esz = format.elem_bytes() as u32;
+        (0..n as u32)
+            .map(|i| castin(m, format, addr + esz * i).map(F16::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn runs_match_the_per_element_path() {
+        let mut m = mem();
+        let size = m.size_bytes() as u32;
+        let pattern = |a: u32| (a.wrapping_mul(0x9E37_79B9) >> 24) as u8;
+        for a in (0..64).chain(size - 64..size) {
+            m.write_u8(a, pattern(a)).unwrap();
+        }
+        for format in [Format::Fp16, Format::Fp8E4M3, Format::Fp8E5M2] {
+            // Every start offset inside a word (odd FP16 starts are
+            // misaligned), every length up to 17, and runs that cross the
+            // end of the TCDM.
+            let starts = (0..8).chain(size - 24..size + 2);
+            for addr in starts {
+                for n in 0..=17 {
+                    let mut out = vec![F16::ZERO; n];
+                    let run = castin_run(&m, format, addr, &mut out)
+                        .map(|()| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                    let each = castin_each(&m, format, addr, n);
+                    assert_eq!(run, each, "{format} castin at {addr:#x} x{n}");
+
+                    let data: Vec<F16> = (0..n as u16)
+                        .map(|i| F16::from_bits(0x3C01 + 77 * i))
+                        .collect();
+                    let (mut a, mut b) = (m.clone(), m.clone());
+                    let run = castout_run(&mut a, format, addr, &data);
+                    let esz = format.elem_bytes() as u32;
+                    let each = data
+                        .iter()
+                        .enumerate()
+                        .try_for_each(|(i, v)| castout(&mut b, format, addr + esz * i as u32, *v));
+                    assert_eq!(run, each, "{format} castout at {addr:#x} x{n}");
+                    for w in (0..64).chain(size - 64..size).step_by(4) {
+                        assert_eq!(a.read_u32(w), b.read_u32(w), "{format} word {w:#x}");
+                    }
+                }
+            }
+        }
+        // An armed stuck-at fault sends the read through the access path,
+        // which applies it.
+        let stuck = redmule_hwsim::StuckBit {
+            bit: 9,
+            value: true,
+        };
+        m.set_stuck(4, stuck).unwrap();
+        let mut out = vec![F16::ZERO; 8];
+        castin_run(&m, Format::Fp16, 0, &mut out).unwrap();
+        let got: Vec<u16> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(Ok(got), castin_each(&m, Format::Fp16, 0, 8));
+        assert_eq!(m.read_u16(4).unwrap() & (1 << 9), 1 << 9);
+    }
+
     #[test]
     fn slices_pack_at_element_pitch() {
         let mut m = mem();
         let data: Vec<F16> = (0..5).map(|i| F16::from_f32(i as f32)).collect();
-        castout_slice(&mut m, Format::Fp8E4M3, 3, &data).unwrap();
+        castout_run(&mut m, Format::Fp8E4M3, 3, &data).unwrap();
         // Bytes are packed contiguously from an unaligned base address.
         assert_eq!(m.read_u8(3).unwrap(), 0x00);
         assert_eq!(m.read_u8(4).unwrap(), E4M3::ONE.to_bits());
@@ -141,7 +282,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // The FP16 path keeps the 2-byte pitch.
-        castout_slice(&mut m, Format::Fp16, 64, &data).unwrap();
+        castout_run(&mut m, Format::Fp16, 64, &data).unwrap();
         let back = castin_slice(&m, Format::Fp16, 64, 5).unwrap();
         assert_eq!(back[4].to_bits(), data[4].to_bits());
     }

@@ -10,20 +10,25 @@
 //! The model is bit-accurate: every active FMA performs one FP16 fused
 //! multiply-add per cycle, rounded to nearest-even exactly as FPnew does,
 //! so the array's results are those of the hardware and cycle counts
-//! emerge from the pipeline structure. Each lane computes through the
-//! batched kernel step [`kernel::fma_acc`] — the same "rounding order is
-//! the contract" step the functional backend runs — which is bit-identical
-//! to the scalar [`F16::mul_add`] and, in debug builds, asserted against
-//! the scalar `arith::fma` on every call.
+//! emerge from the pipeline structure. The `L` lanes of a column share
+//! the W element broadcast down it, so each live column takes one
+//! [`kernel::fma_column`] step per cycle — bit-identical to the scalar
+//! `arith::fma` on every lane, and asserted against it in debug builds.
 //!
 //! All `latency × H × L` partial-sum registers live in one flat delay
-//! line: `latency` slots of `H × L` values (column-major, `h * L + r`)
-//! and a rotating head. A tick retires the oldest slot and refills it as
-//! the new stage 0, so no value moves between registers.
+//! line of raw binary16 bits: `latency + 1` slots of `H × L` registers
+//! (column-major, `h * L + r`) and a rotating head, with one liveness flag
+//! per (slot, column) marking bubbles. A tick makes the slot retired by
+//! the previous tick the new stage 0 and reads the slot retiring now,
+//! which it leaves intact: hardware registers are read before they are
+//! written, so no value is copied or moved between registers. The
+//! registers hold exactly the bits the hardware holds: a pipe strike that
+//! writes a non-canonical NaN leaves the array with those bits when it
+//! only passes through clock-gated columns.
 
 use crate::config::AccelConfig;
-use redmule_fp16::kernel::{self, Acc, Operand};
-use redmule_fp16::{Round, F16};
+use redmule_fp16::kernel;
+use redmule_fp16::F16;
 use redmule_hwsim::faults::flip_bit16;
 
 /// Source of the accumulation input for column 0 this cycle.
@@ -57,30 +62,35 @@ pub struct ColumnCtrl {
 #[derive(Debug, Clone)]
 pub struct Datapath {
     cfg: AccelConfig,
-    /// `x_ops[h * L + r]`: operand held by FMA (r, h), widened once when
-    /// latched.
-    x_ops: Vec<Operand>,
-    /// `latency` slots of `H × L` registers; stage `s` (0 = newest) of FMA
-    /// (r, h) is `regs[((head + s) % latency) * H * L + h * L + r]`.
-    regs: Vec<Option<F16>>,
+    /// `x_ops[h * L + r]`: the X operand bits latched by FMA (r, h).
+    x_ops: Vec<u16>,
+    /// `latency + 1` slots of `H × L` register bits; stage `s` (0 =
+    /// newest, `s < latency`) of FMA (r, h) is
+    /// `regs[((head + s) % (latency + 1)) * H * L + h * L + r]`, and slot
+    /// `(head + latency) % (latency + 1)` holds the values that left the
+    /// array on the last tick.
+    regs: Vec<u16>,
+    /// `live[slot * H + h]`: column `h` of `slot` holds values rather than
+    /// a bubble.
+    live: Vec<bool>,
     /// Slot holding stage 0.
     head: usize,
-    /// The slot retired by the last tick, copied out before any lane
-    /// wrote: hardware registers are read before they are written.
-    outs: Vec<Option<F16>>,
+    /// Column 0's accumulation input from zero or from preloaded Z.
+    acc0: Vec<u16>,
     macs: u64,
 }
 
 impl Datapath {
     /// Builds the array for an accelerator configuration.
     pub fn new(cfg: AccelConfig) -> Datapath {
-        let width = cfg.h * cfg.l;
+        let slots = cfg.latency() + 1;
         Datapath {
             cfg,
-            x_ops: vec![Operand::from_bits(F16::ZERO.to_bits()); width],
-            regs: vec![None; cfg.latency() * width],
+            x_ops: vec![0; cfg.h * cfg.l],
+            regs: vec![0; slots * cfg.h * cfg.l],
+            live: vec![false; slots * cfg.h],
             head: 0,
-            outs: vec![None; width],
+            acc0: vec![0; cfg.l],
             macs: 0,
         }
     }
@@ -104,7 +114,11 @@ impl Datapath {
 
     /// `true` when every pipeline stage holds a bubble.
     pub fn is_drained(&self) -> bool {
-        self.regs.iter().all(Option::is_none)
+        let (h_count, lat) = (self.cfg.h, self.cfg.latency());
+        (0..lat).all(|s| {
+            let slot = (self.head + s) % (lat + 1);
+            !self.live[slot * h_count..][..h_count].contains(&true)
+        })
     }
 
     /// Advances the array one clock cycle.
@@ -113,25 +127,26 @@ impl Datapath {
     /// `set_x`: column `h` latches `x[h * L..(h + 1) * L]`, one per row;
     /// other columns' entries are ignored.
     ///
-    /// Returns the values leaving the **last** column this cycle (one per
-    /// row): mid-tile these are the ring feedback, in the final phase they
-    /// are finished Z elements.
+    /// Returns the raw binary16 bits leaving the **last** column this
+    /// cycle (one per row), or `None` for a bubble: mid-tile these are the
+    /// ring feedback, in the final phase they are finished Z elements.
     ///
     /// # Panics
     ///
     /// Panics if an active column's accumulation input is a bubble — that
     /// is a scheduler bug, since the ring is rate-matched by construction.
-    pub fn tick(&mut self, ctrl: &[ColumnCtrl], x: &[F16], acc0: &Acc0<'_>) -> &[Option<F16>] {
+    pub fn tick(&mut self, ctrl: &[ColumnCtrl], x: &[F16], acc0: &Acc0<'_>) -> Option<&[u16]> {
         let (h_count, l) = (self.cfg.h, self.cfg.l);
         assert_eq!(ctrl.len(), h_count, "one control word per column");
         let width = h_count * l;
-        let lat = self.cfg.latency();
+        let slots = self.cfg.latency() + 1;
 
-        // The oldest slot leaves the array and becomes the new stage 0.
-        self.head = (self.head + lat - 1) % lat;
-        let slot = &mut self.regs[self.head * width..(self.head + 1) * width];
-        self.outs.copy_from_slice(slot);
-        let outs = &self.outs;
+        // The slot retired last tick becomes stage 0; the oldest stage
+        // retires, and stays readable for this whole tick.
+        self.head = (self.head + slots - 1) % slots;
+        let old = (self.head + slots - 1) % slots;
+        let (new_regs, old_regs) = two_slots(&mut self.regs, width, self.head, old);
+        let (new_live, old_live) = two_slots(&mut self.live, h_count, self.head, old);
 
         for (h, cc) in ctrl.iter().enumerate() {
             let lanes = h * l..(h + 1) * l;
@@ -139,50 +154,50 @@ impl Datapath {
             if cc.set_x {
                 assert!(x.len() >= lanes.end, "one X operand per row");
                 for (op, v) in x_ops.iter_mut().zip(&x[lanes.clone()]) {
-                    *op = Operand::from_bits(v.to_bits());
+                    *op = v.to_bits();
                 }
             }
-            let regs = &mut slot[lanes];
             let Some(w) = cc.w else {
                 // Idle column: insert bubbles.
-                regs.fill(None);
+                new_live[h] = false;
                 continue;
             };
-            let lane = Lanes {
-                regs,
-                x_ops,
-                w: Operand::from_bits(w.to_bits()),
-                passthrough: cc.passthrough,
-            };
-            match (h, acc0) {
-                (0, Acc0::Zero) => lane.feed(std::iter::repeat(F16::ZERO)),
+            let acc_in: &[u16] = match (h, acc0) {
+                (0, Acc0::Zero) => {
+                    self.acc0.fill(0);
+                    &self.acc0
+                }
                 (0, Acc0::Init(vals)) => {
                     assert_eq!(vals.len(), l, "one initial value per row");
-                    lane.feed(vals.iter().copied());
+                    for (a, v) in self.acc0.iter_mut().zip(*vals) {
+                        *a = v.to_bits();
+                    }
+                    &self.acc0
                 }
-                // modelcheck-allow: RM-PANIC-001 -- datapath invariant: the
-                // ring feedback path is only selected when the last column
-                // holds a value.
-                (0, Acc0::Ring) => lane.feed(
-                    outs[width - l..]
-                        .iter()
-                        .map(|v| v.expect("ring feedback bubble reached column 0")),
-                ),
-                // modelcheck-allow: RM-PANIC-001 -- datapath invariant:
-                // columns feed forward in lockstep, so a mid-row bubble means
-                // the schedule is broken.
-                _ => lane.feed(
-                    outs[(h - 1) * l..h * l]
-                        .iter()
-                        .map(|v| v.expect("partial-sum bubble mid-row")),
-                ),
-            }
-            if !cc.passthrough {
+                (0, Acc0::Ring) => {
+                    assert!(
+                        old_live[h_count - 1],
+                        "ring feedback bubble reached column 0"
+                    );
+                    &old_regs[width - l..]
+                }
+                _ => {
+                    assert!(old_live[h - 1], "partial-sum bubble mid-row");
+                    &old_regs[lanes.start - l..lanes.start]
+                }
+            };
+            new_live[h] = true;
+            let out = &mut new_regs[lanes];
+            // A clock-gated pad column passes its input bits through.
+            if cc.passthrough {
+                out.copy_from_slice(acc_in);
+            } else {
+                kernel::fma_column(x_ops, w.to_bits(), acc_in, out);
                 self.macs += l as u64;
             }
         }
 
-        &self.outs[width - l..]
+        old_live[h_count - 1].then_some(&old_regs[width - l..])
     }
 
     /// Flips `bit` of the partial sum held in pipeline stage `stage`
@@ -196,44 +211,25 @@ impl Datapath {
         if col >= h_count || row >= l || stage >= lat {
             return false;
         }
-        let slot = (self.head + stage) % lat;
-        match &mut self.regs[slot * h_count * l + col * l + row] {
-            Some(v) => {
-                *v = F16::from_bits(flip_bit16(v.to_bits(), bit));
-                true
-            }
-            None => false,
+        let slot = (self.head + stage) % (lat + 1);
+        if !self.live[slot * h_count + col] {
+            return false;
         }
+        let reg = &mut self.regs[slot * h_count * l + col * l + row];
+        *reg = flip_bit16(*reg, bit);
+        true
     }
 }
 
-/// The `L` FMA lanes of one active column this cycle.
-struct Lanes<'a> {
-    /// The column's stage-0 registers.
-    regs: &'a mut [Option<F16>],
-    /// The X operand latched in each lane.
-    x_ops: &'a [Operand],
-    /// The W element broadcast down the column.
-    w: Operand,
-    /// Clock-gated padding: the accumulation input passes through.
-    passthrough: bool,
-}
-
-impl Lanes<'_> {
-    /// Writes each lane's result, given its accumulation input, into
-    /// stage 0: one round-to-nearest-even FMA, or the input itself when
-    /// the column is clock-gated.
-    #[inline]
-    fn feed(self, acc_in: impl Iterator<Item = F16>) {
-        for ((reg, &x), acc) in self.regs.iter_mut().zip(self.x_ops).zip(acc_in) {
-            *reg = Some(if self.passthrough {
-                acc
-            } else {
-                let sum =
-                    kernel::fma_acc(x, self.w, Acc::from_bits(acc.to_bits()), Round::NearestEven);
-                F16::from_bits(sum.to_bits())
-            });
-        }
+/// Slot `new` of `width` elements for writing and the distinct slot `old`
+/// for reading, both out of the flat `all`.
+fn two_slots<T>(all: &mut [T], width: usize, new: usize, old: usize) -> (&mut [T], &[T]) {
+    if new < old {
+        let (lo, hi) = all.split_at_mut(old * width);
+        (&mut lo[new * width..][..width], &hi[..width])
+    } else {
+        let (lo, hi) = all.split_at_mut(new * width);
+        (&mut hi[..width], &lo[old * width..][..width])
     }
 }
 
@@ -294,8 +290,9 @@ mod tests {
             let outs = dp.tick(&ctrl, &xs, &acc0);
             if t >= final_start && t < final_start + pw {
                 let j = t - final_start;
-                for (r, v) in outs.iter().enumerate() {
-                    z[r][j] = v.expect("final-phase output present");
+                let outs = outs.expect("final-phase output present");
+                for (r, &bits) in outs.iter().enumerate() {
+                    z[r][j] = F16::from_bits(bits);
                 }
             }
         }
@@ -372,7 +369,7 @@ mod tests {
         }];
         dp.tick(&ctrl, &[F16::ONE], &Acc0::Init(&[F16::NEG_ZERO]));
         let out = dp.tick(&[ColumnCtrl::default()], &[], &Acc0::Zero);
-        assert_eq!(out[0].expect("value emerges").to_bits(), 0x8000);
+        assert_eq!(out.expect("value emerges")[0], 0x8000);
         assert_eq!(dp.macs(), 0, "passthrough must not count as a MAC");
     }
 
@@ -408,8 +405,38 @@ mod tests {
         }];
         dp.tick(&ctrl, &[f(3.0), f(4.0)], &Acc0::Init(&[f(10.0), f(20.0)]));
         let out = dp.tick(&[ColumnCtrl::default()], &[], &Acc0::Zero);
-        assert_eq!(out[0].expect("row 0").to_f32(), 16.0);
-        assert_eq!(out[1].expect("row 1").to_f32(), 28.0);
+        assert_eq!(out, Some(&[f(16.0).to_bits(), f(28.0).to_bits()][..]));
+    }
+
+    #[test]
+    fn registers_keep_non_canonical_nan_bits() {
+        // Column 0 computes 0x7801; flipping its lowest exponent bit makes
+        // the non-canonical NaN 0x7C01, which must leave the array with
+        // exactly those bits: once after passing through a clock-gated
+        // column 1, once when the strike hits column 1's register instead.
+        let cfg = AccelConfig::new(2, 1, 0);
+        let compute = |passthrough| ColumnCtrl {
+            w: Some(F16::ONE),
+            set_x: true,
+            passthrough,
+        };
+        let idle = ColumnCtrl::default();
+        let x = [F16::from_bits(0x7801), F16::ZERO];
+        for strike_col in [0, 1] {
+            let mut dp = Datapath::new(cfg);
+            dp.tick(&[compute(false), idle], &x, &Acc0::Zero);
+            if strike_col == 0 {
+                assert!(dp.corrupt(0, 0, 0, 10));
+            }
+            dp.tick(&[idle, compute(strike_col == 0)], &x, &Acc0::Zero);
+            if strike_col == 1 {
+                assert!(dp.corrupt(1, 0, 0, 10));
+            }
+            let out = dp.tick(&[idle, idle], &x, &Acc0::Zero);
+            assert_eq!(out, Some(&[0x7C01][..]), "strike in column {strike_col}");
+            assert!(dp.is_drained());
+            assert!(!dp.corrupt(1, 0, 0, 10), "a bubble masks the strike");
+        }
     }
 
     #[test]

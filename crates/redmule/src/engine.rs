@@ -19,7 +19,7 @@
 //! Numerical results are produced by the datapath's bit-accurate FMA units
 //! and are therefore identical to [`redmule_fp16::vector::gemm_golden`].
 
-use crate::buffers::{WBuffer, XBuffer, ZBuffer};
+use crate::buffers::{StoreQueue, WBuffer, XBuffer, ZBuffer};
 use crate::cast;
 use crate::config::AccelConfig;
 use crate::datapath::{Acc0, ColumnCtrl, Datapath};
@@ -203,11 +203,66 @@ impl RunReport {
     }
 }
 
-/// A pending Z-row store: one wide transaction.
-#[derive(Debug, Clone)]
-struct StoreReq {
-    addr: u32,
-    data: Vec<F16>,
+/// The streamer's event counters: plain fields on the per-cycle path,
+/// folded into the report's [`Stats`] and the session snapshot under their
+/// key names, each key present once its counter is nonzero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct StreamCounters {
+    w_loads: u64,
+    z_preloads: u64,
+    x_loads: u64,
+    z_stores: u64,
+    port_idle: u64,
+    port_gated: u64,
+    port_conflicts: u64,
+    fp8_pair_beats: u64,
+}
+
+impl StreamCounters {
+    /// The counter stored under `key`, if it is one of the eight.
+    fn field(&mut self, key: &str) -> Option<&mut u64> {
+        Some(match key {
+            "w_loads" => &mut self.w_loads,
+            "z_preloads" => &mut self.z_preloads,
+            "x_loads" => &mut self.x_loads,
+            "z_stores" => &mut self.z_stores,
+            "port_idle" => &mut self.port_idle,
+            "port_gated" => &mut self.port_gated,
+            "port_conflicts" => &mut self.port_conflicts,
+            "fp8_pair_beats" => &mut self.fp8_pair_beats,
+            _ => return None,
+        })
+    }
+
+    /// The `Stats` view: one key per nonzero counter.
+    fn stats(&self) -> Stats {
+        [
+            ("w_loads", self.w_loads),
+            ("z_preloads", self.z_preloads),
+            ("x_loads", self.x_loads),
+            ("z_stores", self.z_stores),
+            ("port_idle", self.port_idle),
+            ("port_gated", self.port_gated),
+            ("port_conflicts", self.port_conflicts),
+            ("fp8_pair_beats", self.fp8_pair_beats),
+        ]
+        .into_iter()
+        .filter(|&(_, v)| v > 0)
+        .collect()
+    }
+
+    /// The counters behind a `Stats` view.
+    fn from_stats(stats: &Stats) -> Result<StreamCounters, EngineError> {
+        let mut c = StreamCounters::default();
+        for (key, v) in stats.iter() {
+            *c.field(key).ok_or_else(|| {
+                EngineError::Snapshot(format!(
+                    "corrupt snapshot: unknown streamer counter {key:?}"
+                ))
+            })? = v;
+        }
+        Ok(c)
+    }
 }
 
 /// A candidate streamer transaction for one beat of the shallow port.
@@ -234,7 +289,7 @@ enum Pick {
 ///   other cycle, emulating a shallow branch of half the width (the
 ///   paper's discussion of how H > 4 escalates port count);
 /// * [`StreamerPolicy::SingleBufferedW`] — W groups may only be fetched
-///   once the column's shift register has fully drained (no prefetch),
+///   once the column's W register has fully drained (no prefetch),
 ///   so every phase boundary stalls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamerPolicy {
@@ -455,31 +510,35 @@ impl Engine {
         if zpre.len() != sim.cfg.l || zpre.iter().any(|row| row.len() != pw) {
             return Err(corrupt("Z-preload geometry mismatch"));
         }
-        sim.zpre = zpre.into_iter().map(f16_from_bits).collect();
+        copy_bits(&mut sim.zpre, zpre.iter().flatten());
         let stores: Vec<(u32, Vec<u16>)> = r.get()?;
-        sim.store_queue = stores
-            .into_iter()
-            .map(|(addr, data)| StoreReq {
-                addr,
-                data: f16_from_bits(data),
-            })
-            .collect();
+        if stores.len() > sim.store_queue.capacity() || stores.iter().any(|(_, row)| row.len() > pw)
+        {
+            return Err(corrupt("store queue geometry mismatch"));
+        }
+        let mut row = vec![F16::ZERO; pw];
+        for (addr, data) in &stores {
+            copy_bits(&mut row, data);
+            sim.store_queue.push(*addr, &row[..data.len()]);
+        }
         let x_staging: Vec<Option<Vec<u16>>> = r.get()?;
         if x_staging.len() != sim.cfg.l || x_staging.iter().flatten().any(|row| row.len() != pw) {
             return Err(corrupt("X staging geometry mismatch"));
         }
-        for (row, slot) in x_staging.into_iter().enumerate() {
+        for (row, slot) in x_staging.iter().enumerate() {
             if let Some(data) = slot {
-                sim.xb.stage_row(row, f16_from_bits(data));
+                copy_bits(sim.xb.staging_row(row), data);
+                sim.xb.commit_row(row);
             }
         }
         let w_staging: Vec<Option<Vec<u16>>> = r.get()?;
         if w_staging.len() != sim.cfg.h || w_staging.iter().flatten().any(|g| g.len() != pw) {
             return Err(corrupt("W staging geometry mismatch"));
         }
-        for (col, slot) in w_staging.into_iter().enumerate() {
+        for (col, slot) in w_staging.iter().enumerate() {
             if let Some(data) = slot {
-                sim.wb.stage_group(col, f16_from_bits(data));
+                copy_bits(sim.wb.staging_group(col), data);
+                sim.wb.commit_group(col);
             }
         }
         let w_inflight: Option<(usize, Vec<u16>)> = r.get()?;
@@ -487,9 +546,12 @@ impl Engine {
             if *col >= sim.cfg.h || group.len() != pw {
                 return Err(corrupt("in-flight W group geometry mismatch"));
             }
+            copy_bits(&mut sim.w_flight, group);
         }
-        sim.w_inflight = w_inflight.map(|(col, group)| (col, f16_from_bits(group)));
-        sim.stats.restore_state(&mut r)?;
+        sim.w_inflight = w_inflight.map(|(col, _)| col);
+        let mut counters = Stats::new();
+        counters.restore_state(&mut r)?;
+        sim.counters = StreamCounters::from_stats(&counters)?;
         sim.useful_macs = r.get()?;
         sim.stall_cycles = r.get()?;
         sim.phases.restore_state(&mut r)?;
@@ -535,7 +597,7 @@ const SESSION_CONTAINER: ContainerSpec = ContainerSpec {
 /// back into a running session by [`Engine::resume`].
 ///
 /// Snapshots are only taken at tile boundaries, where the datapath
-/// pipelines are drained, the W shift registers are empty and the Z
+/// pipelines are drained, the W registers are drained and the Z
 /// accumulation buffer holds no live tile — so the serialised state is the
 /// scheduler cursors, the staged/in-flight operand groups, the pending
 /// store queue, the counters and the fault-injector position, which is
@@ -593,8 +655,11 @@ fn f16_bits(values: &[F16]) -> Vec<u16> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-fn f16_from_bits(bits: Vec<u16>) -> Vec<F16> {
-    bits.into_iter().map(F16::from_bits).collect()
+/// Fills `dst` from serialised binary16 bits.
+fn copy_bits<'a>(dst: &mut [F16], bits: impl IntoIterator<Item = &'a u16>) {
+    for (d, &b) in dst.iter_mut().zip(bits) {
+        *d = F16::from_bits(b);
+    }
 }
 
 /// A running accelerator job that advances one clock at a time, sharing
@@ -850,14 +915,13 @@ impl EngineSession {
             self.sim.job.shape().macs(),
             "useful-MAC accounting must cover the job exactly"
         );
-        let stats = std::mem::take(&mut self.sim.stats);
         let faults = self
             .sim
             .injector
             .take()
             .map(FaultInjector::into_log)
             .unwrap_or_default();
-        self.report(stats, faults)
+        self.report(faults)
     }
 
     /// Cycles executed so far.
@@ -953,30 +1017,26 @@ impl EngineSession {
         w.put(&s.zpre_ready_tile);
         w.put(
             &s.zpre
-                .iter()
-                .map(|row| f16_bits(row))
+                .chunks(s.cfg.phase_width())
+                .map(f16_bits)
                 .collect::<Vec<Vec<u16>>>(),
         );
         w.put(
             &s.store_queue
                 .iter()
-                .map(|req| (req.addr, f16_bits(&req.data)))
+                .map(|(addr, data)| (addr, f16_bits(data)))
                 .collect::<Vec<(u32, Vec<u16>)>>(),
         );
-        let staged = |slots: &[Option<Vec<F16>>]| -> Vec<Option<Vec<u16>>> {
-            slots
-                .iter()
-                .map(|slot| slot.as_deref().map(f16_bits))
-                .collect()
-        };
-        w.put(&staged(s.xb.staging_slots()));
-        w.put(&staged(s.wb.staging_slots()));
-        w.put(
-            &s.w_inflight
-                .as_ref()
-                .map(|(col, group)| (*col, f16_bits(group))),
-        );
-        s.stats.save_state(&mut w);
+        let x_staged: Vec<Option<Vec<u16>>> = (0..s.cfg.l)
+            .map(|row| s.xb.staged_row(row).map(f16_bits))
+            .collect();
+        w.put(&x_staged);
+        let w_staged: Vec<Option<Vec<u16>>> = (0..s.cfg.h)
+            .map(|col| s.wb.staged_group(col).map(f16_bits))
+            .collect();
+        w.put(&w_staged);
+        w.put(&s.w_inflight.map(|col| (col, f16_bits(&s.w_flight))));
+        s.counters.stats().save_state(&mut w);
         w.put(&s.useful_macs);
         w.put(&s.stall_cycles);
         s.phases.save_state(&mut w);
@@ -1007,13 +1067,14 @@ impl EngineSession {
             .as_ref()
             .map(|injector| injector.log().clone())
             .unwrap_or_default();
-        self.report(self.sim.stats.clone(), faults)
+        self.report(faults)
     }
 
-    /// Assembles the report from the session's counters, mirroring the
-    /// stall, MAC and per-phase totals (and the injected-fault count when
-    /// `faults` is non-empty) into `stats`.
-    fn report(&self, mut stats: Stats, faults: FaultLog) -> RunReport {
+    /// Assembles the report from the session's counters: the streamer's
+    /// event counters, then the stall, MAC and per-phase totals (and the
+    /// injected-fault count when `faults` is non-empty), all in `stats`.
+    fn report(&self, faults: FaultLog) -> RunReport {
+        let mut stats = self.sim.counters.stats();
         stats.add("stall_cycles", self.sim.stall_cycles);
         stats.add("macs", self.sim.useful_macs);
         stats.add("lane_macs", self.sim.dp.macs());
@@ -1068,13 +1129,14 @@ struct Sim {
     /// Z preload cursor: (tile, row); the preload always targets the
     /// currently computing tile (accumulate mode only).
     zpre_cursor: (usize, usize),
-    zpre: Vec<Vec<F16>>,
+    /// The preloaded Z rows of the computing tile, row `r` at `r * pw`.
+    zpre: Vec<F16>,
     zpre_ready_tile: usize,
 
     /// Pending Z stores.
-    store_queue: std::collections::VecDeque<StoreReq>,
+    store_queue: StoreQueue,
 
-    stats: Stats,
+    counters: StreamCounters,
     useful_macs: u64,
     stall_cycles: u64,
     /// Always-on per-cycle attribution ledger: exactly one [`Phase`] is
@@ -1086,8 +1148,10 @@ struct Sim {
     events: Option<EventLog>,
     policy: StreamerPolicy,
     /// Single-buffered-W ablation: a loaded group spends one cycle in
-    /// flight before it can be staged (no prefetch hides this latency).
-    w_inflight: Option<(usize, Vec<F16>)>,
+    /// flight (in `w_flight`, bound for this column) before it can be
+    /// staged (no prefetch hides this latency).
+    w_inflight: Option<usize>,
+    w_flight: Vec<F16>,
     /// Armed fault injector (None on fault-free runs).
     injector: Option<FaultInjector>,
     // modelcheck-allow: RM-SNAP-001 -- scratch: the per-cycle column
@@ -1102,12 +1166,18 @@ struct Sim {
 }
 
 impl Sim {
+    /// Every buffer is sized here, once: nothing on the per-cycle path
+    /// allocates.
     fn new(cfg: AccelConfig, job: Job, policy: StreamerPolicy) -> Sim {
         let pw = cfg.phase_width();
+        let schedule = Schedule::new(&cfg, job.shape(), job.format);
+        // Each Z row of each tile is queued once, so the queue never
+        // holds more than all of them.
+        let store_rows = job.m * schedule.tiles_k();
         Sim {
             cfg,
             job,
-            schedule: Schedule::new(&cfg, job.shape(), job.format),
+            schedule,
             dp: Datapath::new(cfg),
             xb: XBuffer::new(cfg.l, pw),
             wb: WBuffer::new(cfg.h, pw),
@@ -1118,16 +1188,17 @@ impl Sim {
             w_cursor: (0, 0, 0),
             x_cursor: (0, 0, 0),
             zpre_cursor: (0, 0),
-            zpre: vec![vec![F16::ZERO; pw]; cfg.l],
+            zpre: vec![F16::ZERO; cfg.l * pw],
             zpre_ready_tile: usize::MAX,
-            store_queue: std::collections::VecDeque::new(),
-            stats: Stats::new(),
+            store_queue: StoreQueue::new(store_rows, pw),
+            counters: StreamCounters::default(),
             useful_macs: 0,
             stall_cycles: 0,
             phases: PhaseCycles::new(),
             events: None,
             policy,
             w_inflight: None,
+            w_flight: vec![F16::ZERO; pw],
             injector: None,
             ctrl: vec![ColumnCtrl::default(); cfg.h],
             x_latch: vec![F16::ZERO; cfg.h * cfg.l],
@@ -1218,15 +1289,11 @@ impl Sim {
         }
         let tile = self.schedule.tile(self.compute_tile);
         self.emit_tile_start(cycle);
-        for r in 0..tile.rows_live {
-            for j in 0..self.cfg.phase_width() {
-                let v = if self.job.accumulate {
-                    self.zpre[r][j]
-                } else {
-                    F16::ZERO
-                };
-                self.zb.record(r, j, v);
-            }
+        let z = self.zb.tile_mut();
+        if self.job.accumulate {
+            z.copy_from_slice(&self.zpre);
+        } else {
+            z.fill(F16::ZERO);
         }
         self.zb.seal();
         self.enqueue_stores(tile);
@@ -1253,6 +1320,21 @@ impl Sim {
         let tile_len = self.schedule.tile_len() as usize;
         // The last phase's outputs leave the ring in the final pw cycles.
         let final_start = tile_len - pw;
+        // Column h runs h*lat < pw cycles behind column 0, so one division
+        // per cycle places every column in its phase.
+        let (q, r) = (t / pw, t % pw);
+        let column_pos = |h: usize| -> Option<(usize, usize)> {
+            let lag = h * lat;
+            if t < lag {
+                return None;
+            }
+            let (phase, j) = if r >= lag {
+                (q, r - lag)
+            } else {
+                (q - 1, r + pw - lag)
+            };
+            (phase < n_phases).then_some((phase, j))
+        };
 
         // ---- Stall checks (clock gate) ----
         if !self.started {
@@ -1277,20 +1359,14 @@ impl Sim {
         } else {
             // Column phase starts needing a staged W group this cycle.
             for h in 0..h_count {
-                let t_col = t as i64 - (h * lat) as i64;
-                if t_col >= 0
-                    && (t_col as usize) < n_phases * pw
-                    && (t_col as usize).is_multiple_of(pw)
-                    && self.wb.staging_free(h)
-                {
+                if matches!(column_pos(h), Some((_, 0))) && self.wb.staging_free(h) {
                     self.stall_cycles = self.stall_cycles.saturating_add(1);
                     return CycleKind::Stalled(Phase::Refill);
                 }
             }
             // Chunk boundary: column 0 entering phase c*lat needs the next
             // X chunk staged.
-            if t < n_phases * pw && t.is_multiple_of(pw) {
-                let phase = t / pw;
+            if let Some((phase, 0)) = column_pos(0) {
                 if phase > 0 && phase.is_multiple_of(lat) {
                     if !self.xb.staging_complete() {
                         self.stall_cycles = self.stall_cycles.saturating_add(1);
@@ -1310,14 +1386,10 @@ impl Sim {
         // ---- Build per-column control ----
         let l = self.cfg.l;
         for h in 0..h_count {
-            let t_col = t as i64 - (h * lat) as i64;
-            if t_col < 0 || t_col as usize >= n_phases * pw {
+            let Some((phase, j)) = column_pos(h) else {
                 self.ctrl[h] = ColumnCtrl::default();
                 continue;
-            }
-            let t_col = t_col as usize;
-            let phase = t_col / pw;
-            let j = t_col % pw;
+            };
             let n_idx = phase * h_count + h;
             let pad = n_idx >= self.job.n;
             if !pad && j < tile.cols_live {
@@ -1342,7 +1414,7 @@ impl Sim {
 
         let acc0 = if t < pw {
             if self.job.accumulate {
-                for (z, row) in self.z_init.iter_mut().zip(&self.zpre) {
+                for (z, row) in self.z_init.iter_mut().zip(self.zpre.chunks(pw)) {
                     *z = row[t];
                 }
                 Acc0::Init(&self.z_init)
@@ -1357,13 +1429,12 @@ impl Sim {
 
         // ---- Capture finished outputs ----
         if t >= final_start && t < final_start + pw {
-            let j = t - final_start;
-            for (r, v) in outs.iter().enumerate() {
-                // modelcheck-allow: RM-PANIC-001 -- schedule invariant: during
-                // the final-phase window every datapath column emits a value;
-                // a bubble here means the cycle-accurate schedule is broken.
-                self.zb.record(r, j, v.expect("final-phase output present"));
-            }
+            // modelcheck-allow: RM-PANIC-001 -- schedule invariant: during
+            // the final-phase window the last column emits a value every
+            // cycle; a bubble here means the cycle-accurate schedule is
+            // broken.
+            let outs = outs.expect("final-phase output present");
+            self.zb.record_column(t - final_start, outs);
         }
 
         self.t_local += 1;
@@ -1389,8 +1460,8 @@ impl Sim {
         let esz = self.job.format.elem_bytes() as u32;
         for r in 0..tile.rows_live {
             let addr = self.job.z_addr + esz * ((tile.row0 + r) * self.job.z_ld() + tile.k0) as u32;
-            let data = self.zb.row(r)[..tile.cols_live].to_vec();
-            self.store_queue.push_back(StoreReq { addr, data });
+            self.store_queue
+                .push(addr, &self.zb.row(r)[..tile.cols_live]);
         }
     }
 
@@ -1405,8 +1476,8 @@ impl Sim {
             if n_idx < self.job.n || !self.wb.staging_free(col) {
                 break;
             }
-            self.wb
-                .stage_group(col, vec![F16::ZERO; self.cfg.phase_width()]);
+            self.wb.staging_group(col).fill(F16::ZERO);
+            self.wb.commit_group(col);
             self.advance_w();
         }
         // X pads.
@@ -1414,8 +1485,8 @@ impl Sim {
             if row < self.schedule.tile(tile_idx).rows_live || !self.xb.staging_free(row) {
                 break;
             }
-            self.xb
-                .stage_row(row, vec![F16::ZERO; self.cfg.phase_width()]);
+            self.xb.staging_row(row).fill(F16::ZERO);
+            self.xb.commit_row(row);
             self.advance_x();
         }
     }
@@ -1517,7 +1588,7 @@ impl Sim {
             // modelcheck-allow: RM-PANIC-001 -- arbitration invariant:
             // Pick::ZStore is only selected when the store queue is
             // non-empty (checked when building the pick).
-            Pick::ZStore => self.store_queue.front().expect("queue checked").addr,
+            Pick::ZStore => self.store_queue.front_addr().expect("queue checked"),
         }
     }
 
@@ -1538,19 +1609,20 @@ impl Sim {
         log_requests: &[(redmule_cluster::Initiator, u32)],
     ) -> Result<(Vec<bool>, bool), EngineError> {
         if self.policy == StreamerPolicy::HalfBandwidth && cycle % 2 == 1 {
-            self.stats.incr("port_gated");
+            self.counters.port_gated += 1;
             let grants = hci.arbitrate(log_requests, None);
             return Ok((grants.log_granted, false));
         }
 
         // Single-buffered-W ablation: deliver last cycle's load first; the
         // port is free again this cycle for other streams.
-        if let Some((col, group)) = self.w_inflight.take() {
-            self.wb.stage_group(col, group);
+        if let Some(col) = self.w_inflight.take() {
+            self.wb.staging_group(col).copy_from_slice(&self.w_flight);
+            self.wb.commit_group(col);
         }
 
         let Some(pick) = self.select_pick() else {
-            self.stats.incr("port_idle");
+            self.counters.port_idle += 1;
             let grants = hci.arbitrate(log_requests, None);
             return Ok((grants.log_granted, false));
         };
@@ -1560,7 +1632,7 @@ impl Sim {
         let addr = self.pick_addr(pick);
         let grants = hci.arbitrate(log_requests, Some(addr));
         if !grants.shallow_granted {
-            self.stats.incr("port_conflicts");
+            self.counters.port_conflicts += 1;
             return Ok((grants.log_granted, true));
         }
 
@@ -1570,119 +1642,94 @@ impl Sim {
             // beat (no extra HCI arbitration — it is one wide access).
             if let Some(second) = self.select_pick() {
                 self.serve_pick(second, mem, cycle)?;
-                self.stats.incr("fp8_pair_beats");
+                self.counters.fp8_pair_beats += 1;
             }
         }
         Ok((grants.log_granted, false))
     }
 
-    /// Completes one picked transaction: reads operands through the castin
-    /// stage (widening FP8 storage to FP16) or drains one store row
-    /// through the castout stage (narrowing FP16 results to the job's
-    /// storage format). Counts the transfer and records it as one
-    /// `Refill` (W, Z-preload, X) or `StoreDrain` event.
+    /// Completes one picked transaction: casts one operand run from TCDM
+    /// straight into its buffer slot through the castin stage (widening
+    /// FP8 storage to FP16; elements past the operand's edge are zeros),
+    /// or drains one store row through the castout stage (narrowing FP16
+    /// results to the job's storage format). Counts the transfer and
+    /// records it as one `Refill` (W, Z-preload, X) or `StoreDrain` event.
     fn serve_pick(&mut self, pick: Pick, mem: &mut Tcdm, cycle: u64) -> Result<(), EngineError> {
         let format = self.job.format;
-        let esz = format.elem_bytes() as u32;
         let pw = self.cfg.phase_width();
-        let (counter, channel) = match pick {
+        let addr = self.pick_addr(pick);
+        let channel = match pick {
             Pick::W(tile, phase, col) => {
-                let n_idx = phase * self.cfg.h + col;
-                let t = self.schedule.tile(tile);
-                let mut group = Vec::with_capacity(pw);
-                for jj in 0..pw {
-                    let kk = t.k0 + jj;
-                    group.push(if kk < self.job.k {
-                        cast::castin(
-                            mem,
-                            format,
-                            self.job.w_addr + esz * (n_idx * self.job.w_ld() + kk) as u32,
-                        )?
-                    } else {
-                        F16::ZERO
-                    });
-                }
+                let live = self.schedule.tile(tile).cols_live;
+                let group = if self.policy == StreamerPolicy::SingleBufferedW {
+                    &mut self.w_flight[..]
+                } else {
+                    self.wb.staging_group(col)
+                };
+                cast::castin_run(mem, format, addr, &mut group[..live])?;
+                group[live..].fill(F16::ZERO);
                 if let Some(inj) = self.injector.as_mut() {
-                    inj.on_w_load(cycle, phase, col, &mut group);
+                    inj.on_w_load(cycle, phase, col, group);
                 }
                 if self.policy == StreamerPolicy::SingleBufferedW {
-                    self.w_inflight = Some((col, group));
+                    self.w_inflight = Some(col);
                 } else {
-                    self.wb.stage_group(col, group);
+                    self.wb.commit_group(col);
                 }
                 self.advance_w();
-                ("w_loads", Channel::W)
+                Channel::W
             }
             Pick::ZPre(tile, row) => {
                 let t = self.schedule.tile(tile);
-                for jj in 0..pw {
-                    let kk = t.k0 + jj;
-                    self.zpre[row][jj] = if row < t.rows_live && kk < self.job.k {
-                        cast::castin(
-                            mem,
-                            format,
-                            self.job.z_addr + esz * ((t.row0 + row) * self.job.z_ld() + kk) as u32,
-                        )?
-                    } else {
-                        F16::ZERO
-                    };
-                }
+                let live = if row < t.rows_live { t.cols_live } else { 0 };
+                let zrow = &mut self.zpre[row * pw..][..pw];
+                cast::castin_run(mem, format, addr, &mut zrow[..live])?;
+                zrow[live..].fill(F16::ZERO);
                 self.zpre_cursor.1 += 1;
                 if self.zpre_cursor.1 == self.cfg.l {
                     self.zpre_ready_tile = tile;
                     self.zpre_cursor = (tile, 0);
                 }
-                ("z_preloads", Channel::ZPre)
+                Channel::ZPre
             }
-            Pick::X(tile, chunk, row) => {
-                let t = self.schedule.tile(tile);
-                let mut data = Vec::with_capacity(pw);
-                for e in 0..pw {
-                    let n_idx = chunk * pw + e;
-                    data.push(if n_idx < self.job.n {
-                        cast::castin(
-                            mem,
-                            format,
-                            self.job.x_addr
-                                + esz * ((t.row0 + row) * self.job.x_ld() + n_idx) as u32,
-                        )?
-                    } else {
-                        F16::ZERO
-                    });
-                }
+            Pick::X(_, chunk, row) => {
+                let live = self.job.n.saturating_sub(chunk * pw).min(pw);
+                let data = self.xb.staging_row(row);
+                cast::castin_run(mem, format, addr, &mut data[..live])?;
+                data[live..].fill(F16::ZERO);
                 if let Some(inj) = self.injector.as_mut() {
-                    inj.on_x_load(cycle, chunk, row, &mut data);
+                    inj.on_x_load(cycle, chunk, row, data);
                 }
-                self.xb.stage_row(row, data);
+                self.xb.commit_row(row);
                 self.advance_x();
-                ("x_loads", Channel::X)
+                Channel::X
             }
             Pick::ZStore => {
                 // modelcheck-allow: RM-PANIC-001 -- arbitration invariant:
                 // Pick::ZStore is only selected when the store queue is
                 // non-empty (checked when building the pick).
-                let StoreReq { addr, mut data } =
-                    self.store_queue.pop_front().expect("queue checked");
+                let (addr, data) = self.store_queue.pop().expect("queue checked");
                 if let Some(inj) = self.injector.as_mut() {
-                    inj.on_z_store(cycle, &mut data);
+                    inj.on_z_store(cycle, data);
                 }
-                for (jj, v) in data.iter().enumerate() {
-                    cast::castout(mem, format, addr + esz * jj as u32, *v)?;
-                }
-                ("z_stores", Channel::ZStore)
+                cast::castout_run(mem, format, addr, data)?;
+                Channel::ZStore
             }
         };
-        self.stats.incr(counter);
-        // Only a recording session pays for reading the running count.
+        let count = match channel {
+            Channel::W => &mut self.counters.w_loads,
+            Channel::ZPre => &mut self.counters.z_preloads,
+            Channel::X => &mut self.counters.x_loads,
+            Channel::ZStore => &mut self.counters.z_stores,
+        };
+        *count += 1;
+        let seq = *count;
         if self.events.is_some() {
             let kind = match channel {
                 Channel::ZStore => EventKind::StoreDrain {
                     pending: self.store_queue.len() as u32,
                 },
-                channel => EventKind::Refill {
-                    channel,
-                    seq: self.stats.get(counter),
-                },
+                channel => EventKind::Refill { channel, seq },
             };
             self.emit(cycle, kind);
         }

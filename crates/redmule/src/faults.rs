@@ -794,7 +794,7 @@ impl Engine {
                     if let Some(rows) = pre {
                         for (r, row) in rows.iter().enumerate() {
                             let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            cast::castout_slice(mem, job.format, addr, row)?;
+                            cast::castout_run(mem, job.format, addr, row)?;
                         }
                     }
                     Ok(())

@@ -1,10 +1,11 @@
 //! Allocation budget of the cycle-accurate engine.
 //!
-//! `Engine::run` may allocate once per streamer transaction (a W group, an
-//! X chunk row, a preloaded or stored Z row) plus a fixed set-up and
-//! report cost, but never per simulated cycle: the tick loop runs on
-//! reused scratch. A counting global allocator measures one 40x40x40 run
-//! per operand format against that budget.
+//! `Engine::run` pays a fixed set-up and report cost and nothing else:
+//! every buffer slot is sized once when the session starts, so neither a
+//! simulated cycle nor a streamer transaction (a W group, an X chunk row,
+//! a preloaded or stored Z row) allocates, and the count does not grow
+//! with the job. A counting global allocator measures a 40x40x40 and a
+//! 96x96x96 run per case against that budget.
 
 use redmule::{stage_gemm_workspace_in, AccelConfig, Engine, Format};
 use redmule_fp16::vector::GemmShape;
@@ -52,8 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Set-up and report allocations `Engine::run` may make on top of one
-/// per transaction.
+/// Set-up and report allocations `Engine::run` may make.
 const FIXED_BUDGET: u64 = 64;
 
 fn operands(len: usize, salt: u32) -> Vec<F16> {
@@ -65,26 +65,46 @@ fn operands(len: usize, salt: u32) -> Vec<F16> {
         .collect()
 }
 
-#[test]
-fn engine_run_allocates_per_transaction_not_per_cycle() {
-    let shape = GemmShape::new(40, 40, 40);
+/// Allocations made by one `Engine::run` of a `d x d x d` job, with its
+/// transaction and cycle counts.
+fn run_counting(d: usize, format: Format, accumulate: bool) -> (u64, u64, u64) {
+    let shape = GemmShape::new(d, d, d);
     let x = operands(shape.x_len(), 3);
     let w = operands(shape.w_len(), 0x5EED);
+    let y = accumulate.then(|| operands(shape.z_len(), 0xACC));
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, format, &x, &w, y.as_deref()).expect("stage the job");
     let engine = Engine::new(AccelConfig::paper());
-    for format in [Format::Fp16, Format::Fp8E4M3] {
-        let (job, mut mem, mut hci) =
-            stage_gemm_workspace_in(shape, format, &x, &w, None).expect("stage the job");
-        let before = ALLOCS.with(Cell::get);
-        let report = engine.run(job, &mut mem, &mut hci).expect("run");
-        let allocs = ALLOCS.with(Cell::get) - before;
-        let transactions: u64 = ["w_loads", "x_loads", "z_preloads", "z_stores"]
-            .iter()
-            .map(|k| report.stats.get(k))
-            .sum();
-        let cycles = report.cycles.count();
+    let before = ALLOCS.with(Cell::get);
+    let report = engine.run(job, &mut mem, &mut hci).expect("run");
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let transactions: u64 = ["w_loads", "x_loads", "z_preloads", "z_stores"]
+        .iter()
+        .map(|k| report.stats.get(k))
+        .sum();
+    (allocs, transactions, report.cycles.count())
+}
+
+#[test]
+fn engine_run_allocates_a_fixed_amount_whatever_the_job() {
+    let cases = [
+        (Format::Fp16, false),
+        (Format::Fp8E4M3, false),
+        (Format::Fp16, true),
+        (Format::Fp8E5M2, true),
+    ];
+    for (format, accumulate) in cases {
+        let (small, small_tx, small_cycles) = run_counting(40, format, accumulate);
+        let (large, large_tx, large_cycles) = run_counting(96, format, accumulate);
+        let case = format!("{format:?} accumulate={accumulate}");
         assert!(
-            allocs <= transactions + FIXED_BUDGET,
-            "{format:?}: {allocs} allocations for {transactions} transactions over {cycles} cycles"
+            small <= FIXED_BUDGET,
+            "{case}: {small} allocations for {small_tx} transactions over {small_cycles} cycles"
+        );
+        assert_eq!(
+            small, large,
+            "{case}: 40^3 ({small_tx} transactions, {small_cycles} cycles) and 96^3 \
+             ({large_tx} transactions, {large_cycles} cycles) allocate differently"
         );
     }
 }

@@ -2,6 +2,7 @@
 //! recovery and graceful degradation.
 
 use redmule::{stage_gemm_workspace_in, AccelConfig, Engine, Format};
+use redmule_cluster::Initiator;
 use redmule_fp16::vector::{gemm_golden, GemmShape};
 use redmule_fp16::F16;
 use redmule_hwsim::snapshot::fnv1a64;
@@ -346,3 +347,124 @@ fn checkpoint_container_bytes_are_pinned() {
         assert_eq!(decoded.to_bytes(), bytes, "{format:?} re-encoding");
     }
 }
+
+#[test]
+fn checkpoint_bytes_under_contention_and_drops_are_pinned() {
+    // The same persisted format on a run whose counters the quiet pin
+    // above never touches: core traffic on the shallow group's banks
+    // (`shallow_conflicts`, `port_conflicts`, `log_*`) and three dropped
+    // shallow beats (`shallow_dropped`). Pins the container at the
+    // session's second tile boundary (two tiles retired) and the final
+    // engine and HCI `Stats` lists.
+    for (format, len, digest, engine_stats, hci_stats) in PINNED_UNDER_CONTENTION {
+        let shape = GemmShape::new(8, 10, 16);
+        let (x, w) = data(shape, 43);
+        let (job, mut mem, mut hci) =
+            stage_gemm_workspace_in(shape, format, &x, &w, None).expect("stage");
+        hci.inject_shallow_drop(3);
+        let mut session = Engine::new(small_cfg()).start(job).expect("start");
+        let mut pinned = None;
+        while !session.is_finished() {
+            if pinned.is_none() && session.tiles_completed() == 2 && session.at_tile_boundary() {
+                let bytes = Checkpoint::capture(&mut session, &mem, &hci)
+                    .expect("capture at a tile boundary")
+                    .to_bytes();
+                pinned = Some((bytes.len(), fnv1a64(&bytes)));
+            }
+            // Core 0 sweeps all sixteen banks; core 1 sits on bank 2.
+            let c = session.cycle() as u32;
+            let traffic = [(Initiator::Core(0), 4 * (c % 16)), (Initiator::Core(1), 8)];
+            session.tick(&mut mem, &mut hci, &traffic).expect("tick");
+        }
+        assert_eq!(
+            pinned,
+            Some((len, digest)),
+            "{format:?} checkpoint bytes moved"
+        );
+        let report = session.finish();
+        let listed = |s: &redmule_hwsim::Stats| -> Vec<(String, u64)> {
+            s.iter().map(|(k, v)| (k.to_owned(), v)).collect()
+        };
+        let want = |pins: &[(&str, u64)]| -> Vec<(String, u64)> {
+            pins.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+        };
+        assert_eq!(
+            listed(&report.stats),
+            want(engine_stats),
+            "{format:?} engine stats"
+        );
+        assert_eq!(
+            listed(&hci.stats()),
+            want(hci_stats),
+            "{format:?} HCI stats"
+        );
+    }
+}
+
+/// Per format: checkpoint length and FNV-1a-64, then the final engine and
+/// HCI `Stats` lists, recorded before the counters became typed fields.
+type ContentionPin = (
+    Format,
+    usize,
+    u64,
+    &'static [(&'static str, u64)],
+    &'static [(&'static str, u64)],
+);
+
+const PINNED_UNDER_CONTENTION: [ContentionPin; 2] = [
+    (
+        Format::Fp16,
+        132_241,
+        0xc2c8_25be_1b40_6e04,
+        &[
+            ("lane_macs", 1280),
+            ("macs", 1280),
+            ("phase_compute", 256),
+            ("phase_drain", 2),
+            ("phase_fill", 6),
+            ("phase_refill", 0),
+            ("phase_stall", 3),
+            ("port_conflicts", 28),
+            ("port_idle", 111),
+            ("stall_cycles", 9),
+            ("w_loads", 80),
+            ("x_loads", 32),
+            ("z_stores", 16),
+        ],
+        &[
+            ("log_conflicts", 149),
+            ("log_grants", 385),
+            ("shallow_conflicts", 25),
+            ("shallow_dropped", 3),
+            ("shallow_grants", 128),
+        ],
+    ),
+    (
+        Format::Fp8E4M3,
+        132_243,
+        0x22df_f2cf_2267_6be3,
+        &[
+            ("fp8_pair_beats", 35),
+            ("lane_macs", 1280),
+            ("macs", 1280),
+            ("phase_compute", 256),
+            ("phase_drain", 0),
+            ("phase_fill", 3),
+            ("phase_refill", 0),
+            ("phase_stall", 3),
+            ("port_conflicts", 23),
+            ("port_idle", 146),
+            ("stall_cycles", 6),
+            ("w_loads", 80),
+            ("x_loads", 32),
+            ("z_stores", 16),
+        ],
+        &[
+            ("log_conflicts", 109),
+            ("log_grants", 415),
+            ("shallow_conflicts", 20),
+            ("shallow_dropped", 3),
+            ("shallow_grants", 93),
+        ],
+    ),
+];
