@@ -36,10 +36,15 @@
 #                      bit-exact, byte-identical across 1/2/8 workers and
 #                      loses no work; the cycle model stays exact per
 #                      format and FP8 never costs more cycles than FP16.
-#                      Then runs the Fig. 2c example
-#                      (examples/trace_schedule.rs), which rebuilds the
-#                      streamer timeline from the engine's event log and
-#                      fails unless the steady-state W cadence is P+1.
+#                      Then fails if the four deterministic artefacts
+#                      (BENCH_{trace,fp8,service,recovery}.json) differ
+#                      from the committed bytes; BENCH_batch.json is left
+#                      out, it records wall-clock columns. Then runs every
+#                      example under examples/ and fails if one panics or
+#                      returns an error; among them, the Fig. 2c example
+#                      (trace_schedule.rs) rebuilds the streamer timeline
+#                      from the engine's event log and fails unless the
+#                      steady-state W cadence is P+1.
 
 CARGO ?= cargo
 
@@ -79,4 +84,7 @@ figures:
 smoke:
 	$(CARGO) test -q -p redmule-service --test recovery
 	$(CARGO) run --release -q -p redmule-bench --bin figures -- all
-	$(CARGO) run --release -q --example trace_schedule
+	git diff --exit-code -- BENCH_trace.json BENCH_fp8.json BENCH_service.json BENCH_recovery.json
+	for e in $(basename $(notdir $(wildcard examples/*.rs))); do \
+		$(CARGO) run --release -q --example $$e || exit 1; \
+	done

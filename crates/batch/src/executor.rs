@@ -88,17 +88,6 @@ impl ScheduleStats {
     pub fn total_busy_cycles(&self) -> u64 {
         self.per_worker_busy_cycles.iter().sum()
     }
-
-    /// Parallel speedup achieved by this schedule:
-    /// `total_busy_cycles / makespan_cycles`. 1.0 for an empty or
-    /// serialized schedule, approaching the worker count when balanced.
-    pub fn parallel_speedup(&self) -> f64 {
-        let makespan = self.makespan_cycles();
-        if makespan == 0 {
-            return 1.0;
-        }
-        self.total_busy_cycles() as f64 / makespan as f64
-    }
 }
 
 /// Outcome of one batch: the worker-count-invariant [`BatchReport`] and
@@ -614,8 +603,6 @@ mod tests {
             parallel.schedule.makespan_cycles() < serial.schedule.makespan_cycles(),
             "4 workers must beat 1 worker's makespan"
         );
-        assert!(parallel.schedule.parallel_speedup() > 1.5);
-        assert_eq!(serial.schedule.parallel_speedup(), 1.0);
     }
 
     #[test]
@@ -645,6 +632,5 @@ mod tests {
         let outcome = BatchExecutor::new(4).run(Vec::new()).expect("empty batch");
         assert_eq!(outcome.report.jobs.len(), 0);
         assert_eq!(outcome.schedule.makespan_cycles(), 0);
-        assert_eq!(outcome.schedule.parallel_speedup(), 1.0);
     }
 }

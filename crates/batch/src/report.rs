@@ -37,7 +37,7 @@ impl BatchReport {
     }
 
     /// Sum of datapath stall cycles over all jobs.
-    pub fn total_stall_cycles(&self) -> u64 {
+    fn total_stall_cycles(&self) -> u64 {
         self.jobs.iter().map(|j| j.stall_cycles).sum()
     }
 

@@ -48,7 +48,7 @@ impl SizePoint {
 /// # Errors
 ///
 /// Returns the first [`EngineError`] an accelerator run reports.
-pub fn hw_sweep(sizes: &[usize]) -> Result<Vec<(usize, f64, f64)>, EngineError> {
+fn hw_sweep(sizes: &[usize]) -> Result<Vec<(usize, f64, f64)>, EngineError> {
     let accel = Accelerator::paper_instance();
     sizes
         .iter()
@@ -75,7 +75,7 @@ pub fn hw_sweep(sizes: &[usize]) -> Result<Vec<(usize, f64, f64)>, EngineError> 
 ///
 /// Panics if the accelerator and software results ever diverge bitwise —
 /// that is a model bug, not a runtime condition.
-pub fn hw_sw_sweep(sizes: &[usize]) -> Result<Vec<SizePoint>, EngineError> {
+fn hw_sw_sweep(sizes: &[usize]) -> Result<Vec<SizePoint>, EngineError> {
     let accel = Accelerator::paper_instance();
     let sw = SwGemm::new(&ClusterConfig::default());
     sizes
@@ -108,7 +108,7 @@ pub fn hw_sw_sweep(sizes: &[usize]) -> Result<Vec<SizePoint>, EngineError> {
 /// # Errors
 ///
 /// Returns the [`EngineError`] of the underlying accelerator run.
-pub fn measured_peak(full: bool) -> Result<(f64, f64), EngineError> {
+fn measured_peak(full: bool) -> Result<(f64, f64), EngineError> {
     let size = if full { 512 } else { 128 };
     let (_, mpc, util) = hw_sweep(&[size])?[0];
     Ok((mpc, util))
@@ -260,7 +260,7 @@ pub struct Fig4a {
 
 impl Fig4a {
     /// Largest observed speedup ("up to NNx" in the paper).
-    pub fn peak_speedup(&self) -> f64 {
+    fn peak_speedup(&self) -> f64 {
         self.points
             .iter()
             .map(SizePoint::speedup)
@@ -268,7 +268,7 @@ impl Fig4a {
     }
 
     /// Largest observed fraction of the ideal throughput.
-    pub fn peak_ideal_fraction(&self) -> f64 {
+    fn peak_ideal_fraction(&self) -> f64 {
         self.points.iter().map(|p| p.hw_util).fold(0.0, f64::max)
     }
 }
@@ -441,7 +441,7 @@ impl fmt::Display for AeStep {
 /// # Errors
 ///
 /// Returns the [`EngineError`] of a failed training-step GEMM.
-pub fn autoencoder_step(batch: usize) -> Result<AeStep, EngineError> {
+fn autoencoder_step(batch: usize) -> Result<AeStep, EngineError> {
     let x = workloads::autoencoder_batch(batch, 11);
     let run = |mut backend: Backend| -> Result<CycleLedger, EngineError> {
         let mut net = autoencoder::mlperf_tiny(77);
@@ -516,12 +516,12 @@ pub struct Fig4d {
 
 impl Fig4d {
     /// HW per-sample throughput improvement from batching.
-    pub fn hw_batching_gain(&self) -> f64 {
+    fn hw_batching_gain(&self) -> f64 {
         (self.b1.total_hw as f64) / (self.b16.total_hw as f64 / 16.0)
     }
 
     /// SW per-sample throughput improvement from batching (paper: ~1).
-    pub fn sw_batching_gain(&self) -> f64 {
+    fn sw_batching_gain(&self) -> f64 {
         (self.b1.total_sw as f64) / (self.b16.total_sw as f64 / 16.0)
     }
 }
@@ -1020,7 +1020,7 @@ pub struct BatchThroughput {
 
 impl BatchThroughput {
     /// Modeled speedup of `workers` over the single-worker point.
-    pub fn modeled_speedup_at(&self, workers: usize) -> f64 {
+    fn modeled_speedup_at(&self, workers: usize) -> f64 {
         let base = self.points.first().map_or(0.0, |p| p.modeled_jobs_per_sec);
         self.points
             .iter()
@@ -1036,7 +1036,7 @@ impl BatchThroughput {
 
     /// Measured wall-clock speedup of `workers` over the single-worker
     /// point.
-    pub fn wall_speedup_at(&self, workers: usize) -> f64 {
+    fn wall_speedup_at(&self, workers: usize) -> f64 {
         let base = self.points.first().map_or(0.0, |p| p.wall_jobs_per_sec);
         self.points
             .iter()

@@ -17,7 +17,6 @@
 //! * [`CoreTimings`] and [`baseline`] — an in-order single-issue RISC-V
 //!   core cost model and the parallel FP16 GEMM kernel the paper uses as
 //!   its software baseline ("SW execution on 8 RISC-V cores").
-//! * [`Dma`] — cycle costs for L2-to-TCDM tile transfers.
 //!
 //! The software baseline is both *numerically* exact (it computes with the
 //! bit-accurate [`redmule_fp16`] softfloat in the same accumulation order as
@@ -47,11 +46,9 @@
 
 pub mod baseline;
 mod config;
-mod dma;
 mod hci;
 mod tcdm;
 
 pub use config::{ClusterConfig, CoreTimings};
-pub use dma::Dma;
 pub use hci::{Hci, HciGrants, Initiator};
 pub use tcdm::{MemError, Tcdm};

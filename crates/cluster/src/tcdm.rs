@@ -102,7 +102,7 @@ impl Tcdm {
 
     /// Pins one bit of the word containing `addr` to a fixed value on every
     /// subsequent read (a stuck-at fault); writes still update the cell
-    /// underneath, so clearing the fault reveals the written data.
+    /// underneath.
     ///
     /// # Errors
     ///
@@ -111,18 +111,6 @@ impl Tcdm {
         let idx = self.word_index(addr & !3, 4)?;
         self.stuck.insert(idx, fault);
         Ok(())
-    }
-
-    /// Removes a stuck-at fault previously set on the word containing
-    /// `addr`; returns whether one was present.
-    pub fn clear_stuck(&mut self, addr: u32) -> bool {
-        let idx = addr as usize / 4;
-        self.stuck.remove(&idx).is_some()
-    }
-
-    /// Number of words currently carrying a stuck-at fault.
-    pub fn stuck_faults(&self) -> usize {
-        self.stuck.len()
     }
 
     /// Capacity in bytes.
@@ -492,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn stuck_bit_pins_reads_until_cleared() {
+    fn stuck_bit_pins_reads() {
         let mut m = mem();
         m.write_u32(8, 0).unwrap();
         m.set_stuck(
@@ -503,7 +491,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(m.stuck_faults(), 1);
         assert_eq!(m.read_u32(8).unwrap(), 1 << 5);
         // Writes land in the cell but the read stays pinned.
         m.write_u32(8, 0xFFFF_FFFF).unwrap();
@@ -512,9 +499,6 @@ mod tests {
         assert_eq!(m.read_u32(8).unwrap(), 1 << 5);
         // Halfword reads observe the same pinned word.
         assert_eq!(m.read_u16(8).unwrap(), 1 << 5);
-        assert!(m.clear_stuck(8));
-        assert_eq!(m.read_u32(8).unwrap(), 0);
-        assert!(!m.clear_stuck(8));
     }
 
     #[test]

@@ -58,16 +58,6 @@ impl OperatingPoint {
         }
     }
 
-    /// 0.59 V / 208 MHz / 125 °C: the slow synthesis corner (not a
-    /// measurement point; kept for completeness).
-    pub fn slow_corner() -> OperatingPoint {
-        OperatingPoint {
-            name: "slow-corner",
-            vdd: 0.59,
-            freq_mhz: 208.0,
-        }
-    }
-
     /// A corner at an arbitrary supply voltage on the 22 nm DVFS curve,
     /// with the maximum frequency predicted by an alpha-power-law fit
     /// through the paper's two measured typical-corner points
@@ -161,7 +151,6 @@ mod tests {
         );
         assert_eq!(OperatingPoint::peak_performance().vdd(), 0.8);
         assert_eq!(OperatingPoint::node65().frequency().as_mhz(), 200.0);
-        assert_eq!(OperatingPoint::slow_corner().vdd(), 0.59);
     }
 
     #[test]

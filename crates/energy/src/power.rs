@@ -157,7 +157,7 @@ impl PowerModel {
 
     /// Cluster power while the 8 cores run the software GEMM and the
     /// accelerator is clock-gated, in mW (see `REF_SW_MODE_MW`).
-    pub fn sw_execution_power_mw(&self) -> f64 {
+    fn sw_execution_power_mw(&self) -> f64 {
         self.scale() * REF_SW_MODE_MW
     }
 

@@ -186,7 +186,7 @@ pub fn literature_rows() -> Vec<Row> {
 
 /// Computes one "Our work" row from the models and a simulated
 /// throughput.
-pub fn our_row(tech: Technology, op: OperatingPoint, macs_per_cycle: f64, util: f64) -> Row {
+fn our_row(tech: Technology, op: OperatingPoint, macs_per_cycle: f64, util: f64) -> Row {
     let area = AreaModel::new(tech);
     let power = PowerModel::new(tech, op);
     let breakdown = power.cluster_power_mw(util);

@@ -3,8 +3,8 @@
 //! Everything in this module operates on `u16` IEEE 754 binary16 bit
 //! patterns and performs **exact integer arithmetic** followed by a single
 //! rounding step, exactly like a hardware FPU datapath. The fused
-//! multiply-add ([`fma`]) is the operation RedMulE's datapath is made of; the
-//! other operations complete the FPnew-equivalent operation set.
+//! multiply-add ([`fma`]) is the operation RedMulE's datapath is made of;
+//! add, sub and mul serve the software baseline and the golden models.
 //!
 //! The functions here are the free-function layer; prefer the methods on
 //! [`F16`](crate::F16) (e.g. [`F16::mul_add`](crate::F16::mul_add)) in
@@ -391,80 +391,6 @@ pub fn mul(a: u16, b: u16, mode: Round) -> u16 {
     }
 }
 
-/// Correctly rounded division `a / b`.
-///
-/// Division is not part of RedMulE's datapath but completes the
-/// FPnew-equivalent scalar operation set used by the software baseline.
-pub fn div(a: u16, b: u16, mode: Round) -> u16 {
-    let (ca, cb) = (classify(a), classify(b));
-    if matches!(ca, Class::Nan) || matches!(cb, Class::Nan) {
-        return CANONICAL_QNAN;
-    }
-    let sign = sign_of(ca) ^ sign_of(cb);
-    match (ca, cb) {
-        (Class::Inf { .. }, Class::Inf { .. }) => CANONICAL_QNAN,
-        (Class::Zero { .. }, Class::Zero { .. }) => CANONICAL_QNAN,
-        (Class::Inf { .. }, _) => pack_inf(sign),
-        (_, Class::Zero { .. }) => pack_inf(sign),
-        (Class::Zero { .. }, _) => pack_zero(sign),
-        (_, Class::Inf { .. }) => pack_zero(sign),
-        (Class::Finite(ua), Class::Finite(ub)) => {
-            // 20 extra quotient bits leave >= 9 bits under the round bit, so
-            // OR-ing the remainder sticky into bit 0 is safe.
-            let num = u64::from(ua.sig) << 20;
-            let den = u64::from(ub.sig);
-            let mut quo = num / den;
-            if num % den != 0 {
-                quo |= 1;
-            }
-            round_pack(sign, u128::from(quo), ua.q - ub.q - 20, mode)
-        }
-        // modelcheck-allow: RM-PANIC-001 -- NaN operands are classified and
-        // returned before this match; the arm is statically dead.
-        (Class::Nan, _) | (_, Class::Nan) => unreachable!("NaN handled above"),
-    }
-}
-
-/// Correctly rounded square root.
-pub fn sqrt(a: u16, mode: Round) -> u16 {
-    match classify(a) {
-        Class::Nan => CANONICAL_QNAN,
-        Class::Zero { sign } => pack_zero(sign), // sqrt(+-0) = +-0
-        Class::Inf { sign: false } => pack_inf(false),
-        Class::Inf { sign: true } => CANONICAL_QNAN,
-        Class::Finite(u) if u.sign => CANONICAL_QNAN,
-        Class::Finite(mut u) => {
-            // Make the exponent even so it halves exactly.
-            if u.q & 1 != 0 {
-                u.sig <<= 1;
-                u.q -= 1;
-            }
-            // 32 extra bits of radicand -> 16 extra result bits.
-            let radicand = u128::from(u.sig) << 32;
-            let mut root = isqrt(radicand);
-            if root * root != radicand {
-                root |= 1; // sticky, >= 10 bits under the round bit
-            }
-            round_pack(false, root, u.q / 2 - 16, mode)
-        }
-    }
-}
-
-fn isqrt(v: u128) -> u128 {
-    if v < 2 {
-        return v;
-    }
-    // Newton's method seeded from the bit length; converges in a few steps.
-    let mut x = 1u128 << (128 - v.leading_zeros()).div_ceil(2);
-    loop {
-        let next = (x + v / x) >> 1;
-        if next >= x {
-            return x;
-        }
-        x = next;
-    }
-}
-
 /// Converts an `f32` to binary16 bits with a single correct rounding.
 // modelcheck-allow: RM-FP-001 -- host-float conversion boundary: operates on
 // IEEE bit patterns only (to_bits + integer round_pack), no native arithmetic.
@@ -658,7 +584,7 @@ mod tests {
 
     #[test]
     fn nan_propagates_canonically() {
-        for op in [add, sub, mul, div] {
+        for op in [add, sub, mul] {
             assert_eq!(op(CANONICAL_QNAN, ONE, Round::NearestEven), CANONICAL_QNAN);
             assert_eq!(op(ONE, 0x7E01, Round::NearestEven), CANONICAL_QNAN);
         }
@@ -671,9 +597,6 @@ mod tests {
         assert_eq!(fma(INF, NZERO, ONE, Round::NearestEven), CANONICAL_QNAN);
         assert_eq!(fma(INF, ONE, NINF, Round::NearestEven), CANONICAL_QNAN); // inf - inf
         assert_eq!(add(INF, NINF, Round::NearestEven), CANONICAL_QNAN);
-        assert_eq!(div(INF, NINF, Round::NearestEven), CANONICAL_QNAN);
-        assert_eq!(div(0, NZERO, Round::NearestEven), CANONICAL_QNAN);
-        assert_eq!(sqrt(f(-1.0), Round::NearestEven), CANONICAL_QNAN);
     }
 
     #[test]
@@ -681,9 +604,6 @@ mod tests {
         assert_eq!(add(INF, ONE, Round::NearestEven), INF);
         assert_eq!(fma(INF, TWO, f(-5.0), Round::NearestEven), INF);
         assert_eq!(fma(NINF, TWO, NINF, Round::NearestEven), NINF);
-        assert_eq!(div(ONE, 0, Round::NearestEven), INF);
-        assert_eq!(div(f(-1.0), 0, Round::NearestEven), NINF);
-        assert_eq!(div(ONE, INF, Round::NearestEven), 0);
     }
 
     #[test]
@@ -724,13 +644,15 @@ mod tests {
 
     #[test]
     fn gradual_underflow() {
-        // min_normal / 2 is the largest subnormal's neighbourhood.
+        // min_normal / 2 is the largest subnormal's neighbourhood; halving
+        // is the exact product with 0.5.
+        const HALF: u16 = 0x3800;
         let min_normal = 0x0400;
-        let half_min = div(min_normal, TWO, Round::NearestEven);
+        let half_min = mul(min_normal, HALF, Round::NearestEven);
         assert_eq!(half_min, 0x0200); // 2^-15 = subnormal 0.1000000000
                                       // Smallest subnormal halves to zero under RNE (tie to even).
-        assert_eq!(div(MIN_SUB, TWO, Round::NearestEven), 0);
-        assert_eq!(div(MIN_SUB, TWO, Round::Up), MIN_SUB);
+        assert_eq!(mul(MIN_SUB, HALF, Round::NearestEven), 0);
+        assert_eq!(mul(MIN_SUB, HALF, Round::Up), MIN_SUB);
         // Subnormal + subnormal is exact.
         assert_eq!(add(MIN_SUB, MIN_SUB, Round::NearestEven), 0x0002);
     }
@@ -740,31 +662,6 @@ mod tests {
         // Largest subnormal + smallest subnormal = min normal exactly.
         let max_sub = 0x03FF;
         assert_eq!(add(max_sub, MIN_SUB, Round::NearestEven), 0x0400);
-    }
-
-    #[test]
-    fn division_basics() {
-        assert_eq!(div(f(6.0), f(3.0), Round::NearestEven), TWO);
-        assert_eq!(div(ONE, f(3.0), Round::NearestEven), f(1.0 / 3.0));
-        assert_eq!(div(f(-7.5), f(2.5), Round::NearestEven), f(-3.0));
-    }
-
-    #[test]
-    fn sqrt_basics() {
-        assert_eq!(sqrt(f(4.0), Round::NearestEven), TWO);
-        assert_eq!(sqrt(f(2.0), Round::NearestEven), f(2.0f32.sqrt()));
-        assert_eq!(sqrt(0, Round::NearestEven), 0);
-        assert_eq!(sqrt(NZERO, Round::NearestEven), NZERO);
-        assert_eq!(sqrt(INF, Round::NearestEven), INF);
-        // Subnormal square root.
-        assert_eq!(
-            to_f64(sqrt(MIN_SUB, Round::NearestEven)),
-            from_f64_roundtrip(2.0f64.powi(-24).sqrt())
-        );
-    }
-
-    fn from_f64_roundtrip(v: f64) -> f64 {
-        to_f64(from_f64(v, Round::NearestEven))
     }
 
     #[test]
@@ -854,15 +751,6 @@ mod tests {
                     assert_eq!(got, want, "a={a:#06x} b={b:#06x}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn isqrt_exact_squares() {
-        for v in [0u128, 1, 4, 9, 1 << 40, (1u128 << 60) + 2 * (1 << 30) + 1] {
-            let r = isqrt(v);
-            assert!(r * r <= v);
-            assert!((r + 1) * (r + 1) > v);
         }
     }
 }

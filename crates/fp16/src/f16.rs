@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::num::ParseFloatError;
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
 use crate::arith;
@@ -17,8 +17,7 @@ use crate::CANONICAL_QNAN;
 /// IEEE-compliant FP16 hardware such as the FPnew FMA units inside RedMulE.
 ///
 /// The `std::ops` operators round to nearest-even (the accelerator's mode);
-/// explicit-mode variants (`add_round`, `mul_round`, …) expose the full
-/// RISC-V rounding-mode set.
+/// the [`crate::arith`] functions take the full RISC-V rounding-mode set.
 ///
 /// # Example
 ///
@@ -120,14 +119,6 @@ impl F16 {
         F16(arith::from_f32(v, Round::NearestEven))
     }
 
-    /// Converts from `f32` in an explicit rounding mode.
-    // modelcheck-allow: RM-FP-001 -- host-float conversion boundary:
-    // delegates to the bit-pattern converter in `arith`.
-    #[inline]
-    pub fn from_f32_round(v: f32, mode: Round) -> F16 {
-        F16(arith::from_f32(v, mode))
-    }
-
     /// Converts from `f64` with round-to-nearest-even.
     // modelcheck-allow: RM-FP-001 -- host-float conversion boundary:
     // delegates to the bit-pattern converter in `arith`.
@@ -177,55 +168,6 @@ impl F16 {
         F16(arith::fma(self.0, b.0, c.0, Round::NearestEven))
     }
 
-    /// Fused multiply-add in an explicit rounding mode.
-    #[inline]
-    pub fn mul_add_round(self, b: F16, c: F16, mode: Round) -> F16 {
-        F16(arith::fma(self.0, b.0, c.0, mode))
-    }
-
-    /// Addition in an explicit rounding mode.
-    #[inline]
-    pub fn add_round(self, rhs: F16, mode: Round) -> F16 {
-        F16(arith::add(self.0, rhs.0, mode))
-    }
-
-    /// Subtraction in an explicit rounding mode.
-    #[inline]
-    pub fn sub_round(self, rhs: F16, mode: Round) -> F16 {
-        F16(arith::sub(self.0, rhs.0, mode))
-    }
-
-    /// Multiplication in an explicit rounding mode.
-    #[inline]
-    pub fn mul_round(self, rhs: F16, mode: Round) -> F16 {
-        F16(arith::mul(self.0, rhs.0, mode))
-    }
-
-    /// Division in an explicit rounding mode.
-    #[inline]
-    pub fn div_round(self, rhs: F16, mode: Round) -> F16 {
-        F16(arith::div(self.0, rhs.0, mode))
-    }
-
-    /// Correctly rounded square root (round-to-nearest-even).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use redmule_fp16::F16;
-    /// assert_eq!(F16::from_f32(9.0).sqrt(), F16::from_f32(3.0));
-    /// ```
-    #[inline]
-    pub fn sqrt(self) -> F16 {
-        F16(arith::sqrt(self.0, Round::NearestEven))
-    }
-
-    /// Square root in an explicit rounding mode.
-    #[inline]
-    pub fn sqrt_round(self, mode: Round) -> F16 {
-        F16(arith::sqrt(self.0, mode))
-    }
-
     /// `true` if this value is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -271,12 +213,6 @@ impl F16 {
         self.0 & 0x8000 != 0
     }
 
-    /// `true` if the sign bit is clear.
-    #[inline]
-    pub fn is_sign_positive(self) -> bool {
-        !self.is_sign_negative()
-    }
-
     /// Classifies the value.
     pub fn classify(self) -> FpCategory16 {
         let exp = self.0 & 0x7C00;
@@ -294,24 +230,6 @@ impl F16 {
     #[inline]
     pub fn abs(self) -> F16 {
         F16(self.0 & 0x7FFF)
-    }
-
-    /// Returns a value with the magnitude of `self` and the sign of `sign`.
-    #[inline]
-    pub fn copysign(self, sign: F16) -> F16 {
-        F16((self.0 & 0x7FFF) | (sign.0 & 0x8000))
-    }
-
-    /// Returns `1.0` or `-1.0` by sign, or NaN for NaN input. Zero returns
-    /// a signed one, matching `f32::signum`.
-    pub fn signum(self) -> F16 {
-        if self.is_nan() {
-            F16::NAN
-        } else if self.is_sign_negative() {
-            F16::NEG_ONE
-        } else {
-            F16::ONE
-        }
     }
 
     /// IEEE `minNum`: the smaller operand; a single NaN loses.
@@ -368,12 +286,6 @@ impl F16 {
         }
     }
 
-    /// Reciprocal, `1.0 / self`, round-to-nearest-even.
-    #[inline]
-    pub fn recip(self) -> F16 {
-        F16::ONE / self
-    }
-
     /// IEEE 754 `totalOrder` comparison (like [`f32::total_cmp`]).
     ///
     /// # Example
@@ -396,38 +308,6 @@ impl F16 {
             -(bits & 0x7FFF) - 1
         } else {
             bits
-        }
-    }
-
-    /// The next representable value towards `+inf` (saturates at `+inf`;
-    /// NaN propagates). Useful for ulp-level test oracles.
-    pub fn next_up(self) -> F16 {
-        if self.is_nan() || self == F16::INFINITY {
-            return self;
-        }
-        if self == F16::NEG_ZERO || self == F16::ZERO {
-            return F16::MIN_POSITIVE_SUBNORMAL;
-        }
-        if self.is_sign_negative() {
-            F16(self.0 - 1)
-        } else {
-            F16(self.0 + 1)
-        }
-    }
-
-    /// The next representable value towards `-inf` (saturates at `-inf`;
-    /// NaN propagates).
-    pub fn next_down(self) -> F16 {
-        if self.is_nan() || self == F16::NEG_INFINITY {
-            return self;
-        }
-        if self == F16::NEG_ZERO || self == F16::ZERO {
-            return F16(0x8001);
-        }
-        if self.is_sign_negative() {
-            F16(self.0 + 1)
-        } else {
-            F16(self.0 - 1)
         }
     }
 }
@@ -484,7 +364,6 @@ macro_rules! impl_binop {
 impl_binop!(Add, add, AddAssign, add_assign, arith::add);
 impl_binop!(Sub, sub, SubAssign, sub_assign, arith::sub);
 impl_binop!(Mul, mul, MulAssign, mul_assign, arith::mul);
-impl_binop!(Div, div, DivAssign, div_assign, arith::div);
 
 // modelcheck-allow: RM-FP-001 -- host-float conversion boundary: exact
 // widening, delegates to `to_f32`.
@@ -628,12 +507,8 @@ mod tests {
     #[test]
     fn sign_helpers() {
         assert!(F16::NEG_ZERO.is_sign_negative());
-        assert!(F16::ZERO.is_sign_positive());
         assert_eq!((-F16::ONE).to_f32(), -1.0);
         assert_eq!(F16::NEG_ONE.abs(), F16::ONE);
-        assert_eq!(F16::ONE.copysign(F16::NEG_ZERO), F16::NEG_ONE);
-        assert_eq!(F16::from_f32(-5.0).signum(), F16::NEG_ONE);
-        assert!(F16::NAN.signum().is_nan());
     }
 
     #[test]
@@ -666,30 +541,15 @@ mod tests {
     }
 
     #[test]
-    fn next_up_down_walk_the_lattice() {
-        assert_eq!(F16::ZERO.next_up(), F16::MIN_POSITIVE_SUBNORMAL);
-        assert_eq!(F16::ZERO.next_down().to_bits(), 0x8001);
-        assert_eq!(F16::MAX.next_up(), F16::INFINITY);
-        assert_eq!(F16::INFINITY.next_up(), F16::INFINITY);
-        assert_eq!(F16::MIN_POSITIVE_SUBNORMAL.next_down(), F16::ZERO);
-        let x = F16::ONE;
-        assert!(x.next_up() > x);
-        assert!(x.next_down() < x);
-        assert_eq!(x.next_up().next_down(), x);
-    }
-
-    #[test]
     fn operators_round_to_nearest_even() {
         assert_eq!(F16::ONE + F16::ONE, F16::TWO);
         assert_eq!(F16::TWO - F16::ONE, F16::ONE);
         assert_eq!(F16::TWO * F16::HALF, F16::ONE);
-        assert_eq!(F16::ONE / F16::TWO, F16::HALF);
         let mut acc = F16::ZERO;
         acc += F16::ONE;
         acc *= F16::TWO;
         acc -= F16::HALF;
-        acc /= F16::HALF;
-        assert_eq!(acc.to_f32(), 3.0);
+        assert_eq!(acc.to_f32(), 1.5);
     }
 
     #[test]
@@ -710,12 +570,6 @@ mod tests {
         for v in u8::MIN..=u8::MAX {
             assert_eq!(F16::from(v).to_f32(), f32::from(v));
         }
-    }
-
-    #[test]
-    fn recip_and_sqrt() {
-        assert_eq!(F16::TWO.recip(), F16::HALF);
-        assert_eq!(F16::from_f32(16.0).sqrt(), F16::from_f32(4.0));
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!
 //! * [`F16`] — the 16-bit storage type with full classification,
 //!   conversion, comparison and formatting support.
-//! * [`arith`] — correctly rounded add/sub/mul/div/sqrt, and crucially a
+//! * [`arith`] — correctly rounded add/sub/mul, and crucially a
 //!   correctly rounded **fused** multiply-add ([`F16::mul_add`]) with a
 //!   single rounding step, in all five RISC-V rounding modes.
 //! * [`Round`] — the rounding-mode type (RNE, RTZ, RDN, RUP, RMM).
-//! * [`vector`] — slice-level helpers (dot products, AXPY) and the
+//! * [`vector`] — slice-level helpers (ReLU, transpose) and the
 //!   **golden-model GEMM** ([`vector::gemm_golden`]) that the cycle-accurate
 //!   accelerator model is verified against.
 //! * [`E4M3`] / [`E5M2`] — bit-accurate OFP8 8-bit formats with exact

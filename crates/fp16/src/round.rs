@@ -12,13 +12,12 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use redmule_fp16::{F16, Round};
+/// use redmule_fp16::{arith, F16, Round};
 ///
-/// let a = F16::from_f32(1.0);
-/// let tiny = F16::MIN_POSITIVE_SUBNORMAL;
+/// let (a, tiny) = (F16::ONE.to_bits(), F16::MIN_POSITIVE_SUBNORMAL.to_bits());
 /// // 1.0 + tiny rounds back down to 1.0 with RNE, but up with RUP.
-/// assert_eq!(a.add_round(tiny, Round::NearestEven), a);
-/// assert!(a.add_round(tiny, Round::Up) > a);
+/// assert_eq!(arith::add(a, tiny, Round::NearestEven), a);
+/// assert!(F16::from_bits(arith::add(a, tiny, Round::Up)) > F16::ONE);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Round {
@@ -44,48 +43,6 @@ impl Round {
         Round::Up,
         Round::NearestMaxMagnitude,
     ];
-
-    /// RISC-V `frm` field encoding of this mode.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use redmule_fp16::Round;
-    /// assert_eq!(Round::NearestEven.frm(), 0b000);
-    /// assert_eq!(Round::NearestMaxMagnitude.frm(), 0b100);
-    /// ```
-    pub fn frm(self) -> u8 {
-        match self {
-            Round::NearestEven => 0b000,
-            Round::TowardZero => 0b001,
-            Round::Down => 0b010,
-            Round::Up => 0b011,
-            Round::NearestMaxMagnitude => 0b100,
-        }
-    }
-
-    /// Decodes a RISC-V `frm` field.
-    ///
-    /// Returns `None` for the reserved encodings (5, 6) and the dynamic
-    /// placeholder (7), which have no direct rounding behaviour.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use redmule_fp16::Round;
-    /// assert_eq!(Round::from_frm(0b010), Some(Round::Down));
-    /// assert_eq!(Round::from_frm(0b111), None);
-    /// ```
-    pub fn from_frm(frm: u8) -> Option<Round> {
-        match frm {
-            0b000 => Some(Round::NearestEven),
-            0b001 => Some(Round::TowardZero),
-            0b010 => Some(Round::Down),
-            0b011 => Some(Round::Up),
-            0b100 => Some(Round::NearestMaxMagnitude),
-            _ => None,
-        }
-    }
 
     /// Whether a truncated significand must be incremented by one ulp.
     ///
@@ -138,20 +95,6 @@ impl fmt::Display for Round {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frm_round_trips() {
-        for mode in Round::ALL {
-            assert_eq!(Round::from_frm(mode.frm()), Some(mode));
-        }
-    }
-
-    #[test]
-    fn reserved_frm_values_decode_to_none() {
-        for frm in 5u8..=255 {
-            assert_eq!(Round::from_frm(frm), None);
-        }
-    }
 
     #[test]
     fn default_is_nearest_even() {

@@ -6,42 +6,7 @@
 //! [`gemm_golden`], because all three accumulate along the inner (`N`)
 //! dimension in the same order with fused multiply-adds.
 
-use crate::{Round, F16};
-
-/// Dot product with sequential FMA accumulation (round-to-nearest-even).
-///
-/// Accumulation order is index order, matching a single RedMulE row ring.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-///
-/// # Example
-///
-/// ```
-/// use redmule_fp16::{F16, vector::dot};
-/// let a: Vec<F16> = (1..=3).map(|v| F16::from(v as u8)).collect();
-/// let b = vec![F16::TWO; 3];
-/// assert_eq!(dot(&a, &b).to_f32(), 12.0);
-/// ```
-pub fn dot(a: &[F16], b: &[F16]) -> F16 {
-    assert_eq!(a.len(), b.len(), "dot requires equal-length slices");
-    a.iter()
-        .zip(b)
-        .fold(F16::ZERO, |acc, (&x, &y)| x.mul_add(y, acc))
-}
-
-/// `y[i] += alpha * x[i]` with fused multiply-add per element.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: F16, x: &[F16], y: &mut [F16]) {
-    assert_eq!(x.len(), y.len(), "axpy requires equal-length slices");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = alpha.mul_add(xi, *yi);
-    }
-}
+use crate::F16;
 
 /// Element-wise maximum of each entry with zero (ReLU), preserving NaN.
 pub fn relu(x: &mut [F16]) {
@@ -231,6 +196,8 @@ pub fn gemm_golden_accumulate(
 /// let w = vec![F16::TWO; 4];
 /// assert_eq!(gemm_golden_simd2(shape, &x, &w)[0].to_f32(), 8.0);
 /// ```
+// modelcheck-allow: RM-DEAD-001 -- golden model that the cluster's SIMD-2
+// baseline kernel is verified against, from its unit tests only.
 pub fn gemm_golden_simd2(shape: GemmShape, x: &[F16], w: &[F16]) -> Vec<F16> {
     assert_eq!(x.len(), shape.x_len(), "X has wrong length for {shape}");
     assert_eq!(w.len(), shape.w_len(), "W has wrong length for {shape}");
@@ -251,27 +218,6 @@ pub fn gemm_golden_simd2(shape: GemmShape, x: &[F16], w: &[F16]) -> Vec<F16> {
                 acc = x[i * shape.n + l].mul_add(w[l * shape.k + j], acc);
             }
             z[i * shape.k + j] = acc;
-        }
-    }
-    z
-}
-
-/// GEMM computed entirely in `f64` and rounded once at the end — a
-/// *different* (more accurate) contract than [`gemm_golden`], used by tests
-/// to bound FP16 accumulation error rather than to check bit-identity.
-// modelcheck-allow: RM-FP-001 -- reference path: deliberately computes in f64
-// to bound FP16 accumulation error in tests; never feeds the datapath.
-pub fn gemm_f64_reference(shape: GemmShape, x: &[F16], w: &[F16]) -> Vec<F16> {
-    assert_eq!(x.len(), shape.x_len(), "X has wrong length for {shape}");
-    assert_eq!(w.len(), shape.w_len(), "W has wrong length for {shape}");
-    let mut z = vec![F16::ZERO; shape.z_len()];
-    for i in 0..shape.m {
-        for j in 0..shape.k {
-            let mut acc = 0.0f64;
-            for l in 0..shape.n {
-                acc += x[i * shape.n + l].to_f64() * w[l * shape.k + j].to_f64();
-            }
-            z[i * shape.k + j] = F16::from_f64_round(acc, Round::NearestEven);
         }
     }
     z
@@ -299,38 +245,6 @@ mod tests {
 
     fn f(v: f32) -> F16 {
         F16::from_f32(v)
-    }
-
-    #[test]
-    fn dot_empty_is_zero() {
-        assert_eq!(dot(&[], &[]), F16::ZERO);
-    }
-
-    #[test]
-    fn dot_accumulates_in_index_order() {
-        // With FP16, ordering matters: (big + small) + -big loses the small
-        // term, so a specific order is part of the contract.
-        let big = f(2048.0);
-        let one = F16::ONE;
-        let a = [big, one, -big];
-        let b = [F16::ONE, F16::ONE, F16::ONE];
-        // 2048 + 1 = 2049 -> rounds to 2048 in FP16; then - 2048 = 0.
-        assert_eq!(dot(&a, &b), F16::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn dot_rejects_mismatched_lengths() {
-        let _ = dot(&[F16::ONE], &[]);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let x = [F16::ONE, F16::TWO];
-        let mut y = [f(10.0), f(20.0)];
-        axpy(F16::TWO, &x, &mut y);
-        assert_eq!(y[0], f(12.0));
-        assert_eq!(y[1], f(24.0));
     }
 
     #[test]
@@ -447,6 +361,25 @@ mod tests {
         // n = 0: zero.
         let z = gemm_golden_simd2(GemmShape::new(1, 0, 1), &[], &[]);
         assert_eq!(z[0], F16::ZERO);
+    }
+
+    /// GEMM computed entirely in `f64` and rounded once at the end — a
+    /// *different* (more accurate) contract than [`gemm_golden`], to bound
+    /// FP16 accumulation error rather than to check bit-identity.
+    fn gemm_f64_reference(shape: GemmShape, x: &[F16], w: &[F16]) -> Vec<F16> {
+        assert_eq!(x.len(), shape.x_len(), "X has wrong length for {shape}");
+        assert_eq!(w.len(), shape.w_len(), "W has wrong length for {shape}");
+        let mut z = vec![F16::ZERO; shape.z_len()];
+        for i in 0..shape.m {
+            for j in 0..shape.k {
+                let mut acc = 0.0f64;
+                for l in 0..shape.n {
+                    acc += x[i * shape.n + l].to_f64() * w[l * shape.k + j].to_f64();
+                }
+                z[i * shape.k + j] = F16::from_f64(acc);
+            }
+        }
+        z
     }
 
     #[test]

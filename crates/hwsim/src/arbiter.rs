@@ -71,11 +71,6 @@ impl RoundRobin {
         }
         None
     }
-
-    /// Resets priority to requestor 0.
-    pub fn reset(&mut self) {
-        self.next = 0;
-    }
 }
 
 impl Snapshot for RoundRobin {
@@ -157,12 +152,6 @@ impl RotatingMux {
         }
     }
 
-    /// The configured maximum consecutive shallow-side wins under
-    /// contention.
-    pub fn max_shallow_streak(&self) -> u32 {
-        self.max_shallow_streak
-    }
-
     /// Arbitrates one cycle given each side's request.
     ///
     /// Uncontended requests are always granted and do not advance the
@@ -190,11 +179,6 @@ impl RotatingMux {
                 }
             }
         }
-    }
-
-    /// Resets the rotation state.
-    pub fn reset(&mut self) {
-        self.streak = 0;
     }
 }
 
@@ -230,6 +214,8 @@ mod tests {
             grants[g] += 1;
         }
         assert_eq!(grants, [100; 4]);
+        assert_eq!(arb.len(), 4);
+        assert!(!arb.is_empty());
     }
 
     #[test]
@@ -258,16 +244,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn round_robin_reset() {
-        let mut arb = RoundRobin::new(2);
-        assert_eq!(arb.grant(&[true, true]), Some(0));
-        arb.reset();
-        assert_eq!(arb.grant(&[true, true]), Some(0));
-        assert_eq!(arb.len(), 2);
-        assert!(!arb.is_empty());
     }
 
     #[test]
@@ -302,15 +278,6 @@ mod tests {
         // First contended cycle still goes to shallow.
         assert_eq!(mux.grant(true, true), Side::Shallow);
         assert_eq!(mux.grant(true, true), Side::Log);
-        assert_eq!(mux.max_shallow_streak(), 1);
-    }
-
-    #[test]
-    fn rotating_mux_reset() {
-        let mut mux = RotatingMux::new(1);
-        assert_eq!(mux.grant(true, true), Side::Shallow);
-        mux.reset();
-        assert_eq!(mux.grant(true, true), Side::Shallow);
     }
 
     #[test]

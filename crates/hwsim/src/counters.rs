@@ -20,7 +20,6 @@ use std::fmt;
 /// s.incr("cycles");
 /// assert_eq!(s.get("macs"), 32);
 /// assert_eq!(s.get("not-recorded"), 0);
-/// assert!((s.ratio("macs", "cycles") - 32.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
@@ -51,16 +50,6 @@ impl Stats {
     /// unwritten hardware counter.
     pub fn get(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// `numerator / denominator` as `f64`; zero denominator yields 0.0.
-    pub fn ratio(&self, numerator: &str, denominator: &str) -> f64 {
-        let d = self.get(denominator);
-        if d == 0 {
-            0.0
-        } else {
-            self.get(numerator) as f64 / d as f64
-        }
     }
 
     /// Merges another registry into this one by summing counters.
@@ -147,15 +136,6 @@ mod tests {
         assert_eq!(s.get("b"), 40);
         assert_eq!(s.get("missing"), 0);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn ratio_handles_zero_denominator() {
-        let mut s = Stats::new();
-        s.add("x", 5);
-        assert_eq!(s.ratio("x", "none"), 0.0);
-        s.add("none", 2);
-        assert!((s.ratio("x", "none") - 2.5).abs() < 1e-12);
     }
 
     #[test]

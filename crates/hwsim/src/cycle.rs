@@ -41,11 +41,6 @@ impl Cycle {
     pub const fn next(self) -> Cycle {
         Cycle(self.0 + 1)
     }
-
-    /// Saturating difference `self - earlier`.
-    pub const fn since(self, earlier: Cycle) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl Add<u64> for Cycle {
@@ -127,19 +122,6 @@ impl Frequency {
         Frequency { hz: mhz * 1e6 }
     }
 
-    /// Creates a frequency from hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hz` is not a positive finite number.
-    pub fn hz_value(hz: f64) -> Frequency {
-        assert!(
-            hz.is_finite() && hz > 0.0,
-            "frequency must be positive and finite"
-        );
-        Frequency { hz }
-    }
-
     /// Frequency in hertz.
     pub fn hz(self) -> f64 {
         self.hz
@@ -153,15 +135,6 @@ impl Frequency {
     /// Converts a cycle count to seconds at this frequency.
     pub fn cycles_to_seconds(self, cycles: Cycle) -> f64 {
         cycles.count() as f64 / self.hz
-    }
-
-    /// Throughput in operations per second given `ops` completed in
-    /// `cycles`.
-    pub fn ops_per_second(self, ops: u64, cycles: Cycle) -> f64 {
-        if cycles.count() == 0 {
-            return 0.0;
-        }
-        ops as f64 * self.hz / cycles.count() as f64
     }
 }
 
@@ -181,8 +154,6 @@ mod tests {
         assert_eq!(c + 5, Cycle::new(15));
         assert_eq!(c.next(), Cycle::new(11));
         assert_eq!(Cycle::new(15) - c, 5);
-        assert_eq!(c.since(Cycle::new(3)), 7);
-        assert_eq!(Cycle::new(3).since(c), 0); // saturating
         let mut c = Cycle::ZERO;
         c += 4;
         assert_eq!(c.count(), 4);
@@ -207,10 +178,6 @@ mod tests {
         let f = Frequency::mhz(666.0);
         assert!((f.as_mhz() - 666.0).abs() < 1e-9);
         assert!((f.cycles_to_seconds(Cycle::new(666)) - 1e-6).abs() < 1e-15);
-        // 31.6 MAC/cycle at 666 MHz is ~21 GMAC/s (the paper's peak).
-        let gmacs = f.ops_per_second(316, Cycle::new(10)) / 1e9;
-        assert!((gmacs - 21.0456).abs() < 1e-3);
-        assert_eq!(f.ops_per_second(100, Cycle::ZERO), 0.0);
         assert_eq!(f.to_string(), "666 MHz");
     }
 
@@ -223,6 +190,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn frequency_rejects_nan() {
-        let _ = Frequency::hz_value(f64::NAN);
+        let _ = Frequency::mhz(f64::NAN);
     }
 }

@@ -139,7 +139,7 @@ impl StateWriter {
     }
 
     /// Appends raw bytes verbatim (no length prefix).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
@@ -248,11 +248,6 @@ impl<'a> StateReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// `true` once every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     /// Asserts the stream is fully consumed.
     ///
     /// # Errors
@@ -260,7 +255,7 @@ impl<'a> StateReader<'a> {
     /// Returns [`SnapshotError::Corrupt`] when trailing bytes remain —
     /// a decoder that leaves data behind mis-parsed the payload.
     pub fn expect_end(&self) -> Result<(), SnapshotError> {
-        if self.is_exhausted() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(SnapshotError::Corrupt(format!(

@@ -23,6 +23,8 @@
 //!   (`let _ = ...;`, bare-semicolon calls);
 //! * **RM-ARITH-001** — no bare `+` / `*` / `+=` on cycle-denominated
 //!   counters (cycle totals, credits, latencies, deadlines, budgets);
+//! * **RM-DEAD-001** — no `pub fn` that no other workspace `.rs` file
+//!   names outside `#[cfg(test)]` items;
 //! * **RM-ALLOW-001 / RM-ALLOW-002** — allowlist hygiene: every
 //!   suppression is justified and still needed.
 //!
@@ -37,6 +39,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod arith;
+pub mod dead;
 pub mod errs;
 pub mod flow;
 pub mod lexer;
@@ -116,15 +119,17 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Scans every checked crate under `<root>/crates`, skipping test-only
-/// trees (`tests/`, `benches/`, `examples/`) — in-file `#[cfg(test)]`
+/// Scans the `src/` of every checked crate under `<root>/crates`; test-only
+/// trees (`tests/`, `benches/`, `examples/`), unchecked crates and the root
+/// package are read only as RM-DEAD-001 callers — in-file `#[cfg(test)]`
 /// items are stripped by the rules themselves.
 ///
-/// The scan is two-pass: pass one reads every file and builds the
-/// [`WorkspaceContext`] (the `Result`-returning callee set RM-ERR-001
-/// resolves against); pass two runs the rules crate by crate, so
-/// crate-wide rules (RM-LOCK-001's acquisition-order graph) see every
-/// file of a crate at once.
+/// The scan is two-pass: pass one reads every `.rs` file of the
+/// workspace and builds the [`WorkspaceContext`] (the `Result`-returning
+/// callee set RM-ERR-001 resolves against, and the caller index
+/// RM-DEAD-001 looks names up in); pass two runs the rules crate by
+/// crate, so crate-wide rules (RM-LOCK-001's acquisition-order graph) see
+/// every file of a crate at once.
 ///
 /// # Errors
 ///
@@ -140,27 +145,44 @@ pub fn check_workspace(root: &Path) -> Result<Report, String> {
         .collect();
     crate_names.sort();
 
-    // Pass 1: load sources, build the workspace context.
+    // Pass 1: load sources, build the workspace context. Every crate and
+    // the root package are callers; only checked crates' `src/` is judged.
     let mut ctx = WorkspaceContext::default();
     let mut loaded: Vec<(String, Vec<rules::SourceFile>)> = Vec::new();
+    let read = |file: &Path| -> Result<(String, String), String> {
+        let src = std::fs::read_to_string(file)
+            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        let label = file
+            .strip_prefix(root)
+            .unwrap_or(file)
+            .display()
+            .to_string();
+        Ok((label, src))
+    };
     for name in crate_names {
-        if !crate_is_checked(&name) {
-            continue;
-        }
-        let src_dir = crates_dir.join(&name).join("src");
+        let crate_dir = crates_dir.join(&name);
+        let src_dir = crate_dir.join("src");
+        let checked = crate_is_checked(&name);
         let mut files: Vec<rules::SourceFile> = Vec::new();
-        for file in rust_files(&src_dir)? {
-            let src = std::fs::read_to_string(&file)
-                .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-            let label = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .display()
-                .to_string();
-            ctx.add_source(&src);
-            files.push((label, src));
+        for file in rust_files(&crate_dir)? {
+            let (label, src) = read(&file)?;
+            ctx.add_callers(&label, &src);
+            if checked && file.starts_with(&src_dir) {
+                ctx.add_source(&src);
+                files.push((label, src));
+            }
         }
-        loaded.push((name, files));
+        if checked {
+            loaded.push((name, files));
+        }
+    }
+    for dir in ["src", "tests", "examples"].map(|d| root.join(d)) {
+        if dir.is_dir() {
+            for file in rust_files(&dir)? {
+                let (label, src) = read(&file)?;
+                ctx.add_callers(&label, &src);
+            }
+        }
     }
 
     // Pass 2: run the rules crate by crate.

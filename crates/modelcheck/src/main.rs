@@ -36,6 +36,7 @@ fn main() -> ExitCode {
                      (no panics), RM-LOCK-001 (lock-order cycles), RM-RACE-001\n\
                      (interleaving-ordered output), RM-ERR-001 (discarded\n\
                      Results), RM-ARITH-001 (unchecked cycle arithmetic),\n\
+                     RM-DEAD-001 (pub fns no other file names),\n\
                      RM-ALLOW-001/002 (allowlist hygiene).\n\
                      \n\
                      --json emits the report as one JSON object (exit codes\n\

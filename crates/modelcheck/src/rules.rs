@@ -13,6 +13,7 @@
 //! | RM-RACE-001  | host crates                 | interleaving-ordered data in outputs     |
 //! | RM-ERR-001   | model-state + host crates   | discarded `Result`s                      |
 //! | RM-ARITH-001 | model crates + `service`    | bare `+`/`*`/`+=` on cycle counters      |
+//! | RM-DEAD-001  | model-state + host crates   | `pub fn`s no other workspace file names  |
 //! | RM-ALLOW-001 | everywhere modelcheck scans | allow entries without a justification    |
 //! | RM-ALLOW-002 | everywhere modelcheck scans | allow entries that suppress nothing      |
 //!
@@ -27,9 +28,10 @@
 //! are stripped first) and never match inside string literals or
 //! comments — the scanner works on real tokens, not text.
 
+use crate::dead::{self, Callers};
 use crate::flow::{self, UseMap};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::scope::{allowances, non_test_tokens, snapshot_markers, Allowance};
+use crate::scope::{allowances, non_cfg_test_tokens, non_test_tokens, snapshot_markers, Allowance};
 use crate::snapshot;
 use crate::{arith, errs, locks, race};
 use std::collections::BTreeSet;
@@ -88,27 +90,33 @@ fn arith_applies(crate_name: &str) -> bool {
 }
 
 /// Workspace-wide facts the flow-aware rules need before any file can be
-/// judged: today that is the callee set for RM-ERR-001 — the name of
-/// every `Result`-returning `fn` in a scanned crate.
+/// judged: the callee set for RM-ERR-001 — the name of every
+/// `Result`-returning `fn` in a scanned crate — and RM-DEAD-001's index of
+/// which files name which identifiers.
 #[derive(Debug, Default)]
 pub struct WorkspaceContext {
     /// Names of `Result`-returning workspace functions (non-test code).
     pub result_fns: BTreeSet<String>,
+    /// Every workspace `.rs` file's identifiers (RM-DEAD-001); `None`
+    /// when the context knows one file only ([`check_file`]), where "no
+    /// other file names it" cannot be judged.
+    pub callers: Option<Callers>,
 }
 
 impl WorkspaceContext {
-    /// Folds one source file into the context (pre-pass).
+    /// Folds one checked-crate source file into the context (pre-pass).
     pub fn add_source(&mut self, src: &str) {
         let lexed = lex(src);
         let code = non_test_tokens(&lexed.toks);
         self.result_fns.extend(flow::result_fn_names(&code));
     }
 
-    /// Context seeded from a single file — what [`check_file`] uses.
-    pub fn single_file(src: &str) -> Self {
-        let mut ctx = Self::default();
-        ctx.add_source(src);
-        ctx
+    /// Folds one workspace `.rs` file, checked or not, into the caller
+    /// index (pre-pass).
+    pub fn add_callers(&mut self, label: &str, src: &str) {
+        let lexed = lex(src);
+        let code = non_cfg_test_tokens(&lexed.toks);
+        dead::add_callers(label, &code, self.callers.get_or_insert_with(Callers::new));
     }
 }
 
@@ -120,7 +128,8 @@ pub type SourceFile = (String, String);
 /// single-file). Kept for tests and fixtures; the workspace walker uses
 /// [`check_crate`] so crate-wide rules see every file.
 pub fn check_file(crate_name: &str, file: &str, src: &str) -> Vec<Diagnostic> {
-    let ctx = WorkspaceContext::single_file(src);
+    let mut ctx = WorkspaceContext::default();
+    ctx.add_source(src);
     let files = vec![(file.to_string(), src.to_string())];
     check_crate(crate_name, &files, &ctx)
 }
@@ -172,6 +181,9 @@ pub fn check_crate(
         if model || host {
             errs::rule_err_001(label, &code, &ctx.result_fns, &mut raw);
             edges.extend(locks::lock_edges(label, &code, &uses));
+            if let Some(callers) = &ctx.callers {
+                dead::rule_dead_001(label, &code, callers, &mut raw);
+            }
         }
         if arith_applies(crate_name) {
             arith::rule_arith_001(label, &code, &mut raw);

@@ -75,6 +75,17 @@ pub struct SnapshotMarker {
 /// without mentioning `not`, hides the item that follows. This correctly
 /// keeps `#[cfg(not(test))]` and `#![cfg_attr(not(test), ...)]` items.
 pub fn non_test_tokens(toks: &[Tok]) -> Vec<Tok> {
+    strip_test_items(toks, true)
+}
+
+/// Strips only `#[cfg(test)]` items and keeps `#[test]` functions: in an
+/// integration-test file they are the code, and what they call is called
+/// from outside the defining file (RM-DEAD-001's caller index).
+pub fn non_cfg_test_tokens(toks: &[Tok]) -> Vec<Tok> {
+    strip_test_items(toks, false)
+}
+
+fn strip_test_items(toks: &[Tok], test_fns: bool) -> Vec<Tok> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -93,7 +104,7 @@ pub fn non_test_tokens(toks: &[Tok]) -> Vec<Tok> {
                         .collect();
                     let hides_item = open == i + 1
                         && match idents.first() {
-                            Some(&"test") => true,
+                            Some(&"test") => test_fns,
                             Some(&"cfg") => idents.contains(&"test") && !idents.contains(&"not"),
                             _ => false,
                         };

@@ -3,37 +3,9 @@
 //! order or which rule produced them. CI diffs and the `--json` artifact
 //! rely on this being byte-stable across runs and machines.
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
-/// A throwaway workspace under the OS temp dir, removed on drop.
-struct TempWorkspace {
-    root: PathBuf,
-}
-
-impl TempWorkspace {
-    fn new(tag: &str) -> Self {
-        let root =
-            std::env::temp_dir().join(format!("modelcheck-ordering-{}-{tag}", std::process::id()));
-        // A clean slate even if a previous run died mid-test.
-        let _ = fs::remove_dir_all(&root);
-        Self { root }
-    }
-
-    fn write(&self, rel: &str, contents: &str) {
-        let path = self.root.join(rel);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent).expect("create fixture dirs");
-        }
-        fs::write(&path, contents).expect("write fixture file");
-    }
-}
-
-impl Drop for TempWorkspace {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.root);
-    }
-}
+use common::TempWorkspace;
 
 #[test]
 fn diagnostics_are_sorted_by_file_line_rule() {

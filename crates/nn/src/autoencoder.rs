@@ -23,7 +23,7 @@ pub const HIDDEN_DIM: usize = 128;
 pub const BOTTLENECK_DIM: usize = 8;
 
 /// The layer widths of the reference topology, inputs first.
-pub fn layer_dims() -> Vec<usize> {
+fn layer_dims() -> Vec<usize> {
     vec![
         INPUT_DIM,
         HIDDEN_DIM,
@@ -49,8 +49,8 @@ pub fn layer_dims() -> Vec<usize> {
 /// let net = autoencoder::mlperf_tiny(1);
 /// assert_eq!(net.in_dim(), 640);
 /// assert_eq!(net.out_dim(), 640);
-/// // ~270k parameters, matching the published model size.
-/// assert!((260_000..280_000).contains(&net.param_count()));
+/// // ~270k FP16 parameters, matching the published model size.
+/// assert!((520_000..560_000).contains(&net.weight_bytes()));
 /// ```
 pub fn mlperf_tiny(seed: u64) -> Network {
     let dims = layer_dims();
@@ -104,8 +104,8 @@ mod tests {
     #[test]
     fn parameter_count_is_about_270k() {
         let net = mlperf_tiny(3);
-        // 2*(640*128) + 6*(128*128) + 2*(128*8) + biases (1672).
-        assert_eq!(net.param_count(), 163840 + 98304 + 2048 + 1672);
+        // 2*(640*128) + 6*(128*128) + 2*(128*8) + biases (1672), 2 B each.
+        assert_eq!(net.weight_bytes(), 2 * (163840 + 98304 + 2048 + 1672));
     }
 
     #[test]

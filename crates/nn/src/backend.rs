@@ -9,9 +9,8 @@
 //! Elementwise work (bias, ReLU, loss gradient, SGD update) always runs on
 //! the cores; its cost model is shared by both backends.
 
-pub use redmule::BackendKind;
 pub use redmule::Format;
-use redmule::{AccelConfig, Accelerator, EngineError, FunctionalGemm, L2TiledGemm};
+use redmule::{Accelerator, EngineError};
 use redmule_cluster::{baseline::SwGemm, ClusterConfig};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
@@ -123,15 +122,6 @@ impl CycleLedger {
             .sum()
     }
 
-    /// Sum of cycles for one layer label.
-    pub fn cycles_for_layer(&self, layer: &str) -> Cycle {
-        self.records
-            .iter()
-            .filter(|r| r.layer == layer)
-            .map(|r| r.cycles)
-            .sum()
-    }
-
     /// Clears all records.
     pub fn clear(&mut self) {
         self.records.clear();
@@ -167,71 +157,25 @@ pub struct Backend {
 #[derive(Debug)]
 enum Inner {
     Hw(Accelerator),
-    HwFn(FunctionalGemm),
-    HwL2(L2TiledGemm),
     Sw(SwGemm),
 }
 
 impl Backend {
     /// The paper's accelerator instance (`H=4, L=8, P=3`).
     pub fn hw() -> Backend {
-        Backend::hw_with(Accelerator::paper_instance())
-    }
-
-    /// The paper's accelerator instance on the chosen execution model:
-    /// [`BackendKind::CycleAccurate`] simulates every clock edge,
-    /// [`BackendKind::Functional`] returns bit-identical results with an
-    /// analytical cycle estimate at a fraction of the host cost.
-    pub fn hw_kind(kind: BackendKind) -> Backend {
-        match kind {
-            BackendKind::CycleAccurate => Backend::hw(),
-            BackendKind::Functional => Backend::hw_functional(),
-        }
-    }
-
-    /// The fast functional model of the paper's accelerator instance
-    /// (see [`redmule::FunctionalGemm`]): numerics bit-identical to
-    /// [`Backend::hw`], cycles from the analytical performance model.
-    pub fn hw_functional() -> Backend {
         Backend {
-            inner: Inner::HwFn(FunctionalGemm::paper_instance()),
+            inner: Inner::Hw(Accelerator::paper_instance()),
             cluster: ClusterConfig::default(),
-            format: Format::Fp16,
-        }
-    }
-
-    /// A custom accelerator instance.
-    pub fn hw_with(accel: Accelerator) -> Backend {
-        Backend {
-            inner: Inner::Hw(accel),
-            cluster: ClusterConfig::default(),
-            format: Format::Fp16,
-        }
-    }
-
-    /// The accelerator behind the L2 tiling driver: GEMMs whose operands
-    /// exceed the TCDM are streamed in panels with DMA double buffering
-    /// (the realistic deployment for the autoencoder's ~0.5 MiB of
-    /// weights). Costs are the driver's double-buffered cycles.
-    pub fn hw_l2() -> Backend {
-        let cluster = ClusterConfig::default();
-        Backend {
-            inner: Inner::HwL2(L2TiledGemm::new(AccelConfig::paper(), cluster.clone())),
-            cluster,
             format: Format::Fp16,
         }
     }
 
     /// The 8-core software baseline.
     pub fn sw() -> Backend {
-        Backend::sw_with(ClusterConfig::default())
-    }
-
-    /// A software baseline on a custom cluster.
-    pub fn sw_with(cfg: ClusterConfig) -> Backend {
+        let cluster = ClusterConfig::default();
         Backend {
-            inner: Inner::Sw(SwGemm::new(&cfg)),
-            cluster: cfg,
+            inner: Inner::Sw(SwGemm::new(&cluster)),
+            cluster,
             format: Format::Fp16,
         }
     }
@@ -239,10 +183,10 @@ impl Backend {
     /// Selects the operand storage [`Format`] for every GEMM this
     /// backend runs. With an FP8 format the cycle-accurate path stores
     /// X/W/Z in TCDM at one byte per element (cast at the engine's
-    /// castin/castout stages); the software, functional and L2 paths
-    /// quantise operands in and results out through the same
-    /// round-to-nearest-even casts, so **all four backends stay
-    /// bit-identical for any format** — the property `tests` pin.
+    /// castin/castout stages); the software path quantises operands in
+    /// and results out through the same round-to-nearest-even casts, so
+    /// **both backends stay bit-identical for any format** — the
+    /// property `tests` pin.
     #[must_use]
     pub fn with_format(mut self, format: Format) -> Backend {
         self.format = format;
@@ -254,12 +198,10 @@ impl Backend {
         self.format
     }
 
-    /// `"hw"`, `"hw-fn"`, `"hw-l2"` or `"sw"`.
+    /// `"hw"` or `"sw"`.
     pub fn name(&self) -> &'static str {
         match self.inner {
             Inner::Hw(_) => "hw",
-            Inner::HwFn(_) => "hw-fn",
-            Inner::HwL2(_) => "hw-l2",
             Inner::Sw(_) => "sw",
         }
     }
@@ -314,20 +256,6 @@ impl Backend {
                     // No budget is configured on this supervisor.
                     StopReason::CycleBudget => unreachable!("unbudgeted run hit a budget"),
                 }
-            }
-            Inner::HwFn(f) => {
-                let run = f.run_format(shape, format, x, w)?;
-                Ok((run.z, run.estimated_cycles))
-            }
-            Inner::HwL2(driver) => {
-                // The L2 driver models FP8 at the L2/DMA boundary with
-                // FP16 accumulation in TCDM across reduction slices; the
-                // single output narrowing matches the one-job engine run.
-                let (mut z, report) = driver.run(shape, x, w)?;
-                if format.is_fp8() {
-                    z = quantize(format, &z);
-                }
-                Ok((z, report.overlapped_cycles))
             }
             Inner::Sw(sw) => {
                 let run = sw.run(shape, x, w)?;
@@ -397,26 +325,7 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(Backend::hw().name(), "hw");
-        assert_eq!(Backend::hw_functional().name(), "hw-fn");
-        assert_eq!(Backend::hw_l2().name(), "hw-l2");
         assert_eq!(Backend::sw().name(), "sw");
-    }
-
-    #[test]
-    fn functional_backend_matches_cycle_accurate_bitwise() {
-        let shape = GemmShape::new(7, 19, 13);
-        let (x, w) = shape_data(shape);
-        let (zc, cc) = Backend::hw().gemm(shape, &x, &w).expect("cycle gemm");
-        let (zf, cf) = Backend::hw_functional()
-            .gemm(shape, &x, &w)
-            .expect("functional gemm");
-        let cb: Vec<u16> = zc.iter().map(|v| v.to_bits()).collect();
-        let fb: Vec<u16> = zf.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(cb, fb, "functional backend must be bit-identical");
-        // The estimate is the supervisor's analytical model: same order
-        // of magnitude as the measured cycles, never zero.
-        assert!(cf.count() > 0);
-        assert!(cf.count() < 4 * cc.count());
     }
 
     #[test]
@@ -431,43 +340,14 @@ mod tests {
             let zh = run(Backend::hw().with_format(format));
             assert_eq!(
                 zh,
-                run(Backend::hw_functional().with_format(format)),
-                "{format}: hw-fn drifted"
-            );
-            assert_eq!(
-                zh,
                 run(Backend::sw().with_format(format)),
                 "{format}: sw drifted"
-            );
-            assert_eq!(
-                zh,
-                run(Backend::hw_l2().with_format(format)),
-                "{format}: hw-l2 drifted"
             );
         }
         assert_eq!(
             Backend::hw().with_format(Format::Fp8E4M3).format().label(),
             "fp8e4m3"
         );
-    }
-
-    #[test]
-    fn hw_kind_selects_the_execution_model() {
-        assert_eq!(Backend::hw_kind(BackendKind::CycleAccurate).name(), "hw");
-        assert_eq!(Backend::hw_kind(BackendKind::Functional).name(), "hw-fn");
-    }
-
-    #[test]
-    fn l2_backend_matches_hw_numerics_with_dma_overhead() {
-        let shape = GemmShape::new(16, 48, 32);
-        let (x, w) = shape_data(shape);
-        let (zh, ch) = Backend::hw().gemm(shape, &x, &w).expect("hw gemm");
-        let (zl, cl) = Backend::hw_l2().gemm(shape, &x, &w).expect("l2 gemm");
-        let hb: Vec<u16> = zh.iter().map(|v| v.to_bits()).collect();
-        let lb: Vec<u16> = zl.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(hb, lb, "tiling must not change numerics");
-        // The L2 path pays at least the initial panel fill.
-        assert!(cl >= ch, "L2 path cannot be cheaper than TCDM-resident");
     }
 
     #[test]
@@ -490,7 +370,6 @@ mod tests {
         l.record("b", OpKind::Forward, None, Cycle::new(20));
         assert_eq!(l.total_cycles().count(), 35);
         assert_eq!(l.cycles_for(OpKind::Forward).count(), 30);
-        assert_eq!(l.cycles_for_layer("a").count(), 15);
         assert_eq!(l.records().len(), 3);
         l.clear();
         assert_eq!(l.total_cycles(), Cycle::ZERO);

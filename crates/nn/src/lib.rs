@@ -12,7 +12,6 @@
 //!   kernel, plus elementwise-op cycle costs and a
 //!   [`backend::CycleLedger`] recording per-layer, per-operation costs.
 //! * [`mlp`] — dense layers with bias and ReLU, forward/backward/SGD.
-//! * [`conv`] — 2-D convolutions lowered onto the GEMM via im2col.
 //! * [`autoencoder`] — the MLPerf-Tiny topology and its memory footprint.
 //!
 //! Layer data is laid out activations-as-columns (`features x batch`), so
@@ -41,7 +40,6 @@
 
 pub mod autoencoder;
 pub mod backend;
-pub mod conv;
 pub mod mlp;
 mod tensor;
 

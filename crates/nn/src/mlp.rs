@@ -99,7 +99,7 @@ impl Dense {
 
     /// Parameter count (weights + bias), each stored once for counting
     /// purposes (the duplicated layout is an implementation detail).
-    pub fn param_count(&self) -> usize {
+    fn param_count(&self) -> usize {
         self.wt.len() + self.bias.len()
     }
 
@@ -154,7 +154,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if called before `forward` or with mismatched shapes.
-    pub fn backward(
+    fn backward(
         &mut self,
         d_out: &Tensor,
         backend: &mut Backend,
@@ -229,7 +229,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if no gradients are pending (call `backward` first).
-    pub fn apply_update(&mut self, lr: f32, backend: &mut Backend, ledger: &mut CycleLedger) {
+    fn apply_update(&mut self, lr: f32, backend: &mut Backend, ledger: &mut CycleLedger) {
         let d_wt = self.d_wt.take().expect("no pending gradient");
         let d_bias = self.d_bias.take().expect("no pending gradient");
         let neg_lr = F16::from_f32(-lr);
@@ -300,7 +300,7 @@ impl Network {
     }
 
     /// Total parameter count.
-    pub fn param_count(&self) -> usize {
+    fn param_count(&self) -> usize {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
@@ -342,30 +342,13 @@ impl Network {
     /// Returns the backend's [`EngineError`] if any GEMM in the step
     /// fails; the network is left with whatever partial state the step
     /// reached (no pending gradients are applied).
-    pub fn train_step(
-        &mut self,
-        x: &Tensor,
-        lr: f32,
-        backend: &mut Backend,
-        ledger: &mut CycleLedger,
-    ) -> Result<StepReport, EngineError> {
-        self.train_step_with_target(x, x, lr, backend, ledger)
-    }
-
-    /// One supervised training step against an explicit target.
-    ///
-    /// # Errors
-    ///
-    /// Returns the backend's [`EngineError`] if any GEMM in the step
-    /// fails.
     ///
     /// # Panics
     ///
-    /// Panics if the target shape does not match the network output.
-    pub fn train_step_with_target(
+    /// Panics if the network's output shape differs from `x`'s.
+    pub fn train_step(
         &mut self,
         x: &Tensor,
-        target: &Tensor,
         lr: f32,
         backend: &mut Backend,
         ledger: &mut CycleLedger,
@@ -374,8 +357,8 @@ impl Network {
         let y = self.forward(x, backend, ledger)?;
         assert_eq!(
             (y.rows(), y.cols()),
-            (target.rows(), target.cols()),
-            "target shape mismatch"
+            (x.rows(), x.cols()),
+            "an autoencoder reconstructs its input's shape"
         );
 
         // MSE loss gradient: dY = (Y - T) * 2/out_features. Computed in
@@ -386,7 +369,7 @@ impl Network {
         let mut loss = 0.0f64;
         for r in 0..y.rows() {
             for c in 0..y.cols() {
-                let diff = y.get(r, c) - target.get(r, c);
+                let diff = y.get(r, c) - x.get(r, c);
                 loss += diff.to_f64() * diff.to_f64();
                 d_y.set(r, c, diff * scale);
             }

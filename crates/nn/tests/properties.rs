@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use redmule_nn::backend::{Backend, CycleLedger};
-use redmule_nn::conv::{conv2d_reference, Conv2d, FeatureMap};
 use redmule_nn::mlp::{Dense, Network};
 use redmule_nn::Tensor;
 
@@ -37,32 +36,6 @@ proptest! {
         prop_assert_eq!(rh.loss.to_bits(), rs.loss.to_bits());
         for (a, b) in hw_net.layers().iter().zip(sw_net.layers()) {
             prop_assert_eq!(a.weights(), b.weights());
-        }
-    }
-
-    /// im2col-lowered convolution equals the direct reference for random
-    /// geometry, on both backends.
-    #[test]
-    fn conv_lowering_is_exact(
-        in_ch in 1usize..4,
-        out_ch in 1usize..6,
-        kernel in 1usize..4,
-        stride in 1usize..3,
-        padding in 0usize..2,
-        h in 3usize..10,
-        w in 3usize..10,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
-        let layer = Conv2d::new("c", in_ch, out_ch, kernel, stride, padding, true, seed);
-        let input = FeatureMap::from_fn(in_ch, h, w, |c, y, x| {
-            ((c * 7 + y * 13 + x * 3 + seed as usize) % 19) as f32 / 9.0 - 1.0
-        });
-        let want = conv2d_reference(&layer, &input);
-        for mut backend in [Backend::hw(), Backend::sw()] {
-            let mut ledger = CycleLedger::new();
-            let got = layer.forward(&input, &mut backend, &mut ledger).expect("forward");
-            prop_assert_eq!(got.as_slice(), want.as_slice(), "backend {}", backend.name());
         }
     }
 

@@ -689,7 +689,7 @@ mod tests {
             .expect("job runs")
             .expect("job was pending");
         assert!(report.cycles.count() > 0);
-        assert!(!accel.regfile().is_busy());
+        assert_eq!(accel.regfile().read(offsets::STATUS), 0);
         let z = mem.load_f16_slice(0x200, shape.z_len()).expect("Z range");
         assert_eq!(bits(&z), bits(&gemm_golden(shape, &x, &w)));
     }

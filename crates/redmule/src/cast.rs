@@ -28,7 +28,7 @@ use redmule_fp16::{Format, Round, E4M3, E5M2, F16};
 ///
 /// [`MemError`] when the access leaves the TCDM (or, for FP16 storage, is
 /// misaligned).
-pub fn castin(mem: &Tcdm, format: Format, addr: u32) -> Result<F16, MemError> {
+fn castin(mem: &Tcdm, format: Format, addr: u32) -> Result<F16, MemError> {
     Ok(match format {
         Format::Fp16 => mem.read_f16(addr)?,
         Format::Fp8E4M3 => E4M3::from_bits(mem.read_u8(addr)?).to_f16(),
@@ -43,7 +43,7 @@ pub fn castin(mem: &Tcdm, format: Format, addr: u32) -> Result<F16, MemError> {
 ///
 /// [`MemError`] when the access leaves the TCDM (or, for FP16 storage, is
 /// misaligned).
-pub fn castout(mem: &mut Tcdm, format: Format, addr: u32, value: F16) -> Result<(), MemError> {
+fn castout(mem: &mut Tcdm, format: Format, addr: u32, value: F16) -> Result<(), MemError> {
     match format {
         Format::Fp16 => mem.write_f16(addr, value),
         Format::Fp8E4M3 => mem.write_u8(addr, E4M3::from_f16(value, Round::NearestEven).to_bits()),
@@ -64,12 +64,12 @@ fn run_offset(format: Format, addr: u32) -> Option<usize> {
 ///
 /// A run inside the TCDM is decoded from its words in one pass, with one
 /// bounds check. A run that leaves the TCDM, a misaligned FP16 run or an
-/// armed stuck-at fault takes the per-element [`castin`] path instead,
+/// armed stuck-at fault takes the per-element `castin` path instead,
 /// which fails on the first bad element.
 ///
 /// # Errors
 ///
-/// As [`castin`], for the first failing element; `out` is then partly
+/// As `castin`, for the first failing element; `out` is then partly
 /// written.
 pub fn castin_run(mem: &Tcdm, format: Format, addr: u32, out: &mut [F16]) -> Result<(), MemError> {
     let esz = format.elem_bytes();
@@ -109,11 +109,11 @@ pub fn castin_run(mem: &Tcdm, format: Format, addr: u32, out: &mut [F16]) -> Res
 ///
 /// A run inside the TCDM is written in one pass, with one bounds check; a
 /// run that leaves the TCDM or a misaligned FP16 run takes the
-/// per-element [`castout`] path, which fails on the first bad element.
+/// per-element `castout` path, which fails on the first bad element.
 ///
 /// # Errors
 ///
-/// As [`castout`], for the first failing element; the elements before it
+/// As `castout`, for the first failing element; the elements before it
 /// are written.
 pub fn castout_run(
     mem: &mut Tcdm,

@@ -59,7 +59,6 @@ pub mod decode;
 mod engine;
 pub mod faults;
 mod functional;
-mod l2;
 pub mod regfile;
 mod schedule;
 
@@ -74,7 +73,6 @@ pub use faults::{
     FaultInjector, FaultPlan, FaultSite, FaultSpec, FtConfig, FtMode, TransientTarget,
 };
 pub use functional::{BackendKind, FunctionalGemm, FunctionalPlan, FunctionalRun};
-pub use l2::{L2TiledGemm, TileShape, TiledReport};
 pub use regfile::{Job, RegFile};
 pub use schedule::{Schedule, Tile};
 

@@ -120,7 +120,7 @@ impl Job {
     /// Returns a copy with explicit row strides in elements (`0` keeps a
     /// dimension dense). Strides must be at least the dense width.
     #[must_use]
-    pub fn with_strides(mut self, x_stride: usize, w_stride: usize, z_stride: usize) -> Job {
+    pub(crate) fn with_strides(mut self, x_stride: usize, w_stride: usize, z_stride: usize) -> Job {
         self.x_stride = x_stride;
         self.w_stride = w_stride;
         self.z_stride = z_stride;
@@ -293,11 +293,10 @@ impl RegFile {
     /// # Panics
     ///
     /// Panics on an unmapped offset (a real HWPE would raise a bus error).
-    /// Use [`RegFile::try_write`] to handle the error instead.
     pub fn write(&mut self, offset: u32, value: u32) {
         if let Err(e) = self.try_write(offset, value) {
             // modelcheck-allow: RM-PANIC-001 -- documented panicking wrapper
-            // (see # Panics); try_write is the fallible alternative.
+            // (see # Panics) around try_write.
             panic!("write to unmapped HWPE register: {e}");
         }
     }
@@ -308,7 +307,7 @@ impl RegFile {
     ///
     /// [`EngineError::UnmappedRegister`] when no register decodes at
     /// `offset` (the model's equivalent of an HWPE bus error).
-    pub fn try_write(&mut self, offset: u32, value: u32) -> Result<(), EngineError> {
+    fn try_write(&mut self, offset: u32, value: u32) -> Result<(), EngineError> {
         match offset {
             offsets::TRIGGER => self.triggered = true,
             offsets::SOFT_CLEAR => *self = RegFile::new(),
@@ -332,13 +331,12 @@ impl RegFile {
     ///
     /// # Panics
     ///
-    /// Panics on an unmapped offset. Use [`RegFile::try_read`] to handle
-    /// the error instead.
+    /// Panics on an unmapped offset.
     pub fn read(&self, offset: u32) -> u32 {
         match self.try_read(offset) {
             Ok(v) => v,
             // modelcheck-allow: RM-PANIC-001 -- documented panicking wrapper
-            // (see # Panics); try_read is the fallible alternative.
+            // (see # Panics) around try_read.
             Err(e) => panic!("read from unmapped HWPE register: {e}"),
         }
     }
@@ -349,7 +347,7 @@ impl RegFile {
     ///
     /// [`EngineError::UnmappedRegister`] when no register decodes at
     /// `offset`.
-    pub fn try_read(&self, offset: u32) -> Result<u32, EngineError> {
+    fn try_read(&self, offset: u32) -> Result<u32, EngineError> {
         Ok(match offset {
             offsets::TRIGGER | offsets::SOFT_CLEAR => 0,
             offsets::STATUS => u32::from(self.busy),
@@ -402,11 +400,6 @@ impl RegFile {
     pub fn complete_job(&mut self) {
         self.busy = false;
     }
-
-    /// Whether a job is in flight.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
 }
 
 #[cfg(test)]
@@ -442,7 +435,6 @@ mod tests {
         assert_eq!((job.m, job.n, job.k), (12, 34, 56));
         assert!(!job.accumulate);
         assert!(rf.take_triggered_job().is_none(), "trigger is one-shot");
-        assert!(rf.is_busy());
         assert_eq!(rf.read(offsets::STATUS), 1);
         rf.complete_job();
         assert_eq!(rf.read(offsets::STATUS), 0);

@@ -87,12 +87,6 @@ impl Schedule {
         self.shape
     }
 
-    /// Number of `L`-row output bands (`ceil(M / L)`); a band is one row
-    /// of tiles.
-    pub fn n_bands(&self) -> usize {
-        self.n_bands
-    }
-
     /// Tiles per band (`ceil(K / phase_width)`).
     pub fn tiles_k(&self) -> usize {
         self.tiles_k
@@ -144,11 +138,6 @@ impl Schedule {
     /// the column offsets plus `phase_width` per reduction phase.
     pub fn tile_len(&self) -> u64 {
         (self.cfg.h * self.cfg.latency() + self.n_phases * self.cfg.phase_width()) as u64
-    }
-
-    /// Transactions per granted port beat (1 for FP16, 2 for FP8).
-    pub fn beat(&self) -> u64 {
-        self.beat
     }
 
     /// Initial pipeline fill: `min(N,H)` W loads plus `min(M,L)` X loads
@@ -217,7 +206,7 @@ mod tests {
     fn grid_covers_the_output_in_engine_order() {
         let cfg = AccelConfig::paper();
         let s = Schedule::new(&cfg, GemmShape::new(9, 5, 17), Format::Fp16);
-        assert_eq!((s.n_bands(), s.tiles_k(), s.n_tiles()), (2, 2, 4));
+        assert_eq!((s.n_bands, s.tiles_k(), s.n_tiles()), (2, 2, 4));
         let tiles: Vec<Tile> = s.tiles().collect();
         let geom: Vec<(usize, usize, usize, usize)> = tiles
             .iter()

@@ -51,7 +51,7 @@ pub struct ServiceJobRecord {
 
 impl ServiceJobRecord {
     /// Virtual-clock latency from admission to the terminal state.
-    pub fn latency_cycles(&self) -> u64 {
+    fn latency_cycles(&self) -> u64 {
         self.finished_cycle.saturating_sub(self.admitted_cycle)
     }
 }
@@ -129,7 +129,7 @@ impl ServiceReport {
     }
 
     /// Total retries (service-level plus supervisor-level).
-    pub fn total_retries(&self) -> u64 {
+    fn total_retries(&self) -> u64 {
         self.jobs
             .iter()
             .map(|j| u64::from(j.service_retries) + u64::from(j.supervisor_retries))
@@ -142,7 +142,7 @@ impl ServiceReport {
     }
 
     /// Sorted completion latencies (virtual cycles) of completed jobs.
-    pub fn completed_latencies(&self) -> Vec<u64> {
+    fn completed_latencies(&self) -> Vec<u64> {
         let mut lat: Vec<u64> = self
             .jobs
             .iter()

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 /// # Errors
 ///
 /// [`StoreError::InvalidName`] describing the offending property.
-pub fn validate_name(name: &str) -> Result<(), StoreError> {
+fn validate_name(name: &str) -> Result<(), StoreError> {
     if name.is_empty() {
         return Err(StoreError::InvalidName("empty object name".to_string()));
     }
@@ -170,11 +170,6 @@ impl MemBackend {
     pub fn clear_crash(&mut self) {
         self.crash = None;
         self.crashed = false;
-    }
-
-    /// Whether a scheduled crash has fired.
-    pub fn has_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Write operations completed so far (crashed ones excluded). Run a
@@ -445,7 +440,7 @@ mod tests {
         b.set_crash_plan(CrashPlan::new(2, 3));
         b.append("log", b"first").unwrap(); // write 1
         assert_eq!(b.append("log", b"second"), Err(StoreError::Crashed));
-        assert!(b.has_crashed());
+        assert!(b.crashed);
         // Torn tail: 3 bytes of the dying append survive.
         assert_eq!(b.read("log").unwrap(), b"firstsec");
         // Every later write fails, reads keep working.

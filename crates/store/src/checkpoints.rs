@@ -169,7 +169,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// The backend's list error.
-    pub fn generations<B: StorageBackend + ?Sized>(
+    fn generations<B: StorageBackend + ?Sized>(
         &self,
         backend: &B,
         job: u64,

@@ -34,7 +34,7 @@ pub struct JournalScan {
 
 impl JournalScan {
     /// Whether the journal needs a tail truncation to be clean.
-    pub fn is_torn(&self) -> bool {
+    fn is_torn(&self) -> bool {
         self.damage.is_some()
     }
 
@@ -122,15 +122,6 @@ impl Journal {
         let keep = scan.valid_len.min(bytes.len());
         backend.publish(&self.name, &bytes[..keep])?;
         Ok(bytes.len() - keep)
-    }
-
-    /// Removes the journal object entirely (idempotent).
-    ///
-    /// # Errors
-    ///
-    /// The backend's error.
-    pub fn reset<B: StorageBackend + ?Sized>(&self, backend: &mut B) -> Result<(), StoreError> {
-        backend.remove(&self.name)
     }
 }
 

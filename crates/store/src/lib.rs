@@ -38,7 +38,7 @@ mod faults;
 pub mod frame;
 mod journal;
 
-pub use backend::{validate_name, CrashPlan, FileBackend, MemBackend, StorageBackend};
+pub use backend::{CrashPlan, FileBackend, MemBackend, StorageBackend};
 pub use checkpoints::{
     CheckpointDamage, CheckpointStore, DamagedGeneration, LatestLoad, CHECKPOINT_FRAME_KIND,
 };
@@ -53,7 +53,8 @@ pub use journal::{Journal, JournalScan};
 pub enum StoreError {
     /// The named object does not exist.
     NotFound(String),
-    /// The object name is not usable (see [`validate_name`]).
+    /// The object name is not usable: empty, `.`/`..`, in the reserved
+    /// `tmp.` namespace or outside ASCII `[A-Za-z0-9._-]`.
     InvalidName(String),
     /// A simulated backend crashed; writes fail until recovery clears
     /// the crash, reads keep working.

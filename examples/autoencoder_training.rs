@@ -35,7 +35,8 @@ fn main() {
         last_cycles = report.cycles.count();
         println!(
             "  step {step}: loss = {:.6}, {} cycles",
-            report.loss, report.cycles
+            report.loss,
+            report.cycles.count()
         );
     }
 
@@ -48,7 +49,8 @@ fn main() {
         .expect("sw step");
     println!(
         "\none step on 8 RISC-V cores: loss = {:.6}, {} cycles",
-        sw_report.loss, sw_report.cycles
+        sw_report.loss,
+        sw_report.cycles.count()
     );
     println!(
         "HW speedup for a full training step: {:.1}x",
