@@ -8,8 +8,9 @@
 #                      see .github/workflows/ci.yml)
 #   make test        — fast: workspace tests only
 #   make test-full   — workspace tests including the #[ignore]d deep
-#                      sweeps and vector drift checks (what CI's verify
-#                      job runs on every push and pull request)
+#                      sweeps, vector drift checks and the executor pool
+#                      stress test (what CI's verify job runs on every
+#                      push and pull request)
 #   make modelcheck  — model-hygiene static analysis (DESIGN.md §10)
 #   make modelcheck-json — same scan, machine-readable report written to
 #                      modelcheck-report.json (the CI artifact)

@@ -1,4 +1,4 @@
-//! The work-stealing worker pool and per-job execution paths.
+//! The persistent work-stealing worker pool and per-job execution paths.
 
 use crate::job::{GemmJob, JobFaults, JobResult, JobStatus};
 use crate::report::BatchReport;
@@ -10,8 +10,10 @@ use redmule::{
 use redmule_fp16::F16;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
-use std::thread;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{self, JoinHandle};
 
 /// Batch-level misconfiguration or a harness failure. Per-job *execution*
 /// failures never surface here — they are recorded in that job's
@@ -24,8 +26,9 @@ pub enum BatchError {
     DuplicateJobId(u64),
     /// A job failed [`GemmJob::validate`] (message names the job).
     InvalidJob(String),
-    /// A worker thread died outside the supervisor's panic isolation —
-    /// a bug in the pool itself.
+    /// A worker panicked outside the supervisor's panic isolation — a
+    /// bug in the executor itself. Carries the panic's message; the
+    /// executor stays usable for the next run.
     WorkerPanicked(String),
 }
 
@@ -109,20 +112,32 @@ pub struct BatchOutcome {
 /// steals from the back of its peers' — classic deque stealing, so a mix
 /// of heavy and light jobs stays balanced without any coordination on
 /// the hot path.
+///
+/// The pool is persistent. The calling thread works as worker 0; the
+/// other workers are helper threads that start on the first run with
+/// work for them and park between runs, so a run costs a wake-up, not a
+/// thread spawn. The host runs at most `min(workers,
+/// available_parallelism)` threads and deals over those, while
+/// [`ScheduleStats`] still models `workers` dedicated workers. Dropping
+/// the executor stops and joins its helpers. Runs from several threads
+/// on one executor are serialized.
 #[derive(Debug)]
 pub struct BatchExecutor {
     workers: usize,
     engine: Engine,
     trace: bool,
+    pool: Mutex<Pool>,
 }
 
 impl BatchExecutor {
-    /// A pool of `workers` threads running the paper's engine instance.
+    /// A pool of `workers` workers running the paper's engine instance.
+    /// No thread starts until a run has work for one.
     pub fn new(workers: usize) -> BatchExecutor {
         BatchExecutor {
             workers,
             engine: Engine::new(AccelConfig::paper()),
             trace: false,
+            pool: Mutex::new(Pool::default()),
         }
     }
 
@@ -160,9 +175,9 @@ impl BatchExecutor {
     /// # Errors
     ///
     /// [`BatchError`] on misconfiguration (zero workers, duplicate ids,
-    /// malformed operands) or if a worker thread itself dies. Per-job
-    /// execution failures are reported in the corresponding
-    /// [`JobResult`], not as errors.
+    /// malformed operands) or if a worker panics outside a job's own
+    /// panic isolation. Per-job execution failures are reported in the
+    /// corresponding [`JobResult`], not as errors.
     pub fn run(&self, mut jobs: Vec<GemmJob>) -> Result<BatchOutcome, BatchError> {
         if self.workers == 0 {
             return Err(BatchError::NoWorkers);
@@ -178,54 +193,7 @@ impl BatchExecutor {
         // this also spreads a sorted-by-size batch evenly.
         jobs.sort_by_key(|j| j.id);
 
-        let n_jobs = jobs.len();
-        let deques: Vec<Mutex<VecDeque<usize>>> = (0..self.workers)
-            .map(|w| Mutex::new((w..n_jobs).step_by(self.workers).collect()))
-            .collect();
-        let results: Mutex<Vec<Option<JobResult>>> = Mutex::new(vec![None; n_jobs]);
-        let jobs_ref: &[GemmJob] = &jobs;
-        let engine = &self.engine;
-
-        let panicked: Mutex<Option<String>> = Mutex::new(None);
-        // modelcheck-allow: RM-ERR-001 -- name collision: this is
-        // std::thread::scope returning the closure's unit value, not the
-        // workspace's Result-returning `scope`.
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|w| {
-                    let deques = &deques;
-                    let results = &results;
-                    let trace = self.trace;
-                    scope.spawn(move || {
-                        while let Some(idx) = next_job(deques, w) {
-                            let result = exec_job(engine, &jobs_ref[idx], trace);
-                            lock(results)[idx] = Some(result);
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    *lock(&panicked) = Some(panic_message(payload.as_ref()));
-                }
-            }
-        });
-        if let Some(msg) = lock(&panicked).take() {
-            return Err(BatchError::WorkerPanicked(msg));
-        }
-
-        let mut collected = Vec::with_capacity(n_jobs);
-        for (i, slot) in lock(&results).iter_mut().enumerate() {
-            match slot.take() {
-                Some(r) => collected.push(r),
-                None => {
-                    return Err(BatchError::WorkerPanicked(format!(
-                        "job {} was never executed",
-                        jobs_ref[i].id
-                    )))
-                }
-            }
-        }
+        let collected = self.execute(jobs)?;
 
         // The schedule charges each job its executed cycles plus the
         // deterministic retry-backoff cycles its recovery consumed: a
@@ -246,6 +214,195 @@ impl BatchExecutor {
             },
         })
     }
+
+    /// Runs the id-sorted `jobs` on the caller and the pool's helpers and
+    /// returns their results in id order. An empty or 1-job batch, and
+    /// any batch of a 1-worker executor, runs on the caller alone.
+    fn execute(&self, jobs: Vec<GemmJob>) -> Result<Vec<JobResult>, BatchError> {
+        let n_jobs = jobs.len();
+        let mut pool = lock(&self.pool);
+        let helpers = pool.start(self.workers, n_jobs.saturating_sub(1));
+        let batch = Batch::deal(jobs, self.engine.clone(), self.trace, helpers + 1);
+        let parts = pool.broadcast(helpers, move |w| batch.work(w));
+        drop(pool);
+        merge_shares(parts, n_jobs)
+    }
+}
+
+/// One run as the workers share it: the id-sorted jobs, the engine
+/// template and one deque of job indices per host thread.
+struct Batch {
+    jobs: Vec<GemmJob>,
+    engine: Engine,
+    trace: bool,
+    deques: Vec<Mutex<VecDeque<usize>>>,
+}
+
+impl Batch {
+    /// Deals the job indices round-robin over `threads` deques.
+    fn deal(jobs: Vec<GemmJob>, engine: Engine, trace: bool, threads: usize) -> Batch {
+        let deques = (0..threads)
+            .map(|w| Mutex::new((w..jobs.len()).step_by(threads).collect()))
+            .collect();
+        Batch {
+            jobs,
+            engine,
+            trace,
+            deques,
+        }
+    }
+
+    /// Worker `w`'s share: its own deque, then steals, until every deque
+    /// is empty. Returns `(index, result)` pairs in execution order.
+    fn work(&self, w: usize) -> Vec<(usize, JobResult)> {
+        let mut done = Vec::new();
+        while let Some(idx) = next_job(&self.deques, w) {
+            done.push((idx, exec_job(&self.engine, &self.jobs[idx], self.trace)));
+        }
+        done
+    }
+}
+
+/// Merges the workers' shares of an `n_jobs` batch into id order. The
+/// first panicked share, in worker order, fails the run.
+fn merge_shares(
+    parts: Vec<Result<Vec<(usize, JobResult)>, String>>,
+    n_jobs: usize,
+) -> Result<Vec<JobResult>, BatchError> {
+    let mut slots: Vec<Option<JobResult>> = vec![None; n_jobs];
+    for part in parts {
+        for (idx, result) in part.map_err(BatchError::WorkerPanicked)? {
+            slots[idx] = Some(result);
+        }
+    }
+    slots
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| BatchError::WorkerPanicked("a job was never executed".to_owned()))
+}
+
+/// Helper threads for an executor of `workers` workers on a host with
+/// `parallelism` hardware threads: the caller is one worker, and the
+/// host never runs more threads than it has.
+fn helper_count(workers: usize, parallelism: usize) -> usize {
+    workers.min(parallelism).saturating_sub(1)
+}
+
+/// One worker's share of one run, as a helper receives it.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// A helper thread, parked on its task channel between runs. Closing
+/// the channel stops it.
+#[derive(Debug)]
+struct Helper {
+    tasks: Sender<Task>,
+    thread: JoinHandle<()>,
+}
+
+impl Helper {
+    /// Starts a helper, or `None` when the OS refuses the thread.
+    fn spawn(index: usize) -> Option<Helper> {
+        let (tasks, inbox) = mpsc::channel::<Task>();
+        let thread = thread::Builder::new()
+            .name(format!("redmule-batch-{index}"))
+            .spawn(move || {
+                for task in inbox {
+                    task();
+                }
+            })
+            .ok()?;
+        Some(Helper { tasks, thread })
+    }
+}
+
+/// An executor's helper threads, started on demand and kept until the
+/// executor drops.
+#[derive(Debug, Default)]
+struct Pool {
+    helpers: Vec<Helper>,
+    /// Most helpers this executor runs: `None` until a parallel run
+    /// asks, lowered when the OS refuses a thread.
+    cap: Option<usize>,
+}
+
+impl Pool {
+    /// Starts helpers until `want` run, within the host cap for
+    /// `workers`, and returns how many the run gets.
+    fn start(&mut self, workers: usize, want: usize) -> usize {
+        if workers <= 1 || want == 0 {
+            return 0;
+        }
+        let cap = *self.cap.get_or_insert_with(|| {
+            let parallelism = thread::available_parallelism().map_or(1, |n| n.get());
+            helper_count(workers, parallelism)
+        });
+        while self.helpers.len() < want.min(cap) {
+            match Helper::spawn(self.helpers.len() + 1) {
+                Some(helper) => self.helpers.push(helper),
+                None => {
+                    self.cap = Some(self.helpers.len());
+                    break;
+                }
+            }
+        }
+        want.min(self.helpers.len())
+    }
+
+    /// Runs `task(w)` as worker `w`: `w = 0` on the calling thread,
+    /// `1..=helpers` on the first `helpers` helpers. Waits for every
+    /// helper, then returns each worker's output in worker order, a
+    /// panic turned into its message.
+    fn broadcast<T, F>(&self, helpers: usize, task: F) -> Vec<Result<T, String>>
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        if helpers == 0 {
+            return vec![catch(|| task(0))];
+        }
+        let task = Arc::new(task);
+        let (done, finished) = mpsc::channel();
+        for (w, helper) in (1..).zip(&self.helpers[..helpers]) {
+            let task = Arc::clone(&task);
+            let done = done.clone();
+            let share: Task = Box::new(move || {
+                let out = catch(|| task(w));
+                // Let go of the batch before reporting, so the caller
+                // frees it.
+                drop(task);
+                // The caller waits for this message, so it cannot fail.
+                done.send((w, out)).ok();
+            });
+            // A helper that is gone drops its share unrun; the other
+            // workers steal that share's jobs.
+            helper.tasks.send(share).ok();
+        }
+        drop(done);
+        let mut outs: Vec<Option<Result<T, String>>> = (0..=helpers).map(|_| None).collect();
+        outs[0] = Some(catch(|| task(0)));
+        // Ends once every helper has reported or dropped its share.
+        for (w, out) in finished {
+            outs[w] = Some(out);
+        }
+        outs.into_iter().flatten().collect()
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        // Close every channel first, so the helpers stop side by side.
+        let threads: Vec<JoinHandle<()>> = self.helpers.drain(..).map(|h| h.thread).collect();
+        for thread in threads {
+            // Tasks catch their panics, so a helper never dies of one;
+            // `Drop` has nowhere to report an error anyway.
+            thread.join().ok();
+        }
+    }
+}
+
+/// Runs `f`, turning a panic into its message.
+fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Deterministically replays the pool's deal-then-steal policy on a
@@ -307,8 +464,8 @@ fn next_job(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 }
 
 /// Mutex lock that survives a poisoned peer: the protected data here is
-/// either per-slot (results) or monotonically drained (deques), both of
-/// which stay consistent across a worker panic.
+/// either monotonically drained (deques) or changed one whole helper at
+/// a time (the pool), both of which stay consistent across a panic.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -632,5 +789,82 @@ mod tests {
         let outcome = BatchExecutor::new(4).run(Vec::new()).expect("empty batch");
         assert_eq!(outcome.report.jobs.len(), 0);
         assert_eq!(outcome.schedule.makespan_cycles(), 0);
+    }
+
+    #[test]
+    fn schedule_replays_the_jobs_in_id_order() {
+        // The report re-sorts by id on its own, so only the schedule can
+        // tell whether the merge handed the replay its cycles in id
+        // order, the order the deal uses.
+        let outcome = BatchExecutor::new(3)
+            .run(mixed_jobs(12))
+            .expect("batch runs");
+        let cycles: Vec<u64> = outcome
+            .report
+            .jobs
+            .iter()
+            .map(|r| r.cycles + r.backoff_cycles)
+            .collect();
+        let (busy, jobs_run) = virtual_schedule(3, &cycles);
+        assert_eq!(outcome.schedule.per_worker_busy_cycles, busy);
+        assert_eq!(outcome.schedule.per_worker_jobs, jobs_run);
+    }
+
+    #[test]
+    fn helpers_are_capped_by_the_host() {
+        // (workers, available_parallelism) -> helpers: the caller is
+        // worker 0, and the host runs no more threads than it has.
+        assert_eq!(helper_count(1, 4), 0);
+        assert_eq!(helper_count(2, 1), 0);
+        assert_eq!(helper_count(8, 2), 1);
+        assert_eq!(helper_count(usize::MAX, 2), 1);
+    }
+
+    #[test]
+    fn empty_and_single_job_batches_run_on_the_caller() {
+        let exec = BatchExecutor::new(8);
+        exec.run(Vec::new()).expect("empty batch");
+        exec.run(mixed_jobs(1)).expect("1-job batch");
+        let pool = lock(&exec.pool);
+        assert!(pool.helpers.is_empty());
+        assert_eq!(pool.cap, None, "the host was not even asked for threads");
+    }
+
+    #[test]
+    fn a_panicking_share_fails_the_run_and_the_pool_recovers() {
+        let jobs = mixed_jobs(6);
+        let reference = BatchExecutor::new(1)
+            .run(jobs.clone())
+            .expect("1-worker batch")
+            .report
+            .to_canonical_json();
+        let exec = BatchExecutor::new(2);
+        let mut pool = lock(&exec.pool);
+        // One helper even on a 1-CPU host, so the panic runs on it.
+        pool.cap = Some(1);
+        assert_eq!(pool.start(exec.workers, 1), 1);
+        // A panic on the helper, then one on the caller.
+        for victim in [1, 0] {
+            let parts = pool.broadcast(1, move |w| -> Vec<(usize, JobResult)> {
+                if w == victim {
+                    panic!("injected panic in worker {w}");
+                }
+                Vec::new()
+            });
+            assert_eq!(
+                merge_shares(parts, 0).map(|results| results.len()),
+                Err(BatchError::WorkerPanicked(format!(
+                    "injected panic in worker {victim}"
+                )))
+            );
+        }
+        drop(pool);
+        let outcome = exec.run(jobs).expect("the next run works");
+        assert_eq!(outcome.report.to_canonical_json(), reference);
+        assert_eq!(
+            lock(&exec.pool).helpers.len(),
+            1,
+            "the same helper serves it"
+        );
     }
 }

@@ -10,12 +10,15 @@
 //!   own execution model ([`BackendKind`]), supervision
 //!   [`Limits`](redmule_runtime::Limits), fault plan and checkpoint
 //!   cadence.
-//! * [`BatchExecutor`] — a work-stealing thread pool: each worker owns a
-//!   deque of jobs and steals from its peers when it drains, so an
+//! * [`BatchExecutor`] — a persistent work-stealing pool: each worker
+//!   owns a deque of jobs and steals from its peers when it drains, so an
 //!   imbalanced mix of heavy and light jobs still keeps every worker
-//!   busy. Every job runs on its own engine/workspace instance; nothing
-//!   is shared between jobs, so the parallelism cannot perturb the
-//!   simulated results.
+//!   busy. The calling thread works as worker 0; the helper threads,
+//!   capped by the host's parallelism, start on the first run with work
+//!   for them and park between runs. Each worker fills its own result
+//!   vector, merged by job id after the run. Every job runs on its own
+//!   engine/workspace instance; nothing is shared between jobs, so the
+//!   parallelism cannot perturb the simulated results.
 //! * [`BatchReport`] — per-job results **keyed by job id, never by
 //!   completion order**, plus aggregated cycles, utilization and fault
 //!   telemetry. Its canonical serialization is byte-identical for any
@@ -25,7 +28,8 @@
 //!   cycles and the schedule makespan, from which throughput scaling is
 //!   derived. Computed by a deterministic virtual replay of the
 //!   deal-then-steal policy over per-job simulated cycles, so it models
-//!   dedicated per-worker hardware rather than host timeslicing. It is
+//!   `workers` dedicated workers rather than host timeslicing, whatever
+//!   number of threads the host ran. It is
 //!   intentionally kept outside [`BatchReport`], because it legitimately
 //!   varies with the worker count.
 //!

@@ -45,6 +45,20 @@ fn repeated_runs_are_identical_at_fixed_worker_count() {
     // The schedule stats are a deterministic virtual replay, so they
     // repeat exactly too — host thread timing must not leak in.
     assert_eq!(a.schedule, b.schedule);
+    // Twice on one executor: its helpers persist between runs, and
+    // nothing of the first run may leak into the second.
+    let executor = BatchExecutor::new(8);
+    for run in 0..2 {
+        let c = executor
+            .run(adversarial_job_set())
+            .expect("same-executor run");
+        assert_eq!(
+            c.report.to_canonical_json(),
+            a.report.to_canonical_json(),
+            "run {run} on one executor"
+        );
+        assert_eq!(c.schedule, a.schedule, "run {run} on one executor");
+    }
 }
 
 #[test]

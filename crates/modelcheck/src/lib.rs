@@ -53,7 +53,7 @@ use std::path::{Path, PathBuf};
 
 pub use rules::{
     check_crate, check_file, crate_is_checked, Diagnostic, WorkspaceContext, FP_STRICT_CRATES,
-    HOST_CRATES, MODEL_CRATES,
+    HARNESS_CRATES, HOST_CRATES, MODEL_CRATES,
 };
 
 /// Result of a workspace scan.
@@ -146,7 +146,8 @@ pub fn check_workspace(root: &Path) -> Result<Report, String> {
     crate_names.sort();
 
     // Pass 1: load sources, build the workspace context. Every crate and
-    // the root package are callers; only checked crates' `src/` is judged.
+    // the root package are callers; only checked crates' `src/` is judged,
+    // and RM-ERR-001's callee set comes from the model and host crates.
     let mut ctx = WorkspaceContext::default();
     let mut loaded: Vec<(String, Vec<rules::SourceFile>)> = Vec::new();
     let read = |file: &Path| -> Result<(String, String), String> {
@@ -163,12 +164,15 @@ pub fn check_workspace(root: &Path) -> Result<Report, String> {
         let crate_dir = crates_dir.join(&name);
         let src_dir = crate_dir.join("src");
         let checked = crate_is_checked(&name);
+        let harness = HARNESS_CRATES.contains(&name.as_str());
         let mut files: Vec<rules::SourceFile> = Vec::new();
         for file in rust_files(&crate_dir)? {
             let (label, src) = read(&file)?;
             ctx.add_callers(&label, &src);
             if checked && file.starts_with(&src_dir) {
-                ctx.add_source(&src);
+                if !harness {
+                    ctx.add_source(&src);
+                }
                 files.push((label, src));
             }
         }

@@ -78,10 +78,12 @@ fn main() -> ExitCode {
             }
             if report.is_clean() {
                 println!(
-                    "modelcheck: clean — {} files, {} model + {} host crates, 0 violations",
+                    "modelcheck: clean — {} files, {} model + {} host + {} harness crates, \
+                     0 violations",
                     report.files_scanned,
                     modelcheck::MODEL_CRATES.len(),
                     modelcheck::HOST_CRATES.len(),
+                    modelcheck::HARNESS_CRATES.len(),
                 );
                 ExitCode::SUCCESS
             } else {

@@ -13,7 +13,7 @@
 //! | RM-RACE-001  | host crates                 | interleaving-ordered data in outputs     |
 //! | RM-ERR-001   | model-state + host crates   | discarded `Result`s                      |
 //! | RM-ARITH-001 | model crates + `service`    | bare `+`/`*`/`+=` on cycle counters      |
-//! | RM-DEAD-001  | model-state + host crates   | `pub fn`s no other workspace file names  |
+//! | RM-DEAD-001  | model-state, host + harness | `pub fn`s no other workspace file names  |
 //! | RM-ALLOW-001 | everywhere modelcheck scans | allow entries without a justification    |
 //! | RM-ALLOW-002 | everywhere modelcheck scans | allow entries that suppress nothing      |
 //!
@@ -23,6 +23,10 @@
 //! deterministic, panic-free results — so the ordering rule (RM-DET-001)
 //! and the panic rule apply, while the simulation-time rules
 //! (RM-DET-002, RM-SNAP-001) do not.
+//!
+//! *Harness crates* ([`HARNESS_CRATES`]) render, benchmark and train on
+//! top of the model; only RM-DEAD-001 (and the allowlist hygiene) judges
+//! them, so they cannot regrow `pub fn`s that only their tests call.
 //!
 //! All rules run on non-test code only (`#[cfg(test)]` / `#[test]` items
 //! are stripped first) and never match inside string literals or
@@ -53,6 +57,11 @@ pub const FP_STRICT_CRATES: [&str; 2] = ["fp16", "redmule"];
 /// and panic-free — RM-DET-001 and RM-PANIC-001 do apply.
 pub const HOST_CRATES: [&str; 3] = ["batch", "service", "store"];
 
+/// Harness crates: figures, the energy model and the training stack.
+/// They may use floats, clocks and panics freely; RM-DEAD-001 is the one
+/// rule that judges them.
+pub const HARNESS_CRATES: [&str; 3] = ["bench", "energy", "nn"];
+
 /// One finding, formatted as `RULE file:line: message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -79,7 +88,9 @@ impl std::fmt::Display for Diagnostic {
 /// Whether any rule at all applies to `crate_name` — lets the walker skip
 /// non-model crates without reading them.
 pub fn crate_is_checked(crate_name: &str) -> bool {
-    MODEL_CRATES.contains(&crate_name) || HOST_CRATES.contains(&crate_name)
+    MODEL_CRATES.contains(&crate_name)
+        || HOST_CRATES.contains(&crate_name)
+        || HARNESS_CRATES.contains(&crate_name)
 }
 
 /// Whether RM-ARITH-001 applies: every model crate (cycle accounting is
@@ -181,9 +192,9 @@ pub fn check_crate(
         if model || host {
             errs::rule_err_001(label, &code, &ctx.result_fns, &mut raw);
             edges.extend(locks::lock_edges(label, &code, &uses));
-            if let Some(callers) = &ctx.callers {
-                dead::rule_dead_001(label, &code, callers, &mut raw);
-            }
+        }
+        if let Some(callers) = &ctx.callers {
+            dead::rule_dead_001(label, &code, callers, &mut raw);
         }
         if arith_applies(crate_name) {
             arith::rule_arith_001(label, &code, &mut raw);
@@ -466,6 +477,18 @@ mod tests {
         assert_eq!(rules_fired("criterion", src), vec![]);
         assert!(!crate_is_checked("criterion"));
         assert!(crate_is_checked("redmule"));
+    }
+
+    #[test]
+    fn harness_crates_are_exempt_from_every_per_file_rule() {
+        // Floats, clocks, hash maps and panics are all fine in figures,
+        // the energy model and the training stack; only RM-DEAD-001
+        // (workspace-wide, so not in a single-file scan) judges them.
+        let src = "fn f(x: f64) -> u8 { let t = Instant::now(); let m = HashMap::<u8, u8>::new(); panic!(\"x\") }\n";
+        for name in HARNESS_CRATES {
+            assert!(crate_is_checked(name));
+            assert_eq!(rules_fired(name, src), vec![], "{name}");
+        }
     }
 
     #[test]

@@ -87,8 +87,9 @@ impl Dense {
         self.wt.rows()
     }
 
-    /// Whether the layer applies ReLU.
-    pub fn has_relu(&self) -> bool {
+    /// Whether the layer applies ReLU (read by the topology tests).
+    #[cfg(test)]
+    pub(crate) fn has_relu(&self) -> bool {
         self.relu
     }
 

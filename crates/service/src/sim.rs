@@ -112,7 +112,9 @@ impl From<redmule_store::StoreError> for ServiceError {
 pub struct ServiceSim {
     pub(crate) config: ServiceConfig,
     pub(crate) engine: Engine,
-    pub(crate) workers: usize,
+    /// Runs the probe and the bulk replay; its helper threads persist
+    /// across runs.
+    executor: BatchExecutor,
 }
 
 impl ServiceSim {
@@ -126,13 +128,14 @@ impl ServiceSim {
         Ok(ServiceSim {
             config,
             engine: Engine::new(AccelConfig::paper()),
-            workers: 1,
+            executor: BatchExecutor::new(1),
         })
     }
 
     /// Replaces the engine template cloned for every job execution.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> ServiceSim {
+        self.executor = self.executor.with_engine(engine.clone());
         self.engine = engine;
         self
     }
@@ -141,7 +144,7 @@ impl ServiceSim {
     /// Does not appear in the report (zero is promoted to one).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> ServiceSim {
-        self.workers = workers.max(1);
+        self.executor = BatchExecutor::new(workers.max(1)).with_engine(self.engine.clone());
         self
     }
 
@@ -243,9 +246,7 @@ impl ServiceSim {
         if jobs.is_empty() {
             return Ok(BTreeMap::new());
         }
-        let outcome = BatchExecutor::new(self.workers)
-            .with_engine(self.engine.clone())
-            .run(jobs)?;
+        let outcome = self.executor.run(jobs)?;
         Ok(outcome.report.jobs.into_iter().map(|r| (r.id, r)).collect())
     }
 
@@ -325,9 +326,7 @@ impl ServiceSim {
             }
         }
         if !bulk.is_empty() {
-            let outcome = BatchExecutor::new(self.workers)
-                .with_engine(self.engine.clone())
-                .run(bulk)?;
+            let outcome = self.executor.run(bulk)?;
             let mut results: Vec<&JobResult> = outcome.report.jobs.iter().collect();
             // Journal records must not depend on executor scheduling.
             results.sort_by_key(|r| r.id);
