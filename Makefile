@@ -9,8 +9,12 @@
 #   make test        — fast: workspace tests only
 #   make test-full   — workspace tests including the #[ignore]d deep
 #                      sweeps, vector drift checks and the executor pool
-#                      stress test (what CI's verify job runs on every
-#                      push and pull request)
+#                      stress test, then the redmule-fp16 suite again in
+#                      release with its #[ignore]d drift checks: the
+#                      release codegen of the kernel (AVX2 dispatch, no
+#                      per-lane debug asserts) against the frozen vectors
+#                      and the exhaustive sweeps (what CI's verify job runs
+#                      on every push and pull request)
 #   make modelcheck  — model-hygiene static analysis (DESIGN.md §10)
 #   make modelcheck-json — same scan, machine-readable report written to
 #                      modelcheck-report.json (the CI artifact)
@@ -61,6 +65,7 @@ test:
 
 test-full:
 	$(CARGO) test -q --workspace -- --include-ignored
+	$(CARGO) test --release -q -p redmule-fp16 -- --include-ignored
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings

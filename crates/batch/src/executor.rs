@@ -1,4 +1,4 @@
-//! The persistent work-stealing worker pool and per-job execution paths.
+//! The persistent worker pool and per-job execution paths.
 
 use crate::job::{GemmJob, JobFaults, JobResult, JobStatus};
 use crate::report::BatchReport;
@@ -11,6 +11,7 @@ use redmule_fp16::F16;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -51,14 +52,15 @@ impl std::error::Error for BatchError {}
 /// *is* the worker count's effect — so it lives outside the canonical
 /// report.
 ///
-/// The stats come from a *deterministic virtual replay* of the pool's
+/// The stats come from a *deterministic virtual replay* of a
 /// deal-then-steal policy on per-job simulated cycles, modeling `W`
-/// dedicated workers that each advance only while executing a job. The
-/// OS threads still run the jobs (that is where host-side wall-clock
-/// parallelism comes from), but which thread the host scheduler happened
-/// to hand each job does not leak into the stats — on a loaded or
-/// single-core host that assignment is timing noise, not a property of
-/// the pool.
+/// dedicated workers that each advance only while executing a job: jobs
+/// dealt round-robin onto per-worker deques, and a drained worker
+/// stealing from its peers. The OS threads still run the jobs (that is
+/// where host-side wall-clock parallelism comes from), but which thread
+/// happened to take each job does not leak into the stats — on a loaded
+/// or single-core host that assignment is timing noise, not a property
+/// of the pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Number of workers the batch ran with.
@@ -66,7 +68,7 @@ pub struct ScheduleStats {
     /// Simulated cycles each worker spends executing jobs, including the
     /// deterministic retry-backoff charge of each job it ran.
     pub per_worker_busy_cycles: Vec<u64>,
-    /// Jobs each worker executes (own deque plus steals).
+    /// Jobs each virtual worker executes (own deque plus steals).
     pub per_worker_jobs: Vec<usize>,
     /// Total simulated cycles charged for deterministic retry backoff
     /// ([`redmule_runtime::RetryPolicy::backoff_cycles`]) across the
@@ -104,23 +106,21 @@ pub struct BatchOutcome {
     pub schedule: ScheduleStats,
 }
 
-/// A work-stealing pool executing [`GemmJob`]s on per-job engine
-/// instances.
+/// A pool executing [`GemmJob`]s on per-job engine instances.
 ///
-/// Jobs are dealt round-robin (in id order) onto per-worker deques. A
-/// worker pops from the front of its own deque and, when it drains,
-/// steals from the back of its peers' — classic deque stealing, so a mix
-/// of heavy and light jobs stays balanced without any coordination on
-/// the hot path.
+/// The host threads take job indices in id order from one shared
+/// cursor: whichever thread is free takes the next job, so a mix of
+/// heavy and light jobs stays balanced with one atomic increment per
+/// job. Which thread runs which job is invisible: results are merged by
+/// index, and [`ScheduleStats`] comes from a virtual replay.
 ///
 /// The pool is persistent. The calling thread works as worker 0; the
 /// other workers are helper threads that start on the first run with
 /// work for them and park between runs, so a run costs a wake-up, not a
 /// thread spawn. The host runs at most `min(workers,
-/// available_parallelism)` threads and deals over those, while
-/// [`ScheduleStats`] still models `workers` dedicated workers. Dropping
-/// the executor stops and joins its helpers. Runs from several threads
-/// on one executor are serialized.
+/// available_parallelism)` threads, while [`ScheduleStats`] still models
+/// `workers` dedicated workers. Dropping the executor stops and joins its
+/// helpers. Runs from several threads on one executor are serialized.
 #[derive(Debug)]
 pub struct BatchExecutor {
     workers: usize,
@@ -189,8 +189,8 @@ impl BatchExecutor {
             }
             job.validate().map_err(BatchError::InvalidJob)?;
         }
-        // Canonical processing order: by id. With round-robin dealing
-        // this also spreads a sorted-by-size batch evenly.
+        // Canonical processing order: by id, the order the cursor hands
+        // the jobs out and the virtual replay deals them.
         jobs.sort_by_key(|j| j.id);
 
         let collected = self.execute(jobs)?;
@@ -222,44 +222,42 @@ impl BatchExecutor {
         let n_jobs = jobs.len();
         let mut pool = lock(&self.pool);
         let helpers = pool.start(self.workers, n_jobs.saturating_sub(1));
-        let batch = Batch::deal(jobs, self.engine.clone(), self.trace, helpers + 1);
-        let parts = pool.broadcast(helpers, move |w| batch.work(w));
+        let batch = Batch {
+            jobs,
+            engine: self.engine.clone(),
+            trace: self.trace,
+            next: AtomicUsize::new(0),
+        };
+        let parts = pool.broadcast(helpers, move |_| batch.work());
         drop(pool);
         merge_shares(parts, n_jobs)
     }
 }
 
 /// One run as the workers share it: the id-sorted jobs, the engine
-/// template and one deque of job indices per host thread.
+/// template and the cursor of the next job index to take.
 struct Batch {
     jobs: Vec<GemmJob>,
     engine: Engine,
     trace: bool,
-    deques: Vec<Mutex<VecDeque<usize>>>,
+    next: AtomicUsize,
 }
 
 impl Batch {
-    /// Deals the job indices round-robin over `threads` deques.
-    fn deal(jobs: Vec<GemmJob>, engine: Engine, trace: bool, threads: usize) -> Batch {
-        let deques = (0..threads)
-            .map(|w| Mutex::new((w..jobs.len()).step_by(threads).collect()))
-            .collect();
-        Batch {
-            jobs,
-            engine,
-            trace,
-            deques,
-        }
-    }
-
-    /// Worker `w`'s share: its own deque, then steals, until every deque
-    /// is empty. Returns `(index, result)` pairs in execution order.
-    fn work(&self, w: usize) -> Vec<(usize, JobResult)> {
+    /// One worker's share: the next job from the cursor, until it passes
+    /// the last job. Returns `(index, result)` pairs in execution order.
+    fn work(&self) -> Vec<(usize, JobResult)> {
         let mut done = Vec::new();
-        while let Some(idx) = next_job(&self.deques, w) {
-            done.push((idx, exec_job(&self.engine, &self.jobs[idx], self.trace)));
+        loop {
+            // `Relaxed` suffices: the cursor publishes no data. Helpers
+            // get the batch through their task channel before their first
+            // take and send their results back through the done channel.
+            let idx = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = self.jobs.get(idx) else {
+                return done;
+            };
+            done.push((idx, exec_job(&self.engine, job, self.trace)));
         }
-        done
     }
 }
 
@@ -374,7 +372,7 @@ impl Pool {
                 done.send((w, out)).ok();
             });
             // A helper that is gone drops its share unrun; the other
-            // workers steal that share's jobs.
+            // workers take its jobs from the cursor.
             helper.tasks.send(share).ok();
         }
         drop(done);
@@ -405,8 +403,8 @@ fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(payload.as_ref()))
 }
 
-/// Deterministically replays the pool's deal-then-steal policy on a
-/// virtual clock: jobs (indexed in id order, `cycles[i]` = job `i`'s
+/// Deterministically replays a deal-then-steal policy on a virtual
+/// clock: jobs (indexed in id order, `cycles[i]` = job `i`'s
 /// simulated cost) are dealt round-robin, then whichever virtual worker
 /// is least busy takes the next job — front of its own deque, back of a
 /// peer's once drained. Greedy list scheduling, so workers are never
@@ -432,8 +430,8 @@ fn virtual_schedule(workers: usize, cycles: &[u64]) -> (Vec<u64>, Vec<usize>) {
     (busy, jobs_run)
 }
 
-/// The virtual counterpart of [`next_job`]: same deque discipline,
-/// without locks.
+/// The next job for virtual worker `w`: front of its own deque, then
+/// steals from the back of its peers'.
 fn virtual_take(deques: &mut [VecDeque<usize>], w: usize) -> Option<usize> {
     if let Some(idx) = deques[w].pop_front() {
         return Some(idx);
@@ -447,25 +445,8 @@ fn virtual_take(deques: &mut [VecDeque<usize>], w: usize) -> Option<usize> {
     None
 }
 
-/// Pops the next job index for worker `w`: front of its own deque, then
-/// steals from the back of its peers'. Returns `None` only when every
-/// deque is empty — jobs are never re-enqueued, so emptiness is stable.
-fn next_job(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(idx) = lock(&deques[w]).pop_front() {
-        return Some(idx);
-    }
-    let n = deques.len();
-    for off in 1..n {
-        if let Some(idx) = lock(&deques[(w + off) % n]).pop_back() {
-            return Some(idx);
-        }
-    }
-    None
-}
-
-/// Mutex lock that survives a poisoned peer: the protected data here is
-/// either monotonically drained (deques) or changed one whole helper at
-/// a time (the pool), both of which stay consistent across a panic.
+/// Mutex lock that survives a poisoned peer: the pool is changed one
+/// whole helper at a time, so it stays consistent across a panic.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -795,7 +776,7 @@ mod tests {
     fn schedule_replays_the_jobs_in_id_order() {
         // The report re-sorts by id on its own, so only the schedule can
         // tell whether the merge handed the replay its cycles in id
-        // order, the order the deal uses.
+        // order, the order the virtual deal uses.
         let outcome = BatchExecutor::new(3)
             .run(mixed_jobs(12))
             .expect("batch runs");

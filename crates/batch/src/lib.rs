@@ -10,9 +10,9 @@
 //!   own execution model ([`BackendKind`]), supervision
 //!   [`Limits`](redmule_runtime::Limits), fault plan and checkpoint
 //!   cadence.
-//! * [`BatchExecutor`] — a persistent work-stealing pool: each worker
-//!   owns a deque of jobs and steals from its peers when it drains, so an
-//!   imbalanced mix of heavy and light jobs still keeps every worker
+//! * [`BatchExecutor`] — a persistent pool: the workers take jobs in id
+//!   order from one shared cursor, whichever is free taking the next, so
+//!   an imbalanced mix of heavy and light jobs still keeps every worker
 //!   busy. The calling thread works as worker 0; the helper threads,
 //!   capped by the host's parallelism, start on the first run with work
 //!   for them and park between runs. Each worker fills its own result
@@ -26,7 +26,7 @@
 //!   `tests/determinism.rs` runs the same job set on 1, 2 and 8 workers).
 //! * [`ScheduleStats`] — what the pool's schedule costs: per-worker busy
 //!   cycles and the schedule makespan, from which throughput scaling is
-//!   derived. Computed by a deterministic virtual replay of the
+//!   derived. Computed by a deterministic virtual replay of a
 //!   deal-then-steal policy over per-job simulated cycles, so it models
 //!   `workers` dedicated workers rather than host timeslicing, whatever
 //!   number of threads the host ran. It is

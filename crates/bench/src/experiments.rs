@@ -1158,9 +1158,9 @@ const WALL_REPEATS: usize = 5;
 
 /// The fixed batch both throughput legs run: 64
 /// jobs of small shapes in smoke mode, 256 heavier jobs otherwise. Five
-/// shapes, coprime with every worker count in the sweep, so the
-/// round-robin deal hands each worker a mix of weights rather than a
-/// resonant all-light / all-heavy split.
+/// shapes, coprime with every worker count in the sweep, so the virtual
+/// replay's round-robin deal hands each worker a mix of weights rather
+/// than a resonant all-light / all-heavy split.
 fn batch_job_mix(smoke: bool) -> Vec<GemmJob> {
     let n_jobs: usize = if smoke { 64 } else { 256 };
     let shapes: &[(usize, usize, usize)] = if smoke {
@@ -1190,7 +1190,7 @@ fn batch_job_mix(smoke: bool) -> Vec<GemmJob> {
         .collect()
 }
 
-/// Runs a fixed batch of independent GEMM jobs through the work-stealing
+/// Runs a fixed batch of independent GEMM jobs through the batch
 /// executor at 1, 2, 4 and 8 workers and reports both modeled
 /// (accelerator-cycle) and measured (host wall-clock, functional
 /// backend) jobs/sec. While measuring, it also asserts the canonical
@@ -1939,6 +1939,10 @@ mod tests {
         let c = fig3c(&[16, 64]).expect("fig3c");
         assert_eq!(c.points.len(), 2);
         assert!(c.points[0].2 > c.points[1].2, "energy/MAC must fall");
+        // The rendered energy per MAC, pinned exactly: a band would let
+        // a refactor move the figure and stay green.
+        let pj: Vec<String> = c.points.iter().map(|p| format!("{:.2}", p.2)).collect();
+        assert_eq!(pj, ["3.04", "2.91"]);
         let d = fig3d(&[16, 64]).expect("fig3d");
         assert!(d.points[1].2 > d.points[0].2, "GFLOPS must grow");
         assert!(c.to_string().contains("pJ/MAC"));
@@ -1948,6 +1952,13 @@ mod tests {
     #[test]
     fn fig4a_peaks_are_sane() {
         let fig = fig4a(&[16, 64]).expect("fig4a");
+        // Both cycle counts of every size, pinned exactly.
+        let cycles: Vec<(usize, u64, u64)> = fig
+            .points
+            .iter()
+            .map(|p| (p.size, p.hw_cycles, p.sw_cycles))
+            .collect();
+        assert_eq!(cycles, [(16, 179, 2_947), (64, 8_723, 168_481)]);
         assert!(fig.peak_ideal_fraction() > 0.9);
         assert!(fig.peak_speedup() > 15.0);
         assert!(fig.to_string().contains("speedup"));

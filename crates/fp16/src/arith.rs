@@ -2,7 +2,7 @@
 //!
 //! Everything in this module operates on `u16` IEEE 754 binary16 bit
 //! patterns and performs **exact integer arithmetic** followed by a single
-//! rounding step, exactly like a hardware FPU datapath. The fused
+//! round-to-nearest-even step, exactly like a hardware FPU datapath. The fused
 //! multiply-add ([`fma`]) is the operation RedMulE's datapath is made of;
 //! add, sub and mul serve the software baseline and the golden models.
 //!
@@ -10,7 +10,6 @@
 //! [`F16`](crate::F16) (e.g. [`F16::mul_add`](crate::F16::mul_add)) in
 //! application code.
 
-use crate::round::Round;
 use crate::CANONICAL_QNAN;
 
 /// Number of fraction bits in binary16.
@@ -30,17 +29,17 @@ const HIDDEN_BIT: u32 = 1 << FRAC_BITS;
 /// A finite, non-zero binary16 value decomposed as `(-1)^sign * sig * 2^q`
 /// with `sig` in `[2^10, 2^11)` (i.e. normalised).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Unpacked {
-    pub sign: bool,
+struct Unpacked {
+    sign: bool,
     /// Exponent of the least significant bit of `sig`.
-    pub q: i32,
+    q: i32,
     /// Normalised significand, `2^10 <= sig < 2^11`.
-    pub sig: u32,
+    sig: u32,
 }
 
 /// Coarse class of a raw binary16 bit pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
+enum Class {
     Nan,
     Inf { sign: bool },
     Zero { sign: bool },
@@ -48,7 +47,7 @@ pub(crate) enum Class {
 }
 
 /// Classifies and unpacks a raw bit pattern.
-pub(crate) fn classify(bits: u16) -> Class {
+fn classify(bits: u16) -> Class {
     let sign = bits & SIGN_MASK != 0;
     let exp_field = (bits & EXP_MASK) >> FRAC_BITS;
     let frac = u32::from(bits & FRAC_MASK);
@@ -81,7 +80,7 @@ pub(crate) fn classify(bits: u16) -> Class {
     }
 }
 
-pub(crate) fn pack_inf(sign: bool) -> u16 {
+fn pack_inf(sign: bool) -> u16 {
     if sign {
         SIGN_MASK | EXP_MASK
     } else {
@@ -89,7 +88,7 @@ pub(crate) fn pack_inf(sign: bool) -> u16 {
     }
 }
 
-pub(crate) fn pack_zero(sign: bool) -> u16 {
+fn pack_zero(sign: bool) -> u16 {
     if sign {
         SIGN_MASK
     } else {
@@ -97,42 +96,20 @@ pub(crate) fn pack_zero(sign: bool) -> u16 {
     }
 }
 
-pub(crate) fn pack_max_finite(sign: bool) -> u16 {
-    // 0x7BFF = 65504.0
-    pack_zero(sign) | 0x7BFF
-}
-
-/// A correctly rounded binary16 value before encoding, as produced by
-/// [`round_core`]: the single source of truth shared by the scalar
-/// [`round_pack`] (which encodes to bits) and the batched kernel's
-/// accumulator (which stays unpacked between FMA steps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Rounded {
-    /// `(-1)^sign * sig * 2^q`; `sig` is either normalised
-    /// (`2^10 <= sig < 2^11`, `q >= -24`) or a subnormal count of `2^-24`
-    /// units (`sig <= 2^10`, `q == -24`). `sig == 0` means the magnitude
-    /// rounded all the way down to a (signed) zero.
-    Finite { sign: bool, q: i32, sig: u32 },
-    /// Magnitude above the largest finite value; resolves per mode to
-    /// max-finite or infinity (see [`overflow`]).
-    Overflow { sign: bool },
-}
-
 /// Rounds the exact value `(-1)^sign * mag * 2^q` (with `mag != 0`) to the
-/// nearest representable binary16 under `mode`, without encoding.
+/// nearest binary16, ties to even, and encodes the result.
 ///
-/// This is the single rounding step shared by every operation; it implements
-/// normalisation, gradual underflow into subnormals, round-up carry
-/// propagation and overflow detection. Encoding (and mode-dependent overflow
-/// saturation) happens in [`round_pack`] / the kernel's packers.
-#[inline]
-pub(crate) fn round_core(sign: bool, mag: u128, q: i32, mode: Round) -> Rounded {
-    debug_assert!(mag != 0, "round_core requires a non-zero magnitude");
+/// This is the single rounding step shared by every operation: it
+/// normalises, underflows gradually into subnormals (a magnitude that
+/// rounds all the way down keeps its sign as a signed zero), propagates a
+/// round-up carry into the exponent, and overflows to infinity.
+fn round_pack(sign: bool, mag: u128, q: i32) -> u16 {
+    debug_assert!(mag != 0, "round_pack requires a non-zero magnitude");
     let msb = 127 - mag.leading_zeros() as i32;
     let e = msb + q; // value is in [2^e, 2^(e+1))
 
     if e > EXP_MAX {
-        return Rounded::Overflow { sign };
+        return pack_inf(sign);
     }
 
     // Number of low bits to discard so the kept significand has its leading
@@ -159,76 +136,29 @@ pub(crate) fn round_core(sign: bool, mag: u128, q: i32, mode: Round) -> Rounded 
         (kept, round, sticky)
     };
 
-    if mode.increments(sign, kept & 1 != 0, round, sticky) {
+    // Round to nearest, ties to even.
+    if round && (sticky || kept & 1 != 0) {
         kept += 1;
     }
 
-    if e >= EXP_MIN {
-        let mut e = e;
-        if kept == (HIDDEN_BIT << 1) {
-            kept >>= 1;
-            e += 1;
-            if e > EXP_MAX {
-                return Rounded::Overflow { sign };
-            }
-        }
-        debug_assert!((HIDDEN_BIT..HIDDEN_BIT << 1).contains(&kept));
-        Rounded::Finite {
-            sign,
-            q: e - FRAC_BITS as i32,
-            sig: kept,
-        }
-    } else {
+    if e < EXP_MIN {
         // Subnormal result; `kept` counts units of 2^-24. If rounding carried
-        // into 2^10 the value is, conveniently, exactly the minimum normal
+        // into 2^10 the encoding is, conveniently, exactly the minimum normal
         // number; if it rounded to 0 the result is a signed zero.
         debug_assert!(kept <= HIDDEN_BIT);
-        Rounded::Finite {
-            sign,
-            q: -(EXP_BIAS - 1 + FRAC_BITS as i32), // -24
-            sig: kept,
+        return pack_zero(sign) | kept as u16;
+    }
+    let mut e = e;
+    if kept == (HIDDEN_BIT << 1) {
+        kept >>= 1;
+        e += 1;
+        if e > EXP_MAX {
+            return pack_inf(sign);
         }
     }
-}
-
-/// Rounds the exact value `(-1)^sign * mag * 2^q` (with `mag != 0`) to the
-/// nearest representable binary16 under `mode`, producing the result bits.
-pub(crate) fn round_pack(sign: bool, mag: u128, q: i32, mode: Round) -> u16 {
-    match round_core(sign, mag, q, mode) {
-        Rounded::Finite { sign, q, sig } => pack_finite(sign, q, sig),
-        Rounded::Overflow { sign } => overflow(sign, mode),
-    }
-}
-
-/// Encodes a finite `(-1)^sign * sig * 2^q` that is exactly representable
-/// in binary16 (any [`Rounded::Finite`], or any value produced by
-/// [`classify`]). `sig == 0` encodes the signed zero.
-pub(crate) fn pack_finite(sign: bool, q: i32, sig: u32) -> u16 {
-    debug_assert!(sig < HIDDEN_BIT << 1);
-    if sig >= HIDDEN_BIT {
-        let e = q + FRAC_BITS as i32;
-        if e >= EXP_MIN {
-            debug_assert!(e <= EXP_MAX);
-            let exp_field = (e + EXP_BIAS) as u16;
-            pack_zero(sign) | (exp_field << FRAC_BITS) | (sig as u16 & FRAC_MASK)
-        } else {
-            // classify-normalised subnormal: denormalise back to units of
-            // 2^-24. The normalisation only shifted left, so this is exact.
-            pack_zero(sign) | ((sig >> (EXP_MIN - e)) as u16)
-        }
-    } else {
-        // Subnormal count of 2^-24 units (or zero).
-        debug_assert!(sig == 0 || q == -(EXP_BIAS - 1 + FRAC_BITS as i32));
-        pack_zero(sign) | sig as u16
-    }
-}
-
-pub(crate) fn overflow(sign: bool, mode: Round) -> u16 {
-    if mode.overflow_saturates(sign) {
-        pack_max_finite(sign)
-    } else {
-        pack_inf(sign)
-    }
+    debug_assert!((HIDDEN_BIT..HIDDEN_BIT << 1).contains(&kept));
+    let exp_field = (e + EXP_BIAS) as u16;
+    pack_zero(sign) | (exp_field << FRAC_BITS) | (kept as u16 & FRAC_MASK)
 }
 
 fn shr_or_zero(v: u128, by: u32) -> u128 {
@@ -256,8 +186,10 @@ fn low_mask(bits: u32) -> u128 {
 ///   NaN `0x7E00`;
 /// * `0 * inf` is invalid regardless of `c`;
 /// * `inf * finite + inf` of opposite signs is invalid;
-/// * exact zero results take the IEEE sign (`+0`, or `-0` in round-down).
-pub fn fma(a: u16, b: u16, c: u16, mode: Round) -> u16 {
+/// * an exact zero sum of opposite-signed terms is `+0` (IEEE 754 §6.3
+///   under round-to-nearest-even);
+/// * a result past the largest finite value overflows to infinity.
+pub fn fma(a: u16, b: u16, c: u16) -> u16 {
     let (ca, cb, cc) = (classify(a), classify(b), classify(c));
 
     if matches!(ca, Class::Nan) || matches!(cb, Class::Nan) || matches!(cc, Class::Nan) {
@@ -299,18 +231,14 @@ pub fn fma(a: u16, b: u16, c: u16, mode: Round) -> u16 {
 
     match (prod, cc) {
         (None, Class::Zero { sign: sc }) => {
-            // (+-0 * x) + +-0: exact zero; sign by IEEE addition rules.
-            if sp == sc {
-                pack_zero(sp)
-            } else {
-                pack_zero(mode.exact_zero_sign())
-            }
+            // (+-0 * x) + +-0: exact zero, -0 only when both terms are -0.
+            pack_zero(sp && sc)
         }
         (None, Class::Finite(_)) => {
             // 0 + c: result is c (re-packed verbatim).
             c
         }
-        (Some((mp, qp)), Class::Zero { .. }) => round_pack(sp, u128::from(mp), qp, mode),
+        (Some((mp, qp)), Class::Zero { .. }) => round_pack(sp, u128::from(mp), qp),
         (Some((mp, qp)), Class::Finite(uc)) => {
             let sc = uc.sign;
             let qc = uc.q;
@@ -322,10 +250,11 @@ pub fn fma(a: u16, b: u16, c: u16, mode: Round) -> u16 {
             let vc = i128::from(uc.sig) << (qc - q_min) as u32;
             let sum = sgn(sp, vp) + sgn(sc, vc);
             if sum == 0 {
-                pack_zero(mode.exact_zero_sign())
+                // Exact cancellation of nonzero terms is +0.
+                pack_zero(false)
             } else {
                 let sign = sum < 0;
-                round_pack(sign, sum.unsigned_abs(), q_min, mode)
+                round_pack(sign, sum.unsigned_abs(), q_min)
             }
         }
         // modelcheck-allow: RM-PANIC-001 -- NaN/Inf operands are classified and
@@ -354,14 +283,14 @@ fn sign_of(c: Class) -> bool {
 ///
 /// Implemented as `fma(a, 1.0, b)`; the FMA path is exact, so this is a true
 /// single-rounding IEEE addition.
-pub fn add(a: u16, b: u16, mode: Round) -> u16 {
+pub fn add(a: u16, b: u16) -> u16 {
     const ONE: u16 = 0x3C00;
-    fma(a, ONE, b, mode)
+    fma(a, ONE, b)
 }
 
 /// Correctly rounded subtraction `a - b`.
-pub fn sub(a: u16, b: u16, mode: Round) -> u16 {
-    add(a, b ^ SIGN_MASK, mode)
+pub fn sub(a: u16, b: u16) -> u16 {
+    add(a, b ^ SIGN_MASK)
 }
 
 /// Correctly rounded multiplication `a * b`.
@@ -369,7 +298,7 @@ pub fn sub(a: u16, b: u16, mode: Round) -> u16 {
 /// Not implemented via [`fma`] with a zero addend: the addition step would
 /// rewrite the sign of an exact `-0` product (`-0 + +0 = +0` in RNE), while
 /// IEEE multiplication must preserve the product sign.
-pub fn mul(a: u16, b: u16, mode: Round) -> u16 {
+pub fn mul(a: u16, b: u16) -> u16 {
     let (ca, cb) = (classify(a), classify(b));
     if matches!(ca, Class::Nan) || matches!(cb, Class::Nan) {
         return CANONICAL_QNAN;
@@ -383,7 +312,7 @@ pub fn mul(a: u16, b: u16, mode: Round) -> u16 {
         (Class::Zero { .. }, _) | (_, Class::Zero { .. }) => pack_zero(sign),
         (Class::Finite(ua), Class::Finite(ub)) => {
             let prod = u64::from(ua.sig) * u64::from(ub.sig);
-            round_pack(sign, u128::from(prod), ua.q + ub.q, mode)
+            round_pack(sign, u128::from(prod), ua.q + ub.q)
         }
         // modelcheck-allow: RM-PANIC-001 -- NaN operands are classified and
         // returned before this match; the arm is statically dead.
@@ -394,7 +323,7 @@ pub fn mul(a: u16, b: u16, mode: Round) -> u16 {
 /// Converts an `f32` to binary16 bits with a single correct rounding.
 // modelcheck-allow: RM-FP-001 -- host-float conversion boundary: operates on
 // IEEE bit patterns only (to_bits + integer round_pack), no native arithmetic.
-pub fn from_f32(v: f32, mode: Round) -> u16 {
+pub fn from_f32(v: f32) -> u16 {
     let bits = v.to_bits();
     let sign = bits >> 31 != 0;
     let exp_field = (bits >> 23) & 0xFF;
@@ -411,22 +340,17 @@ pub fn from_f32(v: f32, mode: Round) -> u16 {
             if frac == 0 {
                 pack_zero(sign)
             } else {
-                round_pack(sign, u128::from(frac), -149, mode)
+                round_pack(sign, u128::from(frac), -149)
             }
         }
-        e => round_pack(
-            sign,
-            u128::from(frac | 0x80_0000),
-            e as i32 - 127 - 23,
-            mode,
-        ),
+        e => round_pack(sign, u128::from(frac | 0x80_0000), e as i32 - 127 - 23),
     }
 }
 
 /// Converts an `f64` to binary16 bits with a single correct rounding.
 // modelcheck-allow: RM-FP-001 -- host-float conversion boundary: operates on
 // IEEE bit patterns only (to_bits + integer round_pack), no native arithmetic.
-pub fn from_f64(v: f64, mode: Round) -> u16 {
+pub fn from_f64(v: f64) -> u16 {
     let bits = v.to_bits();
     let sign = bits >> 63 != 0;
     let exp_field = (bits >> 52) & 0x7FF;
@@ -443,15 +367,10 @@ pub fn from_f64(v: f64, mode: Round) -> u16 {
             if frac == 0 {
                 pack_zero(sign)
             } else {
-                round_pack(sign, u128::from(frac), -1074, mode)
+                round_pack(sign, u128::from(frac), -1074)
             }
         }
-        e => round_pack(
-            sign,
-            u128::from(frac | (1u64 << 52)),
-            e as i32 - 1023 - 52,
-            mode,
-        ),
+        e => round_pack(sign, u128::from(frac | (1u64 << 52)), e as i32 - 1023 - 52),
     }
 }
 
@@ -531,7 +450,7 @@ mod tests {
     const NZERO: u16 = 0x8000;
 
     fn f(v: f32) -> u16 {
-        from_f32(v, Round::NearestEven)
+        from_f32(v)
     }
 
     #[test]
@@ -555,16 +474,16 @@ mod tests {
 
     #[test]
     fn simple_products() {
-        assert_eq!(mul(TWO, TWO, Round::NearestEven), f(4.0));
-        assert_eq!(mul(HALF, HALF, Round::NearestEven), f(0.25));
-        assert_eq!(mul(f(-3.0), f(3.0), Round::NearestEven), f(-9.0));
+        assert_eq!(mul(TWO, TWO), f(4.0));
+        assert_eq!(mul(HALF, HALF), f(0.25));
+        assert_eq!(mul(f(-3.0), f(3.0)), f(-9.0));
     }
 
     #[test]
     fn simple_sums() {
-        assert_eq!(add(ONE, ONE, Round::NearestEven), TWO);
-        assert_eq!(add(f(1.5), f(2.5), Round::NearestEven), f(4.0));
-        assert_eq!(sub(f(2.5), f(1.5), Round::NearestEven), ONE);
+        assert_eq!(add(ONE, ONE), TWO);
+        assert_eq!(add(f(1.5), f(2.5)), f(4.0));
+        assert_eq!(sub(f(2.5), f(1.5)), ONE);
     }
 
     #[test]
@@ -575,9 +494,9 @@ mod tests {
         // With c = -(1 + 2^-9), fma = 2^-20 but mul-then-add = 0.
         let a = 0x3C01;
         let b = 0x3C01;
-        let c = from_f64(-(1.0 + 2.0f64.powi(-9)), Round::NearestEven);
-        let fused = fma(a, b, c, Round::NearestEven);
-        let split = add(mul(a, b, Round::NearestEven), c, Round::NearestEven);
+        let c = from_f64(-(1.0 + 2.0f64.powi(-9)));
+        let fused = fma(a, b, c);
+        let split = add(mul(a, b), c);
         assert_eq!(to_f64(fused), 2.0f64.powi(-20));
         assert_eq!(to_f64(split), 0.0);
     }
@@ -585,61 +504,53 @@ mod tests {
     #[test]
     fn nan_propagates_canonically() {
         for op in [add, sub, mul] {
-            assert_eq!(op(CANONICAL_QNAN, ONE, Round::NearestEven), CANONICAL_QNAN);
-            assert_eq!(op(ONE, 0x7E01, Round::NearestEven), CANONICAL_QNAN);
+            assert_eq!(op(CANONICAL_QNAN, ONE), CANONICAL_QNAN);
+            assert_eq!(op(ONE, 0x7E01), CANONICAL_QNAN);
         }
-        assert_eq!(fma(ONE, ONE, 0xFFFF, Round::NearestEven), CANONICAL_QNAN);
+        assert_eq!(fma(ONE, ONE, 0xFFFF), CANONICAL_QNAN);
     }
 
     #[test]
     fn invalid_operations_produce_qnan() {
-        assert_eq!(fma(0, INF, ONE, Round::NearestEven), CANONICAL_QNAN); // 0*inf
-        assert_eq!(fma(INF, NZERO, ONE, Round::NearestEven), CANONICAL_QNAN);
-        assert_eq!(fma(INF, ONE, NINF, Round::NearestEven), CANONICAL_QNAN); // inf - inf
-        assert_eq!(add(INF, NINF, Round::NearestEven), CANONICAL_QNAN);
+        assert_eq!(fma(0, INF, ONE), CANONICAL_QNAN); // 0*inf
+        assert_eq!(fma(INF, NZERO, ONE), CANONICAL_QNAN);
+        assert_eq!(fma(INF, ONE, NINF), CANONICAL_QNAN); // inf - inf
+        assert_eq!(add(INF, NINF), CANONICAL_QNAN);
     }
 
     #[test]
     fn infinity_arithmetic() {
-        assert_eq!(add(INF, ONE, Round::NearestEven), INF);
-        assert_eq!(fma(INF, TWO, f(-5.0), Round::NearestEven), INF);
-        assert_eq!(fma(NINF, TWO, NINF, Round::NearestEven), NINF);
+        assert_eq!(add(INF, ONE), INF);
+        assert_eq!(fma(INF, TWO, f(-5.0)), INF);
+        assert_eq!(fma(NINF, TWO, NINF), NINF);
     }
 
     #[test]
     fn exact_zero_sign_rules() {
-        // (+1 * +1) + (-1) = exact +0 in RNE, -0 in RDN.
-        assert_eq!(fma(ONE, ONE, f(-1.0), Round::NearestEven), 0);
-        assert_eq!(fma(ONE, ONE, f(-1.0), Round::Down), NZERO);
-        // (+0) + (+0) keeps the sign; (+0) + (-0) is +0 (RNE).
-        assert_eq!(add(0, 0, Round::NearestEven), 0);
-        assert_eq!(add(NZERO, NZERO, Round::NearestEven), NZERO);
-        assert_eq!(add(0, NZERO, Round::NearestEven), 0);
-        assert_eq!(add(0, NZERO, Round::Down), NZERO);
+        // (+1 * +1) + (-1) = exact +0.
+        assert_eq!(fma(ONE, ONE, f(-1.0)), 0);
+        // (+0) + (+0) keeps the sign; (+0) + (-0) is +0.
+        assert_eq!(add(0, 0), 0);
+        assert_eq!(add(NZERO, NZERO), NZERO);
+        assert_eq!(add(0, NZERO), 0);
         // 0 * x + (-0), product +0: signs differ -> +0 in RNE.
-        assert_eq!(fma(0, ONE, NZERO, Round::NearestEven), 0);
+        assert_eq!(fma(0, ONE, NZERO), 0);
         // 0 * x + (-0), product -0: signs agree -> -0.
-        assert_eq!(fma(NZERO, ONE, NZERO, Round::NearestEven), NZERO);
+        assert_eq!(fma(NZERO, ONE, NZERO), NZERO);
     }
 
     #[test]
-    fn overflow_per_mode() {
-        assert_eq!(mul(MAX, TWO, Round::NearestEven), INF);
-        assert_eq!(mul(MAX, TWO, Round::TowardZero), MAX);
-        assert_eq!(mul(MAX, TWO, Round::Down), MAX);
-        assert_eq!(mul(MAX, TWO, Round::Up), INF);
-        let neg_max = MAX | NZERO;
-        assert_eq!(mul(neg_max, TWO, Round::Down), NINF);
-        assert_eq!(mul(neg_max, TWO, Round::Up), neg_max);
+    fn overflow_goes_to_infinity() {
+        assert_eq!(mul(MAX, TWO), INF);
+        assert_eq!(mul(MAX | NZERO, TWO), NINF);
     }
 
     #[test]
     fn overflow_by_rounding_at_binade_edge() {
         // 65520 is the midpoint between 65504 (max) and 65536: RNE rounds to
         // even = 65536 -> infinity. 65519 rounds down to 65504.
-        assert_eq!(from_f32(65520.0, Round::NearestEven), INF);
-        assert_eq!(from_f32(65519.0, Round::NearestEven), MAX);
-        assert_eq!(from_f32(65520.0, Round::TowardZero), MAX);
+        assert_eq!(from_f32(65520.0), INF);
+        assert_eq!(from_f32(65519.0), MAX);
     }
 
     #[test]
@@ -648,20 +559,19 @@ mod tests {
         // is the exact product with 0.5.
         const HALF: u16 = 0x3800;
         let min_normal = 0x0400;
-        let half_min = mul(min_normal, HALF, Round::NearestEven);
+        let half_min = mul(min_normal, HALF);
         assert_eq!(half_min, 0x0200); // 2^-15 = subnormal 0.1000000000
-                                      // Smallest subnormal halves to zero under RNE (tie to even).
-        assert_eq!(mul(MIN_SUB, HALF, Round::NearestEven), 0);
-        assert_eq!(mul(MIN_SUB, HALF, Round::Up), MIN_SUB);
+                                      // Smallest subnormal halves to zero (tie to even).
+        assert_eq!(mul(MIN_SUB, HALF), 0);
         // Subnormal + subnormal is exact.
-        assert_eq!(add(MIN_SUB, MIN_SUB, Round::NearestEven), 0x0002);
+        assert_eq!(add(MIN_SUB, MIN_SUB), 0x0002);
     }
 
     #[test]
     fn subnormal_rounds_up_to_min_normal() {
         // Largest subnormal + smallest subnormal = min normal exactly.
         let max_sub = 0x03FF;
-        assert_eq!(add(max_sub, MIN_SUB, Round::NearestEven), 0x0400);
+        assert_eq!(add(max_sub, MIN_SUB), 0x0400);
     }
 
     #[test]
@@ -670,8 +580,8 @@ mod tests {
             match classify(bits) {
                 Class::Nan => continue,
                 _ => {
-                    assert_eq!(from_f32(to_f32(bits), Round::NearestEven), bits);
-                    assert_eq!(from_f64(to_f64(bits), Round::NearestEven), bits);
+                    assert_eq!(from_f32(to_f32(bits)), bits);
+                    assert_eq!(from_f64(to_f64(bits)), bits);
                 }
             }
         }
@@ -680,29 +590,17 @@ mod tests {
     #[test]
     fn f32_conversion_rounds_correctly() {
         // 1 + 2^-11 is exactly halfway between 1.0 and 1 + 2^-10: ties to even.
-        assert_eq!(from_f32(1.0 + 2.0f32.powi(-11), Round::NearestEven), ONE);
+        assert_eq!(from_f32(1.0 + 2.0f32.powi(-11)), ONE);
         // Slightly above the tie rounds up.
-        assert_eq!(
-            from_f32(
-                1.0 + 2.0f32.powi(-11) + 2.0f32.powi(-20),
-                Round::NearestEven
-            ),
-            0x3C01
-        );
-        assert_eq!(from_f32(1.0 + 2.0f32.powi(-11), Round::Up), 0x3C01);
-        assert_eq!(from_f32(-(1.0 + 2.0f32.powi(-11)), Round::Down), 0xBC01);
+        assert_eq!(from_f32(1.0 + 2.0f32.powi(-11) + 2.0f32.powi(-20)), 0x3C01);
     }
 
     #[test]
     fn tiny_f32_flushes_by_rounding_only() {
         // 2^-25 is halfway to the smallest subnormal: RNE ties to even = 0.
-        assert_eq!(from_f32(2.0f32.powi(-25), Round::NearestEven), 0);
+        assert_eq!(from_f32(2.0f32.powi(-25)), 0);
         // Just above the halfway point rounds to the min subnormal.
-        assert_eq!(
-            from_f32(2.0f32.powi(-25) * 1.0001, Round::NearestEven),
-            MIN_SUB
-        );
-        assert_eq!(from_f32(2.0f32.powi(-25), Round::Up), MIN_SUB);
+        assert_eq!(from_f32(2.0f32.powi(-25) * 1.0001), MIN_SUB);
     }
 
     /// Exhaustive check of `add` against an f64 reference. The sum of two
@@ -718,8 +616,8 @@ mod tests {
                 if matches!(classify(a), Class::Nan) || matches!(classify(b), Class::Nan) {
                     continue;
                 }
-                let got = add(a, b, Round::NearestEven);
-                let want = from_f64(to_f64(a) + to_f64(b), Round::NearestEven);
+                let got = add(a, b);
+                let want = from_f64(to_f64(a) + to_f64(b));
                 // Skip invalid (inf - inf): reference produces NaN too but
                 // compares unequal bitwise only if non-canonical.
                 let ref_nan = (to_f64(a) + to_f64(b)).is_nan();
@@ -743,11 +641,11 @@ mod tests {
                     continue;
                 }
                 let ref_val = to_f64(a) * to_f64(b);
-                let got = mul(a, b, Round::NearestEven);
+                let got = mul(a, b);
                 if ref_val.is_nan() {
                     assert_eq!(got, CANONICAL_QNAN, "a={a:#06x} b={b:#06x}");
                 } else {
-                    let want = from_f64(ref_val, Round::NearestEven);
+                    let want = from_f64(ref_val);
                     assert_eq!(got, want, "a={a:#06x} b={b:#06x}");
                 }
             }

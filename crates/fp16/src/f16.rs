@@ -2,12 +2,9 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::num::ParseFloatError;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
-use std::str::FromStr;
 
 use crate::arith;
-use crate::round::Round;
 use crate::CANONICAL_QNAN;
 
 /// An IEEE 754 `binary16` ("half precision", FP16) floating-point number.
@@ -16,8 +13,8 @@ use crate::CANONICAL_QNAN;
 /// the exact softfloat in [`crate::arith`], so results are bit-identical to
 /// IEEE-compliant FP16 hardware such as the FPnew FMA units inside RedMulE.
 ///
-/// The `std::ops` operators round to nearest-even (the accelerator's mode);
-/// the [`crate::arith`] functions take the full RISC-V rounding-mode set.
+/// Every operation rounds to nearest, ties to even: the one mode RedMulE's
+/// FMA array and castout stage use.
 ///
 /// # Example
 ///
@@ -116,7 +113,7 @@ impl F16 {
     // delegates to the bit-pattern converter in `arith`.
     #[inline]
     pub fn from_f32(v: f32) -> F16 {
-        F16(arith::from_f32(v, Round::NearestEven))
+        F16(arith::from_f32(v))
     }
 
     /// Converts from `f64` with round-to-nearest-even.
@@ -124,15 +121,7 @@ impl F16 {
     // delegates to the bit-pattern converter in `arith`.
     #[inline]
     pub fn from_f64(v: f64) -> F16 {
-        F16(arith::from_f64(v, Round::NearestEven))
-    }
-
-    /// Converts from `f64` in an explicit rounding mode.
-    // modelcheck-allow: RM-FP-001 -- host-float conversion boundary:
-    // delegates to the bit-pattern converter in `arith`.
-    #[inline]
-    pub fn from_f64_round(v: f64, mode: Round) -> F16 {
-        F16(arith::from_f64(v, mode))
+        F16(arith::from_f64(v))
     }
 
     /// Converts to `f32`. This widening conversion is always exact.
@@ -165,7 +154,7 @@ impl F16 {
     /// ```
     #[inline]
     pub fn mul_add(self, b: F16, c: F16) -> F16 {
-        F16(arith::fma(self.0, b.0, c.0, Round::NearestEven))
+        F16(arith::fma(self.0, b.0, c.0))
     }
 
     /// `true` if this value is NaN.
@@ -350,7 +339,7 @@ macro_rules! impl_binop {
         impl $trait for F16 {
             type Output = F16;
             fn $method(self, rhs: F16) -> F16 {
-                F16($func(self.0, rhs.0, Round::NearestEven))
+                F16($func(self.0, rhs.0))
             }
         }
         impl $assign_trait for F16 {
@@ -396,22 +385,6 @@ impl From<u8> for F16 {
     /// Lossless: every `u8` is exactly representable in binary16.
     fn from(v: u8) -> F16 {
         F16::from_f32(f32::from(v))
-    }
-}
-
-// modelcheck-allow: RM-FP-001 -- host-float conversion boundary: parses via
-// f64 and performs a single correct rounding to binary16.
-impl FromStr for F16 {
-    type Err = ParseFloatError;
-
-    /// Parses via `f64` and rounds once to binary16.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`ParseFloatError`] for syntactically invalid
-    /// input.
-    fn from_str(s: &str) -> Result<F16, ParseFloatError> {
-        Ok(F16::from_f64(s.parse::<f64>()?))
     }
 }
 
@@ -553,10 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_display() {
-        let v: F16 = "1.5".parse().expect("valid float literal");
-        assert_eq!(v, F16::from_f32(1.5));
-        assert!("xyz".parse::<F16>().is_err());
+    fn display_and_bit_formatting() {
         assert_eq!(F16::from_f32(1.5).to_string(), "1.5");
         assert_eq!(format!("{:#06x}", F16::ONE), "0x3c00");
         assert_eq!(format!("{:b}", F16::TWO), "100000000000000");

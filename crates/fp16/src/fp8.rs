@@ -7,59 +7,21 @@
 //! * [`E4M3`] — 4 exponent bits (bias 7), 3 mantissa bits. No infinities;
 //!   the single NaN code per sign is `S.1111.111`, so the exponent field
 //!   `1111` encodes *normal* values for every other mantissa. Max finite is
-//!   448; finite overflow under nearest roundings produces NaN.
+//!   448; finite overflow produces NaN.
 //! * [`E5M2`] — 5 exponent bits (bias 15, identical to binary16), 2 mantissa
 //!   bits. A conventional IEEE-style format: it has infinities, max finite is
-//!   57344, and finite overflow under nearest roundings produces infinity.
+//!   57344, and finite overflow produces infinity.
 //!
 //! Both types are thin wrappers over their `u8` bit pattern, mirroring
 //! [`F16`]. Widening to binary16 (`to_f16`, the hardware `castin`) is exact
 //! for every bit pattern; narrowing (`from_f16`, the hardware `castout`)
-//! performs a single correctly-rounded step in any [`Round`] mode using the
-//! same integer round/sticky machinery as the binary16 operations, so the
-//! FP8↔FP16 round trip is lossless for all 256 patterns of either format.
+//! performs a single round-to-nearest-even step in a few integer
+//! operations, so the FP8↔FP16 round trip is lossless for all 256 patterns
+//! of either format.
 
-use crate::arith::{self, Class, Unpacked};
-use crate::round::Round;
 use crate::F16;
 
 const SIGN8: u8 = 0x80;
-
-/// Static description of an FP8 format, shared by the narrowing path.
-struct Spec {
-    /// Mantissa (fraction) field width in bits.
-    man_bits: u32,
-    /// Exponent bias.
-    bias: i32,
-    /// Maximum unbiased exponent of a finite value.
-    emax: i32,
-    /// Magnitude encoding of the largest finite value.
-    max_finite: u8,
-    /// Magnitude encoding produced on non-saturating overflow
-    /// (infinity for E5M2, NaN for E4M3 which has none).
-    overflow_code: u8,
-    /// Whether the all-ones code point is NaN rather than infinity, i.e.
-    /// the top mantissa pattern of the top binade is unavailable (E4M3).
-    top_code_is_nan: bool,
-}
-
-const E4M3_SPEC: Spec = Spec {
-    man_bits: 3,
-    bias: 7,
-    emax: 8,
-    max_finite: 0x7E,
-    overflow_code: 0x7F,
-    top_code_is_nan: true,
-};
-
-const E5M2_SPEC: Spec = Spec {
-    man_bits: 2,
-    bias: 15,
-    emax: 15,
-    max_finite: 0x7B,
-    overflow_code: 0x7C,
-    top_code_is_nan: false,
-};
 
 /// Round-to-nearest-even narrowing of a binary16 magnitude (sign bit
 /// clear) to an E4M3 magnitude code, in a few integer operations.
@@ -85,84 +47,21 @@ fn e4m3_rne_magnitude(mag: u16) -> u8 {
     ((sig + (1 << (shift - 1)) - 1 + ((sig >> shift) & 1)) >> shift) as u8
 }
 
-/// Narrows a finite, non-zero unpacked binary16 value to an FP8 magnitude
-/// encoding (sign excluded), in a single correctly-rounded step. Only the
-/// directed modes and round-to-nearest-max-magnitude take this path:
-/// round-to-nearest-even has integer shortcuts in `from_f16`.
-fn narrow_finite(u: Unpacked, mode: Round, spec: &Spec) -> u8 {
-    let sign8 = if u.sign { SIGN8 } else { 0 };
-    // Value is sig * 2^q with sig normalised into [2^10, 2^11); the
-    // exponent of its leading bit is therefore:
-    let e = 10 + u.q;
-    let emin = 1 - spec.bias;
-
-    // Bits to discard from sig so the kept significand lands in the target
-    // field: a fixed 10 - man_bits for normals, growing with the deficit
-    // below emin for subnormals (gradual underflow).
-    let drop = if e >= emin {
-        10 - spec.man_bits as i32
-    } else {
-        (emin - spec.man_bits as i32) - u.q
-    };
-    debug_assert!(drop > 0);
-    let sig = u64::from(u.sig);
-    let (mut kept, round, sticky) = if drop >= 64 {
-        (0, false, sig != 0)
-    } else {
-        let d = drop as u32;
-        let kept = sig >> d;
-        let round = (sig >> (d - 1)) & 1 != 0;
-        let sticky = sig & ((1 << (d - 1)) - 1) != 0;
-        (kept, round, sticky)
-    };
-    if mode.increments(u.sign, kept & 1 != 0, round, sticky) {
-        kept += 1;
-    }
-
-    let hidden = 1u64 << spec.man_bits;
-    if e < emin {
-        // Subnormal result. A round-up carry to `hidden` encodes naturally
-        // as the smallest normal (exponent field 1, mantissa 0).
-        if kept == 0 {
-            return sign8; // underflow to signed zero
-        }
-        return sign8 | kept as u8;
-    }
-
-    let mut e = e;
-    if kept == hidden << 1 {
-        // Carry out of the mantissa: renormalise.
-        kept >>= 1;
-        e += 1;
-    }
-    let overflows =
-        e > spec.emax || (spec.top_code_is_nan && e == spec.emax && kept == (hidden << 1) - 1);
-    if overflows {
-        return if mode.overflow_saturates(u.sign) {
-            sign8 | spec.max_finite
-        } else {
-            sign8 | spec.overflow_code
-        };
-    }
-    sign8 | (((e + spec.bias) as u8) << spec.man_bits) | (kept as u8 & (hidden as u8 - 1))
-}
-
 /// An OFP8 E4M3 value: 1 sign, 4 exponent (bias 7), 3 mantissa bits.
 ///
 /// E4M3 trades the infinities away for an extra binade of range: the
 /// exponent field `1111` encodes normal values up to 448, and the single
-/// NaN per sign sits at `S.1111.111`. Finite overflow under the nearest
-/// rounding modes produces that NaN (OFP8 semantics); the directed modes
-/// saturate to ±448 exactly like binary16 saturates to ±65504.
+/// NaN per sign sits at `S.1111.111`. Finite overflow produces that NaN
+/// (OFP8 semantics).
 ///
 /// # Example
 ///
 /// ```
-/// use redmule_fp16::{E4M3, F16, Round};
+/// use redmule_fp16::{E4M3, F16};
 ///
-/// let x = E4M3::from_f16(F16::from_f32(3.14), Round::NearestEven);
+/// let x = E4M3::from_f16(F16::from_f32(3.14));
 /// assert_eq!(x.to_f16().to_f32(), 3.25); // nearest E4M3 value
-/// assert!(E4M3::from_f16(F16::from_f32(1.0e4), Round::NearestEven).is_nan());
+/// assert!(E4M3::from_f16(F16::from_f32(1.0e4)).is_nan());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct E4M3(u8);
@@ -218,23 +117,13 @@ impl E4M3 {
         F16::from_bits(sign | ((exp + 8) << 10) | (man << 7))
     }
 
-    /// Narrows a binary16 value in a single correctly-rounded step (the
-    /// hardware `castout` stage). Overflow follows OFP8: NaN under the
-    /// nearest modes, saturation to ±[`E4M3::MAX`] under the directed
-    /// modes that saturate. Infinities, which E4M3 cannot represent,
-    /// always become NaN.
-    pub fn from_f16(v: F16, mode: Round) -> E4M3 {
+    /// Narrows a binary16 value with round-to-nearest-even (the hardware
+    /// `castout` stage). Overflow follows OFP8: NaN. Infinities, which
+    /// E4M3 cannot represent, and NaNs become the NaN of their sign.
+    pub fn from_f16(v: F16) -> E4M3 {
         let bits = v.to_bits();
         let sign8 = ((bits >> 8) as u8) & SIGN8;
-        if matches!(mode, Round::NearestEven) {
-            return E4M3(sign8 | e4m3_rne_magnitude(bits & 0x7FFF));
-        }
-        match arith::classify(bits) {
-            Class::Nan => E4M3(sign8 | 0x7F),
-            Class::Inf { sign } => E4M3(if sign { 0xFF } else { 0x7F }),
-            Class::Zero { sign } => E4M3(if sign { SIGN8 } else { 0 }),
-            Class::Finite(u) => E4M3(narrow_finite(u, mode, &E4M3_SPEC)),
-        }
+        E4M3(sign8 | e4m3_rne_magnitude(bits & 0x7FFF))
     }
 }
 
@@ -243,17 +132,16 @@ impl E4M3 {
 /// E5M2 shares binary16's exponent range exactly, so widening is a pure
 /// left shift of the bit pattern by 8 and every binary16 value's top byte
 /// is its nearest-even E5M2 neighbourhood. It keeps IEEE structure:
-/// infinities exist and finite overflow under the nearest modes produces
-/// them.
+/// infinities exist and finite overflow produces them.
 ///
 /// # Example
 ///
 /// ```
-/// use redmule_fp16::{E5M2, F16, Round};
+/// use redmule_fp16::{E5M2, F16};
 ///
-/// let x = E5M2::from_f16(F16::from_f32(3.14), Round::NearestEven);
+/// let x = E5M2::from_f16(F16::from_f32(3.14));
 /// assert_eq!(x.to_f16().to_f32(), 3.0);
-/// assert!(E5M2::from_f16(F16::from_f32(61440.0), Round::NearestEven).is_infinite());
+/// assert!(E5M2::from_f16(F16::from_f32(61440.0)).is_infinite());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct E5M2(u8);
@@ -304,15 +192,12 @@ impl E5M2 {
         F16::from_bits(u16::from(self.0) << 8)
     }
 
-    /// Narrows a binary16 value in a single correctly-rounded step (the
-    /// hardware `castout` stage). Overflow produces ±infinity under the
-    /// nearest modes and saturates to ±[`E5M2::MAX`] under the directed
-    /// modes that saturate. NaNs keep their sign and top payload bits,
-    /// quietened so the result stays a NaN.
-    pub fn from_f16(v: F16, mode: Round) -> E5M2 {
+    /// Narrows a binary16 value with round-to-nearest-even (the hardware
+    /// `castout` stage). Overflow produces ±infinity. NaNs keep their sign
+    /// and top payload bits, quietened so the result stays a NaN.
+    pub fn from_f16(v: F16) -> E5M2 {
         let bits = v.to_bits();
-        let sign8 = ((bits >> 8) as u8) & SIGN8;
-        if matches!(mode, Round::NearestEven) && bits & 0x7FFF <= 0x7C00 {
+        if bits & 0x7FFF <= 0x7C00 {
             // Every non-NaN value: round binary16's low byte to nearest
             // even at bit 8. A carry ripples into the exponent, and past
             // 57344 into the infinity code, exactly as IEEE overflow
@@ -320,20 +205,14 @@ impl E5M2 {
             let b = u32::from(bits);
             return E5M2(((b + 0x7F + ((b >> 8) & 1)) >> 8) as u8);
         }
-        match arith::classify(bits) {
-            Class::Nan => {
-                // Keep the top two payload bits; force the quiet bit if
-                // truncation would otherwise produce the infinity code.
-                let mut payload = ((bits >> 8) as u8) & 0x3;
-                if payload == 0 {
-                    payload = 0x2;
-                }
-                E5M2(sign8 | 0x7C | payload)
-            }
-            Class::Inf { sign } => E5M2(if sign { 0xFC } else { 0x7C }),
-            Class::Zero { sign } => E5M2(if sign { SIGN8 } else { 0 }),
-            Class::Finite(u) => E5M2(narrow_finite(u, mode, &E5M2_SPEC)),
+        // Keep the top two payload bits; force the quiet bit if truncation
+        // would otherwise produce the infinity code.
+        let sign8 = ((bits >> 8) as u8) & SIGN8;
+        let mut payload = ((bits >> 8) as u8) & 0x3;
+        if payload == 0 {
+            payload = 0x2;
         }
+        E5M2(sign8 | 0x7C | payload)
     }
 }
 
@@ -402,7 +281,7 @@ impl Format {
     }
 
     /// The value `v` becomes after a castout/castin round trip through this
-    /// storage format with round-to-nearest-even (identity for `Fp16`).
+    /// storage format (identity for `Fp16`).
     ///
     /// This is the quantisation a functional model must apply to match the
     /// engine bit-for-bit: operands pass through storage on the way in, and
@@ -410,8 +289,8 @@ impl Format {
     pub fn quantize(self, v: F16) -> F16 {
         match self {
             Format::Fp16 => v,
-            Format::Fp8E4M3 => E4M3::from_f16(v, Round::NearestEven).to_f16(),
-            Format::Fp8E5M2 => E5M2::from_f16(v, Round::NearestEven).to_f16(),
+            Format::Fp8E4M3 => E4M3::from_f16(v).to_f16(),
+            Format::Fp8E5M2 => E5M2::from_f16(v).to_f16(),
         }
     }
 }
@@ -426,12 +305,12 @@ impl std::fmt::Display for Format {
 mod tests {
     use super::*;
 
-    fn e4m3(bits: u16, mode: Round) -> u8 {
-        E4M3::from_f16(F16::from_bits(bits), mode).to_bits()
+    fn e4m3(bits: u16) -> u8 {
+        E4M3::from_f16(F16::from_bits(bits)).to_bits()
     }
 
-    fn e5m2(bits: u16, mode: Round) -> u8 {
-        E5M2::from_f16(F16::from_bits(bits), mode).to_bits()
+    fn e5m2(bits: u16) -> u8 {
+        E5M2::from_f16(F16::from_bits(bits)).to_bits()
     }
 
     #[test]
@@ -458,74 +337,54 @@ mod tests {
     fn e4m3_overflow_boundary_follows_ofp8() {
         // 464 = 0x5F40 is the midpoint between 448 (max finite) and the
         // would-be 480; RNE ties to the even mantissa, which is 448.
-        assert_eq!(e4m3(0x5F40, Round::NearestEven), 0x7E);
+        assert_eq!(e4m3(0x5F40), 0x7E);
         // One ulp above the midpoint rounds up and overflows to NaN.
-        assert_eq!(e4m3(0x5F41, Round::NearestEven), 0x7F);
-        // RMM ties away from zero: overflow to NaN at the midpoint.
-        assert_eq!(e4m3(0x5F40, Round::NearestMaxMagnitude), 0x7F);
-        // Directed saturating modes clamp to max finite.
-        assert_eq!(e4m3(0x7BFF, Round::TowardZero), 0x7E);
-        assert_eq!(e4m3(0x7BFF, Round::Down), 0x7E);
-        assert_eq!(e4m3(0xFBFF, Round::Up), 0xFE);
-        // ...while the non-saturating direction overflows to NaN.
-        assert_eq!(e4m3(0x7BFF, Round::Up), 0x7F);
+        assert_eq!(e4m3(0x5F41), 0x7F);
         // Infinity cannot be represented: always NaN, sign preserved.
-        assert_eq!(e4m3(0x7C00, Round::TowardZero), 0x7F);
-        assert_eq!(e4m3(0xFC00, Round::NearestEven), 0xFF);
+        assert_eq!(e4m3(0x7C00), 0x7F);
+        assert_eq!(e4m3(0xFC00), 0xFF);
     }
 
     #[test]
     fn e5m2_overflow_boundary_produces_infinity() {
         // 61440 = 0x7B80 is the midpoint between 57344 (max finite) and the
         // would-be 65536; the even side is 65536, so RNE overflows to Inf.
-        assert_eq!(e5m2(0x7B80, Round::NearestEven), 0x7C);
+        assert_eq!(e5m2(0x7B80), 0x7C);
         // Just below the midpoint stays at max finite.
-        assert_eq!(e5m2(0x7B7F, Round::NearestEven), 0x7B);
-        // Directed saturating modes clamp; the others produce Inf.
-        assert_eq!(e5m2(0x7BFF, Round::TowardZero), 0x7B);
-        assert_eq!(e5m2(0xFBFF, Round::Down), 0xFC);
-        assert_eq!(e5m2(0x7BFF, Round::Up), 0x7C);
+        assert_eq!(e5m2(0x7B7F), 0x7B);
         // Real infinities pass through.
-        assert_eq!(e5m2(0x7C00, Round::TowardZero), 0x7C);
-        assert_eq!(e5m2(0xFC00, Round::TowardZero), 0xFC);
+        assert_eq!(e5m2(0x7C00), 0x7C);
+        assert_eq!(e5m2(0xFC00), 0xFC);
     }
 
     #[test]
     fn rne_ties_resolve_to_even_mantissas() {
         // 2.125 = 0x4040 is halfway between E4M3's 2.0 (man 000) and
         // 2.25 (man 001): even is 2.0.
-        assert_eq!(e4m3(0x4040, Round::NearestEven), 0x40);
+        assert_eq!(e4m3(0x4040), 0x40);
         // 2.375 = 0x40C0 is halfway between 2.25 and 2.5: even is 2.5.
-        assert_eq!(e4m3(0x40C0, Round::NearestEven), 0x42);
-        // RMM breaks both ties away from zero.
-        assert_eq!(e4m3(0x4040, Round::NearestMaxMagnitude), 0x41);
-        assert_eq!(e4m3(0x40C0, Round::NearestMaxMagnitude), 0x42);
+        assert_eq!(e4m3(0x40C0), 0x42);
     }
 
     #[test]
     fn subnormal_boundaries_underflow_gradually() {
-        // Half of E4M3's smallest subnormal (2^-10 = 0x1400): RNE ties to
-        // even (zero), RUP forces the smallest subnormal.
-        assert_eq!(e4m3(0x1400, Round::NearestEven), 0x00);
-        assert_eq!(e4m3(0x1400, Round::Up), 0x01);
-        assert_eq!(e4m3(0x9400, Round::NearestEven), 0x80); // signed zero
-        assert_eq!(e4m3(0x9400, Round::Down), 0x81);
-        // Smallest binary16 subnormal is far below either FP8 format.
-        assert_eq!(e4m3(0x0001, Round::NearestEven), 0x00);
-        assert_eq!(e4m3(0x0001, Round::Up), 0x01);
-        assert_eq!(e5m2(0x0001, Round::NearestEven), 0x00);
+        // Half of E4M3's smallest subnormal (2^-10 = 0x1400) ties to even
+        // (zero).
+        assert_eq!(e4m3(0x1400), 0x00);
+        assert_eq!(e4m3(0x9400), 0x80); // signed zero
+                                        // Smallest binary16 subnormal is far below either FP8 format.
+        assert_eq!(e4m3(0x0001), 0x00);
+        assert_eq!(e5m2(0x0001), 0x00);
         // E5M2's smallest subnormal is exactly binary16's 2^-16.
-        assert_eq!(e5m2(0x0100, Round::NearestEven), 0x01);
+        assert_eq!(e5m2(0x0100), 0x01);
     }
 
     #[test]
     fn signed_zeros_survive_the_cast_in_both_directions() {
-        for mode in Round::ALL {
-            assert_eq!(e4m3(0x0000, mode), 0x00);
-            assert_eq!(e4m3(0x8000, mode), 0x80);
-            assert_eq!(e5m2(0x0000, mode), 0x00);
-            assert_eq!(e5m2(0x8000, mode), 0x80);
-        }
+        assert_eq!(e4m3(0x0000), 0x00);
+        assert_eq!(e4m3(0x8000), 0x80);
+        assert_eq!(e5m2(0x0000), 0x00);
+        assert_eq!(e5m2(0x8000), 0x80);
         assert_eq!(E4M3::NEG_ZERO.to_f16().to_bits(), 0x8000);
         assert_eq!(E5M2::NEG_ZERO.to_f16().to_bits(), 0x8000);
     }
@@ -533,15 +392,15 @@ mod tests {
     #[test]
     fn nan_narrowing_is_canonical_and_sign_preserving() {
         // E4M3 has a single NaN code per sign.
-        assert_eq!(e4m3(0x7E01, Round::NearestEven), 0x7F);
-        assert_eq!(e4m3(0xFFFF, Round::NearestEven), 0xFF);
+        assert_eq!(e4m3(0x7E01), 0x7F);
+        assert_eq!(e4m3(0xFFFF), 0xFF);
         // E5M2 keeps the top payload bits; a payload that would truncate to
         // zero (turning NaN into Inf) gets the quiet bit forced instead.
-        assert_eq!(e5m2(0x7E00, Round::NearestEven), 0x7E);
-        assert_eq!(e5m2(0x7D00, Round::NearestEven), 0x7D);
-        assert_eq!(e5m2(0x7C01, Round::NearestEven), 0x7E);
-        assert_eq!(e5m2(0xFC01, Round::NearestEven), 0xFE);
-        assert!(E5M2::from_bits(e5m2(0x7C01, Round::NearestEven)).is_nan());
+        assert_eq!(e5m2(0x7E00), 0x7E);
+        assert_eq!(e5m2(0x7D00), 0x7D);
+        assert_eq!(e5m2(0x7C01), 0x7E);
+        assert_eq!(e5m2(0xFC01), 0xFE);
+        assert!(E5M2::from_bits(e5m2(0x7C01)).is_nan());
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!   order is the contract — but the pack-to-bits / classify-from-bits
 //!   round trip between steps is gone.
 //! * [`fma_acc`] dispatches on one combined tag test: the finite (zeros
-//!   included) round-to-nearest-even common case runs a short branch-free
-//!   hardware path, everything else (infinite or NaN multiplicands,
-//!   directed rounding modes) falls back to the scalar softfloat `fma` on
-//!   the packed encodings.
+//!   included) common case runs a short branch-free hardware path;
+//!   infinite or NaN multiplicands fall back to the scalar softfloat `fma`
+//!   on the packed encodings.
 //! * [`fma_column`] is one cycle of one column of the engine's FMA array:
 //!   every lane's X against the column's broadcast W, on accumulators kept
 //!   as raw binary16 bits, with [`gemm_staged`]'s window check and round
@@ -53,16 +52,15 @@
 //!
 //! ```text
 //! fma_acc(classify(a), classify(b), Acc::from_bits(c)).to_bits()
-//!     == arith::fma(a, b, c)          for all a, b, c, and every mode
+//!     == arith::fma(a, b, c)          for all a, b, c
 //! gemm_staged(X, r0, n, W, k, Y)[r][j]
-//!     == fold over l in 0..n of arith::fma(X[r0+r][l], W[l][j], ·, RNE)
+//!     == fold over l in 0..n of arith::fma(X[r0+r][l], W[l][j], ·)
 //!        starting from Y[r][j]        for every element
 //! fma_column(x, w, acc, out) leaves out[r]
-//!     == arith::fma(x[r], w, acc[r], RNE)   for every lane, bit for bit
+//!     == arith::fma(x[r], w, acc[r])  for every lane, bit for bit
 //! ```
 
 use crate::arith::from_f64;
-use crate::round::Round;
 
 /// Tag ordering chosen so `Finite` is 0 and `Zero` is 1: the hot-path
 /// test for "neither multiplicand infinite or NaN" is a single `|` of the
@@ -211,7 +209,7 @@ impl Acc {
         let out = narrow(self.v);
         debug_assert_eq!(
             out,
-            from_f64(self.v, Round::NearestEven),
+            from_f64(self.v),
             "narrow diverged from from_f64 on {:#018x}",
             self.v.to_bits()
         );
@@ -220,9 +218,9 @@ impl Acc {
 }
 
 /// One fused multiply-add step on pre-classified operands:
-/// `a * b + acc`, rounded once under `mode`, result kept unpacked.
+/// `a * b + acc`, rounded once, result kept unpacked.
 ///
-/// Bit-for-bit equivalent to `arith::fma(a, b, acc, mode)` on the packed
+/// Bit-for-bit equivalent to `arith::fma(a, b, acc)` on the packed
 /// encodings — same single rounding, same NaN canonicalisation, same IEEE
 /// zero- and infinity-sign rules. Debug builds assert exactly that on
 /// every single call.
@@ -231,9 +229,9 @@ impl Acc {
 // bit-exactness locked by per-call debug assertions and the exhaustive
 // differential suite.
 #[inline(always)]
-pub fn fma_acc(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
-    let out = if a.tag | b.tag <= TAG_ZERO && matches!(mode, Round::NearestEven) {
-        // Finite-multiplicand RNE fast path. `a.v * b.v` is exact (22-bit
+pub fn fma_acc(a: Operand, b: Operand, acc: Acc) -> Acc {
+    let out = if a.tag | b.tag <= TAG_ZERO {
+        // Finite-multiplicand fast path. `a.v * b.v` is exact (22-bit
         // product, or a signed zero; never inf/NaN), the addition is the
         // single hardware rounding of the exact sum. An infinite or NaN
         // accumulator propagates through the addition per IEEE rules —
@@ -267,12 +265,12 @@ pub fn fma_acc(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
             }
         }
     } else {
-        fma_acc_slow(a, b, acc, mode)
+        fma_acc_slow(a, b, acc)
     };
     debug_assert_eq!(
         out.to_bits(),
-        crate::arith::fma(a.bits, b.bits, acc.to_bits(), mode),
-        "fma_acc drifted from scalar fma: a={:#06x} b={:#06x} c={:#06x} mode={mode:?}",
+        crate::arith::fma(a.bits, b.bits, acc.to_bits()),
+        "fma_acc drifted from scalar fma: a={:#06x} b={:#06x} c={:#06x}",
         a.bits,
         b.bits,
         acc.to_bits(),
@@ -290,7 +288,7 @@ pub fn fma_acc(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
 // conversion for the rare out-of-range results.
 #[cold]
 fn round_out_of_range(t: f64) -> Acc {
-    Acc::from_bits(from_f64(t, Round::NearestEven))
+    Acc::from_bits(from_f64(t))
 }
 
 // modelcheck-allow: RM-FP-001 -- constant f64 infinities.
@@ -306,13 +304,12 @@ fn inf_acc(sign: bool) -> Acc {
     }
 }
 
-/// Fallback for special values and directed rounding modes: one scalar
-/// softfloat `fma` on the packed encodings. This is the exact pre-kernel
-/// code path, so every NaN / infinity / signed-zero rule and every
-/// rounding mode agrees by construction.
+/// Fallback for infinite and NaN multiplicands: one scalar softfloat
+/// `fma` on the packed encodings. This is the exact pre-kernel code path,
+/// so every NaN / infinity / signed-zero rule agrees by construction.
 #[cold]
-fn fma_acc_slow(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
-    Acc::from_bits(crate::arith::fma(a.bits, b.bits, acc.to_bits(), mode))
+fn fma_acc_slow(a: Operand, b: Operand, acc: Acc) -> Acc {
+    Acc::from_bits(crate::arith::fma(a.bits, b.bits, acc.to_bits()))
 }
 
 /// An operand matrix staged in structure-of-arrays form: the exact `f64`
@@ -573,12 +570,7 @@ fn block_fast<const FULL: bool>(band: Band<'_>, acc: &mut [Acc], blk: Block) -> 
                     if clean[i][j] && inside && i < rows_live && j < cols_live {
                         debug_assert_eq!(
                             narrow(f64::from_bits(rb)),
-                            crate::arith::fma(
-                                narrow(a),
-                                narrow(seg[j]),
-                                narrow(*zv),
-                                Round::NearestEven
-                            ),
+                            crate::arith::fma(narrow(a), narrow(seg[j]), narrow(*zv)),
                             "block lane drifted from scalar fma: a={a} b={} c={}",
                             seg[j],
                             *zv,
@@ -614,7 +606,7 @@ fn block_scalar(band: Band<'_>, acc: &mut [Acc], blk: Block) {
             let mut c = acc[r * k + j];
             for (l, &a) in xrow.iter().enumerate() {
                 let b = Operand::from_bits(w.bits[l * k + j]);
-                c = fma_acc(Operand::from_bits(a), b, c, Round::NearestEven);
+                c = fma_acc(Operand::from_bits(a), b, c);
             }
             acc[r * k + j] = c;
         }
@@ -724,7 +716,7 @@ fn debug_check_lanes(x: &[u16], w: u16, acc: &[u16], out: &[u16]) {
     for ((&a, &c), &z) in x.iter().zip(acc).zip(out) {
         debug_assert_eq!(
             z,
-            crate::arith::fma(a, w, c, Round::NearestEven),
+            crate::arith::fma(a, w, c),
             "column lane drifted from scalar fma: x={a:#06x} w={w:#06x} acc={c:#06x}"
         );
     }
@@ -737,13 +729,7 @@ fn debug_check_lanes(x: &[u16], w: u16, acc: &[u16], out: &[u16]) {
 fn lanes_scalar(x: &[u16], w: u16, acc: &[u16], out: &mut [u16]) {
     let b = Operand::from_bits(w);
     for ((&a, &c), z) in x.iter().zip(acc).zip(out) {
-        *z = fma_acc(
-            Operand::from_bits(a),
-            b,
-            Acc::from_bits(c),
-            Round::NearestEven,
-        )
-        .to_bits();
+        *z = fma_acc(Operand::from_bits(a), b, Acc::from_bits(c)).to_bits();
     }
 }
 
@@ -791,12 +777,11 @@ mod tests {
     use crate::arith::fma;
     use crate::{CANONICAL_QNAN, F16};
 
-    fn step(a: u16, b: u16, c: u16, mode: Round) -> u16 {
+    fn step(a: u16, b: u16, c: u16) -> u16 {
         fma_acc(
             Operand::from_bits(a),
             Operand::from_bits(b),
             Acc::from_bits(c),
-            mode,
         )
         .to_bits()
     }
@@ -822,13 +807,11 @@ mod tests {
         for &a in &specials {
             for &b in &specials {
                 for &c in &specials {
-                    for mode in Round::ALL {
-                        assert_eq!(
-                            step(a, b, c, mode),
-                            fma(a, b, c, mode),
-                            "a={a:#06x} b={b:#06x} c={c:#06x} mode={mode:?}"
-                        );
-                    }
+                    assert_eq!(
+                        step(a, b, c),
+                        fma(a, b, c),
+                        "a={a:#06x} b={b:#06x} c={c:#06x}"
+                    );
                 }
             }
         }
@@ -850,7 +833,7 @@ mod tests {
         for (idx, zv) in z.iter_mut().enumerate() {
             let (r, j) = (idx / k, idx % k);
             for l in 0..n {
-                *zv = fma(xs[r * n + l], ws[l * k + j], *zv, Round::NearestEven);
+                *zv = fma(xs[r * n + l], ws[l * k + j], *zv);
             }
         }
         z
@@ -860,26 +843,22 @@ mod tests {
     fn chained_accumulation_matches_fold_of_fma() {
         // A long alternating-sign chain with cancellation, kept unpacked
         // throughout, must match feeding every intermediate through bits:
-        // through `fma_acc` in every mode, and as a one-element band
-        // through `gemm_staged`.
+        // through `fma_acc`, and as a one-element band through
+        // `gemm_staged`.
         let xs: Vec<u16> = (0..64u16).map(|i| 0x3C00 + (i * 37) % 512).collect();
         let ws: Vec<u16> = (0..64u16)
             .map(|i| (0xBC00 + (i * 91) % 512) ^ ((i & 1) << 15))
             .collect();
-        for mode in Round::ALL {
-            let mut fast = Acc::ZERO;
-            for (&a, &b) in xs.iter().zip(ws.iter()) {
-                fast = fma_acc(Operand::from_bits(a), Operand::from_bits(b), fast, mode);
-            }
-            let mut slow = 0u16;
-            for (&a, &b) in xs.iter().zip(ws.iter()) {
-                slow = fma(a, b, slow, mode);
-            }
-            assert_eq!(fast.to_bits(), slow, "mode={mode:?}");
-            if mode == Round::NearestEven {
-                assert_eq!(band(&xs, 64, &ws, 1, &[0]), [slow]);
-            }
+        let mut fast = Acc::ZERO;
+        for (&a, &b) in xs.iter().zip(ws.iter()) {
+            fast = fma_acc(Operand::from_bits(a), Operand::from_bits(b), fast);
         }
+        let mut slow = 0u16;
+        for (&a, &b) in xs.iter().zip(ws.iter()) {
+            slow = fma(a, b, slow);
+        }
+        assert_eq!(fast.to_bits(), slow);
+        assert_eq!(band(&xs, 64, &ws, 1, &[0]), [slow]);
     }
 
     #[test]
@@ -917,7 +896,7 @@ mod tests {
         for (a, b, y0) in cases {
             assert_eq!(
                 band(&[a], 1, &[b], 1, &[y0]),
-                [fma(a, b, y0, Round::NearestEven)],
+                [fma(a, b, y0)],
                 "a={a:#06x} b={b:#06x} y0={y0:#06x}"
             );
         }
@@ -928,10 +907,7 @@ mod tests {
         // One X element broadcast against a W row: one step per column.
         let ws = [0x3C00u16, 0xBC00, 0x0000, 0x7C00];
         let got = band(&[0x4000], 1, &ws, 4, &[0x3800; 4]); // 2.0, 0.5
-        let want: Vec<u16> = ws
-            .iter()
-            .map(|&b| fma(0x4000, b, 0x3800, Round::NearestEven))
-            .collect();
+        let want: Vec<u16> = ws.iter().map(|&b| fma(0x4000, b, 0x3800)).collect();
         assert_eq!(got, want);
     }
 }

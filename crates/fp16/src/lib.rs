@@ -11,8 +11,7 @@
 //!   conversion, comparison and formatting support.
 //! * [`arith`] — correctly rounded add/sub/mul, and crucially a
 //!   correctly rounded **fused** multiply-add ([`F16::mul_add`]) with a
-//!   single rounding step, in all five RISC-V rounding modes.
-//! * [`Round`] — the rounding-mode type (RNE, RTZ, RDN, RUP, RMM).
+//!   single rounding step.
 //! * [`vector`] — slice-level helpers (ReLU, transpose) and the
 //!   **golden-model GEMM** ([`vector::gemm_golden`]) that the cycle-accurate
 //!   accelerator model is verified against.
@@ -26,8 +25,10 @@
 //!   does not flush to zero for FP16).
 //! * All NaN results are canonicalised to the quiet NaN `0x7E00`, matching
 //!   FPnew's NaN-boxing-free canonical output.
-//! * The default rounding mode everywhere is round-to-nearest-even, the mode
-//!   used by the paper's training workloads.
+//! * Every operation rounds to nearest, ties to even: the one mode the
+//!   accelerator's FMA array and castout stage use (FPnew's `frm = 000`).
+//!   Overflow therefore goes to ±infinity and an exact zero sum of
+//!   opposite-signed terms is `+0`.
 //!
 //! # Example
 //!
@@ -50,12 +51,10 @@ pub mod arith;
 mod f16;
 mod fp8;
 pub mod kernel;
-mod round;
 pub mod vector;
 
 pub use f16::{FpCategory16, F16};
 pub use fp8::{Format, E4M3, E5M2};
-pub use round::Round;
 
 /// Canonical quiet NaN produced by all invalid operations (matches FPnew).
 pub const CANONICAL_QNAN: u16 = 0x7E00;

@@ -5,7 +5,7 @@
 //! exactly, and sums and products of two FP16 values are exact in f64, so
 //! round(f64-op) is the correctly rounded FP16 result.
 
-use redmule_fp16::{arith, Round, CANONICAL_QNAN, E4M3, E5M2, F16};
+use redmule_fp16::{arith, CANONICAL_QNAN, E4M3, E5M2, F16};
 
 fn all_patterns() -> impl Iterator<Item = u16> {
     0u16..=0xFFFF
@@ -60,18 +60,10 @@ fn doubling_and_halving_exhaustive_vs_f64() {
             continue;
         }
         let x = arith::to_f64(bits);
-        let doubled = arith::mul(bits, TWO, Round::NearestEven);
-        assert_eq!(
-            doubled,
-            arith::from_f64(x * 2.0, Round::NearestEven),
-            "2*{x}"
-        );
-        let halved = arith::mul(bits, HALF, Round::NearestEven);
-        assert_eq!(
-            halved,
-            arith::from_f64(x / 2.0, Round::NearestEven),
-            "{x}/2"
-        );
+        let doubled = arith::mul(bits, TWO);
+        assert_eq!(doubled, arith::from_f64(x * 2.0), "2*{x}");
+        let halved = arith::mul(bits, HALF);
+        assert_eq!(halved, arith::from_f64(x / 2.0), "{x}/2");
     }
 }
 
@@ -88,12 +80,12 @@ fn addition_dense_grid_vs_f64() {
         }
         let av = arith::to_f64(a);
         for &b in &b_set {
-            let got = arith::add(a, b, Round::NearestEven);
+            let got = arith::add(a, b);
             let exact = av + arith::to_f64(b);
             if exact.is_nan() {
                 assert_eq!(got, CANONICAL_QNAN, "a={a:#06x} b={b:#06x}");
             } else {
-                let want = arith::from_f64(exact, Round::NearestEven);
+                let want = arith::from_f64(exact);
                 // +0/-0 compare equal numerically; bit-compare except when
                 // both are zeros of different sign conventions.
                 if !(got & 0x7FFF == 0 && want & 0x7FFF == 0) {
@@ -110,40 +102,18 @@ fn fma_dense_grid_has_single_rounding() {
     // is exactly zero: a classic single-rounding witness applied densely.
     for a in (0x3C00u16..0x4400).step_by(3) {
         for b in (0x3C00u16..0x4400).step_by(7) {
-            let prod = arith::mul(a, b, Round::NearestEven);
+            let prod = arith::mul(a, b);
             let c = prod ^ 0x8000; // -round(a*b)
-            let fused = arith::fma(a, b, c, Round::NearestEven);
+            let fused = arith::fma(a, b, c);
             // Exact residual: a*b - round(a*b) in f64 (all values exact).
             let exact = arith::to_f64(a) * arith::to_f64(b) + arith::to_f64(c);
-            let want = arith::from_f64(exact, Round::NearestEven);
+            let want = arith::from_f64(exact);
             // The residual has few significant bits, so the f64 reference
             // is exact here.
             if !(fused & 0x7FFF == 0 && want & 0x7FFF == 0) {
                 assert_eq!(fused, want, "a={a:#06x} b={b:#06x}");
             }
         }
-    }
-}
-
-#[test]
-fn all_rounding_modes_bracket_exhaustively() {
-    // For most finite patterns, multiplying by the binary16 value nearest
-    // 1/3 produces an inexact result (the product is exact in f64); the
-    // shared rounding back end must bracket it correctly in every mode.
-    const THIRD: u16 = 0x3555;
-    for bits in all_patterns().step_by(5) {
-        if is_nan_bits(bits) || (bits & 0x7FFF) == 0x7C00 {
-            continue;
-        }
-        let exact = arith::to_f64(bits) * arith::to_f64(THIRD);
-        let dn = arith::to_f64(arith::mul(bits, THIRD, Round::Down));
-        let up = arith::to_f64(arith::mul(bits, THIRD, Round::Up));
-        let tz = arith::to_f64(arith::mul(bits, THIRD, Round::TowardZero));
-        let ne = arith::to_f64(arith::mul(bits, THIRD, Round::NearestEven));
-        assert!(dn <= exact || dn == f64::NEG_INFINITY, "{bits:#06x}");
-        assert!(up >= exact || up == f64::INFINITY, "{bits:#06x}");
-        assert!(tz.abs() <= exact.abs() || tz.is_infinite(), "{bits:#06x}");
-        assert!(ne >= dn && ne <= up, "{bits:#06x}");
     }
 }
 
@@ -178,9 +148,10 @@ fn fp8_ladder(man_bits: i32, bias: i32, top: usize) -> Vec<f64> {
 }
 
 /// Reference narrowing of a finite binary16 pattern: walk the magnitude
-/// ladder in f64, pick the rounded rung per IEEE semantics, then apply the
-/// OFP8 overflow policy when the rounding lands on the virtual top rung.
-fn fp8_narrow_ref(bits: u16, mode: Round, mags: &[f64], max_code: u8, overflow_code: u8) -> u8 {
+/// ladder in f64, pick the nearest rung (ties to the even code), then
+/// apply the OFP8 overflow policy when the rounding lands on the virtual
+/// top rung.
+fn fp8_narrow_ref(bits: u16, mags: &[f64], overflow_code: u8) -> u8 {
     let neg = bits & 0x8000 != 0;
     let sign8 = if neg { 0x80u8 } else { 0 };
     let a = arith::to_f64(bits).abs();
@@ -195,59 +166,22 @@ fn fp8_narrow_ref(bits: u16, mode: Round, mags: &[f64], max_code: u8, overflow_c
         } else {
             let hi = lo + 1;
             let mid = 0.5 * (mags[lo] + mags[hi]); // exact: few significand bits
-            match mode {
-                Round::NearestEven => {
-                    if a < mid {
-                        lo
-                    } else if a > mid {
-                        hi
-                    } else if lo % 2 == 0 {
-                        lo
-                    } else {
-                        hi
-                    }
-                }
-                Round::NearestMaxMagnitude => {
-                    if a < mid {
-                        lo
-                    } else {
-                        hi
-                    }
-                }
-                Round::TowardZero => lo,
-                Round::Down => {
-                    if neg {
-                        hi
-                    } else {
-                        lo
-                    }
-                }
-                Round::Up => {
-                    if neg {
-                        lo
-                    } else {
-                        hi
-                    }
-                }
+            if a < mid {
+                lo
+            } else if a > mid {
+                hi
+            } else if lo % 2 == 0 {
+                lo
+            } else {
+                hi
             }
         }
     };
 
     if chosen == top {
-        // IEEE overflow: the directed modes that round towards zero on
-        // this sign saturate to the largest finite value; the rest take
-        // the format's overflow code (NaN for E4M3, Inf for E5M2).
-        let saturates = match mode {
-            Round::TowardZero => true,
-            Round::Down => !neg,
-            Round::Up => neg,
-            Round::NearestEven | Round::NearestMaxMagnitude => false,
-        };
-        if saturates {
-            sign8 | max_code
-        } else {
-            sign8 | overflow_code
-        }
+        // IEEE overflow: the format's overflow code (NaN for E4M3, Inf
+        // for E5M2).
+        sign8 | overflow_code
     } else {
         sign8 | chosen as u8
     }
@@ -293,23 +227,21 @@ fn fp8_widen_is_exact_for_all_256_patterns() {
 }
 
 #[test]
-fn fp8_round_trips_all_256_patterns_in_every_mode() {
-    // Widen-then-narrow must be the identity on the full FP8 space, in
-    // every rounding mode: the widened value is exact, so no rounding may
-    // move it, and the NaN narrowing must reproduce the original payload.
+fn fp8_round_trips_all_256_patterns() {
+    // Widen-then-narrow must be the identity on the full FP8 space: the
+    // widened value is exact, so no rounding may move it, and the NaN
+    // narrowing must reproduce the original payload.
     for p in 0..=0xFFu8 {
-        for mode in Round::ALL {
-            assert_eq!(
-                E4M3::from_f16(E4M3::from_bits(p).to_f16(), mode).to_bits(),
-                p,
-                "E4M3 round trip at {p:#04x} under {mode:?}"
-            );
-            assert_eq!(
-                E5M2::from_f16(E5M2::from_bits(p).to_f16(), mode).to_bits(),
-                p,
-                "E5M2 round trip at {p:#04x} under {mode:?}"
-            );
-        }
+        assert_eq!(
+            E4M3::from_f16(E4M3::from_bits(p).to_f16()).to_bits(),
+            p,
+            "E4M3 round trip at {p:#04x}"
+        );
+        assert_eq!(
+            E5M2::from_f16(E5M2::from_bits(p).to_f16()).to_bits(),
+            p,
+            "E5M2 round trip at {p:#04x}"
+        );
     }
 }
 
@@ -318,17 +250,15 @@ fn e4m3_narrow_exhaustive_vs_f64_reference() {
     let mags = fp8_ladder(3, 7, 0x7F);
     for bits in all_patterns() {
         let sign8 = ((bits >> 8) as u8) & 0x80;
-        for mode in Round::ALL {
-            let got = E4M3::from_f16(F16::from_bits(bits), mode).to_bits();
-            // E4M3 has no infinities: both NaN and Inf inputs collapse to
-            // the format's single signed NaN code.
-            let want = if is_nan_bits(bits) || (bits & 0x7FFF) == 0x7C00 {
-                sign8 | 0x7F
-            } else {
-                fp8_narrow_ref(bits, mode, &mags, 0x7E, 0x7F)
-            };
-            assert_eq!(got, want, "E4M3 narrow at {bits:#06x} under {mode:?}");
-        }
+        let got = E4M3::from_f16(F16::from_bits(bits)).to_bits();
+        // E4M3 has no infinities: both NaN and Inf inputs collapse to
+        // the format's single signed NaN code.
+        let want = if is_nan_bits(bits) || (bits & 0x7FFF) == 0x7C00 {
+            sign8 | 0x7F
+        } else {
+            fp8_narrow_ref(bits, &mags, 0x7F)
+        };
+        assert_eq!(got, want, "E4M3 narrow at {bits:#06x}");
     }
 }
 
@@ -337,20 +267,18 @@ fn e5m2_narrow_exhaustive_vs_f64_reference() {
     let mags = fp8_ladder(2, 15, 0x7C);
     for bits in all_patterns() {
         let sign8 = ((bits >> 8) as u8) & 0x80;
-        for mode in Round::ALL {
-            let got = E5M2::from_f16(F16::from_bits(bits), mode).to_bits();
-            let want = if is_nan_bits(bits) {
-                // Sign and top payload bits survive, quietened so the
-                // result never collides with the infinity code.
-                let payload = ((bits >> 8) as u8) & 0x3;
-                sign8 | 0x7C | if payload == 0 { 0x2 } else { payload }
-            } else if (bits & 0x7FFF) == 0x7C00 {
-                sign8 | 0x7C
-            } else {
-                fp8_narrow_ref(bits, mode, &mags, 0x7B, 0x7C)
-            };
-            assert_eq!(got, want, "E5M2 narrow at {bits:#06x} under {mode:?}");
-        }
+        let got = E5M2::from_f16(F16::from_bits(bits)).to_bits();
+        let want = if is_nan_bits(bits) {
+            // Sign and top payload bits survive, quietened so the
+            // result never collides with the infinity code.
+            let payload = ((bits >> 8) as u8) & 0x3;
+            sign8 | 0x7C | if payload == 0 { 0x2 } else { payload }
+        } else if (bits & 0x7FFF) == 0x7C00 {
+            sign8 | 0x7C
+        } else {
+            fp8_narrow_ref(bits, &mags, 0x7C)
+        };
+        assert_eq!(got, want, "E5M2 narrow at {bits:#06x}");
     }
 }
 
@@ -359,26 +287,18 @@ fn fp8_narrow_landmark_values() {
     // Pin the textbook OFP8 cases by hand, independent of the ladder.
     let f = |v: f32| F16::from_f32(v);
     // 464 is the exact midpoint of E4M3's 448 and the virtual 480 rung.
-    assert_eq!(E4M3::from_f16(f(464.0), Round::NearestEven).to_bits(), 0x7E);
-    assert!(E4M3::from_f16(f(464.0), Round::NearestMaxMagnitude).is_nan());
-    assert_eq!(E4M3::from_f16(f(464.0), Round::TowardZero).to_bits(), 0x7E);
-    assert!(E4M3::from_f16(f(500.0), Round::NearestEven).is_nan());
-    assert_eq!(E4M3::from_f16(f(-500.0), Round::Up).to_bits(), 0xFE);
+    assert_eq!(E4M3::from_f16(f(464.0)).to_bits(), 0x7E);
+    assert!(E4M3::from_f16(f(500.0)).is_nan());
     // 61440 is the midpoint of E5M2's 57344 and the virtual 65536 rung;
     // the even side is the infinity, so RNE overflows.
-    assert!(E5M2::from_f16(f(61440.0), Round::NearestEven).is_infinite());
-    assert_eq!(
-        E5M2::from_f16(f(61440.0), Round::TowardZero).to_bits(),
-        0x7B
-    );
-    assert_eq!(E5M2::from_f16(f(-61440.0), Round::Up).to_bits(), 0xFB);
+    assert!(E5M2::from_f16(f(61440.0)).is_infinite());
     // Smallest subnormals: E4M3 2^-9, E5M2 2^-16.
     assert_eq!(
         E4M3::MIN_POSITIVE_SUBNORMAL.to_f16().to_bits(),
-        arith::from_f64((2f64).powi(-9), Round::NearestEven)
+        arith::from_f64((2f64).powi(-9))
     );
     assert_eq!(
         E5M2::MIN_POSITIVE_SUBNORMAL.to_f16().to_bits(),
-        arith::from_f64((2f64).powi(-16), Round::NearestEven)
+        arith::from_f64((2f64).powi(-16))
     );
 }

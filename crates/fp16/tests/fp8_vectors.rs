@@ -10,11 +10,11 @@
 //! handling shows up as a diff against the frozen files rather than
 //! silently moving the reference.
 //!
-//! Line format: `a mode expected` — `a` the binary16 input (4 hex
-//! digits), `mode` one of `rne rtz rdn rup rmm`, `expected` the FP8
-//! result (2 hex digits); `#` starts a comment.
+//! Line format: `a rne expected` — `a` the binary16 input (4 hex
+//! digits), `rne` the one rounding mode (round-to-nearest-even),
+//! `expected` the FP8 result (2 hex digits); `#` starts a comment.
 
-use redmule_fp16::{Round, E4M3, E5M2, F16};
+use redmule_fp16::{E4M3, E5M2, F16};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Fp8Kind {
@@ -39,115 +39,81 @@ impl Fp8Kind {
         }
     }
 
-    fn narrow(self, bits: u16, mode: Round) -> u8 {
+    fn narrow(self, bits: u16) -> u8 {
         let v = F16::from_bits(bits);
         match self {
-            Fp8Kind::E4M3 => E4M3::from_f16(v, mode).to_bits(),
-            Fp8Kind::E5M2 => E5M2::from_f16(v, mode).to_bits(),
+            Fp8Kind::E4M3 => E4M3::from_f16(v).to_bits(),
+            Fp8Kind::E5M2 => E5M2::from_f16(v).to_bits(),
         }
     }
-}
-
-fn mode_name(mode: Round) -> &'static str {
-    match mode {
-        Round::NearestEven => "rne",
-        Round::TowardZero => "rtz",
-        Round::Down => "rdn",
-        Round::Up => "rup",
-        Round::NearestMaxMagnitude => "rmm",
-    }
-}
-
-fn parse_mode(s: &str) -> Option<Round> {
-    Some(match s {
-        "rne" => Round::NearestEven,
-        "rtz" => Round::TowardZero,
-        "rdn" => Round::Down,
-        "rup" => Round::Up,
-        "rmm" => Round::NearestMaxMagnitude,
-        _ => return None,
-    })
 }
 
 /// The directed binary16 inputs for one format: every case the
 /// checked-in file covers, grouped by the corner it aims at.
-fn directed_inputs(kind: Fp8Kind) -> Vec<(u16, Round)> {
-    let mut cases: Vec<(u16, Round)> = Vec::new();
-    let all = Round::ALL;
-    let push_all = |cases: &mut Vec<(u16, Round)>, bits: &[u16]| {
-        for &b in bits {
-            for mode in all {
-                cases.push((b, mode));
-            }
-        }
-    };
+fn directed_inputs(kind: Fp8Kind) -> Vec<u16> {
+    let mut cases: Vec<u16> = Vec::new();
 
     // --- Zeros and exact small values ----------------------------------
-    push_all(&mut cases, &[0x0000, 0x8000, 0x3C00, 0xBC00, 0x4000]);
+    cases.extend([0x0000, 0x8000, 0x3C00, 0xBC00, 0x4000]);
 
     // --- Format-specific ties, ulp steps and range edges ---------------
     match kind {
-        Fp8Kind::E4M3 => push_all(
-            &mut cases,
-            &[
-                0x3C40, // 1 + 1/16: tie between 1.0 (even) and 1.125 (odd)
-                0x3CC0, // 1 + 3/16: tie between 1.125 (odd) and 1.25 (even)
-                0x3C41, // just above the first tie
-                0x5F00, // 448 = E4M3 MAX, exact
-                0x5F40, // 464: tie between MAX and the virtual 480 rung
-                0x5F41, // just above the overflow tie
-                0xDF40, // -464: the mirrored overflow tie
-                0x1800, // 2^-9 = E4M3 min subnormal, exact
-                0x1400, // 2^-10: tie at half the min subnormal
-                0x1000, // 2^-11: under half, rounds by mode only via rup
-                0x1C00, // 2^-8 = two min subnormals
-                0x1A00, // 1.5 * 2^-9: tie between one and two min subnormals
-                0x2000, // 2^-7 = E4M3 min normal
-                0x1F00, // just under the min normal: subnormal result
-            ],
-        ),
-        Fp8Kind::E5M2 => push_all(
-            &mut cases,
-            &[
-                0x3C80, // 1 + 1/8: tie between 1.0 (even) and 1.25 (odd)
-                0x3D80, // 1 + 3/8: tie between 1.25 (odd) and 1.5 (even)
-                0x3C81, // just above the first tie
-                0x7800, // 57344 = E5M2 MAX, exact
-                0x7B80, // 61440: tie between MAX and the virtual 65536 rung
-                0x7B81, // just above the overflow tie
-                0xFB80, // -61440: the mirrored overflow tie
-                0x0100, // 2^-16 = E5M2 min subnormal, exact
-                0x0080, // 2^-17: tie at half the min subnormal
-                0x0040, // 2^-18: under half
-                0x0180, // 1.5 * 2^-16: tie between one and two min subnormals
-                0x0400, // 2^-14 = E5M2 min normal (binary16's too)
-                0x03FF, // binary16's max subnormal: subnormal in E5M2 too
-            ],
-        ),
+        Fp8Kind::E4M3 => cases.extend([
+            0x3C40, // 1 + 1/16: tie between 1.0 (even) and 1.125 (odd)
+            0x3CC0, // 1 + 3/16: tie between 1.125 (odd) and 1.25 (even)
+            0x3C41, // just above the first tie
+            0x5F00, // 448 = E4M3 MAX, exact
+            0x5F40, // 464: tie between MAX and the virtual 480 rung
+            0x5F41, // just above the overflow tie
+            0xDF40, // -464: the mirrored overflow tie
+            0x1800, // 2^-9 = E4M3 min subnormal, exact
+            0x1400, // 2^-10: tie at half the min subnormal
+            0x1000, // 2^-11: under half, rounds to zero
+            0x1C00, // 2^-8 = two min subnormals
+            0x1A00, // 1.5 * 2^-9: tie between one and two min subnormals
+            0x2000, // 2^-7 = E4M3 min normal
+            0x1F00, // just under the min normal: subnormal result
+        ]),
+        Fp8Kind::E5M2 => cases.extend([
+            0x3C80, // 1 + 1/8: tie between 1.0 (even) and 1.25 (odd)
+            0x3D80, // 1 + 3/8: tie between 1.25 (odd) and 1.5 (even)
+            0x3C81, // just above the first tie
+            0x7800, // 57344 = E5M2 MAX, exact
+            0x7B80, // 61440: tie between MAX and the virtual 65536 rung
+            0x7B81, // just above the overflow tie
+            0xFB80, // -61440: the mirrored overflow tie
+            0x0100, // 2^-16 = E5M2 min subnormal, exact
+            0x0080, // 2^-17: tie at half the min subnormal
+            0x0040, // 2^-18: under half
+            0x0180, // 1.5 * 2^-16: tie between one and two min subnormals
+            0x0400, // 2^-14 = E5M2 min normal (binary16's too)
+            0x03FF, // binary16's max subnormal: subnormal in E5M2 too
+        ]),
     }
 
     // --- Specials: infinities and NaN payloads -------------------------
     // E4M3 collapses Inf to NaN; E5M2 keeps it. NaN payload narrowing
     // differs per format — the frozen file pins both policies.
-    push_all(
-        &mut cases,
-        &[
-            0x7C00, 0xFC00, // +/-Inf
-            0x7E00, 0xFE00, // canonical qNaN, both signs
-            0x7C01, 0xFC01, // sNaN with a low payload bit only
-            0x7D00, // NaN, payload top bits 01
-            0x7F33, // NaN, payload top bits 11 plus noise
-            0xFE77, // -NaN with mixed payload
-        ],
-    );
+    cases.extend([
+        0x7C00, 0xFC00, // +/-Inf
+        0x7E00, 0xFE00, // canonical qNaN, both signs
+        0x7C01, 0xFC01, // sNaN with a low payload bit only
+        0x7D00, // NaN, payload top bits 01
+        0x7F33, // NaN, payload top bits 11 plus noise
+        0xFE77, // -NaN with mixed payload
+    ]);
 
     // --- Overflow far past the range -----------------------------------
-    push_all(&mut cases, &[0x7BFF, 0xFBFF, 0x7801, 0xF801]);
+    cases.extend([0x7BFF, 0xFBFF, 0x7801, 0xF801]);
 
-    // --- Deterministic seeded fill up to ~220 cases --------------------
-    let mut state = match kind {
-        Fp8Kind::E4M3 => E4M3_SEED,
-        Fp8Kind::E5M2 => E5M2_SEED,
+    // --- Deterministic seeded fill --------------------------------------
+    // Each file was first frozen with one line per rounding mode of five;
+    // its seeded fill drew cases up to 220 lines and gave each the mode
+    // `(r >> 48) % 5`. The lines kept are the round-to-nearest-even ones,
+    // selector 0, so the same draws keep the frozen lines byte for byte.
+    let (mut state, draws) = match kind {
+        Fp8Kind::E4M3 => (E4M3_SEED, 60),
+        Fp8Kind::E5M2 => (E5M2_SEED, 65),
     };
     let mut next = move || {
         state ^= state << 13;
@@ -155,10 +121,11 @@ fn directed_inputs(kind: Fp8Kind) -> Vec<(u16, Round)> {
         state ^= state << 17;
         state
     };
-    while cases.len() < 220 {
+    for _ in 0..draws {
         let r = next();
-        let mode = Round::ALL[(r >> 48) as usize % 5];
-        cases.push((r as u16, mode));
+        if (r >> 48) % 5 == 0 {
+            cases.push(r as u16);
+        }
     }
     cases
 }
@@ -176,9 +143,9 @@ fn render_vectors(kind: Fp8Kind) -> String {
          # and FROZEN: a diff in existing lines means the narrowing behaviour moved.",
         kind.name()
     );
-    for (a, mode) in directed_inputs(kind) {
-        let expected = kind.narrow(a, mode);
-        let _ = writeln!(out, "{a:04x} {} {expected:02x}", mode_name(mode));
+    for a in directed_inputs(kind) {
+        let expected = kind.narrow(a);
+        let _ = writeln!(out, "{a:04x} rne {expected:02x}");
     }
     out
 }
@@ -231,27 +198,26 @@ fn checked_in_vectors_match_exactly() {
             assert_eq!(
                 fields.len(),
                 3,
-                "{path}:{}: expected `a mode expected`",
+                "{path}:{}: expected `a rne expected`",
                 lineno + 1
             );
+            assert_eq!(fields[1], "rne", "{path}:{}: bad mode", lineno + 1);
             let a = u16::from_str_radix(fields[0], 16).expect("hex input");
-            let mode = parse_mode(fields[1])
-                .unwrap_or_else(|| panic!("{path}:{}: bad mode {}", lineno + 1, fields[1]));
             let expected = u8::from_str_radix(fields[2], 16).expect("hex expected");
-            let got = kind.narrow(a, mode);
+            let got = kind.narrow(a);
             assert_eq!(
                 got,
                 expected,
-                "{path}:{}: {}::from_f16({a:#06x}, {}) = {got:#04x}, file says {expected:#04x}",
+                "{path}:{}: {}::from_f16({a:#06x}) = {got:#04x}, file says {expected:#04x}",
                 lineno + 1,
                 kind.name(),
-                mode_name(mode),
             );
             checked += 1;
         }
-        assert!(
-            checked >= 220,
-            "only {checked} vectors in {path}; the directed set is ~220"
+        assert_eq!(
+            checked,
+            directed_inputs(kind).len(),
+            "{path} and the directed set differ in size"
         );
     }
 }
@@ -262,32 +228,24 @@ fn checked_in_vectors_match_exactly() {
 fn directed_set_covers_every_category() {
     for kind in Fp8Kind::ALL {
         let inputs = directed_inputs(kind);
-        assert!(inputs.len() >= 220);
-        let has = |f: &dyn Fn(&(u16, Round)) -> bool| inputs.iter().any(f);
-        assert!(has(&|&(a, _)| a == 0x7C00), "+Inf case ({kind:?})");
-        assert!(has(&|&(a, _)| a == 0x7E00), "quiet NaN case ({kind:?})");
-        assert!(
-            has(&|&(a, _)| a == 0x7C01),
-            "signalling NaN case ({kind:?})"
-        );
+        let lines = match kind {
+            Fp8Kind::E4M3 => 43,
+            Fp8Kind::E5M2 => 46,
+        };
+        assert_eq!(inputs.len(), lines, "{kind:?}");
+        let has = |a: u16| inputs.contains(&a);
+        assert!(has(0x7C00), "+Inf case ({kind:?})");
+        assert!(has(0x7E00), "quiet NaN case ({kind:?})");
+        assert!(has(0x7C01), "signalling NaN case ({kind:?})");
         let overflow_tie = match kind {
             Fp8Kind::E4M3 => 0x5F40,
             Fp8Kind::E5M2 => 0x7B80,
         };
-        assert!(
-            has(&|&(a, _)| a == overflow_tie),
-            "overflow-boundary tie case ({kind:?})"
-        );
+        assert!(has(overflow_tie), "overflow-boundary tie case ({kind:?})");
         let half_minsub = match kind {
             Fp8Kind::E4M3 => 0x1400,
             Fp8Kind::E5M2 => 0x0080,
         };
-        assert!(
-            has(&|&(a, _)| a == half_minsub),
-            "underflow-tie case ({kind:?})"
-        );
-        for mode in Round::ALL {
-            assert!(has(&|&(_, m)| m == mode), "mode {mode:?} ({kind:?})");
-        }
+        assert!(has(half_minsub), "underflow-tie case ({kind:?})");
     }
 }

@@ -1,16 +1,16 @@
 //! Differential lock of the batched kernel against the scalar `fma`.
 //!
 //! [`fma_acc`] must be bit-for-bit equivalent to `arith::fma` on the packed
-//! encodings — every rounding mode, every special-value combination —
-//! [`gemm_staged`] to the scalar fold of `arith::fma` under RNE, and
-//! [`fma_column`] to `arith::fma` per lane under RNE. Five locks:
+//! encodings — every special-value combination — [`gemm_staged`] to the
+//! scalar fold of `arith::fma`, and [`fma_column`] to `arith::fma` per
+//! lane. Five locks:
 //!
-//! 1. the 200 frozen FMA vectors (`tests/vectors/fma.txt`) replayed through
+//! 1. the 47 frozen FMA vectors (`tests/vectors/fma.txt`) replayed through
 //!    the kernel — the same ground truth that pins the scalar path;
 //! 2. an exhaustive-pairs sweep: **every** one of the 65 536 bit patterns
 //!    in one operand slot against a class-covering set in the other two
 //!    slots, rotated through all three positions;
-//! 3. a dense pseudo-random soak across all five rounding modes;
+//! 3. a dense pseudo-random soak;
 //! 4. the block kernel's window edges, one event at a time, in every
 //!    ragged block shape;
 //! 5. the column step's special lanes, one at a time, at every position of
@@ -18,29 +18,17 @@
 
 use redmule_fp16::arith::fma;
 use redmule_fp16::kernel::{fma_acc, fma_column, gemm_staged, Acc, Operand, Staged};
-use redmule_fp16::{Round, F16};
+use redmule_fp16::F16;
 
 const VECTORS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/vectors/fma.txt");
 
-fn step(a: u16, b: u16, c: u16, mode: Round) -> u16 {
+fn step(a: u16, b: u16, c: u16) -> u16 {
     fma_acc(
         Operand::from_bits(a),
         Operand::from_bits(b),
         Acc::from_bits(c),
-        mode,
     )
     .to_bits()
-}
-
-fn parse_mode(s: &str) -> Option<Round> {
-    Some(match s {
-        "rne" => Round::NearestEven,
-        "rtz" => Round::TowardZero,
-        "rdn" => Round::Down,
-        "rup" => Round::Up,
-        "rmm" => Round::NearestMaxMagnitude,
-        _ => return None,
-    })
 }
 
 /// Lock 1: the frozen vectors are ground truth for the kernel too.
@@ -57,20 +45,17 @@ fn kernel_matches_frozen_fma_vectors() {
         assert_eq!(fields.len(), 5, "line {}: {line}", lineno + 1);
         let parse = |s: &str| u16::from_str_radix(s, 16).expect("hex field");
         let (a, b, c) = (parse(fields[0]), parse(fields[1]), parse(fields[2]));
-        let mode = parse_mode(fields[3]).expect("mode field");
+        assert_eq!(fields[3], "rne", "line {}: mode field", lineno + 1);
         let expected = parse(fields[4]);
         assert_eq!(
-            step(a, b, c, mode),
+            step(a, b, c),
             expected,
-            "line {}: fma_acc({a:#06x}, {b:#06x}, {c:#06x}, {mode:?})",
+            "line {}: fma_acc({a:#06x}, {b:#06x}, {c:#06x})",
             lineno + 1
         );
         checked += 1;
     }
-    assert!(
-        checked >= 200,
-        "expected >= 200 frozen vectors, got {checked}"
-    );
+    assert_eq!(checked, 47, "expected 47 frozen vectors, got {checked}");
 }
 
 /// Class-covering probe set for the non-exhaustive operand slots: zeros,
@@ -91,27 +76,26 @@ fn probes() -> [u16; 14] {
 
 /// Lock 2: exhaustive pairs. All 2^16 bit patterns sweep through each
 /// operand position in turn, against every (probe, probe) pair in the
-/// other two slots — ~38M FMA comparisons under RNE.
+/// other two slots — ~38M FMA comparisons.
 #[test]
 fn kernel_matches_fma_exhaustively_per_slot() {
     let probes = probes();
-    let mode = Round::NearestEven;
     for sweep in (0u32..=0xFFFF).map(|v| v as u16) {
         for &p in &probes {
             for &q in &probes {
                 assert_eq!(
-                    step(sweep, p, q, mode),
-                    fma(sweep, p, q, mode),
+                    step(sweep, p, q),
+                    fma(sweep, p, q),
                     "a-slot sweep a={sweep:#06x} b={p:#06x} c={q:#06x}"
                 );
                 assert_eq!(
-                    step(p, sweep, q, mode),
-                    fma(p, sweep, q, mode),
+                    step(p, sweep, q),
+                    fma(p, sweep, q),
                     "b-slot sweep a={p:#06x} b={sweep:#06x} c={q:#06x}"
                 );
                 assert_eq!(
-                    step(p, q, sweep, mode),
-                    fma(p, q, sweep, mode),
+                    step(p, q, sweep),
+                    fma(p, q, sweep),
                     "c-slot sweep a={p:#06x} b={q:#06x} c={sweep:#06x}"
                 );
             }
@@ -119,11 +103,9 @@ fn kernel_matches_fma_exhaustively_per_slot() {
     }
 }
 
-/// Lock 3: dense pseudo-random soak over all five rounding modes (the
-/// exhaustive sweep above fixes RNE; modes differ only in the shared
-/// rounding core, but the equivalence claim is per mode).
+/// Lock 3: dense pseudo-random soak over every operand class at once.
 #[test]
-fn kernel_matches_fma_randomly_in_every_mode() {
+fn kernel_matches_fma_randomly() {
     let mut state = 0x1234_5678u32;
     let mut next = move || {
         // xorshift32: deterministic, dependency-free.
@@ -137,13 +119,11 @@ fn kernel_matches_fma_randomly_in_every_mode() {
         let a = (r & 0xFFFF) as u16;
         let b = (r >> 16) as u16;
         let c = (next() & 0xFFFF) as u16;
-        for mode in Round::ALL {
-            assert_eq!(
-                step(a, b, c, mode),
-                fma(a, b, c, mode),
-                "a={a:#06x} b={b:#06x} c={c:#06x} mode={mode:?}"
-            );
-        }
+        assert_eq!(
+            step(a, b, c),
+            fma(a, b, c),
+            "a={a:#06x} b={b:#06x} c={c:#06x}"
+        );
     }
 }
 
@@ -301,7 +281,7 @@ fn gemm_staged_window_edges_in_every_tail_class() {
                 for (idx, z) in want.iter_mut().enumerate() {
                     let (r, j) = (idx / cols, idx % cols);
                     for l in 0..n {
-                        *z = fma(xs[r * n + l], ws[l * cols + j], *z, Round::NearestEven);
+                        *z = fma(xs[r * n + l], ws[l * cols + j], *z);
                     }
                 }
                 let at = format!("{} at ({row}, {col}, {s}) of {rows}x{n}x{cols}", event.what);
@@ -368,11 +348,7 @@ fn fma_column_matches_fma_lane_for_lane() {
             let mut plain = vec![0; lanes];
             fma_column(&x, w, &y, &mut plain);
             for (r, &z) in plain.iter().enumerate() {
-                assert_eq!(
-                    z,
-                    fma(x[r], w, y[r], Round::NearestEven),
-                    "{lanes} lanes, w={w:#06x}, lane {r}"
-                );
+                assert_eq!(z, fma(x[r], w, y[r]), "{lanes} lanes, w={w:#06x}, lane {r}");
             }
             for (ci, &(what, bx, by)) in LANES.iter().enumerate() {
                 for at in (0..lanes).filter(|at| (wi + ci + at) % stride == 0) {
@@ -382,7 +358,7 @@ fn fma_column_matches_fma_lane_for_lane() {
                     let mut out = vec![0; lanes];
                     fma_column(&xs, w, &acc, &mut out);
                     for (r, &z) in out.iter().enumerate() {
-                        let want = fma(xs[r], w, acc[r], Round::NearestEven);
+                        let want = fma(xs[r], w, acc[r]);
                         let ctx = format!("{what} at lane {at} of {lanes}, w={w:#06x}, lane {r}");
                         assert_eq!(z, want, "{ctx}");
                         if r != at {

@@ -8,7 +8,7 @@
 //! single-rounding claim holds.
 
 use proptest::prelude::*;
-use redmule_fp16::{arith, kernel, Round, F16};
+use redmule_fp16::{arith, kernel, F16};
 
 /// Exact value of a finite F16 scaled by 2^48, as an integer.
 fn scaled_exact(v: F16) -> i128 {
@@ -145,22 +145,14 @@ proptest! {
         prop_assert_eq!(F16::from_f64(a.to_f64()).to_bits(), a.to_bits());
     }
 
-    /// Narrowing an arbitrary f64 brackets correctly in every rounding mode.
+    /// Narrowing an arbitrary f64 lands on a nearest binary16.
     #[test]
-    fn f64_narrowing_brackets(v in -1e6f64..1e6f64, mode_idx in 0usize..5) {
-        let mode = Round::ALL[mode_idx];
-        let r = F16::from_f64_round(v, mode).to_f64();
-        match mode {
-            Round::TowardZero => prop_assert!(r.abs() <= v.abs()),
-            Round::Down => prop_assert!(r <= v),
-            Round::Up => prop_assert!(r >= v),
-            Round::NearestEven | Round::NearestMaxMagnitude => {
-                // Nearest: |r - v| <= half an ulp of r's binade; cheap bound:
-                // within one f16 epsilon relative error or one min-subnormal.
-                let tol = (r.abs() * 2f64.powi(-10)).max(2f64.powi(-25));
-                prop_assert!((r - v).abs() <= tol, "v={v} r={r}");
-            }
-        }
+    fn f64_narrowing_brackets(v in -1e6f64..1e6f64) {
+        let r = F16::from_f64(v).to_f64();
+        // Nearest: |r - v| <= half an ulp of r's binade; cheap bound:
+        // within one f16 epsilon relative error or one min-subnormal.
+        let tol = (r.abs() * 2f64.powi(-10)).max(2f64.powi(-25));
+        prop_assert!((r - v).abs() <= tol, "v={v} r={r}");
     }
 
     /// Addition and multiplication are bitwise commutative for non-NaN.
@@ -174,20 +166,6 @@ proptest! {
     #[test]
     fn ordering_matches_f64(a in finite_f16(), b in finite_f16()) {
         prop_assert_eq!(a.partial_cmp(&b), a.to_f64().partial_cmp(&b.to_f64()));
-    }
-
-    /// Rounding-mode envelope: RDN <= RNE <= RUP for any fma inputs.
-    #[test]
-    fn directed_modes_bracket_nearest(a in finite_f16(), b in finite_f16(), c in finite_f16()) {
-        let dn = arith::fma(a.to_bits(), b.to_bits(), c.to_bits(), Round::Down);
-        let ne = arith::fma(a.to_bits(), b.to_bits(), c.to_bits(), Round::NearestEven);
-        let up = arith::fma(a.to_bits(), b.to_bits(), c.to_bits(), Round::Up);
-        let (dn, ne, up) = (F16::from_bits(dn), F16::from_bits(ne), F16::from_bits(up));
-        prop_assert!(dn.to_f64() <= ne.to_f64());
-        prop_assert!(ne.to_f64() <= up.to_f64());
-        // And RTZ is the one of RDN/RUP closer to zero.
-        let tz = F16::from_bits(arith::fma(a.to_bits(), b.to_bits(), c.to_bits(), Round::TowardZero));
-        prop_assert!(tz.to_f64().abs() <= dn.to_f64().abs().max(up.to_f64().abs()));
     }
 }
 
@@ -249,7 +227,7 @@ proptest! {
             let (r, j) = (idx / k, idx % k);
             let mut slow = init;
             for l in 0..n {
-                slow = arith::fma(xs[r * n + l], ws[l * k + j], slow, Round::NearestEven);
+                slow = arith::fma(xs[r * n + l], ws[l * k + j], slow);
             }
             // A NaN that survives zero steps stays un-canonicalised in the
             // scalar fold but canonicalises through Acc; both encode the
@@ -264,16 +242,12 @@ proptest! {
 
     /// Step-level agreement on fully random (possibly special) operands.
     #[test]
-    fn fma_acc_step_matches_fma(
-        a in any_class_f16(), b in any_class_f16(), c in any_class_f16(),
-        mode in prop::sample::select(Round::ALL.to_vec()),
-    ) {
+    fn fma_acc_step_matches_fma(a in any_class_f16(), b in any_class_f16(), c in any_class_f16()) {
         let got = kernel::fma_acc(
             kernel::Operand::from_bits(a),
             kernel::Operand::from_bits(b),
             kernel::Acc::from_bits(c),
-            mode,
         ).to_bits();
-        prop_assert_eq!(got, arith::fma(a, b, c, mode));
+        prop_assert_eq!(got, arith::fma(a, b, c));
     }
 }

@@ -17,7 +17,7 @@
 //! buffer), for any format.
 
 use redmule_cluster::{MemError, Tcdm};
-use redmule_fp16::{Format, Round, E4M3, E5M2, F16};
+use redmule_fp16::{Format, E4M3, E5M2, F16};
 
 /// Reads one element stored at `addr` in `format`, widened to FP16.
 ///
@@ -46,8 +46,8 @@ fn castin(mem: &Tcdm, format: Format, addr: u32) -> Result<F16, MemError> {
 fn castout(mem: &mut Tcdm, format: Format, addr: u32, value: F16) -> Result<(), MemError> {
     match format {
         Format::Fp16 => mem.write_f16(addr, value),
-        Format::Fp8E4M3 => mem.write_u8(addr, E4M3::from_f16(value, Round::NearestEven).to_bits()),
-        Format::Fp8E5M2 => mem.write_u8(addr, E5M2::from_f16(value, Round::NearestEven).to_bits()),
+        Format::Fp8E4M3 => mem.write_u8(addr, E4M3::from_f16(value).to_bits()),
+        Format::Fp8E5M2 => mem.write_u8(addr, E5M2::from_f16(value).to_bits()),
     }
 }
 
@@ -133,14 +133,8 @@ pub fn castout_run(
     for (i, v) in data.iter().enumerate() {
         let (bits, mask) = match format {
             Format::Fp16 => (u32::from(v.to_bits()), 0xFFFF),
-            Format::Fp8E4M3 => (
-                E4M3::from_f16(*v, Round::NearestEven).to_bits().into(),
-                0xFF,
-            ),
-            Format::Fp8E5M2 => (
-                E5M2::from_f16(*v, Round::NearestEven).to_bits().into(),
-                0xFF,
-            ),
+            Format::Fp8E4M3 => (E4M3::from_f16(*v).to_bits().into(), 0xFF),
+            Format::Fp8E5M2 => (E5M2::from_f16(*v).to_bits().into(), 0xFF),
         };
         let byte = off + esz * i;
         let shift = 8 * (byte & 3);
