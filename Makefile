@@ -30,7 +30,8 @@
 #   make smoke       — the crash-recovery test suite, then every paper
 #                      artefact (Table I, Figs. 3a-4d, ablations, faults,
 #                      degradation) and every BENCH_*.json artefact at CI
-#                      sizes in one `figures -- all` process, writing
+#                      sizes in two `figures` processes, `batch` and then
+#                      every other item, writing
 #                      BENCH_{batch,trace,service,recovery,fp8}.json.
 #                      Fails if any artefact hits an engine error or
 #                      panics, or unless every guard holds: batch scaling;
@@ -41,7 +42,10 @@
 #                      bit-exact, byte-identical across 1/2/8 workers and
 #                      loses no work; the cycle model stays exact per
 #                      format and FP8 never costs more cycles than FP16.
-#                      Then fails if the four deterministic artefacts
+#                      Fails if the stdout of every item but `batch`
+#                      (whose wall-clock columns are host timing) differs
+#                      from the committed FIGURES.txt by a byte. Then
+#                      fails if the four deterministic artefacts
 #                      (BENCH_{trace,fp8,service,recovery}.json) differ
 #                      from the committed bytes; BENCH_batch.json is left
 #                      out, it records wall-clock columns. Then runs every
@@ -87,9 +91,16 @@ modelcheck-json:
 figures:
 	$(CARGO) run --release -q -p redmule-bench --bin figures -- all
 
+# Every `figures` item but `batch`: their stdout is pinned in FIGURES.txt.
+GOLDEN_ITEMS = table1 fig3a fig3b fig3c fig3d fig4a fig4b fig4c fig4d ablations \
+	faults degradation trace service recover fp8
+
 smoke:
 	$(CARGO) test -q -p redmule-service --test recovery
-	$(CARGO) run --release -q -p redmule-bench --bin figures -- all
+	$(CARGO) run --release -q -p redmule-bench --bin figures -- batch
+	mkdir -p target
+	$(CARGO) run --release -q -p redmule-bench --bin figures -- $(GOLDEN_ITEMS) > target/figures.txt
+	diff -u FIGURES.txt target/figures.txt
 	git diff --exit-code -- BENCH_trace.json BENCH_fp8.json BENCH_service.json BENCH_recovery.json
 	for e in $(basename $(notdir $(wildcard examples/*.rs))); do \
 		$(CARGO) run --release -q --example $$e || exit 1; \

@@ -2,12 +2,13 @@
 
 use crate::job::{GemmJob, JobFaults, JobResult, JobStatus};
 use crate::report::BatchReport;
-use redmule::obs::{EventKind, EventLog, TraceEvent};
+use redmule::obs::EventLog;
 use redmule::{
     cast, stage_gemm_workspace_in, AccelConfig, BackendKind, Engine, FaultInjector, FunctionalGemm,
     Schedule,
 };
 use redmule_fp16::F16;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -108,11 +109,13 @@ pub struct BatchOutcome {
 
 /// A pool executing [`GemmJob`]s on per-job engine instances.
 ///
-/// The host threads take job indices in id order from one shared
-/// cursor: whichever thread is free takes the next job, so a mix of
-/// heavy and light jobs stays balanced with one atomic increment per
-/// job. Which thread runs which job is invisible: results are merged by
-/// index, and [`ScheduleStats`] comes from a virtual replay.
+/// The host threads take jobs longest first from one shared cursor: the
+/// jobs are ordered by descending [`Schedule::total_cycles`], ties by
+/// id, and whichever thread is free takes the next, so the heaviest jobs
+/// start first and a mix of heavy and light jobs stays balanced with one
+/// atomic increment per job. Which thread runs which job is invisible:
+/// results are merged by index, and [`ScheduleStats`] comes from a
+/// virtual replay in id order.
 ///
 /// The pool is persistent. The calling thread works as worker 0; the
 /// other workers are helper threads that start on the first run with
@@ -189,8 +192,8 @@ impl BatchExecutor {
             }
             job.validate().map_err(BatchError::InvalidJob)?;
         }
-        // Canonical processing order: by id, the order the cursor hands
-        // the jobs out and the virtual replay deals them.
+        // Canonical order: by id, the order results merge in and the
+        // virtual replay deals the jobs.
         jobs.sort_by_key(|j| j.id);
 
         let collected = self.execute(jobs)?;
@@ -223,6 +226,7 @@ impl BatchExecutor {
         let mut pool = lock(&self.pool);
         let helpers = pool.start(self.workers, n_jobs.saturating_sub(1));
         let batch = Batch {
+            order: longest_first(self.engine.config(), &jobs),
             jobs,
             engine: self.engine.clone(),
             trace: self.trace,
@@ -234,10 +238,12 @@ impl BatchExecutor {
     }
 }
 
-/// One run as the workers share it: the id-sorted jobs, the engine
-/// template and the cursor of the next job index to take.
+/// One run as the workers share it: the id-sorted jobs, the order they
+/// are handed out in, the engine template and the cursor into that
+/// order.
 struct Batch {
     jobs: Vec<GemmJob>,
+    order: Vec<usize>,
     engine: Engine,
     trace: bool,
     next: AtomicUsize,
@@ -252,13 +258,30 @@ impl Batch {
             // `Relaxed` suffices: the cursor publishes no data. Helpers
             // get the batch through their task channel before their first
             // take and send their results back through the done channel.
-            let idx = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = self.jobs.get(idx) else {
+            let at = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&idx) = self.order.get(at) else {
                 return done;
             };
-            done.push((idx, exec_job(&self.engine, job, self.trace)));
+            done.push((idx, exec_job(&self.engine, &self.jobs[idx], self.trace)));
         }
     }
+}
+
+/// The indices of the id-sorted `jobs`, longest first: descending
+/// [`Schedule::total_cycles`] on `cfg`, ties in id order. Heavy jobs then
+/// start first, so no thread idles at the end of a run while another
+/// runs the heaviest job alone.
+fn longest_first(cfg: &AccelConfig, jobs: &[GemmJob]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_cached_key(|&idx| {
+        let job = &jobs[idx];
+        Reverse(
+            Schedule::new(cfg, job.shape, job.format)
+                .total_cycles()
+                .count(),
+        )
+    });
+    order
 }
 
 /// Merges the workers' shares of an `n_jobs` batch into id order. The
@@ -466,9 +489,6 @@ fn exec_job(engine: &Engine, job: &GemmJob, trace: bool) -> JobResult {
     let tiles_total = Schedule::new(&cfg, job.shape, job.format).n_tiles();
     match (&job.faults, job.backend) {
         (None, BackendKind::Functional) => exec_functional(&cfg, job, tiles_total, trace),
-        (Some(JobFaults::Protected { plan, ft }), _) => {
-            exec_protected(engine, job, tiles_total, plan, *ft, trace)
-        }
         _ => exec_supervised(engine, job, tiles_total, trace),
     }
 }
@@ -496,51 +516,6 @@ fn exec_functional(cfg: &AccelConfig, job: &GemmJob, tiles_total: usize, trace: 
     }
 }
 
-fn exec_protected(
-    engine: &Engine,
-    job: &GemmJob,
-    tiles_total: usize,
-    plan: &redmule::FaultPlan,
-    ft: redmule::FtConfig,
-    trace: bool,
-) -> JobResult {
-    let staged = stage_gemm_workspace_in(job.shape, job.format, &job.x, &job.w, job.y.as_deref());
-    let (hw_job, mut mem, mut hci) = match staged {
-        Ok(t) => t,
-        Err(e) => return failed(job, BackendKind::CycleAccurate, tiles_total, e.to_string()),
-    };
-    match engine.run_ft(hw_job, &mut mem, &mut hci, plan, ft) {
-        Ok(report) => {
-            // run_ft drives multiple internal sub-runs, so a live event
-            // log cannot be threaded through; synthesize Fault events
-            // from the merged fault log instead (same cycles, same order).
-            let mut events = EventLog::new();
-            if trace {
-                for ev in report.faults.events() {
-                    events.push(TraceEvent {
-                        cycle: ev.cycle,
-                        kind: EventKind::Fault {
-                            class: ev.class,
-                            phase: ev.phase,
-                        },
-                    });
-                }
-            }
-            JobResult {
-                z: cast::castin_slice(&mem, job.format, hw_job.z_addr, job.shape.z_len())
-                    .unwrap_or_default(),
-                cycles: report.cycles.count(),
-                macs: report.macs,
-                stall_cycles: report.stall_cycles,
-                fault_events: report.faults.events().len() as u64,
-                events,
-                ..JobResult::new(job, BackendKind::CycleAccurate, tiles_total)
-            }
-        }
-        Err(e) => failed(job, BackendKind::CycleAccurate, tiles_total, e.to_string()),
-    }
-}
-
 fn exec_supervised(engine: &Engine, job: &GemmJob, tiles_total: usize, trace: bool) -> JobResult {
     use redmule_runtime::Supervisor;
     let staged = stage_gemm_workspace_in(job.shape, job.format, &job.x, &job.w, job.y.as_deref());
@@ -552,7 +527,10 @@ fn exec_supervised(engine: &Engine, job: &GemmJob, tiles_total: usize, trace: bo
         Some(JobFaults::Raw(sites)) => {
             engine.start_with_faults(hw_job, FaultInjector::new(sites.clone()))
         }
-        _ => engine.start(hw_job),
+        Some(JobFaults::Protected { plan, ft }) => {
+            engine.start_ft(hw_job, plan, *ft, &mut mem, &mut hci)
+        }
+        None => engine.start(hw_job),
     };
     let supervisor = Supervisor::new(engine.clone())
         .with_limits(job.limits)
@@ -789,6 +767,31 @@ mod tests {
         let (busy, jobs_run) = virtual_schedule(3, &cycles);
         assert_eq!(outcome.schedule.per_worker_busy_cycles, busy);
         assert_eq!(outcome.schedule.per_worker_jobs, jobs_run);
+    }
+
+    #[test]
+    fn jobs_are_handed_out_longest_first() {
+        // mixed_jobs cycles through 4x8x6 (one tile), 8x16x16 (one long
+        // tile) and 3x5x21 (two tiles): descending modeled cycles, ties
+        // in id order, whatever the backend.
+        let cfg = AccelConfig::paper();
+        let jobs = mixed_jobs(7);
+        let order = longest_first(&cfg, &jobs);
+        let cycles: Vec<u64> = order
+            .iter()
+            .map(|&idx| {
+                Schedule::new(&cfg, jobs[idx].shape, jobs[idx].format)
+                    .total_cycles()
+                    .count()
+            })
+            .collect();
+        assert_eq!(order, vec![2, 5, 1, 4, 0, 3, 6]);
+        assert_eq!(cycles, vec![105, 105, 99, 99, 59, 59, 59]);
+        // FP8 halves the fill and the drain: job 1 drops to 89 cycles,
+        // behind its 99-cycle FP16 twin, job 4.
+        let mut fp8 = mixed_jobs(5);
+        fp8[1].format = Format::Fp8E4M3;
+        assert_eq!(longest_first(&cfg, &fp8), vec![2, 4, 1, 0, 3]);
     }
 
     #[test]

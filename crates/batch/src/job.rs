@@ -17,9 +17,14 @@ pub enum JobFaults {
     Raw(Vec<(u64, FaultSite)>),
     /// Protected execution: the [`FaultPlan`] is injected under one of
     /// the RedMulE-FT modes ([`FtConfig`]), with detection/replay
-    /// overhead and telemetry in the result. Driven by
-    /// [`redmule::Engine::run_ft`], which has its own per-tile retry
-    /// budget (supervisor limits do not apply on this path).
+    /// overhead and telemetry in the result. Runs as a protected session
+    /// ([`redmule::Engine::start_ft`]) under the supervisor like every
+    /// other engine job: per-job [`Limits`], the [`RetryPolicy`] and the
+    /// checkpoint interval apply, and checkpoints fall on verified tile
+    /// boundaries. The mode's own per-tile budget
+    /// ([`FtConfig::max_retries`]) replays a tile that fails its check;
+    /// the supervisor's retries recover watchdog trips and panics from the
+    /// last checkpoint.
     Protected {
         /// The seeded fault plan to inject.
         plan: FaultPlan,

@@ -145,16 +145,6 @@ impl FaultLog {
         self.events.is_empty()
     }
 
-    /// Appends all events of `other`, shifting their cycle stamps by
-    /// `cycle_offset` — used when a sub-run's log is folded into the
-    /// parent run.
-    pub fn absorb(&mut self, other: &FaultLog, cycle_offset: u64) {
-        self.events.extend(other.events.iter().map(|e| FaultEvent {
-            cycle: e.cycle.saturating_add(cycle_offset),
-            ..e.clone()
-        }));
-    }
-
     /// Replays the log as a VCD waveform: three 1-bit wires
     /// (`fault_injected`, `fault_detected`, `fault_corrected`) pulse high
     /// on every cycle that recorded an event of the matching phase.
@@ -369,16 +359,5 @@ mod tests {
         log.dump_vcd(&mut out, 1).expect("in-memory write");
         let text = String::from_utf8(out).expect("VCD is ASCII");
         assert!(text.contains("$enddefinitions"));
-    }
-
-    #[test]
-    fn absorb_offsets_cycles() {
-        let mut parent = FaultLog::new();
-        parent.record(1, "a", FaultClass::StuckAt, FaultPhase::Injected);
-        let mut child = FaultLog::new();
-        child.record(4, "b", FaultClass::TransientFlip, FaultPhase::Injected);
-        parent.absorb(&child, 100);
-        assert_eq!(parent.events()[1].cycle, 104);
-        assert_eq!(parent.events()[1].site, "b");
     }
 }

@@ -24,7 +24,7 @@ use crate::cast;
 use crate::config::AccelConfig;
 use crate::datapath::{Acc0, ColumnCtrl, Datapath};
 use crate::decode::{decode_container, encode_container, ContainerSpec, DecodeError};
-use crate::faults::FaultInjector;
+use crate::faults::{FaultInjector, FaultPlan, FtConfig, Protection};
 use crate::regfile::Job;
 use crate::schedule::{Schedule, Tile};
 use redmule_cluster::{Hci, MemError, Tcdm};
@@ -71,7 +71,8 @@ pub enum EngineError {
     /// a hung schedule (e.g. dropped interconnect transactions), reported
     /// instead of spinning forever.
     Watchdog {
-        /// Cycle at which the watchdog fired.
+        /// Cycle of the run at which the watchdog fired (under FT
+        /// protection, counted from the start of the tile's current run).
         cycle: u64,
         /// Consecutive cycles without forward progress.
         stalled_for: u64,
@@ -437,28 +438,39 @@ impl Engine {
         Ok(EngineSession::new(sim, self.watchdog))
     }
 
-    /// Executes a job to completion with an armed [`FaultInjector`].
-    ///
-    /// This is raw injection with **no** detection or recovery — the
-    /// corrupted results land in memory as hardware would produce them.
-    /// For protected execution see `Engine::run_ft`.
+    /// Starts a job as a protected [`EngineSession`], RedMulE-FT as a mode
+    /// of the one engine walk. The tiles run one at a time under a
+    /// barrier: nothing of the next tile is fetched or padded until the
+    /// current one has computed, drained its stores and passed its check
+    /// (`ft`'s ABFT signature or duplicate-run vote). A tile's strikes in
+    /// `plan` hit its first run; a failed check writes the tile's Z
+    /// pre-image back and reruns it, up to `ft.max_retries` times. Each
+    /// run counts from its own first cycle and costs what the tile costs
+    /// as a job of its own. The plan's persistent faults are applied to
+    /// `mem` and `hci` here and logged at cycle 0. Checkpoints fall on
+    /// verified tile boundaries, so the session can be supervised like
+    /// any other; [`Engine::run_ft`] ticks one to the end.
     ///
     /// # Errors
     ///
-    /// As [`Engine::run`], plus [`EngineError::Watchdog`] when an injected
-    /// fault (e.g. dropped transactions) hangs the schedule.
-    pub fn run_with_faults(
+    /// [`EngineError::InvalidJob`] for malformed descriptors;
+    /// [`EngineError::Memory`] when a stuck-at fault targets an address
+    /// outside the TCDM.
+    pub fn start_ft(
         &self,
         job: Job,
+        plan: &FaultPlan,
+        ft: FtConfig,
         mem: &mut Tcdm,
         hci: &mut Hci,
-        injector: FaultInjector,
-    ) -> Result<RunReport, EngineError> {
-        let mut session = self.start_with_faults(job, injector)?;
-        while !session.is_finished() {
-            session.tick(mem, hci, &[])?;
-        }
-        Ok(session.finish())
+    ) -> Result<EngineSession, EngineError> {
+        job.validate().map_err(EngineError::InvalidJob)?;
+        let mut injector = FaultInjector::default();
+        plan.arm_persistent(mem, hci, injector.log_mut())?;
+        let mut sim = Sim::new(self.cfg, job, self.policy);
+        sim.injector = Some(injector);
+        sim.protect = Some(Protection::new(ft, plan.expand(&sim.schedule, &job)));
+        Ok(EngineSession::new(sim, self.watchdog))
     }
 
     /// Rebuilds a running [`EngineSession`] from a snapshot taken by
@@ -557,14 +569,24 @@ impl Engine {
         sim.phases.restore_state(&mut r)?;
         let dp_macs: u64 = r.get()?;
         sim.dp.restore_macs(dp_macs);
-        match r.get::<u8>()? {
-            0 => {}
-            1 => {
-                let mut injector = FaultInjector::default();
-                injector.restore_state(&mut r)?;
-                sim.injector = Some(injector);
+        // The injector tag: 0 none, 1 a raw injector, 2 a protected
+        // session's injector followed by its FT state.
+        let tag = r.get::<u8>()?;
+        if !(0..=2).contains(&tag) {
+            return Err(corrupt(&format!("unknown injector tag {tag}")));
+        }
+        if tag > 0 {
+            let mut injector = FaultInjector::default();
+            injector.restore_state(&mut r)?;
+            sim.injector = Some(injector);
+        }
+        if tag == 2 {
+            let mut protect = Protection::new(FtConfig::replay(), Vec::new());
+            protect.restore_state(&mut r)?;
+            if protect.verified != sim.compute_tile {
+                return Err(corrupt("protected session not at a verified tile boundary"));
             }
-            t => return Err(corrupt(&format!("unknown injector tag {t}"))),
+            sim.protect = Some(protect);
         }
         r.expect_end()?;
 
@@ -760,8 +782,15 @@ pub struct TickResult {
 impl EngineSession {
     fn new(sim: Sim, watchdog: u64) -> EngineSession {
         let no_work = sim.schedule.n_tiles() == 0;
-        let bound = 10_000
-            + 64 * sim.schedule.n_tiles() as u64 * (sim.schedule.tile_len() + sim.cfg.l as u64 + 4);
+        // The structural bound covers one run: the whole job, or under FT
+        // protection one tile run.
+        let run_tiles = if sim.protect.is_some() {
+            1
+        } else {
+            sim.schedule.n_tiles()
+        };
+        let bound =
+            10_000 + 64 * run_tiles as u64 * (sim.schedule.tile_len() + sim.cfg.l as u64 + 4);
         EngineSession {
             sim,
             cycle: 0,
@@ -822,18 +851,26 @@ impl EngineSession {
                 finished: true,
             });
         }
+        self.open_run(mem)?;
         // Contention can legitimately stretch execution by up to the
         // rotation period; scale the structural bound accordingly.
-        if self.cycle >= self.bound * 8 {
+        let run_cycle = self.cycle - self.sim.run_start;
+        if run_cycle >= self.bound * 8 {
             self.emit_watchdog();
             return Err(EngineError::Watchdog {
-                cycle: self.cycle,
+                cycle: run_cycle,
                 stalled_for: self.stalled_for,
             });
         }
+        // Faults logged before the first cycle (a protected job's
+        // persistent faults) are recorded with it.
+        let faults_before = if self.cycle == 0 {
+            0
+        } else {
+            self.sim.fault_count()
+        };
         self.sim.inject_cycle_faults(self.cycle, mem);
         self.sim.stage_pads();
-        let faults_before = self.sim.fault_count();
         let kind = if self.sim.schedule.n_phases() == 0 {
             self.sim.flush_empty_reduction_tile(self.cycle)
         } else {
@@ -863,7 +900,7 @@ impl EngineSession {
             if self.stalled_for >= self.watchdog {
                 self.emit_watchdog();
                 return Err(EngineError::Watchdog {
-                    cycle: self.cycle,
+                    cycle: run_cycle,
                     stalled_for: self.stalled_for,
                 });
             }
@@ -881,12 +918,54 @@ impl EngineSession {
         if matches!(kind, CycleKind::Stalled(_)) {
             self.sim.emit(self.cycle, EventKind::Stall { phase });
         }
-        self.sim.emit_faults(faults_before);
         self.cycle = self.cycle.saturating_add(1);
+        let closed = self.close_run(mem);
+        self.sim.emit_faults(faults_before);
+        closed?;
         Ok(TickResult {
             log_granted,
             finished: self.is_finished(),
         })
+    }
+
+    /// Under FT protection, when no run is in flight: opens the next run
+    /// of the tile under check. Like a job of its own, the run counts from
+    /// this cycle: its strikes' due cycles and Z-store ordinals, the
+    /// `HalfBandwidth` gate's parity, the watchdog window and the
+    /// structural bound.
+    fn open_run(&mut self, mem: &Tcdm) -> Result<(), EngineError> {
+        let s = &mut self.sim;
+        let (Some(protect), Some(injector)) = (s.protect.as_mut(), s.injector.as_mut()) else {
+            return Ok(());
+        };
+        if !protect.run_open() {
+            injector.arm(protect.open_run(mem, &s.schedule, &s.job, self.cycle)?);
+            s.run_start = self.cycle;
+            self.last_sig = None;
+            self.stalled_for = 0;
+        }
+        Ok(())
+    }
+
+    /// Under FT protection: once the run of the tile under check retires
+    /// (the tile computed, its stores drained), disarms its unlanded
+    /// strikes and checks the tile. A failed check rewinds the cursors to
+    /// the start of the tile; the barrier leaves nothing of the next tile
+    /// in flight, so that needs no snapshot.
+    fn close_run(&mut self, mem: &mut Tcdm) -> Result<(), EngineError> {
+        let s = &mut self.sim;
+        let (Some(protect), Some(injector)) = (s.protect.as_mut(), s.injector.as_mut()) else {
+            return Ok(());
+        };
+        if protect.run_open() && s.compute_tile > protect.verified && s.store_queue.is_empty() {
+            injector.arm(Vec::new());
+            let log = injector.log_mut();
+            if protect.close_run(mem, &s.schedule, &s.job, &mut self.cycle, log)? {
+                let idx = protect.verified;
+                s.rewind(idx);
+            }
+        }
+        Ok(())
     }
 
     /// Records a watchdog trip event (just before the session aborts with
@@ -905,23 +984,24 @@ impl EngineSession {
     /// until [`EngineSession::is_finished`]).
     pub fn finish(mut self) -> RunReport {
         assert!(self.is_finished(), "job still in flight");
-        debug_assert_eq!(
-            self.sim.phases.total(),
-            self.cycle,
-            "phase attribution must cover every executed cycle exactly once"
-        );
-        debug_assert_eq!(
-            self.sim.useful_macs,
-            self.sim.job.shape().macs(),
-            "useful-MAC accounting must cover the job exactly"
-        );
         let faults = self
             .sim
             .injector
             .take()
             .map(FaultInjector::into_log)
             .unwrap_or_default();
-        self.report(faults)
+        let report = self.report(faults);
+        debug_assert_eq!(
+            report.phases.total(),
+            self.cycle,
+            "phase attribution must cover every executed cycle exactly once"
+        );
+        debug_assert_eq!(
+            report.macs,
+            self.sim.job.shape().macs(),
+            "useful-MAC accounting must cover the job exactly"
+        );
+        report
     }
 
     /// Cycles executed so far.
@@ -929,9 +1009,13 @@ impl EngineSession {
         self.cycle
     }
 
-    /// Output tiles whose computation has fully completed.
+    /// Output tiles whose computation has fully completed (under FT
+    /// protection, that passed their check).
     pub fn tiles_completed(&self) -> usize {
-        self.sim.compute_tile.min(self.sim.schedule.n_tiles())
+        match &self.sim.protect {
+            None => self.sim.compute_tile.min(self.sim.schedule.n_tiles()),
+            Some(protect) => protect.verified,
+        }
     }
 
     /// Total output tiles in the job's tile grid.
@@ -943,9 +1027,14 @@ impl EngineSession {
     /// cycle would be the first of a fresh tile (or the job is draining
     /// its final stores). At a boundary the datapath pipelines are
     /// drained and the W/Z buffers hold no live tile state, which is what
-    /// makes [`EngineSession::checkpoint`] possible.
+    /// makes [`EngineSession::checkpoint`] possible. Under FT protection
+    /// the boundaries are the verified ones: the previous tile passed its
+    /// check and nothing of the next has run.
     pub fn at_tile_boundary(&self) -> bool {
-        self.sim.t_local == 0 && !self.sim.started
+        match &self.sim.protect {
+            None => self.sim.t_local == 0 && !self.sim.started,
+            Some(protect) => protect.at_boundary(),
+        }
     }
 
     /// Analytical estimate of the cycles still needed to finish the job,
@@ -1044,8 +1133,11 @@ impl EngineSession {
         match &s.injector {
             None => w.put(&0u8),
             Some(injector) => {
-                w.put(&1u8);
+                w.put(&(1 + u8::from(s.protect.is_some())));
                 injector.save_state(&mut w);
+                if let Some(protect) = &s.protect {
+                    protect.save_state(&mut w);
+                }
             }
         }
         let tile = s.compute_tile as u32;
@@ -1071,24 +1163,47 @@ impl EngineSession {
     }
 
     /// Assembles the report from the session's counters: the streamer's
-    /// event counters, then the stall, MAC and per-phase totals (and the
-    /// injected-fault count when `faults` is non-empty), all in `stats`.
+    /// event counters, then the stall, MAC and per-phase totals over every
+    /// run, a protected session's FT counters and the injected-fault
+    /// count when there is one, all in `stats`. A protected session
+    /// reports the MACs of its verified tiles and charges its ABFT checks
+    /// to compute in `phases`; if it ran no tile (an empty output), it
+    /// reports only its FT and fault counters.
     fn report(&self, faults: FaultLog) -> RunReport {
-        let mut stats = self.sim.counters.stats();
-        stats.add("stall_cycles", self.sim.stall_cycles);
-        stats.add("macs", self.sim.useful_macs);
-        stats.add("lane_macs", self.sim.dp.macs());
-        for (label, cycles) in self.sim.phases.iter() {
-            stats.add(&format!("phase_{label}"), cycles);
+        let s = &self.sim;
+        let mut stats = Stats::new();
+        if s.protect
+            .as_ref()
+            .is_none_or(|p| p.stats.get("ft_runs") > 0)
+        {
+            stats = s.counters.stats();
+            stats.add("stall_cycles", s.stall_cycles);
+            stats.add("macs", s.useful_macs);
+            stats.add("lane_macs", s.dp.macs());
+            for (label, cycles) in s.phases.iter() {
+                stats.add(&format!("phase_{label}"), cycles);
+            }
         }
-        if !faults.is_empty() {
-            stats.add("faults_injected", faults.count(FaultPhase::Injected));
+        let (mut macs, mut phases) = (s.useful_macs, s.phases);
+        if let Some(protect) = &s.protect {
+            stats.merge(&protect.stats);
+            phases.add_many(Phase::Compute, protect.stats.get("abft_cycles"));
+            macs = (0..protect.verified)
+                .map(|idx| {
+                    let tile = s.schedule.tile(idx);
+                    (tile.rows_live * tile.cols_live * s.job.n) as u64
+                })
+                .sum();
+        }
+        let injected = faults.count(FaultPhase::Injected);
+        if injected > 0 {
+            stats.add("faults_injected", injected);
         }
         RunReport {
             cycles: Cycle::new(self.cycle),
-            macs: self.sim.useful_macs,
-            stall_cycles: self.sim.stall_cycles,
-            phases: self.sim.phases,
+            macs,
+            stall_cycles: s.stall_cycles,
+            phases,
             stats,
             faults,
         }
@@ -1154,6 +1269,11 @@ struct Sim {
     w_flight: Vec<F16>,
     /// Armed fault injector (None on fault-free runs).
     injector: Option<FaultInjector>,
+    /// RedMulE-FT state of a protected session (None otherwise).
+    protect: Option<Protection>,
+    // modelcheck-allow: RM-SNAP-001 -- derived: 0, or under FT protection
+    // reset when the next tile run opens (checkpoints fall between runs).
+    run_start: u64,
     // modelcheck-allow: RM-SNAP-001 -- scratch: the per-cycle column
     // control words, rebuilt from the cursors on every compute cycle.
     ctrl: Vec<ColumnCtrl>,
@@ -1200,10 +1320,35 @@ impl Sim {
             w_inflight: None,
             w_flight: vec![F16::ZERO; pw],
             injector: None,
+            protect: None,
+            run_start: 0,
             ctrl: vec![ColumnCtrl::default(); cfg.h],
             x_latch: vec![F16::ZERO; cfg.h * cfg.l],
             z_init: vec![F16::ZERO; cfg.l],
         }
+    }
+
+    /// The tile barrier: the streamer fetches and pads, and the datapath
+    /// computes, only the tiles below it. That is every tile, or under FT
+    /// protection the tiles up to the one under check.
+    fn open_tiles(&self) -> usize {
+        let n_tiles = self.schedule.n_tiles();
+        self.protect
+            .as_ref()
+            .map_or(n_tiles, |protect| (protect.verified + 1).min(n_tiles))
+    }
+
+    /// Rewinds every cursor to the first cycle of tile `idx`, for its next
+    /// run under FT protection. The run just retired left the pipelines
+    /// drained, every buffer slot consumed and the store queue empty.
+    fn rewind(&mut self, idx: usize) {
+        self.compute_tile = idx;
+        self.t_local = 0;
+        self.started = false;
+        self.w_cursor = (idx, 0, 0);
+        self.x_cursor = (idx, 0, 0);
+        self.zpre_cursor = (idx, 0);
+        self.zpre_ready_tile = usize::MAX;
     }
 
     /// Applies all cycle-addressed faults due this cycle (FMA pipeline
@@ -1277,7 +1422,7 @@ impl Sim {
     /// N == 0: every output tile is all zeros (or the preloaded Z in
     /// accumulate mode). One tile is flushed per cycle.
     fn flush_empty_reduction_tile(&mut self, cycle: u64) -> CycleKind {
-        if self.compute_tile >= self.schedule.n_tiles() {
+        if self.compute_tile >= self.open_tiles() {
             return CycleKind::DrainOnly;
         }
         if self.zb.is_occupied() {
@@ -1308,7 +1453,7 @@ impl Sim {
 
     /// One datapath cycle (or a stall).
     fn compute_cycle(&mut self, cycle: u64) -> CycleKind {
-        if self.compute_tile >= self.schedule.n_tiles() {
+        if self.compute_tile >= self.open_tiles() {
             return CycleKind::DrainOnly;
         }
         let tile = self.schedule.tile(self.compute_tile);
@@ -1494,8 +1639,7 @@ impl Sim {
     /// Head of the W generator, or `None` when all groups are issued.
     fn w_head(&self) -> Option<(usize, usize, usize)> {
         let (tile, phase, col) = self.w_cursor;
-        (self.schedule.n_phases() > 0 && tile < self.schedule.n_tiles())
-            .then_some((tile, phase, col))
+        (self.schedule.n_phases() > 0 && tile < self.open_tiles()).then_some((tile, phase, col))
     }
 
     fn advance_w(&mut self) {
@@ -1514,8 +1658,7 @@ impl Sim {
 
     fn x_head(&self) -> Option<(usize, usize, usize)> {
         let (tile, chunk, row) = self.x_cursor;
-        (self.schedule.n_phases() > 0 && tile < self.schedule.n_tiles())
-            .then_some((tile, chunk, row))
+        (self.schedule.n_phases() > 0 && tile < self.open_tiles()).then_some((tile, chunk, row))
     }
 
     fn advance_x(&mut self) {
@@ -1537,7 +1680,7 @@ impl Sim {
             return None;
         }
         let (tile, row) = self.zpre_cursor;
-        (tile < self.schedule.n_tiles()).then_some((tile, row))
+        (tile < self.open_tiles()).then_some((tile, row))
     }
 
     /// Selects the next transaction for the shallow port, priority
@@ -1608,7 +1751,7 @@ impl Sim {
         cycle: u64,
         log_requests: &[(redmule_cluster::Initiator, u32)],
     ) -> Result<(Vec<bool>, bool), EngineError> {
-        if self.policy == StreamerPolicy::HalfBandwidth && cycle % 2 == 1 {
+        if self.policy == StreamerPolicy::HalfBandwidth && (cycle - self.run_start) % 2 == 1 {
             self.counters.port_gated += 1;
             let grants = hci.arbitrate(log_requests, None);
             return Ok((grants.log_granted, false));

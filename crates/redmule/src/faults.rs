@@ -11,12 +11,14 @@
 //! * a [`FaultInjector`] (armed via [`Engine::start_with_faults`]) applies
 //!   the plan as the engine executes, recording every landed fault in a
 //!   cycle-stamped [`FaultLog`];
-//! * [`Engine::run_ft`] wraps execution in one of two protection modes
-//!   mirroring the hardware options: **replay** (checksum-based ABFT
-//!   detects a corrupted output tile, which is then re-executed, costing
-//!   only the replayed tiles) and **redundancy** (every tile is executed
-//!   twice and the results voted, modelling the duplication mode's halved
-//!   throughput).
+//! * [`Engine::start_ft`] makes fault tolerance a mode of the one engine
+//!   walk, in one of two protection modes mirroring the hardware options:
+//!   **replay** (checksum-based ABFT detects a corrupted output tile,
+//!   which is then re-executed, costing only the replayed tiles) and
+//!   **redundancy** (every tile is executed twice and the results voted,
+//!   modelling the duplication mode's halved throughput). The protected
+//!   session walks the tiles under a barrier and checks each tile as it
+//!   retires; [`Engine::run_ft`] drives one to the end.
 //!
 //! Coverage honesty: the ABFT reference is recomputed from the *same* TCDM
 //! the engine read, so faults that corrupt X/W source words in memory
@@ -30,16 +32,13 @@ use crate::datapath::Datapath;
 use crate::engine::{Engine, EngineError, RunReport};
 use crate::functional::FunctionalGemm;
 use crate::regfile::Job;
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, Tile};
 use redmule_cluster::{Hci, Tcdm};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::{Format, F16};
 use redmule_hwsim::faults::flip_bit16;
 use redmule_hwsim::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
-use redmule_hwsim::{
-    Cycle, FaultClass, FaultLog, FaultPhase, SplitMix64, Stats, StuckBit, Xoshiro256,
-};
-use redmule_obs::{Phase, PhaseCycles};
+use redmule_hwsim::{FaultClass, FaultLog, FaultPhase, SplitMix64, Stats, StuckBit, Xoshiro256};
 
 /// Storage classes a random transient can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,16 +127,6 @@ pub struct FaultSpec {
     pub cycle: u64,
     /// Where the fault lands.
     pub site: FaultSite,
-}
-
-/// Per-tile geometry the random expansion needs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TileGeom {
-    pub rows_live: usize,
-    pub cols_live: usize,
-    pub n_chunks: usize,
-    /// Upper estimate of the tile's compute length in cycles.
-    pub est_len: u64,
 }
 
 /// A deterministic, seeded description of every fault to inject.
@@ -229,13 +218,14 @@ impl FaultPlan {
             && self.hci_drop_beats == 0
     }
 
-    /// Expands the plan into concrete `(cycle, site)` pairs for one tile:
-    /// the explicit specs pinned to it plus the seeded random transients.
+    /// Expands the plan into concrete `(cycle, site)` pairs for tile
+    /// `tile_idx` of `schedule`: the explicit specs pinned to it plus the
+    /// seeded random transients, drawn over an upper estimate of the
+    /// tile's compute length.
     pub(crate) fn expand_for_tile(
         &self,
         tile_idx: usize,
-        cfg: &AccelConfig,
-        geom: &TileGeom,
+        schedule: &Schedule,
         job: &Job,
     ) -> Vec<(u64, FaultSite)> {
         let mut out: Vec<(u64, FaultSite)> = self
@@ -247,17 +237,20 @@ impl FaultPlan {
         if self.transients_per_tile == 0 || self.targets.is_empty() {
             return out;
         }
+        let cfg = schedule.config();
+        let tile = schedule.tile(tile_idx);
+        let est_len = schedule.tile_len() + 64;
         let pw = cfg.phase_width();
         let lat = cfg.latency();
         let mut rng =
             Xoshiro256::seed_from_u64(self.seed ^ SplitMix64::new(tile_idx as u64 + 1).next_u64());
         for _ in 0..self.transients_per_tile {
             let target = self.targets[rng.below(self.targets.len() as u64) as usize];
-            let cycle = rng.below(geom.est_len.max(1));
+            let cycle = rng.below(est_len);
             let site = match target {
                 TransientTarget::Pipe => FaultSite::Pipe {
                     col: rng.below(cfg.h as u64) as usize,
-                    row: rng.below(geom.rows_live as u64) as usize,
+                    row: rng.below(tile.rows_live as u64) as usize,
                     stage: rng.below(lat as u64) as usize,
                     bit: rng.below(16) as u8,
                 },
@@ -274,19 +267,19 @@ impl FaultPlan {
                     }
                 }
                 TransientTarget::XLoad => {
-                    if geom.n_chunks == 0 {
+                    if schedule.n_chunks() == 0 {
                         continue;
                     }
                     FaultSite::XLoad {
-                        chunk: rng.below(geom.n_chunks as u64) as usize,
-                        row: rng.below(geom.rows_live as u64) as usize,
+                        chunk: rng.below(schedule.n_chunks() as u64) as usize,
+                        row: rng.below(tile.rows_live as u64) as usize,
                         elem: rng.below(pw as u64) as usize,
                         bit: rng.below(16) as u8,
                     }
                 }
                 TransientTarget::ZStore => FaultSite::ZStore {
-                    store: rng.below(geom.rows_live as u64) as usize,
-                    elem: rng.below(geom.cols_live as u64) as usize,
+                    store: rng.below(tile.rows_live as u64) as usize,
+                    elem: rng.below(tile.cols_live as u64) as usize,
                     bit: rng.below(16) as u8,
                 },
                 TransientTarget::TcdmData => {
@@ -310,6 +303,47 @@ impl FaultPlan {
         }
         out
     }
+
+    /// Every tile's strikes as `(tile, due, site)`, last tile first: the
+    /// order a protected session takes them in.
+    pub(crate) fn expand(&self, schedule: &Schedule, job: &Job) -> Vec<(usize, u64, FaultSite)> {
+        let mut strikes: Vec<(usize, u64, FaultSite)> = (0..schedule.n_tiles())
+            .flat_map(|idx| {
+                let tile_strikes = self.expand_for_tile(idx, schedule, job);
+                tile_strikes
+                    .into_iter()
+                    .map(move |(due, site)| (idx, due, site))
+            })
+            .collect();
+        strikes.reverse();
+        strikes
+    }
+
+    /// Applies the plan's persistent faults to the cluster and logs each
+    /// at cycle 0: the stuck-at bits in the TCDM, then the armed HCI
+    /// drops.
+    pub(crate) fn arm_persistent(
+        &self,
+        mem: &mut Tcdm,
+        hci: &mut Hci,
+        log: &mut FaultLog,
+    ) -> Result<(), EngineError> {
+        for &(addr, stuck) in &self.tcdm_stuck {
+            mem.set_stuck(addr, stuck)?;
+            let site = format!(
+                "tcdm@{addr:#x}.b{} stuck-{}",
+                stuck.bit,
+                u8::from(stuck.value)
+            );
+            log.record(0, site, FaultClass::StuckAt, FaultPhase::Injected);
+        }
+        if self.hci_drop_beats > 0 {
+            hci.inject_shallow_drop(self.hci_drop_beats);
+            let site = format!("hci.shallow x{}", self.hci_drop_beats);
+            log.record(0, site, FaultClass::DropTransaction, FaultPhase::Injected);
+        }
+        Ok(())
+    }
 }
 
 fn flip(v: &mut F16, bit: u8) {
@@ -317,9 +351,10 @@ fn flip(v: &mut F16, bit: u8) {
 }
 
 /// Applies a tile's expanded faults as the engine executes, recording
-/// every landed strike. Built by the fault-tolerant runner; arm one
-/// manually via [`Engine::start_with_faults`] for raw (unprotected)
-/// injection experiments.
+/// every landed strike. A protected session ([`Engine::start_ft`]) arms
+/// its own for each tile run; arm one manually via
+/// [`Engine::start_with_faults`] for raw (unprotected) injection
+/// experiments.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     pending: Vec<(u64, FaultSite)>,
@@ -332,7 +367,7 @@ impl Snapshot for FaultInjector {
         w.put(&self.pending.len());
         for (cycle, site) in &self.pending {
             w.put(cycle);
-            FaultInjector::save_site(*site, w);
+            save_fault_site(*site, w);
         }
         self.log.save_state(w);
         w.put(&self.stores_seen);
@@ -348,7 +383,7 @@ impl Snapshot for FaultInjector {
         self.pending.clear();
         for _ in 0..n {
             let cycle: u64 = r.get()?;
-            let site = FaultInjector::load_site(r)?;
+            let site = load_fault_site(r)?;
             self.pending.push((cycle, site));
         }
         self.log.restore_state(r)?;
@@ -379,12 +414,17 @@ impl FaultInjector {
         self.log
     }
 
-    fn save_site(site: FaultSite, w: &mut StateWriter) {
-        save_fault_site(site, w)
+    /// The log, for the protected session's check verdicts.
+    pub(crate) fn log_mut(&mut self) -> &mut FaultLog {
+        &mut self.log
     }
 
-    fn load_site(r: &mut StateReader<'_>) -> Result<FaultSite, SnapshotError> {
-        load_fault_site(r)
+    /// Replaces the pending strikes with `specs` and restarts the Z-store
+    /// ordinal, keeping the log: a protected session arms each tile run
+    /// afresh and disarms it when the run retires.
+    pub(crate) fn arm(&mut self, specs: Vec<(u64, FaultSite)>) {
+        self.pending = specs;
+        self.stores_seen = 0;
     }
 }
 
@@ -661,18 +701,18 @@ impl FtConfig {
     }
 }
 
-/// FP16 row/column checksums of a tile, exact in `f64` (each sum folds at
-/// most `H*(P+1)` half-precision values, far within the 53-bit mantissa),
-/// plus an XOR fold so even sign flips of zero are caught.
+/// FP16 row/column checksums of a row-major tile `cols` wide, exact in
+/// `f64` (each sum folds at most `H*(P+1)` half-precision values, far
+/// within the 53-bit mantissa), plus an XOR fold so even sign flips of
+/// zero are caught.
 // modelcheck-allow: RM-FP-001 -- ABFT reference path: checksums fold F16
 // values exactly in f64 (sums stay far within the 53-bit mantissa); the
 // signatures detect faults and never enter the FP16 datapath.
-fn tile_signature(z: &[Vec<F16>]) -> (Vec<u64>, Vec<u64>, u16) {
-    let cols = z.first().map_or(0, Vec::len);
-    let mut row_sums = Vec::with_capacity(z.len());
+fn tile_signature(z: &[F16], cols: usize) -> (Vec<u64>, Vec<u64>, u16) {
+    let mut row_sums = Vec::new();
     let mut col_sums = vec![0.0f64; cols];
     let mut xor = 0u16;
-    for row in z {
+    for row in z.chunks(cols.max(1)) {
         let mut rs = 0.0f64;
         for (j, v) in row.iter().enumerate() {
             let x = f64::from(v.to_f32());
@@ -689,17 +729,299 @@ fn tile_signature(z: &[Vec<F16>]) -> (Vec<u64>, Vec<u64>, u16) {
     )
 }
 
+/// TCDM address of element (`row`, `col`) of a `job` operand at `base`
+/// with leading dimension `ld`.
+fn elem_addr(job: &Job, base: u32, ld: usize, row: usize, col: usize) -> u32 {
+    base + job.format.elem_bytes() as u32 * (row * ld + col) as u32
+}
+
+/// `rows` runs of `cols` elements of a `job` operand, the first at `addr`
+/// and each `ld` elements after the last, widened to FP16, row-major.
+fn read_rows(
+    mem: &Tcdm,
+    job: &Job,
+    addr: u32,
+    ld: usize,
+    rows: usize,
+    cols: usize,
+) -> Result<Vec<F16>, EngineError> {
+    let mut out = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        let row = elem_addr(job, addr, ld, r, 0);
+        out.extend(cast::castin_slice(mem, job.format, row, cols)?);
+    }
+    Ok(out)
+}
+
+/// `tile`'s Z block as stored in TCDM, widened to FP16, row-major.
+fn read_tile(mem: &Tcdm, job: &Job, tile: Tile) -> Result<Vec<F16>, EngineError> {
+    let addr = elem_addr(job, job.z_addr, job.z_ld(), tile.row0, tile.k0);
+    read_rows(mem, job, addr, job.z_ld(), tile.rows_live, tile.cols_live)
+}
+
+/// The check under way on the tile under check; default between tiles.
+#[derive(Debug, Default)]
+struct TileCheck {
+    /// Failed checks so far.
+    attempt: u32,
+    /// A run is in flight, from its first tick to its check.
+    open: bool,
+    /// Redundancy mode: the first run's Z tile, awaiting the vote of the
+    /// duplicate run.
+    first: Option<Vec<F16>>,
+    /// Accumulate jobs: the tile's Z pre-image, written back before every
+    /// rerun and the ABFT reference's Y operand.
+    z_pre: Option<Vec<F16>>,
+}
+
+/// RedMulE-FT inside the one engine walk: the state of a protected
+/// [`crate::EngineSession`] (see [`Engine::start_ft`]). The session runs
+/// one tile at a time and checks each run as it retires; a failed check
+/// (or Redundancy's first run) writes the tile's Z pre-image back and
+/// reruns the tile.
+#[derive(Debug)]
+pub(crate) struct Protection {
+    ft: FtConfig,
+    /// The plan's strikes as `(tile, due, site)`, last tile first: each
+    /// tile's first run takes its own.
+    strikes: Vec<(usize, u64, FaultSite)>,
+    /// Tiles that passed their check; tile `verified` is under check.
+    pub(crate) verified: usize,
+    /// `ft_runs`, `abft_cycles`, `tiles_replayed`, `faults_detected` and
+    /// `faults_corrected`, as the report's stats show them.
+    pub(crate) stats: Stats,
+    // modelcheck-allow: RM-SNAP-001 -- drained: checkpoints are only taken
+    // at verified tile boundaries (at_boundary), where no check is under
+    // way.
+    check: TileCheck,
+}
+
+impl Snapshot for Protection {
+    fn save_state(&self, w: &mut StateWriter) {
+        w.put(&(self.ft.mode == FtMode::Redundancy));
+        w.put(&self.ft.max_retries);
+        w.put(&self.strikes.len());
+        for &(tile, due, site) in &self.strikes {
+            w.put(&(tile, due));
+            save_fault_site(site, w);
+        }
+        w.put(&self.verified);
+        self.stats.save_state(w);
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let redundancy: bool = r.get()?;
+        self.ft = FtConfig {
+            mode: if redundancy {
+                FtMode::Redundancy
+            } else {
+                FtMode::Replay
+            },
+            max_retries: r.get()?,
+        };
+        let n: usize = r.get()?;
+        if n > r.remaining() {
+            return Err(SnapshotError::Truncated);
+        }
+        self.strikes = (0..n)
+            .map(|_| {
+                let (tile, due) = r.get()?;
+                Ok((tile, due, load_fault_site(r)?))
+            })
+            .collect::<Result<_, SnapshotError>>()?;
+        self.verified = r.get()?;
+        self.stats.restore_state(r)?;
+        self.check = TileCheck::default();
+        Ok(())
+    }
+}
+
+impl Protection {
+    /// Protects a job with `ft` against `strikes`, as
+    /// [`FaultPlan::expand`] lists them.
+    pub(crate) fn new(ft: FtConfig, strikes: Vec<(usize, u64, FaultSite)>) -> Protection {
+        Protection {
+            ft,
+            strikes,
+            verified: 0,
+            stats: Stats::new(),
+            check: TileCheck::default(),
+        }
+    }
+
+    /// `true` while a run of the tile under check is in flight.
+    pub(crate) fn run_open(&self) -> bool {
+        self.check.open
+    }
+
+    /// `true` at a verified tile boundary: the previous tile passed its
+    /// check and nothing of the next has run.
+    pub(crate) fn at_boundary(&self) -> bool {
+        !self.check.open && self.check.attempt == 0 && self.check.first.is_none()
+    }
+
+    /// Opens the next run of the tile under check at cycle `origin` and
+    /// returns the strikes it arms, due `origin` cycles later than
+    /// planned: the tile's own on its first run, none on its duplicate run
+    /// or its replays. The first run saves an accumulate job's Z
+    /// pre-image.
+    pub(crate) fn open_run(
+        &mut self,
+        mem: &Tcdm,
+        schedule: &Schedule,
+        job: &Job,
+        origin: u64,
+    ) -> Result<Vec<(u64, FaultSite)>, EngineError> {
+        self.check.open = true;
+        let mut armed = Vec::new();
+        if self.check.attempt > 0 || self.check.first.is_some() {
+            return Ok(armed);
+        }
+        if job.accumulate {
+            self.check.z_pre = Some(read_tile(mem, job, schedule.tile(self.verified))?);
+        }
+        while let Some(&(_, due, site)) = self.strikes.last().filter(|s| s.0 == self.verified) {
+            armed.push((due.saturating_add(origin), site));
+            self.strikes.pop();
+        }
+        Ok(armed)
+    }
+
+    /// Checks the run that retired this cycle (the tile under check has
+    /// computed and drained its stores) and returns `true` when the tile
+    /// runs again. Replay charges its checksum pipeline (`rows + cols +
+    /// P + 1` cycles) to the session clock `cycle`; Redundancy answers the
+    /// first run with a duplicate run and votes after the second. Verdicts
+    /// are logged at `cycle`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::FaultUnrecoverable`] when the tile fails its check
+    /// with its retries spent; [`EngineError::Memory`] when a tile access
+    /// leaves the TCDM.
+    pub(crate) fn close_run(
+        &mut self,
+        mem: &mut Tcdm,
+        schedule: &Schedule,
+        job: &Job,
+        cycle: &mut u64,
+        log: &mut FaultLog,
+    ) -> Result<bool, EngineError> {
+        let idx = self.verified;
+        let tile = schedule.tile(idx);
+        self.check.open = false;
+        self.stats.incr("ft_runs");
+        let clean = match (self.ft.mode, self.check.first.take()) {
+            (FtMode::Replay, _) => {
+                let abft = (tile.rows_live + tile.cols_live + schedule.config().latency()) as u64;
+                *cycle = cycle.saturating_add(abft);
+                self.stats.add("abft_cycles", abft);
+                self.abft_clean(mem, schedule.config(), job, tile)?
+            }
+            // Duplication with comparison: run the tile again on the same
+            // inputs and vote bitwise.
+            (FtMode::Redundancy, None) => {
+                self.check.first = Some(read_tile(mem, job, tile)?);
+                self.restore_z(mem, job, tile)?;
+                return Ok(true);
+            }
+            (FtMode::Redundancy, Some(first)) => {
+                let second = read_tile(mem, job, tile)?;
+                first
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(second.iter().map(|v| v.to_bits()))
+            }
+        };
+        let site = format!("tile{idx}");
+        if clean {
+            if self.check.attempt > 0 {
+                log.record(
+                    *cycle,
+                    site,
+                    FaultClass::TransientFlip,
+                    FaultPhase::Corrected,
+                );
+                self.stats.incr("faults_corrected");
+            }
+            self.verified += 1;
+            self.check = TileCheck::default();
+            return Ok(false);
+        }
+        log.record(
+            *cycle,
+            site,
+            FaultClass::TransientFlip,
+            FaultPhase::Detected,
+        );
+        self.stats.incr("faults_detected");
+        if self.check.attempt >= self.ft.max_retries {
+            return Err(EngineError::FaultUnrecoverable {
+                tile: idx,
+                attempts: self.check.attempt + 1,
+            });
+        }
+        self.check.attempt += 1;
+        self.stats.incr("tiles_replayed");
+        self.restore_z(mem, job, tile)?;
+        Ok(true)
+    }
+
+    /// ABFT: recomputes `tile` from the operands the engine saw and
+    /// compares exact checksums with the Z it stored.
+    fn abft_clean(
+        &self,
+        mem: &Tcdm,
+        cfg: &AccelConfig,
+        job: &Job,
+        tile: Tile,
+    ) -> Result<bool, EngineError> {
+        let shape = GemmShape::new(tile.rows_live, job.n, tile.cols_live);
+        let x_addr = elem_addr(job, job.x_addr, job.x_ld(), tile.row0, 0);
+        let x = read_rows(mem, job, x_addr, job.x_ld(), tile.rows_live, job.n)?;
+        let w_addr = elem_addr(job, job.w_addr, job.w_ld(), 0, tile.k0);
+        let w = read_rows(mem, job, w_addr, job.w_ld(), job.n, tile.cols_live)?;
+        // The cast-in operands are already FP16, so the reference runs the
+        // functional kernel at FP16: the same per-element fold as the
+        // golden model, bit for bit. The engine narrows each result through
+        // the castout stage before it lands in TCDM, so the reference must
+        // pass through the same quantisation or every clean FP8 tile would
+        // look corrupted.
+        let reference: Vec<F16> = FunctionalGemm::new(*cfg)
+            .run_inner(shape, Format::Fp16, &x, &w, self.check.z_pre.as_deref())?
+            .z
+            .into_iter()
+            .map(|v| job.format.quantize(v))
+            .collect();
+        let got = read_tile(mem, job, tile)?;
+        Ok(tile_signature(&got, tile.cols_live) == tile_signature(&reference, tile.cols_live))
+    }
+
+    /// Writes an accumulate job's Z pre-image back over `tile` before a
+    /// rerun; a plain job's rerun overwrites the whole tile anyway.
+    fn restore_z(&self, mem: &mut Tcdm, job: &Job, tile: Tile) -> Result<(), EngineError> {
+        if let Some(pre) = &self.check.z_pre {
+            for (r, row) in pre.chunks(tile.cols_live.max(1)).enumerate() {
+                let addr = elem_addr(job, job.z_addr, job.z_ld(), tile.row0 + r, tile.k0);
+                cast::castout_run(mem, job.format, addr, row)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Engine {
     /// Executes a job under fault injection with one of the RedMulE-FT
     /// protection modes, producing bit-exact results for any transient
     /// fault the mode covers.
     ///
-    /// The job is executed tile by tile (same tiling as [`Engine::run`]).
-    /// Per tile, the plan's faults are injected on the first attempt;
-    /// detection triggers a bounded number of clean replays. All recovery
-    /// overhead — duplicated executions, checksum cycles, replays — lands
-    /// in the report's `cycles` and stats (`tiles_replayed`, `ft_runs`,
-    /// `abft_cycles`, `faults_detected`, `faults_corrected`).
+    /// Starts a protected session ([`Engine::start_ft`]) and ticks it to
+    /// the end. The tiles run in [`Engine::run`]'s order, one at a time:
+    /// each tile's faults strike its first run, and a failed check
+    /// triggers a bounded number of clean replays. All recovery overhead
+    /// (duplicated runs, checksum cycles, replays) lands in the report's
+    /// `cycles` and stats (`tiles_replayed`, `ft_runs`, `abft_cycles`,
+    /// `faults_detected`, `faults_corrected`).
     ///
     /// # Errors
     ///
@@ -716,231 +1038,11 @@ impl Engine {
         plan: &FaultPlan,
         ft: FtConfig,
     ) -> Result<RunReport, EngineError> {
-        job.validate().map_err(EngineError::InvalidJob)?;
-        let cfg = *self.config();
-        let lat = cfg.latency();
-        let schedule = Schedule::new(&cfg, job.shape(), job.format);
-
-        let mut log = FaultLog::new();
-        let mut stats = Stats::new();
-        let mut total_cycles = 0u64;
-        let mut stall_cycles = 0u64;
-        let mut phases = PhaseCycles::new();
-        let mut persistent_injected = 0u64;
-
-        for &(addr, stuck) in &plan.tcdm_stuck {
-            mem.set_stuck(addr, stuck)?;
-            log.record(
-                0,
-                format!(
-                    "tcdm@{addr:#x}.b{} stuck-{}",
-                    stuck.bit,
-                    u8::from(stuck.value)
-                ),
-                FaultClass::StuckAt,
-                FaultPhase::Injected,
-            );
-            persistent_injected += 1;
+        let mut session = self.start_ft(job, plan, ft, mem, hci)?;
+        while !session.is_finished() {
+            session.tick(mem, hci, &[])?;
         }
-        if plan.hci_drop_beats > 0 {
-            hci.inject_shallow_drop(plan.hci_drop_beats);
-            log.record(
-                0,
-                format!("hci.shallow x{}", plan.hci_drop_beats),
-                FaultClass::DropTransaction,
-                FaultPhase::Injected,
-            );
-            persistent_injected += 1;
-        }
-
-        for (idx, tile) in schedule.tiles().enumerate() {
-            let esz = job.format.elem_bytes() as u32;
-            let sub_job = Job {
-                x_addr: job.x_addr + esz * (tile.row0 * job.x_ld()) as u32,
-                w_addr: job.w_addr + esz * tile.k0 as u32,
-                z_addr: job.z_addr + esz * (tile.row0 * job.z_ld() + tile.k0) as u32,
-                m: tile.rows_live,
-                n: job.n,
-                k: tile.cols_live,
-                accumulate: job.accumulate,
-                x_stride: job.x_ld(),
-                w_stride: job.w_ld(),
-                z_stride: job.z_ld(),
-                format: job.format,
-            };
-            let geom = TileGeom {
-                rows_live: tile.rows_live,
-                cols_live: tile.cols_live,
-                n_chunks: schedule.n_chunks(),
-                est_len: schedule.tile_len() + 64,
-            };
-            let mut specs = plan.expand_for_tile(idx, &cfg, &geom, &job);
-
-            // The Z pre-image doubles as the accumulate restore point and
-            // the ABFT reference's Y operand.
-            let esz = job.format.elem_bytes() as u32;
-            let z_pre: Option<Vec<Vec<F16>>> = if job.accumulate {
-                let mut rows = Vec::with_capacity(tile.rows_live);
-                for r in 0..tile.rows_live {
-                    let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                    rows.push(cast::castin_slice(mem, job.format, addr, tile.cols_live)?);
-                }
-                Some(rows)
-            } else {
-                None
-            };
-            let restore =
-                |mem: &mut Tcdm, pre: &Option<Vec<Vec<F16>>>| -> Result<(), EngineError> {
-                    if let Some(rows) = pre {
-                        for (r, row) in rows.iter().enumerate() {
-                            let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            cast::castout_run(mem, job.format, addr, row)?;
-                        }
-                    }
-                    Ok(())
-                };
-
-            let mut attempt = 0u32;
-            loop {
-                if attempt > 0 {
-                    restore(mem, &z_pre)?;
-                }
-                let injector = FaultInjector::new(std::mem::take(&mut specs));
-                let report = self.run_with_faults(sub_job, mem, hci, injector)?;
-                let run_base = total_cycles;
-                total_cycles = total_cycles.saturating_add(report.cycles.count());
-                stall_cycles = stall_cycles.saturating_add(report.stall_cycles);
-                stats.merge(&report.stats);
-                stats.incr("ft_runs");
-                phases += report.phases;
-                log.absorb(&report.faults, run_base);
-
-                let clean = match ft.mode {
-                    FtMode::Replay => {
-                        // ABFT: recompute the tile from the operands the
-                        // engine saw and compare exact f64 checksums. The
-                        // check pipeline costs rows + cols + lat cycles.
-                        let abft = (tile.rows_live + tile.cols_live + lat) as u64;
-                        total_cycles = total_cycles.saturating_add(abft);
-                        stats.add("abft_cycles", abft);
-                        // The checksum pipeline is doing arithmetic, so its
-                        // cycles are attributed to compute.
-                        phases.add_many(Phase::Compute, abft);
-                        let shape = GemmShape::new(tile.rows_live, job.n, tile.cols_live);
-                        let mut x_sub = Vec::with_capacity(shape.x_len());
-                        for r in 0..tile.rows_live {
-                            let addr = sub_job.x_addr + esz * (r * job.x_ld()) as u32;
-                            x_sub.extend(cast::castin_slice(mem, job.format, addr, job.n)?);
-                        }
-                        let mut w_sub = Vec::with_capacity(shape.w_len());
-                        for n_idx in 0..job.n {
-                            let addr = sub_job.w_addr + esz * (n_idx * job.w_ld()) as u32;
-                            w_sub.extend(cast::castin_slice(
-                                mem,
-                                job.format,
-                                addr,
-                                tile.cols_live,
-                            )?);
-                        }
-                        let y_flat: Option<Vec<F16>> = z_pre.as_ref().map(|rows| rows.concat());
-                        // The cast-in operands are already FP16, so the
-                        // reference runs the functional kernel at FP16: the
-                        // same per-element fold as the golden model, bit for
-                        // bit. The engine narrows each result through the
-                        // castout stage before it lands in TCDM, so the
-                        // reference must pass through the same quantisation
-                        // or every clean FP8 tile would look corrupted.
-                        let reference: Vec<F16> = FunctionalGemm::new(cfg)
-                            .run_inner(shape, Format::Fp16, &x_sub, &w_sub, y_flat.as_deref())?
-                            .z
-                            .into_iter()
-                            .map(|v| job.format.quantize(v))
-                            .collect();
-                        let ref_rows: Vec<Vec<F16>> = reference
-                            .chunks(tile.cols_live.max(1))
-                            .map(<[F16]>::to_vec)
-                            .collect();
-                        let mut got_rows = Vec::with_capacity(tile.rows_live);
-                        for r in 0..tile.rows_live {
-                            let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            got_rows.push(cast::castin_slice(
-                                mem,
-                                job.format,
-                                addr,
-                                tile.cols_live,
-                            )?);
-                        }
-                        tile_signature(&got_rows) == tile_signature(&ref_rows)
-                    }
-                    FtMode::Redundancy => {
-                        // Duplication with comparison: run the tile again
-                        // on the same inputs and vote bitwise.
-                        let mut first = Vec::with_capacity(tile.rows_live);
-                        for r in 0..tile.rows_live {
-                            let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            first.push(cast::castin_slice(mem, job.format, addr, tile.cols_live)?);
-                        }
-                        restore(mem, &z_pre)?;
-                        let clean_run = self.run(sub_job, mem, hci)?;
-                        total_cycles = total_cycles.saturating_add(clean_run.cycles.count());
-                        stall_cycles = stall_cycles.saturating_add(clean_run.stall_cycles);
-                        stats.merge(&clean_run.stats);
-                        stats.incr("ft_runs");
-                        phases += clean_run.phases;
-                        let mut second = Vec::with_capacity(tile.rows_live);
-                        for r in 0..tile.rows_live {
-                            let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            second.push(cast::castin_slice(mem, job.format, addr, tile.cols_live)?);
-                        }
-                        first
-                            .iter()
-                            .flatten()
-                            .map(|v| v.to_bits())
-                            .eq(second.iter().flatten().map(|v| v.to_bits()))
-                    }
-                };
-
-                if clean {
-                    if attempt > 0 {
-                        log.record(
-                            total_cycles,
-                            format!("tile{idx}"),
-                            FaultClass::TransientFlip,
-                            FaultPhase::Corrected,
-                        );
-                        stats.incr("faults_corrected");
-                    }
-                    break;
-                }
-                log.record(
-                    total_cycles,
-                    format!("tile{idx}"),
-                    FaultClass::TransientFlip,
-                    FaultPhase::Detected,
-                );
-                stats.incr("faults_detected");
-                if attempt >= ft.max_retries {
-                    return Err(EngineError::FaultUnrecoverable {
-                        tile: idx,
-                        attempts: attempt + 1,
-                    });
-                }
-                attempt += 1;
-                stats.incr("tiles_replayed");
-            }
-        }
-
-        if persistent_injected > 0 {
-            stats.add("faults_injected", persistent_injected);
-        }
-        Ok(RunReport {
-            cycles: Cycle::new(total_cycles),
-            macs: job.shape().macs(),
-            stall_cycles,
-            phases,
-            stats,
-            faults: log,
-        })
+        Ok(session.finish())
     }
 }
 
@@ -949,36 +1051,28 @@ mod tests {
     use super::*;
     use crate::config::AccelConfig;
 
+    fn schedule(job: &Job) -> Schedule {
+        Schedule::new(&AccelConfig::paper(), job.shape(), job.format)
+    }
+
     #[test]
     fn expansion_is_deterministic_per_tile() {
-        let cfg = AccelConfig::paper();
         let job = Job::new(0, 0x400, 0x800, 16, 16, 16);
-        let geom = TileGeom {
-            rows_live: 8,
-            cols_live: 16,
-            n_chunks: 1,
-            est_len: 100,
-        };
+        let s = schedule(&job);
         let plan = FaultPlan::new(7)
             .with_random_transients(3, &[TransientTarget::Pipe, TransientTarget::WLoad]);
-        let a = plan.expand_for_tile(0, &cfg, &geom, &job);
-        let b = plan.expand_for_tile(0, &cfg, &geom, &job);
+        let a = plan.expand_for_tile(0, &s, &job);
+        let b = plan.expand_for_tile(0, &s, &job);
         assert_eq!(a, b, "same seed, same tile, same strikes");
         assert_eq!(a.len(), 3);
-        let c = plan.expand_for_tile(1, &cfg, &geom, &job);
+        let c = plan.expand_for_tile(1, &s, &job);
         assert_ne!(a, c, "tiles draw independent streams");
     }
 
     #[test]
     fn explicit_specs_filter_by_tile() {
-        let cfg = AccelConfig::paper();
         let job = Job::new(0, 0x400, 0x800, 16, 16, 16);
-        let geom = TileGeom {
-            rows_live: 8,
-            cols_live: 16,
-            n_chunks: 1,
-            est_len: 100,
-        };
+        let s = schedule(&job);
         let site = FaultSite::ZStore {
             store: 0,
             elem: 0,
@@ -989,27 +1083,21 @@ mod tests {
             cycle: 5,
             site,
         });
-        assert!(plan.expand_for_tile(0, &cfg, &geom, &job).is_empty());
-        assert_eq!(plan.expand_for_tile(1, &cfg, &geom, &job), vec![(5, site)]);
+        assert!(plan.expand_for_tile(0, &s, &job).is_empty());
+        assert_eq!(plan.expand_for_tile(1, &s, &job), vec![(5, site)]);
     }
 
     #[test]
     fn signature_catches_any_single_flip() {
-        let base: Vec<Vec<F16>> = (0..4)
-            .map(|r| {
-                (0..4)
-                    .map(|c| F16::from_f32((r * 4 + c) as f32 * 0.25))
-                    .collect()
-            })
-            .collect();
-        let sig = tile_signature(&base);
+        let base: Vec<F16> = (0..16).map(|i| F16::from_f32(i as f32 * 0.25)).collect();
+        let sig = tile_signature(&base, 4);
         for r in 0..4 {
             for c in 0..4 {
                 for bit in 0..16 {
                     let mut z = base.clone();
-                    flip(&mut z[r][c], bit);
+                    flip(&mut z[r * 4 + c], bit);
                     assert_ne!(
-                        tile_signature(&z),
+                        tile_signature(&z, 4),
                         sig,
                         "flip at ({r},{c}) bit {bit} must change the signature"
                     );

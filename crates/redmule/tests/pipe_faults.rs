@@ -74,14 +74,15 @@ fn strike(stage: usize, col: usize, row: usize, cycle: u64, bit: u8) -> (u64, St
         stage,
         bit,
     };
-    let report = Engine::new(AccelConfig::paper())
-        .run_with_faults(
-            job,
-            &mut mem,
-            &mut hci,
-            FaultInjector::new(vec![(cycle, site)]),
-        )
-        .expect("a pipe strike never aborts a raw run");
+    let mut session = Engine::new(AccelConfig::paper())
+        .start_with_faults(job, FaultInjector::new(vec![(cycle, site)]))
+        .expect("start the job");
+    while !session.is_finished() {
+        session
+            .tick(&mut mem, &mut hci, &[])
+            .expect("a pipe strike never aborts a raw run");
+    }
+    let report = session.finish();
     let z = castin_slice(&mem, Format::Fp16, job.z_addr, shape.z_len()).expect("read Z");
     let bytes: Vec<u8> = z.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
     let log: Vec<String> = report

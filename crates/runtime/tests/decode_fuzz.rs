@@ -2,11 +2,16 @@
 //! mutation of a valid `RMCK` checkpoint or `RMSS` session container —
 //! bit flips, truncations, insertions, or arbitrary garbage — must
 //! yield a typed [`redmule::DecodeError`], never a panic and never a
-//! silently accepted wrong value.
+//! silently accepted wrong value. A protected (RedMulE-FT) session's
+//! payload, damaged inside a well-formed container, must fail to resume
+//! with a typed error too.
 
 use proptest::prelude::*;
-use redmule::decode::DecodeError;
-use redmule::{stage_gemm_workspace_in, AccelConfig, Engine, Format, SessionState};
+use redmule::decode::{decode_container, encode_container, ContainerSpec, DecodeError};
+use redmule::{
+    stage_gemm_workspace_in, AccelConfig, Engine, EngineError, FaultPlan, FaultSite, FaultSpec,
+    Format, FtConfig, SessionState, TransientTarget, SESSION_STATE_VERSION,
+};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
 use redmule_runtime::{Checkpoint, Limits, Supervisor};
@@ -33,6 +38,41 @@ fn valid_checkpoint_bytes() -> Vec<u8> {
     let (job, mut mem, mut hci) =
         stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
     let run = supervisor.run(job, &mut mem, &mut hci).expect("run");
+    run.checkpoint
+        .expect("budget-bounded run yields a checkpoint")
+        .to_bytes()
+}
+
+/// A valid checkpoint of a protected job (Redundancy mode), taken at a
+/// verified tile boundary by a budget stop: its session payload carries
+/// the fault plan and the FT state after the injector.
+fn valid_protected_checkpoint_bytes() -> Vec<u8> {
+    let shape = GemmShape::new(8, 10, 16);
+    let (x, w) = data(shape, 43);
+    let engine = Engine::new(AccelConfig::new(4, 2, 1));
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
+    let plan = FaultPlan::new(5)
+        .with_random_transients(1, &[TransientTarget::Pipe, TransientTarget::ZStore])
+        .with_spec(FaultSpec {
+            tile: 6,
+            cycle: 3,
+            site: FaultSite::XLoad {
+                chunk: 0,
+                row: 1,
+                elem: 2,
+                bit: 13,
+            },
+        })
+        .with_hci_drops(3);
+    let session = engine
+        .start_ft(job, &plan, FtConfig::redundancy(), &mut mem, &mut hci)
+        .expect("start");
+    let run = Supervisor::new(engine)
+        .with_limits(Limits::none().with_max_cycles(200))
+        .run_session(session, &mut mem, &mut hci)
+        .expect("run");
+    assert!(run.tiles_done > 0, "the budget stop lands past tile 0");
     run.checkpoint
         .expect("budget-bounded run yields a checkpoint")
         .to_bytes()
@@ -105,6 +145,18 @@ proptest! {
         let at = byte % m.len();
         m[at] ^= mask;
         assert_rejects(&valid, m, SessionState::from_bytes);
+    }
+
+    #[test]
+    fn protected_checkpoint_decoder_survives_byte_mutations(
+        byte in 0usize..8192,
+        mask in any::<u8>(),
+    ) {
+        let valid = valid_protected_checkpoint_bytes();
+        let mut m = valid.clone();
+        let at = byte % m.len();
+        m[at] ^= mask;
+        assert_rejects(&valid, m, Checkpoint::from_bytes);
     }
 
     #[test]
@@ -197,6 +249,50 @@ fn damage_kinds_are_the_documented_ones() {
     for (i, a) in labels.iter().enumerate() {
         for b in &labels[i + 1..] {
             assert_ne!(a, b);
+        }
+    }
+}
+
+#[test]
+fn damaged_protected_session_payload_fails_to_resume_with_a_typed_error() {
+    // Damage under a valid envelope: the payload is re-wrapped with a
+    // fresh checksum, so only the session decoder stands guard.
+    const SESSION: ContainerSpec = ContainerSpec {
+        name: "session",
+        magic: *b"RMSS",
+        version: SESSION_STATE_VERSION,
+    };
+    // The instance, streamer policy and job descriptor lead the payload;
+    // a damaged job shape would size the resumed session's buffers before
+    // any check, so the flips below start after them.
+    const DESCRIPTOR_BYTES: usize = 3 * 8 + 1 + 3 * 4 + 3 * 8 + 1 + 3 * 8 + 1;
+    let checkpoint = Checkpoint::from_bytes(&valid_protected_checkpoint_bytes()).expect("valid");
+    let payload = decode_container(SESSION, &checkpoint.session().to_bytes()).expect("payload");
+    let engine = Engine::new(AccelConfig::new(4, 2, 1));
+    let resume = |bytes: &[u8]| {
+        let state = SessionState::from_bytes(&encode_container(SESSION, bytes))
+            .expect("a re-wrapped payload is a well-formed container");
+        engine.resume(&state)
+    };
+    assert!(resume(&payload).is_ok(), "the intact payload resumes");
+    for cut in 0..payload.len() {
+        assert!(
+            matches!(resume(&payload[..cut]), Err(EngineError::Snapshot(_))),
+            "payload cut at {cut} of {} must fail typed",
+            payload.len()
+        );
+    }
+    let mut extended = payload.clone();
+    extended.push(0);
+    assert!(matches!(resume(&extended), Err(EngineError::Snapshot(_))));
+    // Every flip past the descriptor either resumes or fails typed.
+    for at in DESCRIPTOR_BYTES..payload.len() {
+        for mask in [0x01u8, 0x80, 0xff] {
+            let mut damaged = payload.clone();
+            damaged[at] ^= mask;
+            if let Err(e) = resume(&damaged) {
+                assert!(matches!(e, EngineError::Snapshot(_)), "byte {at}: {e}");
+            }
         }
     }
 }

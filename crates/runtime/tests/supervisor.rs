@@ -1,8 +1,12 @@
 //! Supervisor behaviour: cycle budgets, panic isolation, watchdog
 //! recovery and graceful degradation.
 
-use redmule::{stage_gemm_workspace_in, AccelConfig, Engine, Format};
-use redmule_cluster::Initiator;
+use redmule::cast::castin_slice;
+use redmule::{
+    stage_gemm_workspace_in, AccelConfig, Engine, FaultPlan, FaultSite, FaultSpec, Format,
+    FtConfig, RunReport,
+};
+use redmule_cluster::{Hci, Initiator, Tcdm};
 use redmule_fp16::vector::{gemm_golden, GemmShape};
 use redmule_fp16::F16;
 use redmule_hwsim::snapshot::fnv1a64;
@@ -468,3 +472,175 @@ const PINNED_UNDER_CONTENTION: [ContentionPin; 2] = [
         ],
     ),
 ];
+
+/// Two transients on a protected job of the small instance (5x6x10: six
+/// tiles): an exponent flip in the pipeline of tile 1 and a flipped Z
+/// store of tile 3. Each fails its tile's check, so the tile is replayed.
+fn two_strikes() -> FaultPlan {
+    FaultPlan::new(3)
+        .with_spec(FaultSpec {
+            tile: 1,
+            cycle: 6,
+            site: FaultSite::Pipe {
+                col: 1,
+                row: 0,
+                stage: 0,
+                bit: 14,
+            },
+        })
+        .with_spec(FaultSpec {
+            tile: 3,
+            cycle: 0,
+            site: FaultSite::ZStore {
+                store: 0,
+                elem: 1,
+                bit: 14,
+            },
+        })
+}
+
+/// A protected job's operands and its freshly staged workspace.
+struct ProtectedCase {
+    shape: GemmShape,
+    format: Format,
+    x: Vec<F16>,
+    w: Vec<F16>,
+    y: Option<Vec<F16>>,
+}
+
+impl ProtectedCase {
+    fn new(format: Format, accumulate: bool) -> ProtectedCase {
+        let shape = GemmShape::new(5, 6, 10);
+        let (x, w) = data(shape, 29);
+        let y = accumulate.then(|| data(GemmShape::new(5, 10, 1), 31).0);
+        ProtectedCase {
+            shape,
+            format,
+            x,
+            w,
+            y,
+        }
+    }
+
+    fn stage(&self) -> (redmule::Job, Tcdm, Hci) {
+        stage_gemm_workspace_in(self.shape, self.format, &self.x, &self.w, self.y.as_deref())
+            .expect("stage")
+    }
+
+    fn z(&self, mem: &Tcdm, job: &redmule::Job) -> Vec<u16> {
+        bits(&castin_slice(mem, self.format, job.z_addr, self.shape.z_len()).expect("Z"))
+    }
+}
+
+/// Asserts that `got` reproduces `want` in every observable: cycles,
+/// MACs, stalls, phases, every stat and the fault log.
+fn assert_same_report(got: &RunReport, want: &RunReport, what: &str) {
+    assert_eq!(got.cycles, want.cycles, "{what}: cycles");
+    assert_eq!(got.macs, want.macs, "{what}: macs");
+    assert_eq!(got.stall_cycles, want.stall_cycles, "{what}: stall cycles");
+    assert_eq!(got.phases, want.phases, "{what}: phases");
+    assert_eq!(got.stats, want.stats, "{what}: stats");
+    assert_eq!(got.faults, want.faults, "{what}: fault log");
+}
+
+#[test]
+fn protected_job_resumes_bit_exactly_from_every_verified_tile_boundary() {
+    let engine = Engine::new(small_cfg());
+    let plan = two_strikes();
+    for ft in [FtConfig::replay(), FtConfig::redundancy()] {
+        for format in [Format::Fp16, Format::Fp8E4M3] {
+            for accumulate in [false, true] {
+                let case = ProtectedCase::new(format, accumulate);
+                let what = format!("{:?} {format} accumulate={accumulate}", ft.mode);
+                let (job, mut mem, mut hci) = case.stage();
+                let reference = engine
+                    .run_ft(job, &mut mem, &mut hci, &plan, ft)
+                    .expect("protected run");
+                let z_ref = case.z(&mem, &job);
+                assert_eq!(
+                    reference.stats.get("tiles_replayed"),
+                    2,
+                    "{what}: both strikes fail a check"
+                );
+                assert_eq!(reference.macs, case.shape.macs(), "{what}: job MACs");
+
+                // One walk, checkpointed at every verified tile boundary:
+                // before the first tile and after each tile passes.
+                let (job, mut mem, mut hci) = case.stage();
+                let mut session = engine
+                    .start_ft(job, &plan, ft, &mut mem, &mut hci)
+                    .expect("start");
+                let mut checkpoints: Vec<Checkpoint> = Vec::new();
+                loop {
+                    if session.at_tile_boundary() && session.tiles_completed() == checkpoints.len()
+                    {
+                        let ckpt = Checkpoint::capture(&mut session, &mem, &hci)
+                            .expect("checkpoint at a verified boundary");
+                        checkpoints.push(ckpt);
+                    }
+                    if session.is_finished() {
+                        break;
+                    }
+                    session.tick(&mut mem, &mut hci, &[]).expect("tick");
+                }
+                assert_eq!(checkpoints.len(), session.tiles_total() + 1, "{what}");
+                assert_same_report(&session.finish(), &reference, &what);
+                assert_eq!(case.z(&mem, &job), z_ref, "{what}: Z");
+
+                for (tile, ckpt) in checkpoints.iter().enumerate() {
+                    let ckpt = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("decode");
+                    let (job, mut mem, mut hci) = case.stage();
+                    let mut resumed = ckpt.restore(&engine, &mut mem, &mut hci).expect("resume");
+                    assert_eq!(resumed.tiles_completed(), tile, "{what}");
+                    while !resumed.is_finished() {
+                        resumed.tick(&mut mem, &mut hci, &[]).expect("tick");
+                    }
+                    let at = format!("{what}, resumed after {tile} tiles");
+                    assert_same_report(&resumed.finish(), &reference, &at);
+                    assert_eq!(case.z(&mem, &job), z_ref, "{at}: Z");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn protected_job_degrades_at_its_budget_and_resumes_bit_exactly() {
+    let engine = Engine::new(small_cfg());
+    let plan = two_strikes();
+    for ft in [FtConfig::replay(), FtConfig::redundancy()] {
+        let case = ProtectedCase::new(Format::Fp16, true);
+        let (job, mut mem, mut hci) = case.stage();
+        let reference = engine
+            .run_ft(job, &mut mem, &mut hci, &plan, ft)
+            .expect("protected run");
+        let z_ref = case.z(&mem, &job);
+
+        let budget = reference.cycles.count() / 2;
+        let supervisor =
+            Supervisor::new(engine.clone()).with_limits(Limits::none().with_max_cycles(budget));
+        let (job, mut mem, mut hci) = case.stage();
+        let session = engine
+            .start_ft(job, &plan, ft, &mut mem, &mut hci)
+            .expect("start");
+        let partial = supervisor
+            .run_session(session, &mut mem, &mut hci)
+            .expect("supervised run");
+        assert_eq!(partial.stop, StopReason::CycleBudget, "{:?}", ft.mode);
+        assert!(partial.degraded);
+        assert!(partial.tiles_done > 0 && partial.tiles_done < partial.tiles_total);
+        assert!(partial.report.cycles.count() >= budget);
+        let checkpoint = partial
+            .checkpoint
+            .expect("degraded run carries a checkpoint");
+
+        let checkpoint = Checkpoint::from_bytes(&checkpoint.to_bytes()).expect("decode");
+        let (_, mut mem, mut hci) = case.stage();
+        let finished = Supervisor::new(engine.clone())
+            .resume(&checkpoint, &mut mem, &mut hci)
+            .expect("resume");
+        assert_eq!(finished.stop, StopReason::Completed);
+        assert_same_report(&finished.report, &reference, &format!("{:?}", ft.mode));
+        assert_eq!(case.z(&mem, &job), z_ref, "{:?}: Z", ft.mode);
+    }
+}
