@@ -47,21 +47,11 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// What the pool's schedule costs, as opposed to what the jobs computed:
-/// per-worker simulated busy cycles and job counts. Unlike
-/// [`BatchReport`], this varies with the worker count — the schedule
-/// *is* the worker count's effect — so it lives outside the canonical
-/// report.
-///
-/// The stats come from a *deterministic virtual replay* of a
-/// deal-then-steal policy on per-job simulated cycles, modeling `W`
-/// dedicated workers that each advance only while executing a job: jobs
-/// dealt round-robin onto per-worker deques, and a drained worker
-/// stealing from its peers. The OS threads still run the jobs (that is
-/// where host-side wall-clock parallelism comes from), but which thread
-/// happened to take each job does not leak into the stats — on a loaded
-/// or single-core host that assignment is timing noise, not a property
-/// of the pool.
+/// What a batch costs on `workers` dedicated workers: a deterministic
+/// replay of a deal-then-steal policy over the report's per-job
+/// simulated cycles ([`ScheduleStats::replay`]). It is a function of the
+/// report and the worker count only; the pool's own policy and the
+/// number of host threads it ran never reach it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Number of workers the batch ran with.
@@ -79,6 +69,43 @@ pub struct ScheduleStats {
 }
 
 impl ScheduleStats {
+    /// Replays `report` on `workers` (at least 1) dedicated workers. Each
+    /// job costs its executed cycles plus the deterministic retry backoff
+    /// its recovery consumed. The jobs are dealt round-robin in id order
+    /// onto per-worker deques; then the least-busy worker (ties to the
+    /// lowest index) takes the front of its own deque or, once that is
+    /// drained, the back of the next non-empty peer's.
+    ///
+    /// # Panics
+    ///
+    /// If `workers` is 0 and the report holds a job.
+    pub fn replay(report: &BatchReport, workers: usize) -> ScheduleStats {
+        let mut deques: Vec<VecDeque<u64>> = (0..workers)
+            .map(|w| {
+                let dealt = report.jobs.iter().skip(w).step_by(workers);
+                dealt.map(|j| j.cycles + j.backoff_cycles).collect()
+            })
+            .collect();
+        let mut busy = vec![0u64; workers];
+        let mut jobs_run = vec![0usize; workers];
+        for _ in 0..report.jobs.len() {
+            let w = (0..workers).min_by_key(|&w| (busy[w], w)).unwrap_or(0);
+            let taken = deques[w]
+                .pop_front()
+                .or_else(|| (1..workers).find_map(|off| deques[(w + off) % workers].pop_back()));
+            if let Some(cycles) = taken {
+                busy[w] += cycles;
+                jobs_run[w] += 1;
+            }
+        }
+        ScheduleStats {
+            workers,
+            per_worker_busy_cycles: busy,
+            per_worker_jobs: jobs_run,
+            backoff_cycles: report.total_backoff_cycles(),
+        }
+    }
+
     /// The schedule makespan: the busiest worker's simulated cycles.
     /// With one worker this equals the serial total; with `W` balanced
     /// workers it approaches `total / W`.
@@ -103,7 +130,7 @@ pub struct BatchOutcome {
     /// Per-job results and aggregates, keyed by job id. Byte-identical
     /// canonical serialization for any worker count.
     pub report: BatchReport,
-    /// What the pool did with its workers.
+    /// The report replayed on `workers` dedicated workers.
     pub schedule: ScheduleStats,
 }
 
@@ -114,8 +141,8 @@ pub struct BatchOutcome {
 /// id, and whichever thread is free takes the next, so the heaviest jobs
 /// start first and a mix of heavy and light jobs stays balanced with one
 /// atomic increment per job. Which thread runs which job is invisible:
-/// results are merged by index, and [`ScheduleStats`] comes from a
-/// virtual replay in id order.
+/// the report sorts the results by id, and [`ScheduleStats`] replays
+/// that report.
 ///
 /// The pool is persistent. The calling thread works as worker 0; the
 /// other workers are helper threads that start on the first run with
@@ -162,11 +189,6 @@ impl BatchExecutor {
         self
     }
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs every job and returns the batch outcome.
     ///
     /// Results are keyed by job id: `outcome.report.jobs` is sorted by
@@ -192,41 +214,11 @@ impl BatchExecutor {
             }
             job.validate().map_err(BatchError::InvalidJob)?;
         }
-        // Canonical order: by id, the order results merge in and the
-        // virtual replay deals the jobs.
-        jobs.sort_by_key(|j| j.id);
-
-        let collected = self.execute(jobs)?;
-
-        // The schedule charges each job its executed cycles plus the
-        // deterministic retry-backoff cycles its recovery consumed: a
-        // worker that spent recovery delay on a job is busy for it.
-        let cycles: Vec<u64> = collected
-            .iter()
-            .map(|r| r.cycles + r.backoff_cycles)
-            .collect();
-        let backoff_total: u64 = collected.iter().map(|r| r.backoff_cycles).sum();
-        let (busy, jobs_run) = virtual_schedule(self.workers, &cycles);
-        Ok(BatchOutcome {
-            report: BatchReport::new(collected),
-            schedule: ScheduleStats {
-                workers: self.workers,
-                per_worker_busy_cycles: busy,
-                per_worker_jobs: jobs_run,
-                backoff_cycles: backoff_total,
-            },
-        })
-    }
-
-    /// Runs the id-sorted `jobs` on the caller and the pool's helpers and
-    /// returns their results in id order. An empty or 1-job batch, and
-    /// any batch of a 1-worker executor, runs on the caller alone.
-    fn execute(&self, jobs: Vec<GemmJob>) -> Result<Vec<JobResult>, BatchError> {
+        sort_longest_first(self.engine.config(), &mut jobs);
         let n_jobs = jobs.len();
         let mut pool = lock(&self.pool);
         let helpers = pool.start(self.workers, n_jobs.saturating_sub(1));
         let batch = Batch {
-            order: longest_first(self.engine.config(), &jobs),
             jobs,
             engine: self.engine.clone(),
             trace: self.trace,
@@ -234,16 +226,16 @@ impl BatchExecutor {
         };
         let parts = pool.broadcast(helpers, move |_| batch.work());
         drop(pool);
-        merge_shares(parts, n_jobs)
+        let report = BatchReport::new(merge_shares(parts, n_jobs)?);
+        let schedule = ScheduleStats::replay(&report, self.workers);
+        Ok(BatchOutcome { report, schedule })
     }
 }
 
-/// One run as the workers share it: the id-sorted jobs, the order they
-/// are handed out in, the engine template and the cursor into that
-/// order.
+/// One run as the workers share it: the jobs in the order they are
+/// handed out, the engine template and the cursor into them.
 struct Batch {
     jobs: Vec<GemmJob>,
-    order: Vec<usize>,
     engine: Engine,
     trace: bool,
     next: AtomicUsize,
@@ -251,55 +243,48 @@ struct Batch {
 
 impl Batch {
     /// One worker's share: the next job from the cursor, until it passes
-    /// the last job. Returns `(index, result)` pairs in execution order.
-    fn work(&self) -> Vec<(usize, JobResult)> {
+    /// the last job. Returns the results in execution order.
+    fn work(&self) -> Vec<JobResult> {
         let mut done = Vec::new();
         loop {
             // `Relaxed` suffices: the cursor publishes no data. Helpers
             // get the batch through their task channel before their first
             // take and send their results back through the done channel.
             let at = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(&idx) = self.order.get(at) else {
+            let Some(job) = self.jobs.get(at) else {
                 return done;
             };
-            done.push((idx, exec_job(&self.engine, &self.jobs[idx], self.trace)));
+            done.push(exec_job(&self.engine, job, self.trace));
         }
     }
 }
 
-/// The indices of the id-sorted `jobs`, longest first: descending
-/// [`Schedule::total_cycles`] on `cfg`, ties in id order. Heavy jobs then
-/// start first, so no thread idles at the end of a run while another
-/// runs the heaviest job alone.
-fn longest_first(cfg: &AccelConfig, jobs: &[GemmJob]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_cached_key(|&idx| {
-        let job = &jobs[idx];
-        Reverse(
-            Schedule::new(cfg, job.shape, job.format)
-                .total_cycles()
-                .count(),
-        )
+/// Orders `jobs` longest first: descending [`Schedule::total_cycles`] on
+/// `cfg`, ties in id order. Heavy jobs then start first, so no thread
+/// idles at the end of a run while another runs the heaviest job alone.
+fn sort_longest_first(cfg: &AccelConfig, jobs: &mut [GemmJob]) {
+    jobs.sort_by_cached_key(|job| {
+        let cycles = Schedule::new(cfg, job.shape, job.format).total_cycles();
+        (Reverse(cycles.count()), job.id)
     });
-    order
 }
 
-/// Merges the workers' shares of an `n_jobs` batch into id order. The
-/// first panicked share, in worker order, fails the run.
+/// Joins the workers' shares of an `n_jobs` batch. The first panicked
+/// share, in worker order, fails the run.
 fn merge_shares(
-    parts: Vec<Result<Vec<(usize, JobResult)>, String>>,
+    parts: Vec<Result<Vec<JobResult>, String>>,
     n_jobs: usize,
 ) -> Result<Vec<JobResult>, BatchError> {
-    let mut slots: Vec<Option<JobResult>> = vec![None; n_jobs];
+    let mut results = Vec::with_capacity(n_jobs);
     for part in parts {
-        for (idx, result) in part.map_err(BatchError::WorkerPanicked)? {
-            slots[idx] = Some(result);
-        }
+        results.extend(part.map_err(BatchError::WorkerPanicked)?);
     }
-    slots
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| BatchError::WorkerPanicked("a job was never executed".to_owned()))
+    if results.len() != n_jobs {
+        return Err(BatchError::WorkerPanicked(
+            "a job was never executed".to_owned(),
+        ));
+    }
+    Ok(results)
 }
 
 /// Helper threads for an executor of `workers` workers on a host with
@@ -424,48 +409,6 @@ impl Drop for Pool {
 /// Runs `f`, turning a panic into its message.
 fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(payload.as_ref()))
-}
-
-/// Deterministically replays a deal-then-steal policy on a virtual
-/// clock: jobs (indexed in id order, `cycles[i]` = job `i`'s
-/// simulated cost) are dealt round-robin, then whichever virtual worker
-/// is least busy takes the next job — front of its own deque, back of a
-/// peer's once drained. Greedy list scheduling, so workers are never
-/// idle while work remains and each worker's finish time equals its busy
-/// cycles.
-fn virtual_schedule(workers: usize, cycles: &[u64]) -> (Vec<u64>, Vec<usize>) {
-    let mut deques: Vec<VecDeque<usize>> = (0..workers)
-        .map(|w| (w..cycles.len()).step_by(workers).collect())
-        .collect();
-    let mut busy = vec![0u64; workers];
-    let mut jobs_run = vec![0usize; workers];
-    for _ in 0..cycles.len() {
-        // Least-busy worker takes the next job; ties break to the
-        // lowest index, keeping the replay fully deterministic.
-        let w = (0..workers).min_by_key(|&w| (busy[w], w)).unwrap_or(0);
-        let idx = match virtual_take(&mut deques, w) {
-            Some(i) => i,
-            None => break, // unreachable: one deque entry exists per job
-        };
-        busy[w] += cycles[idx];
-        jobs_run[w] += 1;
-    }
-    (busy, jobs_run)
-}
-
-/// The next job for virtual worker `w`: front of its own deque, then
-/// steals from the back of its peers'.
-fn virtual_take(deques: &mut [VecDeque<usize>], w: usize) -> Option<usize> {
-    if let Some(idx) = deques[w].pop_front() {
-        return Some(idx);
-    }
-    let n = deques.len();
-    for off in 1..n {
-        if let Some(idx) = deques[(w + off) % n].pop_back() {
-            return Some(idx);
-        }
-    }
-    None
 }
 
 /// Mutex lock that survives a poisoned peer: the pool is changed one
@@ -751,47 +694,70 @@ mod tests {
     }
 
     #[test]
-    fn schedule_replays_the_jobs_in_id_order() {
-        // The report re-sorts by id on its own, so only the schedule can
-        // tell whether the merge handed the replay its cycles in id
-        // order, the order the virtual deal uses.
-        let outcome = BatchExecutor::new(3)
-            .run(mixed_jobs(12))
-            .expect("batch runs");
-        let cycles: Vec<u64> = outcome
-            .report
-            .jobs
-            .iter()
-            .map(|r| r.cycles + r.backoff_cycles)
+    fn replay_deals_in_id_order_and_steals_from_the_back() {
+        // Costs by id: 5, 1, 1, 1+2 (backoff), 1, submitted in reverse.
+        // Dealt onto 2 workers: [0, 2, 4] and [1, 3]. Worker 0 takes job
+        // 0 (5); worker 1 takes 1 and 3 (busy 4), then steals job 4 from
+        // the back of worker 0's deque (5); the 5/5 tie goes to worker 0,
+        // which takes job 2 from its front (6).
+        let job =
+            |id: u64| GemmJob::new(id, GemmShape::new(1, 1, 1), vec![F16::ONE], vec![F16::ONE]);
+        let results = (0..5u64)
+            .rev()
+            .map(|id| JobResult {
+                cycles: if id == 0 { 5 } else { 1 },
+                backoff_cycles: if id == 3 { 2 } else { 0 },
+                ..JobResult::new(&job(id), BackendKind::Functional, 1)
+            })
             .collect();
-        let (busy, jobs_run) = virtual_schedule(3, &cycles);
-        assert_eq!(outcome.schedule.per_worker_busy_cycles, busy);
-        assert_eq!(outcome.schedule.per_worker_jobs, jobs_run);
+        let stats = ScheduleStats::replay(&BatchReport::new(results), 2);
+        assert_eq!(
+            stats,
+            ScheduleStats {
+                workers: 2,
+                per_worker_busy_cycles: vec![6, 5],
+                per_worker_jobs: vec![2, 3],
+                backoff_cycles: 2,
+            }
+        );
+        assert_eq!(stats.makespan_cycles(), 6);
+        assert_eq!(stats.total_busy_cycles(), 11);
     }
 
     #[test]
     fn jobs_are_handed_out_longest_first() {
         // mixed_jobs cycles through 4x8x6 (one tile), 8x16x16 (one long
         // tile) and 3x5x21 (two tiles): descending modeled cycles, ties
-        // in id order, whatever the backend.
+        // in id order, whatever the backend or the submission order.
         let cfg = AccelConfig::paper();
-        let jobs = mixed_jobs(7);
-        let order = longest_first(&cfg, &jobs);
-        let cycles: Vec<u64> = order
-            .iter()
-            .map(|&idx| {
-                Schedule::new(&cfg, jobs[idx].shape, jobs[idx].format)
-                    .total_cycles()
-                    .count()
-            })
-            .collect();
-        assert_eq!(order, vec![2, 5, 1, 4, 0, 3, 6]);
-        assert_eq!(cycles, vec![105, 105, 99, 99, 59, 59, 59]);
+        let handed_out = |mut jobs: Vec<GemmJob>| -> Vec<(u64, u64)> {
+            jobs.reverse();
+            sort_longest_first(&cfg, &mut jobs);
+            jobs.iter()
+                .map(|j| {
+                    let cycles = Schedule::new(&cfg, j.shape, j.format).total_cycles();
+                    (j.id, cycles.count())
+                })
+                .collect()
+        };
+        assert_eq!(
+            handed_out(mixed_jobs(7)),
+            [
+                (2, 105),
+                (5, 105),
+                (1, 99),
+                (4, 99),
+                (0, 59),
+                (3, 59),
+                (6, 59)
+            ]
+        );
         // FP8 halves the fill and the drain: job 1 drops to 89 cycles,
         // behind its 99-cycle FP16 twin, job 4.
         let mut fp8 = mixed_jobs(5);
         fp8[1].format = Format::Fp8E4M3;
-        assert_eq!(longest_first(&cfg, &fp8), vec![2, 4, 1, 0, 3]);
+        let ids: Vec<u64> = handed_out(fp8).iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [2, 4, 1, 0, 3]);
     }
 
     #[test]
@@ -829,7 +795,7 @@ mod tests {
         assert_eq!(pool.start(exec.workers, 1), 1);
         // A panic on the helper, then one on the caller.
         for victim in [1, 0] {
-            let parts = pool.broadcast(1, move |w| -> Vec<(usize, JobResult)> {
+            let parts = pool.broadcast(1, move |w| -> Vec<JobResult> {
                 if w == victim {
                     panic!("injected panic in worker {w}");
                 }
@@ -842,6 +808,13 @@ mod tests {
                 )))
             );
         }
+        // A run whose shares come back short fails too.
+        assert_eq!(
+            merge_shares(vec![Ok(Vec::new())], 1).map(|results| results.len()),
+            Err(BatchError::WorkerPanicked(
+                "a job was never executed".to_owned()
+            ))
+        );
         drop(pool);
         let outcome = exec.run(jobs).expect("the next run works");
         assert_eq!(outcome.report.to_canonical_json(), reference);

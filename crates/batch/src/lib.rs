@@ -10,28 +10,27 @@
 //!   own execution model ([`BackendKind`]), supervision
 //!   [`Limits`](redmule_runtime::Limits), fault plan and checkpoint
 //!   cadence.
-//! * [`BatchExecutor`] — a persistent pool: the workers take jobs in id
-//!   order from one shared cursor, whichever is free taking the next, so
-//!   an imbalanced mix of heavy and light jobs still keeps every worker
-//!   busy. The calling thread works as worker 0; the helper threads,
-//!   capped by the host's parallelism, start on the first run with work
-//!   for them and park between runs. Each worker fills its own result
-//!   vector, merged by job id after the run. Every job runs on its own
-//!   engine/workspace instance; nothing is shared between jobs, so the
-//!   parallelism cannot perturb the simulated results.
+//! * [`BatchExecutor`] — a persistent pool: the workers take jobs
+//!   longest first (by modeled cycles, ties by id) from one shared
+//!   cursor, whichever is free taking the next, so an imbalanced mix of
+//!   heavy and light jobs still keeps every worker busy. The calling
+//!   thread works as worker 0; the helper threads, capped by the host's
+//!   parallelism, start on the first run with work for them and park
+//!   between runs. Every job runs on its own engine/workspace instance;
+//!   nothing is shared between jobs, so the parallelism cannot perturb
+//!   the simulated results.
 //! * [`BatchReport`] — per-job results **keyed by job id, never by
 //!   completion order**, plus aggregated cycles, utilization and fault
 //!   telemetry. Its canonical serialization is byte-identical for any
 //!   worker count (the determinism regression test in
 //!   `tests/determinism.rs` runs the same job set on 1, 2 and 8 workers).
-//! * [`ScheduleStats`] — what the pool's schedule costs: per-worker busy
-//!   cycles and the schedule makespan, from which throughput scaling is
-//!   derived. Computed by a deterministic virtual replay of a
-//!   deal-then-steal policy over per-job simulated cycles, so it models
-//!   `workers` dedicated workers rather than host timeslicing, whatever
-//!   number of threads the host ran. It is
-//!   intentionally kept outside [`BatchReport`], because it legitimately
-//!   varies with the worker count.
+//! * [`ScheduleStats`] — what the batch costs on `workers` dedicated
+//!   workers: per-worker busy cycles and the makespan, from which
+//!   throughput scaling is derived. A deterministic replay of a
+//!   deal-then-steal policy over the report's per-job simulated cycles,
+//!   so it models `workers` dedicated workers whatever number of threads
+//!   the host ran. It is intentionally kept outside [`BatchReport`],
+//!   because it legitimately varies with the worker count.
 //!
 //! Cycle-accurate jobs are driven through
 //! [`redmule_runtime::Supervisor`], so per-job cycle budgets, panics and

@@ -5,7 +5,7 @@
 //! plan and all three storage formats (FP16 plus both FP8 formats),
 //! submitted in shuffled id order.
 
-use redmule::{BackendKind, FaultPlan, FaultSite, Format, FtConfig, TransientTarget};
+use redmule::{BackendKind, FaultPlan, FaultSite, FaultSpec, Format, FtConfig};
 use redmule_batch::{GemmJob, JobFaults};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
@@ -21,6 +21,23 @@ pub fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
             .collect()
     };
     (gen(shape.x_len(), seed), gen(shape.w_len(), seed ^ 0xBEEF))
+}
+
+/// A pinned transient that lands: an exponent flip (bit 14) of a partial
+/// sum in column 1, row 0, stage 0 at cycle 8 of `tile`, while the
+/// pipeline holds it. Replay's ABFT check and Redundancy's vote both
+/// catch and correct it.
+pub fn pipe_strike(tile: usize) -> FaultPlan {
+    FaultPlan::new(0).with_spec(FaultSpec {
+        tile,
+        cycle: 8,
+        site: FaultSite::Pipe {
+            col: 1,
+            row: 0,
+            stage: 0,
+            bit: 14,
+        },
+    })
 }
 
 /// A batch exercising every execution path the executor has.
@@ -83,12 +100,13 @@ pub fn adversarial_job_set() -> Vec<GemmJob> {
         ])),
     );
 
-    // FT-protected execution of a seeded transient plan.
+    // FT-protected execution of a transient that strikes the job's one
+    // tile and is detected and corrected.
     let shape = GemmShape::new(8, 8, 16);
     let (x, w) = data(shape, 66);
     jobs.push(
         GemmJob::new(7, shape, x, w).with_faults(JobFaults::Protected {
-            plan: FaultPlan::new(0x0BAD_5EED).with_random_transients(1, &[TransientTarget::Pipe]),
+            plan: pipe_strike(0),
             ft: FtConfig::replay(),
         }),
     );
@@ -122,8 +140,7 @@ pub fn adversarial_job_set() -> Vec<GemmJob> {
         GemmJob::new(10, shape, x, w)
             .with_format(Format::Fp8E5M2)
             .with_faults(JobFaults::Protected {
-                plan: FaultPlan::new(0xF8F8_5EED)
-                    .with_random_transients(1, &[TransientTarget::Pipe]),
+                plan: pipe_strike(0),
                 ft: FtConfig::redundancy(),
             }),
     );

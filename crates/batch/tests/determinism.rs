@@ -9,8 +9,10 @@
 mod common;
 
 use common::adversarial_job_set;
+use redmule::obs::EventKind;
 use redmule::BackendKind;
 use redmule_batch::{BatchExecutor, JobStatus};
+use redmule_hwsim::FaultPhase;
 
 #[test]
 fn report_bytes_are_identical_for_1_2_and_8_workers() {
@@ -66,6 +68,7 @@ fn the_job_set_actually_covers_the_interesting_paths() {
     // Guard against this canary silently weakening: the batch must
     // contain a degraded job, fault telemetry and both backends.
     let report = BatchExecutor::new(4)
+        .with_event_trace()
         .run(adversarial_job_set())
         .expect("batch")
         .report;
@@ -77,6 +80,26 @@ fn the_job_set_actually_covers_the_interesting_paths() {
     assert_eq!(report.degraded(), 1);
     assert_eq!(report.jobs[5].status, JobStatus::CycleBudget);
     assert!(report.total_fault_events() > 0);
+    // Both FT-protected jobs take a strike that their protection
+    // detects and corrects, so the canaries cover real FT recovery.
+    for id in [7, 10] {
+        let phases: Vec<FaultPhase> = report.jobs[id]
+            .events
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Fault { phase, .. } => Some(phase),
+                _ => None,
+            })
+            .collect();
+        for phase in [
+            FaultPhase::Injected,
+            FaultPhase::Detected,
+            FaultPhase::Corrected,
+        ] {
+            assert!(phases.contains(&phase), "job {id} logged no {phase} fault");
+        }
+    }
     assert!(report
         .jobs
         .iter()

@@ -8,9 +8,7 @@ mod common;
 
 use common::adversarial_job_set;
 use redmule::obs::{validate_chrome_trace, Channel, EventKind, TraceEvent};
-use redmule::{
-    stage_gemm_workspace_in, AccelConfig, Engine, FaultPlan, FaultSite, FaultSpec, FtConfig,
-};
+use redmule::{stage_gemm_workspace_in, AccelConfig, Engine, FtConfig};
 use redmule_batch::{BatchExecutor, GemmJob, JobFaults};
 use redmule_fp16::vector::GemmShape;
 use redmule_hwsim::FaultPhase;
@@ -96,23 +94,14 @@ fn protected_jobs_trace_every_tile_run_and_every_fault() {
     // Protected jobs run as sessions in the one engine walk, so their
     // lanes hold the live event stream. Each is checked against the same
     // job run directly. The set's jobs 7 (FP16, Replay) and 10 (E5M2,
-    // Redundancy) draw strikes that never land (due after their tile has
-    // drained), so jobs 11 and 12 pin one that does: an exponent flip of
-    // a partial sum in tile 1 of 2, caught by ABFT and by the vote.
+    // Redundancy) take a strike in their one tile; jobs 11 and 12 take
+    // the same strike in tile 1 of 2, so a struck tile follows a clean
+    // one. ABFT and the vote catch and correct every one.
     let mut jobs = adversarial_job_set();
     for (id, ft) in [(11u64, FtConfig::replay()), (12, FtConfig::redundancy())] {
         let shape = GemmShape::new(8, 8, 32);
         let (x, w) = common::data(shape, id as u32);
-        let plan = FaultPlan::new(0).with_spec(FaultSpec {
-            tile: 1,
-            cycle: 8,
-            site: FaultSite::Pipe {
-                col: 1,
-                row: 0,
-                stage: 0,
-                bit: 14,
-            },
-        });
+        let plan = common::pipe_strike(1);
         jobs.push(GemmJob::new(id, shape, x, w).with_faults(JobFaults::Protected { plan, ft }));
     }
     let report = BatchExecutor::new(2)

@@ -8,7 +8,7 @@
 use crate::workloads;
 use redmule::faults::{FaultPlan, FtConfig, FtMode, TransientTarget};
 use redmule::{AccelConfig, Accelerator, BackendKind, EngineError, Format, FunctionalGemm};
-use redmule_batch::{BatchExecutor, GemmJob};
+use redmule_batch::{BatchExecutor, GemmJob, ScheduleStats};
 use redmule_cluster::{baseline::SwGemm, ClusterConfig};
 use redmule_energy::{table1, AreaModel, OperatingPoint, PowerModel, Technology};
 use redmule_fp16::vector::GemmShape;
@@ -976,7 +976,8 @@ pub fn degradation() -> Result<String, EngineError> {
 /// One worker-count point of the batch scaling sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPoint {
-    /// Worker threads in the pool.
+    /// Workers: dedicated accelerators in the makespan model, and the
+    /// cap on the pool's host threads in the wall leg.
     pub workers: usize,
     /// Modeled makespan: simulated cycles of the busiest worker.
     pub makespan_cycles: u64,
@@ -995,11 +996,12 @@ pub struct BatchPoint {
 /// worker count for a fixed batch of independent GEMMs, reported two
 /// honest ways.
 ///
-/// *Modeled* throughput is what the accelerator would sustain: each
-/// worker accounts the simulated cycles of the jobs it executed, the
-/// makespan is the busiest worker's total, and jobs/sec = jobs × f_clk /
-/// makespan. It is bit-deterministic and guards the *scheduler* — a pool
-/// that serialized every job onto one worker would show no scaling.
+/// *Modeled* throughput is what `workers` dedicated accelerators would
+/// sustain: the batch's per-job simulated cycles are dealt out and
+/// stolen as [`ScheduleStats::replay`] describes, the makespan is the
+/// busiest accelerator's total, and jobs/sec = jobs × f_clk / makespan.
+/// It is bit-deterministic: a function of the jobs and the worker count
+/// only.
 ///
 /// *Wall* throughput is what the host actually delivers: the same batch
 /// re-run on the functional backend under a wall clock, median of
@@ -1158,8 +1160,8 @@ const WALL_REPEATS: usize = 5;
 
 /// The fixed batch both throughput legs run: 64
 /// jobs of small shapes in smoke mode, 256 heavier jobs otherwise. Five
-/// shapes, coprime with every worker count in the sweep, so the virtual
-/// replay's round-robin deal hands each worker a mix of weights rather
+/// shapes, coprime with every worker count in the sweep, so the makespan
+/// model's round-robin deal hands each worker a mix of weights rather
 /// than a resonant all-light / all-heavy split.
 fn batch_job_mix(smoke: bool) -> Vec<GemmJob> {
     let n_jobs: usize = if smoke { 64 } else { 256 };
@@ -1190,12 +1192,12 @@ fn batch_job_mix(smoke: bool) -> Vec<GemmJob> {
         .collect()
 }
 
-/// Runs a fixed batch of independent GEMM jobs through the batch
-/// executor at 1, 2, 4 and 8 workers and reports both modeled
-/// (accelerator-cycle) and measured (host wall-clock, functional
-/// backend) jobs/sec. While measuring, it also asserts the canonical
-/// batch report is byte-identical across every worker count — the
-/// determinism contract the parallel writeback must uphold.
+/// Runs a fixed batch of independent GEMM jobs and reports, at 1, 2, 4
+/// and 8 workers, both modeled (accelerator-cycle, from one engine run
+/// of the batch) and measured (host wall-clock, functional backend)
+/// jobs/sec. While measuring, it also asserts the canonical batch report
+/// is byte-identical across every worker count — the determinism
+/// contract the parallel writeback must uphold.
 ///
 /// `smoke` selects the small CI workload (64 jobs of small shapes);
 /// without it the batch is 4x larger with heavier shapes.
@@ -1218,23 +1220,28 @@ pub fn batch_throughput(smoke: bool) -> Result<BatchThroughput, EngineError> {
         .map(|j| j.with_backend(BackendKind::Functional))
         .collect();
 
+    // The modeled leg: the report is the same at any worker count, so
+    // the engine batch runs once and `ScheduleStats::replay` deals it
+    // out at each count.
+    let report = BatchExecutor::new(8)
+        .run(jobs)
+        .map_err(|e| EngineError::InvalidJob(format!("batch executor: {e}")))?
+        .report;
+    if !report.all_completed() {
+        return Err(EngineError::InvalidJob(format!(
+            "{} of {} jobs did not complete",
+            report.jobs.len() - report.completed(),
+            report.jobs.len(),
+        )));
+    }
+
     let freq_mhz = OperatingPoint::peak_performance().frequency().as_mhz();
     let mut points = Vec::new();
     let mut canonical: Option<String> = None;
     for workers in [1usize, 2, 4, 8] {
-        let outcome = BatchExecutor::new(workers)
-            .run(jobs.clone())
-            .map_err(|e| EngineError::InvalidJob(format!("batch executor: {e}")))?;
-        if !outcome.report.all_completed() {
-            return Err(EngineError::InvalidJob(format!(
-                "{} of {} jobs did not complete at {} workers",
-                outcome.report.jobs.len() - outcome.report.completed(),
-                outcome.report.jobs.len(),
-                workers,
-            )));
-        }
-        let makespan = outcome.schedule.makespan_cycles();
-        let busy = outcome.schedule.total_busy_cycles();
+        let schedule = ScheduleStats::replay(&report, workers);
+        let makespan = schedule.makespan_cycles();
+        let busy = schedule.total_busy_cycles();
         let modeled_jobs_per_sec = n_jobs as f64 * freq_mhz * 1e6 / makespan as f64;
 
         let mut wall_secs = Vec::with_capacity(WALL_REPEATS);
@@ -1693,7 +1700,8 @@ pub struct Fp8Comparison {
     /// One point per (shape, format), formats grouped per shape with
     /// FP16 first.
     pub points: Vec<Fp8Point>,
-    /// Modeled batch throughput per format (4-worker pool).
+    /// Modeled batch throughput per format on 4 dedicated workers
+    /// ([`ScheduleStats`]).
     pub throughput: Vec<(Format, f64)>,
 }
 
@@ -2040,9 +2048,16 @@ mod tests {
         let bt = batch_throughput(true).expect("batch throughput");
         assert_eq!(bt.points.len(), 4);
         assert_eq!(bt.scaling_violation(), None);
-        // Total simulated work is invariant in the worker count.
-        let busy = bt.points[0].busy_cycles;
-        assert!(bt.points.iter().all(|p| p.busy_cycles == busy));
+        // Total simulated work is invariant in the worker count, and
+        // both it and the deal-then-steal makespans are pinned exactly
+        // (the values in the committed BENCH_batch.json).
+        assert!(bt.points.iter().all(|p| p.busy_cycles == 13_148));
+        let makespans: Vec<(usize, u64)> = bt
+            .points
+            .iter()
+            .map(|p| (p.workers, p.makespan_cycles))
+            .collect();
+        assert_eq!(makespans, [(1, 13_148), (2, 6_600), (4, 3_344), (8, 1_763)]);
         // Both throughput kinds are present and sane.
         assert!(bt
             .points

@@ -42,9 +42,9 @@ impl Limits {
 /// Backoff is denominated in simulated cycles only: retry `k` is
 /// *charged* `k * backoff_cycles` cycles. Nothing sleeps; the charge
 /// accumulates in [`SupervisedRun::backoff_cycles`] so schedulers (the
-/// batch executor's virtual replay, the service front end) can account
+/// batch executor's `ScheduleStats`, the service front end) can account
 /// the recovery delay on the simulated clock.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum recovery attempts before the run is reported as failed.
     pub max_retries: u32,

@@ -1,20 +1,17 @@
 //! Service configuration: tenants, token buckets, queue bounds and retry.
 
+use redmule_runtime::RetryPolicy;
 use std::fmt;
 
 /// Deterministic service-level retry policy for jobs that end in a typed
 /// failure: the job is re-queued after a linear backoff measured in
 /// *simulated* cycles (`attempt * backoff_cycles`), up to `max_retries`
-/// attempts beyond the first. The same knobs also parameterise the
+/// attempts beyond the first. The same policy also governs the
 /// supervisor-level rollback retries of each execution attempt, so every
 /// recovery delay in the service is cycle-denominated and deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceRetry {
-    /// Re-submissions allowed after the first failed attempt.
-    pub max_retries: u32,
-    /// Simulated cycles of backoff before retry `k` (`k * backoff_cycles`).
-    pub backoff_cycles: u64,
-}
+/// Its `Default` is [`RetryPolicy`]'s, two retries; [`ServiceConfig::new`]
+/// starts from none (`RetryPolicy::deterministic(0, 0)`).
+pub type ServiceRetry = RetryPolicy;
 
 /// Per-tenant admission parameters: priority, quota and rate limit.
 ///
@@ -111,7 +108,7 @@ impl ServiceConfig {
             servers,
             queue_capacity: 16,
             preempt_margin: 0,
-            retry: ServiceRetry::default(),
+            retry: RetryPolicy::deterministic(0, 0),
             tenants: Vec::new(),
         }
     }

@@ -28,8 +28,8 @@ use redmule::faults::{load_fault_site, save_fault_site};
 use redmule::obs::{EventKind, EventLog, TraceEvent};
 use redmule::{AccelConfig, BackendKind};
 use redmule_fp16::vector::GemmShape;
-use redmule_hwsim::snapshot::{SnapshotError, StateReader, StateWriter};
-use redmule_runtime::Checkpoint;
+use redmule_hwsim::snapshot::{Persist, SnapshotError, StateReader, StateWriter};
+use redmule_runtime::{Checkpoint, SupervisedRun};
 use redmule_store::{CheckpointStore, DamagedGeneration, Journal, StorageBackend};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -115,17 +115,51 @@ pub struct Recovery {
     pub recovery: RecoveryReport,
 }
 
+/// The counter sums over a job's executed plan segments. They lead each
+/// published checkpoint record as its meta header, so a resume seeds
+/// them and the final record matches an uninterrupted run exactly.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Totals {
+    /// Simulated cycles executed.
+    pub(crate) executed: u64,
+    /// Supervisor retries consumed.
+    pub(crate) sup_retries: u32,
+    /// Retry-backoff cycles charged.
+    pub(crate) backoff: u64,
+}
+
+impl Totals {
+    /// Adds one supervised segment's counters.
+    pub(crate) fn add(&mut self, run: &SupervisedRun) {
+        self.executed = self.executed.saturating_add(run.cycles_executed);
+        self.sup_retries = self.sup_retries.saturating_add(run.retries);
+        self.backoff = self.backoff.saturating_add(run.backoff_cycles);
+    }
+}
+
+impl Persist for Totals {
+    fn write_to(&self, w: &mut StateWriter) {
+        w.put(&self.executed);
+        w.put(&self.sup_retries);
+        w.put(&self.backoff);
+    }
+
+    fn read_from(r: &mut StateReader<'_>) -> Result<Totals, SnapshotError> {
+        Ok(Totals {
+            executed: r.get()?,
+            sup_retries: r.get()?,
+            backoff: r.get()?,
+        })
+    }
+}
+
 /// A checkpoint resume point handed to `exec_plan` during recovery.
 #[derive(Debug)]
 pub(crate) struct ResumeSeed {
     /// Segments fully executed before the boundary (also the generation).
     pub(crate) generation: u32,
-    /// Executed-cycle sum at the boundary.
-    pub(crate) executed: u64,
-    /// Supervisor-retry sum at the boundary.
-    pub(crate) sup_retries: u32,
-    /// Backoff-cycle sum at the boundary.
-    pub(crate) backoff: u64,
+    /// Counter sums at the boundary.
+    pub(crate) totals: Totals,
     /// The decoded checkpoint to resume from.
     pub(crate) checkpoint: Checkpoint,
 }
@@ -180,32 +214,25 @@ impl<'a> Durability<'a> {
         Ok(())
     }
 
-    /// Publishes the checkpoint at boundary `generation` with the
-    /// counter sums accumulated so far (durable run only). The sums lead
-    /// the record as a meta header, so a resume seeds them and the final
-    /// record matches an uninterrupted run exactly.
+    /// Publishes the checkpoint at boundary `generation`, led by the
+    /// `totals` accumulated so far (durable run only).
     pub(crate) fn publish_boundary(
         &mut self,
         job: u64,
         generation: u32,
-        executed: u64,
-        sup_retries: u32,
-        backoff: u64,
+        totals: Totals,
         container: &[u8],
     ) -> Result<(), ServiceError> {
         if !self.persist {
             return Ok(());
         }
+        let mut meta = StateWriter::new();
+        meta.put(&totals);
         self.store.publish_parts(
             &mut *self.backend,
             job,
             generation,
-            &[
-                &executed.to_le_bytes(),
-                &sup_retries.to_le_bytes(),
-                &backoff.to_le_bytes(),
-                container,
-            ],
+            &[&meta.finish(), container],
         )?;
         Ok(())
     }
@@ -230,9 +257,7 @@ impl<'a> Durability<'a> {
             return Ok(None);
         };
         let mut r = StateReader::new(&payload);
-        let meta: Result<(u64, u32, u64), SnapshotError> =
-            (|| Ok((r.get()?, r.get()?, r.get()?)))();
-        let Ok((executed, sup_retries, backoff)) = meta else {
+        let Ok(totals) = r.get::<Totals>() else {
             self.note_discarded(job, generation, "meta header truncated");
             return Ok(None);
         };
@@ -245,16 +270,14 @@ impl<'a> Durability<'a> {
             }
         };
         self.report.checkpoints_restored += 1;
-        self.report.cycles_saved = self.report.cycles_saved.saturating_add(executed);
+        self.report.cycles_saved = self.report.cycles_saved.saturating_add(totals.executed);
         self.report.events.push(TraceEvent {
-            cycle: executed,
+            cycle: totals.executed,
             kind: EventKind::CheckpointRestore { job, generation },
         });
         Ok(Some(ResumeSeed {
             generation,
-            executed,
-            sup_retries,
-            backoff,
+            totals,
             checkpoint,
         }))
     }

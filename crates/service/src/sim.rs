@@ -17,7 +17,7 @@
 //!    byte-identically at any worker count.
 
 use crate::config::{bucket_credit, ConfigError, ServiceConfig, TenantConfig};
-use crate::durable::Durability;
+use crate::durable::{Durability, Totals};
 use crate::report::{ServiceJobRecord, ServiceReport, TenantStats};
 use crate::request::{Rejected, RejectedRecord, ServiceStatus, Submission};
 use redmule::obs::{EventKind, EventLog, TraceEvent};
@@ -28,7 +28,7 @@ use redmule::{
 use redmule_batch::{
     fnv1a64_f16, BatchError, BatchExecutor, GemmJob, JobFaults, JobResult, JobStatus,
 };
-use redmule_runtime::{Checkpoint, Limits, RetryPolicy, StopReason, Supervisor};
+use redmule_runtime::{Checkpoint, Limits, StopReason, Supervisor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -207,20 +207,11 @@ impl ServiceSim {
             .collect()
     }
 
-    /// The supervisor-level retry policy derived from the service's
-    /// deterministic retry knobs.
-    fn sup_retry(&self) -> RetryPolicy {
-        RetryPolicy::deterministic(
-            self.config.retry.max_retries,
-            self.config.retry.backoff_cycles,
-        )
-    }
-
     fn make_job(&self, sub: &Submission) -> GemmJob {
         let (x, w) = sub.operands();
         let mut job = GemmJob::new(sub.id, sub.shape, x, w)
             .with_backend(sub.backend)
-            .with_retry_policy(self.sup_retry())
+            .with_retry_policy(self.config.retry)
             .with_checkpoint_interval(1);
         if !sub.faults.is_empty() {
             job = job.with_faults(JobFaults::Raw(sub.faults.clone()));
@@ -429,86 +420,53 @@ impl ServiceSim {
         mut durable: Option<&mut Durability<'_>>,
     ) -> Result<ExecOut, ServiceError> {
         let (x, w) = sub.operands();
-        let supervisor = |limits: Limits| {
-            Supervisor::new(self.engine.clone())
-                .with_retry_policy(self.sup_retry())
-                .with_checkpoint_interval(1)
-                .with_limits(limits)
-        };
+        // A recovery resumes at the newest intact boundary: the segments
+        // before it already ran, and their sums travel in its record.
         let seed = match durable.as_deref_mut() {
             Some(d) => d.resume_seed(sub.id, plan.len())?,
             None => None,
         };
-        let (hw_job, mut mem, mut run, mut migrations, mut sup_retries, mut backoff, mut executed);
-        let start_idx;
-        match seed {
-            Some(s) => {
-                // Resume at boundary `generation`: the first `generation`
-                // segments already ran before the crash; their counter
-                // sums travel in the checkpoint record's meta header.
-                let (job2, mut mem2, mut hci2) =
-                    stage_gemm_workspace_in(sub.shape, Format::Fp16, &x, &w, None)?;
-                let budget = plan.get(s.generation as usize).copied().flatten();
-                run = supervisor(limits_for(budget)).resume(&s.checkpoint, &mut mem2, &mut hci2)?;
-                hw_job = job2;
-                mem = mem2;
-                migrations = s.generation;
-                sup_retries = s.sup_retries + run.retries;
-                backoff = s.backoff.saturating_add(run.backoff_cycles);
-                executed = s.executed.saturating_add(run.cycles_executed);
-                start_idx = s.generation as usize + 1;
-            }
-            None => {
-                let (job0, mut mem0, mut hci0) =
-                    stage_gemm_workspace_in(sub.shape, Format::Fp16, &x, &w, None)?;
-                let session = if sub.faults.is_empty() {
-                    self.engine.start(job0)?
-                } else {
-                    self.engine
-                        .start_with_faults(job0, FaultInjector::new(sub.faults.clone()))?
-                };
-                let first = plan.first().copied().flatten();
-                run = supervisor(limits_for(first)).run_session(session, &mut mem0, &mut hci0)?;
-                hw_job = job0;
-                mem = mem0;
-                migrations = 0;
-                sup_retries = run.retries;
-                backoff = run.backoff_cycles;
-                executed = run.cycles_executed;
-                start_idx = 1;
-            }
-        }
-        for (idx, lim) in plan.iter().enumerate().skip(start_idx) {
-            // Only a clean budget stop continues the plan; completion and
-            // typed failures are terminal.
-            if !matches!(run.stop, StopReason::CycleBudget) {
-                break;
-            }
-            let ckpt = match run.checkpoint.take() {
-                Some(c) => c,
-                None => {
-                    return Err(ServiceError::Engine(EngineError::Snapshot(
-                        "degraded run returned no checkpoint".to_owned(),
-                    )))
-                }
-            };
-            // Migration: serialize, re-stage a fresh cluster, restore.
-            let bytes = ckpt.to_bytes();
-            if let Some(d) = durable.as_deref_mut() {
-                // Boundary `idx` has `idx` completed segments behind it —
-                // that count is its generation number.
-                d.publish_boundary(sub.id, idx as u32, executed, sup_retries, backoff, &bytes)?;
-            }
-            let ckpt = Checkpoint::from_bytes(&bytes)?;
-            let (_, mut mem2, mut hci2) =
+        let (mut segment, mut totals, mut carried) = match seed {
+            Some(s) => (s.generation as usize, s.totals, Some(s.checkpoint)),
+            None => (0, Totals::default(), None),
+        };
+        let (run, mem, hw_job) = loop {
+            let (job, mut mem, mut hci) =
                 stage_gemm_workspace_in(sub.shape, Format::Fp16, &x, &w, None)?;
-            run = supervisor(limits_for(*lim)).resume(&ckpt, &mut mem2, &mut hci2)?;
-            mem = mem2;
-            migrations += 1;
-            sup_retries += run.retries;
-            backoff += run.backoff_cycles;
-            executed += run.cycles_executed;
-        }
+            let session = match carried.take() {
+                Some(ckpt) => ckpt.restore(&self.engine, &mut mem, &mut hci)?,
+                None if sub.faults.is_empty() => self.engine.start(job)?,
+                None => self
+                    .engine
+                    .start_with_faults(job, FaultInjector::new(sub.faults.clone()))?,
+            };
+            let max_cycles = plan.get(segment).copied().flatten();
+            let mut run = Supervisor::new(self.engine.clone())
+                .with_retry_policy(self.config.retry)
+                .with_checkpoint_interval(1)
+                .with_limits(Limits { max_cycles })
+                .run_session(session, &mut mem, &mut hci)?;
+            totals.add(&run);
+            // Only a clean budget stop with plan left goes on; completion
+            // and typed failures are terminal.
+            if segment + 1 >= plan.len() || !matches!(run.stop, StopReason::CycleBudget) {
+                break (run, mem, job);
+            }
+            let Some(ckpt) = run.checkpoint.take() else {
+                return Err(ServiceError::Engine(EngineError::Snapshot(
+                    "degraded run returned no checkpoint".to_owned(),
+                )));
+            };
+            // Migration: serialize, then restore into a fresh cluster.
+            let bytes = ckpt.to_bytes();
+            segment += 1;
+            if let Some(d) = durable.as_deref_mut() {
+                // Boundary `segment` has `segment` completed segments
+                // behind it — that count is its generation number.
+                d.publish_boundary(sub.id, segment as u32, totals, &bytes)?;
+            }
+            carried = Some(Checkpoint::from_bytes(&bytes)?);
+        };
         let status = match &run.stop {
             StopReason::Completed => ServiceStatus::Completed,
             StopReason::Failed(e) => ServiceStatus::Failed(e.to_string()),
@@ -523,38 +481,24 @@ impl ServiceSim {
         if let (Some(d), Some(cb)) = (durable.as_mut(), checkpoint.as_ref()) {
             // The terminal state of an evicted (or failed-with-progress)
             // job is durable too, one generation past the last boundary.
-            d.publish_boundary(
-                sub.id,
-                plan.len() as u32,
-                executed,
-                sup_retries,
-                backoff,
-                cb,
-            )?;
+            d.publish_boundary(sub.id, plan.len() as u32, totals, cb)?;
         }
         let z = mem
             .load_f16_slice(hw_job.z_addr, sub.shape.z_len())
             .map_err(EngineError::from)?;
         Ok(ExecOut {
             status,
-            executed_cycles: executed,
-            sup_retries,
-            backoff,
+            executed_cycles: totals.executed,
+            sup_retries: totals.sup_retries,
+            backoff: totals.backoff,
             fault_events: run.report.faults.events().len() as u64,
             tiles_done: run.tiles_done,
             tiles_total: run.tiles_total,
-            migrations,
+            migrations: segment as u32,
             z_len: z.len(),
             z_fnv: fnv1a64_f16(&z),
             checkpoint,
         })
-    }
-}
-
-fn limits_for(budget: Option<u64>) -> Limits {
-    match budget {
-        Some(b) => Limits::none().with_max_cycles(b),
-        None => Limits::none(),
     }
 }
 
