@@ -7,7 +7,6 @@ use redmule::{
     cast, stage_gemm_workspace_in, AccelConfig, BackendKind, Engine, FaultInjector, FunctionalGemm,
     Schedule,
 };
-use redmule_fp16::F16;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -438,18 +437,14 @@ fn exec_job(engine: &Engine, job: &GemmJob, trace: bool) -> JobResult {
 
 fn exec_functional(cfg: &AccelConfig, job: &GemmJob, tiles_total: usize, trace: bool) -> JobResult {
     let model = FunctionalGemm::new(*cfg);
-    let plan = match model.plan(job.shape, job.format, &job.x, &job.w, job.y.as_deref()) {
-        Ok(plan) => plan,
+    let run = match model.run(job.shape, job.format, &job.x, &job.w, job.y.as_deref()) {
+        Ok(run) => run,
         Err(e) => return failed(job, BackendKind::Functional, tiles_total, e.to_string()),
     };
-    let mut z = vec![F16::ZERO; job.shape.z_len()];
-    for (band, chunk) in z.chunks_mut(plan.band_stride()).enumerate() {
-        plan.compute_band_into(band, chunk);
-    }
     JobResult {
-        z,
-        cycles: model.estimated_cycles_format(job.shape, job.format).count(),
-        macs: job.shape.macs(),
+        z: run.z,
+        cycles: run.estimated_cycles.count(),
+        macs: run.macs,
         events: if trace {
             model.synthetic_events_format(job.shape, job.format)
         } else {

@@ -165,85 +165,6 @@ fn render_event(out: &mut String, ev: &TraceEvent, tid: u64) {
                 ",\"s\":\"t\",\"args\":{{\"stalled_for\":{stalled_for}}}}}"
             );
         }
-        EventKind::Admitted { tenant, job } => {
-            push_event_header(out, "admitted", "service", 'i', ts, tid);
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"tenant\":{tenant},\"job\":{job}}}}}"
-            );
-        }
-        EventKind::AdmissionRejected {
-            tenant,
-            job,
-            reason,
-        } => {
-            push_event_header(
-                out,
-                &format!("rejected {}", reason.label()),
-                "service",
-                'i',
-                ts,
-                tid,
-            );
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"tenant\":{tenant},\"job\":{job}}}}}"
-            );
-        }
-        EventKind::Preempted { tenant, job, by } => {
-            push_event_header(out, "preempted", "service", 'i', ts, tid);
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"tenant\":{tenant},\"job\":{job},\"by\":{by}}}}}"
-            );
-        }
-        EventKind::Shed { tenant, job } => {
-            push_event_header(out, "shed", "service", 'i', ts, tid);
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"tenant\":{tenant},\"job\":{job}}}}}"
-            );
-        }
-        EventKind::RecoveryStart {
-            records,
-            torn_bytes,
-        } => {
-            push_event_header(out, "recovery start", "recovery", 'i', ts, tid);
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"records\":{records},\"torn_bytes\":{torn_bytes}}}}}"
-            );
-        }
-        EventKind::JournalReplay {
-            submissions,
-            decisions,
-        } => {
-            push_event_header(out, "journal replay", "recovery", 'i', ts, tid);
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"submissions\":{submissions},\"decisions\":{decisions}}}}}"
-            );
-        }
-        EventKind::CheckpointRestore { job, generation } => {
-            push_event_header(out, "checkpoint restore", "recovery", 'i', ts, tid);
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"job\":{job},\"generation\":{generation}}}}}"
-            );
-        }
-        EventKind::CorruptionDetected { artefact, damage } => {
-            push_event_header(
-                out,
-                &format!("corruption {artefact}"),
-                "recovery",
-                'i',
-                ts,
-                tid,
-            );
-            out.push_str(",\"s\":\"t\",\"args\":{\"damage\":\"");
-            escape_into(out, damage);
-            out.push_str("\"}}");
-        }
     }
 }
 
@@ -604,52 +525,6 @@ mod tests {
                     phase: redmule_hwsim::FaultPhase::Detected,
                 },
             ),
-            (95, EventKind::Admitted { tenant: 0, job: 3 }),
-            (
-                96,
-                EventKind::AdmissionRejected {
-                    tenant: 1,
-                    job: 4,
-                    reason: crate::event::RejectReason::QueueFull,
-                },
-            ),
-            (
-                97,
-                EventKind::Preempted {
-                    tenant: 0,
-                    job: 3,
-                    by: 5,
-                },
-            ),
-            (98, EventKind::Shed { tenant: 2, job: 6 }),
-            (
-                99,
-                EventKind::RecoveryStart {
-                    records: 12,
-                    torn_bytes: 5,
-                },
-            ),
-            (
-                100,
-                EventKind::JournalReplay {
-                    submissions: 4,
-                    decisions: 8,
-                },
-            ),
-            (
-                101,
-                EventKind::CheckpointRestore {
-                    job: 3,
-                    generation: 2,
-                },
-            ),
-            (
-                102,
-                EventKind::CorruptionDetected {
-                    artefact: "journal",
-                    damage: "checksum-mismatch",
-                },
-            ),
         ]
         .into_iter()
         .map(|(cycle, kind)| TraceEvent { cycle, kind })
@@ -675,7 +550,7 @@ mod tests {
         let summary = validate_chrome_trace(&json).expect("valid");
         assert_eq!(summary.lanes, 2);
         assert_eq!(summary.events, events.len() + 2);
-        assert_eq!(summary.max_ts, 102);
+        assert_eq!(summary.max_ts, 94);
     }
 
     /// FNV-1a 64 with the multiply done bit by bit (shift-and-add), so
@@ -715,8 +590,8 @@ mod tests {
             },
         ];
         let json = chrome_trace(&lanes);
-        assert_eq!(json.len(), 3695);
-        assert_eq!(bit_serial_fnv1a64(json.as_bytes()), 0x8ab2_6834_7315_c9d8);
+        assert_eq!(json.len(), 1839);
+        assert_eq!(bit_serial_fnv1a64(json.as_bytes()), 0x6353_16e4_1aac_084a);
     }
 
     #[test]

@@ -43,10 +43,9 @@ impl fmt::Display for Channel {
 /// One sim-cycle-timestamped observation from the engine.
 ///
 /// `cycle` is the value of the session's cycle counter when the event was
-/// emitted (for service and recovery events, the virtual clock). Because
-/// the engine is cycle-deterministic, the event stream for a given job is
-/// a pure function of the job — host thread count and wall-clock timing
-/// never appear.
+/// emitted. Because the engine is cycle-deterministic, the event stream
+/// for a given job is a pure function of the job — host thread count and
+/// wall-clock timing never appear.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated cycle the event is stamped with.
@@ -117,84 +116,10 @@ pub enum EventKind {
         /// Consecutive cycles without forward progress.
         stalled_for: u64,
     },
-    /// A service front end admitted a job into its queue.
-    Admitted {
-        /// Tenant the job belongs to.
-        tenant: u32,
-        /// Service-level job id.
-        job: u64,
-    },
-    /// A service front end rejected a submission at admission.
-    AdmissionRejected {
-        /// Tenant the submission belonged to.
-        tenant: u32,
-        /// Service-level job id.
-        job: u64,
-        /// Why the submission was turned away.
-        reason: RejectReason,
-    },
-    /// A running job was preempted at a (virtual) tile boundary and
-    /// returned to the queue so a tighter-slack job could take its
-    /// server.
-    Preempted {
-        /// Tenant of the preempted job.
-        tenant: u32,
-        /// Service-level id of the preempted job.
-        job: u64,
-        /// Service-level id of the job that took the server.
-        by: u64,
-    },
-    /// An accepted job was evicted by load shedding or a passed deadline;
-    /// the service returns it as degraded-with-checkpoint, never drops
-    /// it silently.
-    Shed {
-        /// Tenant of the evicted job.
-        tenant: u32,
-        /// Service-level id of the evicted job.
-        job: u64,
-    },
-    /// A crash-recovery pass opened the durable journal and started
-    /// rebuilding service state from it. Stamped with the virtual clock
-    /// the interrupted run had reached according to the journal (0 when
-    /// the crash predates any decision).
-    RecoveryStart {
-        /// Intact journal records found ahead of any damaged tail.
-        records: u64,
-        /// Bytes of torn tail truncated during journal repair (0 when
-        /// the journal was clean).
-        torn_bytes: u64,
-    },
-    /// Journal replay reconstructed the pre-crash admission and
-    /// scheduling decisions. Stamped with the virtual clock they reached.
-    JournalReplay {
-        /// Submissions reconstructed from the journal.
-        submissions: u64,
-        /// Scheduling decisions reconstructed from the journal.
-        decisions: u64,
-    },
-    /// A job resumed execution from a durable checkpoint generation
-    /// instead of re-running from cycle zero. Stamped with the virtual
-    /// clock the restored checkpoint corresponds to.
-    CheckpointRestore {
-        /// Service-level id of the restored job.
-        job: u64,
-        /// Checkpoint generation the job resumed from.
-        generation: u32,
-    },
-    /// Storage damage was detected during recovery and repaired by
-    /// truncation or generation fallback — never by accepting corrupt
-    /// bytes.
-    CorruptionDetected {
-        /// Stable label of the damaged artefact (`"journal"` or
-        /// `"checkpoint"`).
-        artefact: &'static str,
-        /// Stable damage-kind label (e.g. `"checksum-mismatch"`).
-        damage: &'static str,
-    },
 }
 
-/// In-order event recorder: what the engine, the supervisor, the batch
-/// executor and the service write their events into.
+/// In-order event recorder: what the engine, the supervisor and the batch
+/// executor write their events into.
 ///
 /// Comparable with `==` so determinism tests can assert two runs produced
 /// the *identical* stream.
@@ -230,51 +155,9 @@ impl EventLog {
     }
 }
 
-/// Why a service front end turned a submission away at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RejectReason {
-    /// The tenant's token bucket lacked the estimated cycles.
-    Quota,
-    /// The bounded queue was full and nothing cheaper could be shed.
-    QueueFull,
-    /// The job could not meet its deadline even on an idle server.
-    DeadlineInfeasible,
-}
-
-impl RejectReason {
-    /// Stable lowercase label, used for counter names and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            RejectReason::Quota => "quota",
-            RejectReason::QueueFull => "queue-full",
-            RejectReason::DeadlineInfeasible => "deadline-infeasible",
-        }
-    }
-}
-
-impl fmt::Display for RejectReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reject_reason_labels_are_distinct() {
-        let labels = [
-            RejectReason::Quota.label(),
-            RejectReason::QueueFull.label(),
-            RejectReason::DeadlineInfeasible.label(),
-        ];
-        for (i, a) in labels.iter().enumerate() {
-            for b in &labels[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
-    }
 
     #[test]
     fn channel_labels_are_distinct() {

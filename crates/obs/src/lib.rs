@@ -9,8 +9,9 @@
 //!
 //! * [`TraceEvent`] — a sim-cycle timestamp plus a typed [`EventKind`]
 //!   (tile start/end, W/X/Z buffer traffic, HCI stalls, faults,
-//!   checkpoints, watchdog trips, service and recovery decisions),
-//!   recorded straight into an [`EventLog`].
+//!   checkpoints, watchdog trips), recorded straight into an
+//!   [`EventLog`]. The kinds are the engine's alone: the service and its
+//!   recovery record their decisions in their own reports.
 //! * [`PhaseCycles`] — an always-on per-cycle attribution ledger
 //!   (compute / refill / stall / fill / drain) whose categories sum
 //!   *exactly* to the run's total cycle count.
@@ -30,5 +31,5 @@ pub mod event;
 pub mod phase;
 
 pub use chrome::{chrome_trace, validate_chrome_trace, ChromeTraceSummary, TraceLane};
-pub use event::{Channel, EventKind, EventLog, RejectReason, TraceEvent};
+pub use event::{Channel, EventKind, EventLog, TraceEvent};
 pub use phase::{Phase, PhaseCycles};

@@ -988,7 +988,7 @@ impl Protection {
         // pass through the same quantisation or every clean FP8 tile would
         // look corrupted.
         let reference: Vec<F16> = FunctionalGemm::new(*cfg)
-            .run_inner(shape, Format::Fp16, &x, &w, self.check.z_pre.as_deref())?
+            .run(shape, Format::Fp16, &x, &w, self.check.z_pre.as_deref())?
             .z
             .into_iter()
             .map(|v| job.format.quantize(v))

@@ -86,13 +86,13 @@ pub struct FunctionalRun {
 /// # Example
 ///
 /// ```
-/// use redmule::{Accelerator, FunctionalGemm};
+/// use redmule::{Accelerator, Format, FunctionalGemm};
 /// use redmule_fp16::{vector::GemmShape, F16};
 ///
 /// let shape = GemmShape::new(5, 11, 7);
 /// let x: Vec<F16> = (0..shape.x_len()).map(|i| F16::from_f32(i as f32 / 8.0)).collect();
 /// let w: Vec<F16> = (0..shape.w_len()).map(|i| F16::from_f32(0.5 - i as f32 / 64.0)).collect();
-/// let fast = FunctionalGemm::paper_instance().run(shape, &x, &w)?;
+/// let fast = FunctionalGemm::paper_instance().run(shape, Format::Fp16, &x, &w, None)?;
 /// let slow = Accelerator::paper_instance().gemm(shape, &x, &w)?;
 /// assert_eq!(
 ///     fast.z.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -123,21 +123,9 @@ impl FunctionalGemm {
         &self.cfg
     }
 
-    /// Computes `Z = X * W`.
-    ///
-    /// # Errors
-    ///
-    /// As [`FunctionalGemm::plan`].
-    pub fn run(
-        &self,
-        shape: GemmShape,
-        x: &[F16],
-        w: &[F16],
-    ) -> Result<FunctionalRun, EngineError> {
-        self.run_inner(shape, Format::Fp16, x, w, None)
-    }
-
-    /// Computes `Z = X * W` with operands stored in `format`.
+    /// Computes `Z = X * W (+ Y)` with operands stored in `format`: plans
+    /// the job, computes every band, and charges the plan's analytical
+    /// estimate.
     ///
     /// Models the cast-in/cast-out datapath exactly: operands are
     /// projected through the storage format (castout at staging, castin
@@ -150,6 +138,31 @@ impl FunctionalGemm {
     /// # Errors
     ///
     /// As [`FunctionalGemm::plan`].
+    pub fn run(
+        &self,
+        shape: GemmShape,
+        format: Format,
+        x: &[F16],
+        w: &[F16],
+        y: Option<&[F16]>,
+    ) -> Result<FunctionalRun, EngineError> {
+        let plan = self.plan(shape, format, x, w, y)?;
+        let mut z = vec![F16::ZERO; shape.z_len()];
+        for (band, chunk) in z.chunks_mut(plan.band_stride()).enumerate() {
+            plan.compute_band_into(band, chunk);
+        }
+        Ok(FunctionalRun {
+            z,
+            estimated_cycles: plan.schedule.total_cycles(),
+            macs: shape.macs(),
+        })
+    }
+
+    /// [`FunctionalGemm::run`] without an accumulator.
+    ///
+    /// # Errors
+    ///
+    /// As [`FunctionalGemm::plan`].
     pub fn run_format(
         &self,
         shape: GemmShape,
@@ -157,11 +170,10 @@ impl FunctionalGemm {
         x: &[F16],
         w: &[F16],
     ) -> Result<FunctionalRun, EngineError> {
-        self.run_inner(shape, format, x, w, None)
+        self.run(shape, format, x, w, None)
     }
 
-    /// Computes `Z = X * W + Y` with operands stored in `format`
-    /// (see [`FunctionalGemm::run_format`]).
+    /// [`FunctionalGemm::run`] with the accumulator `y`.
     ///
     /// # Errors
     ///
@@ -174,7 +186,7 @@ impl FunctionalGemm {
         w: &[F16],
         y: &[F16],
     ) -> Result<FunctionalRun, EngineError> {
-        self.run_inner(shape, format, x, w, Some(y))
+        self.run(shape, format, x, w, Some(y))
     }
 
     /// Stages a job for execution: casts the operands through the storage
@@ -284,29 +296,6 @@ impl FunctionalGemm {
             });
         }
         log
-    }
-
-    /// Computes `Z = X * W (+ Y)` with operands stored in `format`: the
-    /// one body behind [`FunctionalGemm::run`] and its format/accumulate
-    /// variants.
-    pub(crate) fn run_inner(
-        &self,
-        shape: GemmShape,
-        format: Format,
-        x: &[F16],
-        w: &[F16],
-        y: Option<&[F16]>,
-    ) -> Result<FunctionalRun, EngineError> {
-        let plan = self.plan(shape, format, x, w, y)?;
-        let mut z = vec![F16::ZERO; shape.z_len()];
-        for (band, chunk) in z.chunks_mut(plan.band_stride()).enumerate() {
-            plan.compute_band_into(band, chunk);
-        }
-        Ok(FunctionalRun {
-            z,
-            estimated_cycles: plan.schedule.total_cycles(),
-            macs: shape.macs(),
-        })
     }
 }
 
@@ -445,7 +434,7 @@ mod tests {
             let shape = GemmShape::new(m, n, k);
             let (x, w) = operands(shape, (m * 1000 + n * 10 + k) as u32);
             let fast = FunctionalGemm::paper_instance()
-                .run(shape, &x, &w)
+                .run(shape, Format::Fp16, &x, &w, None)
                 .expect("functional run");
             let golden = gemm_golden(shape, &x, &w);
             let hw = Accelerator::paper_instance()
@@ -494,7 +483,7 @@ mod tests {
             .map(|i| specials[(i * 5 + 1) % specials.len()])
             .collect();
         let fast = FunctionalGemm::paper_instance()
-            .run(shape, &x, &w)
+            .run(shape, Format::Fp16, &x, &w, None)
             .expect("functional run");
         let hw = Accelerator::paper_instance()
             .gemm(shape, &x, &w)
@@ -507,7 +496,7 @@ mod tests {
         // N == 0: the output is all zeros (or Y in accumulate mode).
         let shape = GemmShape::new(3, 0, 5);
         let fast = FunctionalGemm::paper_instance()
-            .run(shape, &[], &[])
+            .run(shape, Format::Fp16, &[], &[], None)
             .expect("functional run");
         assert!(fast.z.iter().all(|v| v.to_bits() == 0));
         assert_eq!(fast.macs, 0);
@@ -536,11 +525,11 @@ mod tests {
         let good = vec![F16::ONE; 4];
         let f = FunctionalGemm::paper_instance();
         assert!(matches!(
-            f.run(shape, &bad, &good),
+            f.run(shape, Format::Fp16, &bad, &good, None),
             Err(EngineError::ShapeMismatch { operand: "X", .. })
         ));
         assert!(matches!(
-            f.run(shape, &good, &bad),
+            f.run(shape, Format::Fp16, &good, &bad, None),
             Err(EngineError::ShapeMismatch { operand: "W", .. })
         ));
         assert!(matches!(
@@ -565,7 +554,7 @@ mod tests {
                 );
             }
             assert_eq!(
-                f.run(shape, &[], &[]).err(),
+                f.run(shape, Format::Fp16, &[], &[], None).err(),
                 Some(EngineError::ShapeTooLarge {
                     shape,
                     format: Format::Fp16

@@ -89,6 +89,6 @@ pub use redmule_fp16::Format;
 pub mod obs {
     pub use redmule_obs::{
         chrome_trace, validate_chrome_trace, Channel, ChromeTraceSummary, EventKind, EventLog,
-        Phase, PhaseCycles, RejectReason, TraceEvent, TraceLane,
+        Phase, PhaseCycles, TraceEvent, TraceLane,
     };
 }

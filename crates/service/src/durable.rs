@@ -25,7 +25,6 @@ use crate::request::{ServiceStatus, Submission};
 use crate::sim::{ExecOut, Outcome, ServiceError, ServiceSim, Timeline};
 use crate::{ServiceConfig, ServiceRetry, TenantConfig};
 use redmule::faults::{load_fault_site, save_fault_site};
-use redmule::obs::{EventKind, EventLog, TraceEvent};
 use redmule::{AccelConfig, BackendKind};
 use redmule_fp16::vector::GemmShape;
 use redmule_hwsim::snapshot::{Persist, SnapshotError, StateReader, StateWriter};
@@ -100,9 +99,6 @@ pub struct RecoveryReport {
     pub cycles_saved: u64,
     /// Every repair applied, in detection order.
     pub repairs: Vec<RepairEvent>,
-    /// Recovery trace events (`RecoveryStart`, `JournalReplay`,
-    /// `CheckpointRestore`, `CorruptionDetected`).
-    pub events: EventLog,
 }
 
 /// Result of [`ServiceSim::recover`]: the recovered service report plus
@@ -271,10 +267,6 @@ impl<'a> Durability<'a> {
         };
         self.report.checkpoints_restored += 1;
         self.report.cycles_saved = self.report.cycles_saved.saturating_add(totals.executed);
-        self.report.events.push(TraceEvent {
-            cycle: totals.executed,
-            kind: EventKind::CheckpointRestore { job, generation },
-        });
         Ok(Some(ResumeSeed {
             generation,
             totals,
@@ -283,13 +275,6 @@ impl<'a> Durability<'a> {
     }
 
     fn note_damaged_generation(&mut self, job: u64, d: &DamagedGeneration) {
-        self.report.events.push(TraceEvent {
-            cycle: 0,
-            kind: EventKind::CorruptionDetected {
-                artefact: "checkpoint",
-                damage: d.damage.label(),
-            },
-        });
         self.report.repairs.push(RepairEvent {
             artefact: "checkpoint",
             object: self.store.object_name(job, d.generation),
@@ -299,13 +284,6 @@ impl<'a> Durability<'a> {
     }
 
     fn note_discarded(&mut self, job: u64, generation: u32, damage: &str) {
-        self.report.events.push(TraceEvent {
-            cycle: 0,
-            kind: EventKind::CorruptionDetected {
-                artefact: "checkpoint",
-                damage: "bad-payload",
-            },
-        });
         self.report.repairs.push(RepairEvent {
             artefact: "checkpoint",
             object: self.store.object_name(job, generation),
@@ -406,21 +384,7 @@ impl ServiceSim {
         let scan = journal.scan(backend)?;
         report.journal_records = scan.records.len() as u64;
         report.torn_bytes = scan.torn_bytes() as u64;
-        report.events.push(TraceEvent {
-            cycle: 0,
-            kind: EventKind::RecoveryStart {
-                records: scan.records.len() as u64,
-                torn_bytes: scan.torn_bytes() as u64,
-            },
-        });
         if let Some(damage) = &scan.damage {
-            report.events.push(TraceEvent {
-                cycle: 0,
-                kind: EventKind::CorruptionDetected {
-                    artefact: "journal",
-                    damage: damage.label(),
-                },
-            });
             report.repairs.push(RepairEvent {
                 artefact: "journal",
                 object: journal.name().to_owned(),
@@ -435,7 +399,6 @@ impl ServiceSim {
         let mut ids: BTreeSet<u64> = BTreeSet::new();
         let mut decisions: BTreeMap<u64, u8> = BTreeMap::new();
         let mut decisions_sealed = false;
-        let mut makespan = 0u64;
         let mut reuse: BTreeMap<u64, ExecOut> = BTreeMap::new();
         for (kind, payload) in &scan.records {
             match *kind {
@@ -476,7 +439,7 @@ impl ServiceSim {
                 }
                 REC_DECISIONS_SEALED => {
                     decisions_sealed = true;
-                    makespan = decode_u64(payload)?;
+                    decode_u64(payload)?;
                 }
                 REC_EXEC_DONE => {
                     let (id, e) = decode_exec(payload)?;
@@ -508,13 +471,6 @@ impl ServiceSim {
         report.decisions_recovered = decisions.len() as u64;
         report.decisions_sealed = decisions_sealed;
         report.exec_records_recovered = reuse.len() as u64;
-        report.events.push(TraceEvent {
-            cycle: makespan,
-            kind: EventKind::JournalReplay {
-                submissions: script.len() as u64,
-                decisions: decisions.len() as u64,
-            },
-        });
 
         // Phase 1 over the recovered prefix. With a sealed decision set
         // the failure set comes from the journal and only unreusable

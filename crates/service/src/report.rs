@@ -1,7 +1,6 @@
 //! The deterministic service report and its canonical serialization.
 
 use crate::request::{RejectedRecord, ServiceStatus};
-use redmule::obs::{chrome_trace, EventLog, TraceLane};
 use redmule_hwsim::fnv1a64;
 use std::fmt::Write as _;
 
@@ -102,9 +101,6 @@ pub struct ServiceReport {
     pub tenants: Vec<TenantStats>,
     /// Virtual cycle of the last event in the replay.
     pub makespan_cycle: u64,
-    /// Service-level trace events (admissions, rejections, preemptions,
-    /// sheds) on the virtual clock.
-    pub events: EventLog,
 }
 
 impl ServiceReport {
@@ -282,18 +278,6 @@ impl ServiceReport {
         out
     }
 
-    /// Chrome trace-event JSON of the service-level event stream: one
-    /// lane (tid 0) on the virtual clock. Deterministic like the
-    /// canonical report.
-    pub fn chrome_trace(&self) -> String {
-        let lanes = [TraceLane {
-            tid: 0,
-            name: "service".to_owned(),
-            events: self.events.events(),
-        }];
-        chrome_trace(&lanes)
-    }
-
     fn count(&self, pred: impl Fn(&ServiceStatus) -> bool) -> usize {
         self.jobs.iter().filter(|j| pred(&j.status)).count()
     }
@@ -333,7 +317,6 @@ mod tests {
             rejected: Vec::new(),
             tenants: Vec::new(),
             makespan_cycle: 0,
-            events: EventLog::new(),
         }
     }
 

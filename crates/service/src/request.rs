@@ -1,6 +1,5 @@
 //! Offered-load scripts: submissions, rejection types and job outcomes.
 
-use redmule::obs::RejectReason;
 use redmule::{BackendKind, FaultSite};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
@@ -130,15 +129,10 @@ pub enum Rejected {
 impl Rejected {
     /// Stable lowercase label, used in the canonical report.
     pub fn label(&self) -> &'static str {
-        self.reason().label()
-    }
-
-    /// The observability-layer reason kind for this rejection.
-    pub fn reason(&self) -> RejectReason {
         match self {
-            Rejected::QuotaExceeded { .. } => RejectReason::Quota,
-            Rejected::QueueFull => RejectReason::QueueFull,
-            Rejected::DeadlineInfeasible { .. } => RejectReason::DeadlineInfeasible,
+            Rejected::QuotaExceeded { .. } => "quota",
+            Rejected::QueueFull => "queue-full",
+            Rejected::DeadlineInfeasible { .. } => "deadline-infeasible",
         }
     }
 }

@@ -20,7 +20,6 @@ use crate::config::{bucket_credit, ConfigError, ServiceConfig, TenantConfig};
 use crate::durable::{Durability, Totals};
 use crate::report::{ServiceJobRecord, ServiceReport, TenantStats};
 use crate::request::{Rejected, RejectedRecord, ServiceStatus, Submission};
-use redmule::obs::{EventKind, EventLog, TraceEvent};
 use redmule::{
     stage_gemm_workspace_in, AccelConfig, Engine, EngineError, FaultInjector, Format,
     FunctionalGemm,
@@ -370,16 +369,9 @@ impl ServiceSim {
         let mut rejected = tl.rejected;
         rejected.sort_by_key(|r| r.id);
 
-        // Tenant outcome counters recount from the final records so they
-        // always match the per-job statuses (the timeline's prediction
-        // can differ for jobs that, e.g., finish inside their eviction
-        // budget).
+        // The timeline leaves the tenant outcome counters at zero: they
+        // count the final records, so they match the per-job statuses.
         let mut tenants = tl.tenant_stats;
-        for t in &mut tenants {
-            t.completed = 0;
-            t.evicted = 0;
-            t.failed = 0;
-        }
         for j in &jobs {
             if let Some(t) = tenants.iter_mut().find(|t| t.id == j.tenant) {
                 match j.status {
@@ -396,7 +388,6 @@ impl ServiceSim {
             rejected,
             tenants,
             makespan_cycle: tl.makespan,
-            events: tl.events,
         })
     }
 
@@ -561,7 +552,6 @@ pub(crate) struct Acc {
     sub: usize,
     pub(crate) id: u64,
     tenant_idx: usize,
-    tenant_id: u32,
     priority: u8,
     admitted_at: u64,
     estimate: u64,
@@ -623,7 +613,6 @@ pub(crate) struct TimelineResult {
     pub(crate) acc: Vec<Acc>,
     rejected: Vec<RejectedRecord>,
     tenant_stats: Vec<TenantStats>,
-    events: EventLog,
     pub(crate) makespan: u64,
 }
 
@@ -639,7 +628,6 @@ pub(crate) struct Timeline<'a> {
     servers: Vec<Option<Running>>,
     retries: BTreeMap<(u64, u64), usize>,
     rejected: Vec<RejectedRecord>,
-    events: EventLog,
     now: u64,
     makespan: u64,
 }
@@ -684,7 +672,6 @@ impl<'a> Timeline<'a> {
             servers: vec![None; cfg.servers],
             retries: BTreeMap::new(),
             rejected: Vec::new(),
-            events: EventLog::new(),
             now: 0,
             makespan: 0,
         }
@@ -733,17 +720,8 @@ impl<'a> Timeline<'a> {
             acc: self.acc,
             rejected: self.rejected,
             tenant_stats,
-            events: self.events,
             makespan: self.makespan,
         }
-    }
-
-    /// Records a timeline event stamped with the current virtual clock.
-    fn record(&mut self, kind: EventKind) {
-        self.events.push(TraceEvent {
-            cycle: self.now,
-            kind,
-        });
     }
 
     /// The earliest `(finish_cycle, job_id, server)` among running jobs;
@@ -834,11 +812,6 @@ impl<'a> Timeline<'a> {
         };
 
         if let Some(reason) = reject {
-            self.record(EventKind::AdmissionRejected {
-                tenant: sub.tenant,
-                job: sub.id,
-                reason: reason.reason(),
-            });
             let stats = &mut self.tenants[t_idx].stats;
             match reason {
                 Rejected::QuotaExceeded { .. } => stats.rejected_quota += 1,
@@ -864,7 +837,6 @@ impl<'a> Timeline<'a> {
             sub: sub_idx,
             id: sub.id,
             tenant_idx: t_idx,
-            tenant_id: sub.tenant,
             priority: self.tenants[t_idx].cfg.priority,
             admitted_at: self.now,
             estimate,
@@ -875,10 +847,6 @@ impl<'a> Timeline<'a> {
             service_retries: 0,
             backoff_charged: 0,
             outcome: None,
-        });
-        self.record(EventKind::Admitted {
-            tenant: sub.tenant,
-            job: sub.id,
         });
         self.queue.push(a);
         self.schedule();
@@ -944,10 +912,6 @@ impl<'a> Timeline<'a> {
     }
 
     fn shed_acc(&mut self, a: usize) {
-        self.record(EventKind::Shed {
-            tenant: self.acc[a].tenant_id,
-            job: self.acc[a].id,
-        });
         let executed = self.acc[a].executed();
         self.finish_acc(
             a,
@@ -1038,11 +1002,6 @@ impl<'a> Timeline<'a> {
                     self.acc[w_acc].remaining -= run_len;
                 }
                 self.acc[w_acc].preemptions += 1;
-                self.record(EventKind::Preempted {
-                    tenant: self.acc[w_acc].tenant_id,
-                    job: self.acc[w_acc].id,
-                    by: self.acc[b].id,
-                });
                 // modelcheck-allow: RM-ERR-001 -- name collision: Vec::remove
                 // returns the element (already held in `b`), not the store
                 // backend's Result-returning `remove`.

@@ -12,7 +12,9 @@ use redmule_service::{
     ServiceConfig, ServiceError, ServiceSim, ServiceStatus, Submission, TenantConfig,
     JOURNAL_OBJECT,
 };
-use redmule_store::{Journal, MemBackend, StorageBackend, StorageFault, StorageFaultPlan};
+use redmule_store::{
+    CrashPlan, Journal, MemBackend, StorageBackend, StorageFault, StorageFaultPlan,
+};
 
 fn small_cfg() -> AccelConfig {
     AccelConfig::new(4, 2, 1)
@@ -343,6 +345,66 @@ fn corrupt_checkpoint_falls_back_a_generation_bit_exact() {
         recovery.report.to_canonical_json(),
         expected.to_canonical_json(),
         "fallback recovery must still be bit-exact"
+    );
+}
+
+/// What recovery reports it recovered, against what the journal holds.
+/// After a clean durable run the decisions are sealed and every admitted
+/// job is reused from its execution record. A crash at the decision-seal
+/// write keeps every decision but not the seal, so recovery recomputes
+/// the failure set and re-executes, and still reproduces a plain run.
+#[test]
+fn recovery_counters_match_the_journal() {
+    let script = pressured_script();
+
+    // Case 1: a clean durable run.
+    let mut clean = MemBackend::new();
+    let durable = sim(pressured_config())
+        .run_durable(&script, &mut clean)
+        .expect("clean durable run");
+    let admitted = durable.jobs.len() as u64;
+    assert!(admitted > 0 && !durable.rejected.is_empty());
+    let recovery = sim(pressured_config())
+        .recover(&mut clean)
+        .expect("clean recovery");
+    let r = &recovery.recovery;
+    assert_eq!(r.torn_bytes, 0);
+    assert!(r.decisions_sealed);
+    assert_eq!(r.decisions_recovered, admitted);
+    assert_eq!(r.exec_records_recovered, admitted);
+    assert_eq!(r.jobs_reused, admitted);
+    assert_eq!(r.checkpoints_restored, 0);
+    assert_eq!(
+        recovery.report.to_canonical_json(),
+        durable.to_canonical_json()
+    );
+
+    // Case 2: a crash at the decision seal. The writes before it are the
+    // configuration, each submission, the script seal and one decision
+    // per admitted job.
+    let seal = 1 + script.len() as u64 + 1 + admitted;
+    let mut backend = MemBackend::new();
+    backend.set_crash_plan(CrashPlan::new(seal, 0));
+    sim(pressured_config())
+        .run_durable(&script, &mut backend)
+        .expect_err("the crash plan must abort the run");
+    backend.clear_crash();
+    let recovery = sim(pressured_config())
+        .recover(&mut backend)
+        .expect("recovery without a decision seal");
+    let r = &recovery.recovery;
+    assert!(!r.decisions_sealed);
+    assert_eq!(r.decisions_recovered, admitted);
+    assert_eq!(r.exec_records_recovered, 0);
+    assert_eq!(r.jobs_reused, 0);
+    let k = r.submissions_recovered as usize;
+    assert_eq!(k, script.len());
+    let expected = sim(pressured_config())
+        .run(&sorted(&script)[..k])
+        .expect("reference run over the recovered prefix");
+    assert_eq!(
+        recovery.report.to_canonical_json(),
+        expected.to_canonical_json()
     );
 }
 

@@ -172,7 +172,6 @@ fn preempted_job_migrates_and_completes_bit_exact() {
         urgent.finished_cycle <= (mid + est_short + 4),
         "urgent job met its deadline on the virtual timeline"
     );
-    assert!(report.events.len() >= 3, "admissions + preemption traced");
 }
 
 #[test]

@@ -45,18 +45,6 @@ pub enum CheckpointDamage {
     },
 }
 
-impl CheckpointDamage {
-    /// Stable lowercase label for reports and trace events.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CheckpointDamage::Store(_) => "store-error",
-            CheckpointDamage::Frame(d) => d.label(),
-            CheckpointDamage::WrongShape { .. } => "wrong-shape",
-            CheckpointDamage::IdentityMismatch { .. } => "identity-mismatch",
-        }
-    }
-}
-
 impl std::fmt::Display for CheckpointDamage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -338,7 +326,10 @@ mod tests {
         assert_eq!(latest.loaded, Some((1, b"good-old".to_vec())));
         assert_eq!(latest.damaged.len(), 1);
         assert_eq!(latest.damaged[0].generation, 2);
-        assert_eq!(latest.damaged[0].damage.label(), "checksum-mismatch");
+        assert!(matches!(
+            latest.damaged[0].damage,
+            CheckpointDamage::Frame(FrameDamage::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]

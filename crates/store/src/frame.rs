@@ -122,17 +122,6 @@ impl FrameDamage {
             | FrameDamage::ChecksumMismatch { offset, .. } => offset,
         }
     }
-
-    /// Stable lowercase label for reports and trace events.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FrameDamage::TruncatedHeader { .. } => "truncated-header",
-            FrameDamage::BadMagic { .. } => "bad-magic",
-            FrameDamage::BadVersion { .. } => "bad-version",
-            FrameDamage::TruncatedPayload { .. } => "truncated-payload",
-            FrameDamage::ChecksumMismatch { .. } => "checksum-mismatch",
-        }
-    }
 }
 
 impl std::fmt::Display for FrameDamage {
@@ -350,35 +339,5 @@ mod tests {
             out.damage,
             Some(FrameDamage::TruncatedHeader { available: 3, .. })
         ));
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let labels = [
-            FrameDamage::TruncatedHeader {
-                offset: 0,
-                available: 0,
-            }
-            .label(),
-            FrameDamage::BadMagic { offset: 0 }.label(),
-            FrameDamage::BadVersion { offset: 0, got: 9 }.label(),
-            FrameDamage::TruncatedPayload {
-                offset: 0,
-                needed: 1,
-                available: 0,
-            }
-            .label(),
-            FrameDamage::ChecksumMismatch {
-                offset: 0,
-                stored: 0,
-                computed: 1,
-            }
-            .label(),
-        ];
-        for (i, a) in labels.iter().enumerate() {
-            for b in &labels[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
     }
 }

@@ -104,7 +104,7 @@ fn run_case(c: Case) -> Result<(), String> {
     let w = matrix(shape.w_len(), c.seed ^ 0x5A5A_5A5A_5A5A_5A5A);
 
     let func = FunctionalGemm::paper_instance()
-        .run(shape, &x, &w)
+        .run(shape, Format::Fp16, &x, &w, None)
         .map_err(|e| format!("functional backend error: {e}"))?;
     let hw = Accelerator::paper_instance()
         .gemm(shape, &x, &w)
@@ -391,7 +391,7 @@ fn all_special_value_matrices_agree() {
         let x: Vec<F16> = (0..shape.x_len()).map(fill).collect();
         let w: Vec<F16> = (0..shape.w_len()).map(|i| fill(i + 7)).collect();
         let func = FunctionalGemm::paper_instance()
-            .run(shape, &x, &w)
+            .run(shape, Format::Fp16, &x, &w, None)
             .expect("functional");
         let hw = Accelerator::paper_instance()
             .gemm(shape, &x, &w)
