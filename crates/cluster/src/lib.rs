@@ -51,4 +51,4 @@ mod tcdm;
 
 pub use config::{ClusterConfig, CoreTimings};
 pub use hci::{Hci, HciGrants, Initiator};
-pub use tcdm::{MemError, Tcdm};
+pub use tcdm::{MemError, Tcdm, TcdmImage};

@@ -2,7 +2,7 @@
 
 use crate::config::ClusterConfig;
 use redmule_fp16::F16;
-use redmule_hwsim::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
+use redmule_hwsim::snapshot::{SnapshotError, StateReader, StateWriter};
 use redmule_hwsim::StuckBit;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -60,10 +60,14 @@ impl std::error::Error for MemError {}
 /// assert_eq!(mem.bank_of(0x40), (0x40 / 4) % 16);
 /// # Ok::<(), redmule_cluster::MemError>(())
 /// ```
+// modelcheck: snapshot(save = image, load = load_image)
 #[derive(Debug, Clone)]
 pub struct Tcdm {
     n_banks: usize,
     words: Vec<u32>,
+    /// Every word at or past this index is zero: the extent a
+    /// [`Tcdm::image`] has to look at.
+    live: usize,
     /// Stuck-at faults by word index, applied to every read until cleared.
     stuck: BTreeMap<usize, StuckBit>,
 }
@@ -74,8 +78,67 @@ impl Tcdm {
         Tcdm {
             n_banks: cfg.n_banks,
             words: vec![0; cfg.n_banks * cfg.bank_words],
+            live: 0,
             stuck: BTreeMap::new(),
         }
+    }
+
+    /// Widens the live extent to cover the words before `end`, which a
+    /// write path is about to change.
+    fn touch(&mut self, end: usize) {
+        self.live = self.live.max(end);
+    }
+
+    /// The scratchpad's contents as a checkpoint keeps them: the words up
+    /// to the last nonzero one, the geometry and the stuck-at faults.
+    /// Equal contents give equal images.
+    pub fn image(&self) -> TcdmImage {
+        let live = &self.words[..self.live];
+        let end = live
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |last| last + 1);
+        TcdmImage {
+            n_banks: self.n_banks,
+            len: self.words.len(),
+            words: live[..end].to_vec(),
+            stuck: self
+                .stuck
+                .iter()
+                .map(|(&idx, &fault)| (idx, fault))
+                .collect(),
+        }
+    }
+
+    /// Overwrites the whole scratchpad with `image`: its words, zero past
+    /// them, and its stuck-at faults.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::ConfigMismatch`] when the image was taken from a
+    /// scratchpad of another bank count or size; `self` is untouched.
+    pub fn load_image(&mut self, image: &TcdmImage) -> Result<(), SnapshotError> {
+        if image.n_banks != self.n_banks {
+            return Err(SnapshotError::ConfigMismatch(format!(
+                "TCDM has {} banks, target has {}",
+                image.n_banks, self.n_banks
+            )));
+        }
+        if image.len != self.words.len() {
+            return Err(SnapshotError::ConfigMismatch(format!(
+                "TCDM holds {} words, target holds {}",
+                image.len,
+                self.words.len()
+            )));
+        }
+        let end = image.words.len();
+        self.words[..end].copy_from_slice(&image.words);
+        if self.live > end {
+            self.words[end..self.live].fill(0);
+        }
+        self.live = end;
+        self.stuck = image.stuck.iter().copied().collect();
+        Ok(())
     }
 
     /// The stored word at `idx` as a read port observes it: stuck-at
@@ -96,6 +159,7 @@ impl Tcdm {
     /// [`MemError::OutOfBounds`] if `addr` is beyond the scratchpad.
     pub fn flip_bit(&mut self, addr: u32, bit: u8) -> Result<(), MemError> {
         let idx = self.word_index(addr & !3, 4)?;
+        self.touch(idx + 1);
         self.words[idx] = redmule_hwsim::faults::flip_bit32(self.words[idx], bit);
         Ok(())
     }
@@ -167,7 +231,9 @@ impl Tcdm {
     /// when the run leaves the scratchpad. (Stuck-at faults pin reads
     /// only, so they do not matter here.)
     pub fn run_mut(&mut self, addr: u32, len: usize) -> Option<&mut [u32]> {
-        self.span(addr, len).map(|span| &mut self.words[span])
+        let span = self.span(addr, len)?;
+        self.touch(span.end);
+        Some(&mut self.words[span])
     }
 
     /// Reads an aligned 32-bit word.
@@ -186,6 +252,7 @@ impl Tcdm {
     /// [`MemError::Misaligned`] or [`MemError::OutOfBounds`].
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let idx = self.word_index(addr, 4)?;
+        self.touch(idx + 1);
         self.words[idx] = value;
         Ok(())
     }
@@ -217,6 +284,7 @@ impl Tcdm {
             return Err(MemError::Misaligned { addr, align: 2 });
         }
         let idx = self.word_index(addr & !3, 4)?;
+        self.touch(idx + 1);
         let word = &mut self.words[idx];
         if addr & 2 == 0 {
             *word = (*word & 0xFFFF_0000) | u32::from(value);
@@ -243,6 +311,7 @@ impl Tcdm {
     /// [`MemError::OutOfBounds`].
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
         let idx = self.word_index(addr & !3, 4)?;
+        self.touch(idx + 1);
         let shift = (addr & 3) * 8;
         let word = &mut self.words[idx];
         *word = (*word & !(0xFF << shift)) | (u32::from(value) << shift);
@@ -289,49 +358,80 @@ impl Tcdm {
     }
 }
 
-impl Snapshot for Tcdm {
-    fn save_state(&self, w: &mut StateWriter) {
+/// The TCDM contents a checkpoint keeps ([`Tcdm::image`]): the bank
+/// count, the scratchpad's length in words, its words up to the last
+/// nonzero one (every later word is zero) and its stuck-at faults.
+///
+/// Only the in-memory form is trimmed: [`TcdmImage::encode`] writes the
+/// whole scratchpad, zero tail included, so the stored bytes do not
+/// depend on where the last nonzero word sits.
+// modelcheck: snapshot(save = encode, load = decode)
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TcdmImage {
+    n_banks: usize,
+    len: usize,
+    words: Vec<u32>,
+    stuck: Vec<(usize, StuckBit)>,
+}
+
+/// Encoded bytes of one stuck-at entry: word index, bit, value.
+const STUCK_ENTRY_BYTES: usize = 8 + 1 + 1;
+
+impl TcdmImage {
+    /// The number of bytes [`TcdmImage::encode`] appends.
+    pub fn encoded_len(&self) -> usize {
+        3 * 8 + 4 * self.len + STUCK_ENTRY_BYTES * self.stuck.len()
+    }
+
+    /// Appends the image: the bank count, all `len` words as one
+    /// length-prefixed array (the trimmed zero tail written back), then
+    /// the stuck-at list.
+    pub fn encode(&self, w: &mut StateWriter) {
         w.put(&self.n_banks);
-        w.put_u32s(&self.words);
+        w.put_u32s_padded(&self.words, self.len);
         w.put(&self.stuck.len());
-        for (&idx, fault) in &self.stuck {
-            w.put(&idx);
+        for (idx, fault) in &self.stuck {
+            w.put(idx);
             w.put(&fault.bit);
             w.put(&fault.value);
         }
     }
 
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+    /// Decodes an image written by [`TcdmImage::encode`], allocating only
+    /// for the words before the zero tail and for stuck-at entries the
+    /// stream really holds.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when the stream ends early, and
+    /// [`SnapshotError::Corrupt`] for a stuck-at entry past the
+    /// scratchpad or with a bad value tag. The geometry is checked when
+    /// the image is loaded ([`Tcdm::load_image`]).
+    pub fn decode(r: &mut StateReader<'_>) -> Result<TcdmImage, SnapshotError> {
         let n_banks: usize = r.get()?;
-        if n_banks != self.n_banks {
-            return Err(SnapshotError::ConfigMismatch(format!(
-                "TCDM has {n_banks} banks, target has {}",
-                self.n_banks
-            )));
-        }
-        let words = r.get_u32s()?;
-        if words.len() != self.words.len() {
-            return Err(SnapshotError::ConfigMismatch(format!(
-                "TCDM holds {} words, target holds {}",
-                words.len(),
-                self.words.len()
-            )));
-        }
-        self.words = words;
+        let (len, words) = r.get_u32s_trimmed()?;
         let n_stuck: usize = r.get()?;
-        self.stuck.clear();
+        if n_stuck > r.remaining() / STUCK_ENTRY_BYTES {
+            return Err(SnapshotError::Truncated);
+        }
+        let mut stuck = Vec::with_capacity(n_stuck);
         for _ in 0..n_stuck {
             let idx: usize = r.get()?;
-            if idx >= self.words.len() {
+            if idx >= len {
                 return Err(SnapshotError::Corrupt(format!(
                     "stuck-at fault on word {idx} beyond TCDM"
                 )));
             }
             let bit: u8 = r.get()?;
             let value: bool = r.get()?;
-            self.stuck.insert(idx, StuckBit { bit, value });
+            stuck.push((idx, StuckBit { bit, value }));
         }
-        Ok(())
+        Ok(TcdmImage {
+            n_banks,
+            len,
+            words,
+            stuck,
+        })
     }
 }
 
@@ -499,6 +599,122 @@ mod tests {
         assert_eq!(m.read_u32(8).unwrap(), 1 << 5);
         // Halfword reads observe the same pinned word.
         assert_eq!(m.read_u16(8).unwrap(), 1 << 5);
+    }
+
+    /// Encodes `image`, checks the length it announces, and decodes it.
+    fn wire_round_trip(image: &TcdmImage) -> TcdmImage {
+        let mut w = StateWriter::new();
+        image.encode(&mut w);
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), image.encoded_len());
+        let mut r = StateReader::new(&bytes);
+        let back = TcdmImage::decode(&mut r).unwrap();
+        assert!(r.expect_end().is_ok());
+        back
+    }
+
+    /// Every word of `a` and `b` as their read ports observe them.
+    fn same_contents(a: &Tcdm, b: &Tcdm) -> bool {
+        (0..a.size_bytes() as u32)
+            .step_by(4)
+            .all(|addr| a.read_u32(addr) == b.read_u32(addr))
+    }
+
+    #[test]
+    fn loading_an_image_zeroes_the_live_words_past_it() {
+        let mut small = mem();
+        small.write_u32(0x10, 7).unwrap();
+        let image = small.image();
+        // Each write path leaves the target a live word past the image.
+        type Write = fn(&mut Tcdm);
+        let writes: [(&str, Write); 5] = [
+            ("write_u32", |m| m.write_u32(0x400, 0xFFFF).unwrap()),
+            ("write_u16", |m| m.write_u16(0x802, 3).unwrap()),
+            ("write_u8", |m| m.write_u8(0x903, 4).unwrap()),
+            ("run_mut", |m| m.run_mut(0xA00, 8).unwrap().fill(5)),
+            ("flip_bit", |m| m.flip_bit(0xC00, 0).unwrap()),
+        ];
+        for (path, write) in writes {
+            let mut big = mem();
+            big.write_u32(0x10, 1).unwrap();
+            write(&mut big);
+            big.load_image(&image).unwrap();
+            assert!(same_contents(&big, &small), "{path}");
+            assert_eq!(big.image(), image, "{path}");
+            // The same write after the load is live again.
+            write(&mut big);
+            big.load_image(&image).unwrap();
+            assert!(same_contents(&big, &small), "{path} after a load");
+        }
+    }
+
+    #[test]
+    fn images_load_only_into_the_same_geometry() {
+        let mut m = mem();
+        m.write_u32(0, 1).unwrap();
+        let image = m.image();
+        for cfg in [
+            ClusterConfig {
+                n_banks: 8,
+                ..ClusterConfig::default()
+            },
+            ClusterConfig {
+                bank_words: 64,
+                ..ClusterConfig::default()
+            },
+        ] {
+            let mut other = Tcdm::new(&cfg);
+            other.write_u32(4, 2).unwrap();
+            assert!(matches!(
+                other.load_image(&image),
+                Err(SnapshotError::ConfigMismatch(_))
+            ));
+            assert_eq!(
+                other.read_u32(4).unwrap(),
+                2,
+                "a refused load changes nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn images_round_trip_through_the_wire_bytes() {
+        // An untouched scratchpad is an empty image of the full length.
+        let empty = mem().image();
+        assert!(empty.words.is_empty());
+        assert_eq!(wire_round_trip(&empty), empty);
+
+        // The last written word is zero: the image ends before it.
+        let mut m = mem();
+        m.write_u32(0x20, 5).unwrap();
+        m.write_u32(0x40, 0).unwrap();
+        let image = m.image();
+        assert_eq!(image.words.len(), 0x20 / 4 + 1);
+        assert_eq!(wire_round_trip(&image), image);
+
+        // Stuck-at bits travel with the image and pin reads after a load.
+        let pin = |bit, value| StuckBit { bit, value };
+        m.set_stuck(0x40, pin(2, true)).unwrap();
+        m.set_stuck(0x1000, pin(31, false)).unwrap();
+        let image = m.image();
+        let back = wire_round_trip(&image);
+        assert_eq!(back, image);
+        let mut fresh = mem();
+        fresh.load_image(&back).unwrap();
+        assert!(same_contents(&fresh, &m));
+        assert_eq!(fresh.read_u32(0x40).unwrap(), 1 << 2);
+        assert_eq!(fresh.image(), image);
+
+        // A bit flip past the workspace extends the image to cover it.
+        m.flip_bit(0x1_0000, 9).unwrap();
+        let image = m.image();
+        assert_eq!(image.words.len(), 0x1_0000 / 4 + 1);
+        let back = wire_round_trip(&image);
+        assert_eq!(back, image);
+        let mut fresh = mem();
+        fresh.load_image(&back).unwrap();
+        assert!(same_contents(&fresh, &m));
+        assert_eq!(fresh.image(), image);
     }
 
     #[test]

@@ -89,20 +89,19 @@ fn fnv_skip_zeros(mut hash: u64, mut zeros: usize) -> u64 {
     hash
 }
 
-/// FNV-1a 64-bit hash — the integrity checksum for snapshot containers.
-///
-/// Not cryptographic; it guards against truncation and accidental
-/// corruption, which is all an on-disk simulation checkpoint needs.
-///
-/// Containers carry a mostly-zero TCDM image, so runs of all-zero 8-byte
-/// words are fed in one step (`k` zero bytes multiply the state by
-/// `P^k`); every other byte goes through the bytewise definition, and
-/// the digest is identical to it.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let (words, tail) = bytes.as_chunks::<8>();
-    let mut hash = FNV_OFFSET;
-    // Zero bytes seen but not yet fed into `hash`.
-    let mut zeros = 0;
+/// Bytes per block in the zero scans: a block is tested with one OR over
+/// its eight words, which compiles to a few vector instructions.
+const ZERO_BLOCK: usize = 64;
+
+/// Whether every byte of `block` is zero.
+fn is_zero_block(block: &[u8; ZERO_BLOCK]) -> bool {
+    let (words, _) = block.as_chunks::<8>();
+    words.iter().fold(0, |acc, w| acc | u64::from_ne_bytes(*w)) == 0
+}
+
+/// Feeds whole 8-byte words into an FNV-1a state that still owes
+/// `zeros` zero bytes; returns the new state and the zero bytes it owes.
+fn fnv_words(mut hash: u64, mut zeros: usize, words: &[[u8; 8]]) -> (u64, usize) {
     for word in words {
         if *word == [0; 8] {
             zeros += 8;
@@ -114,6 +113,31 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
             hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
     }
+    (hash, zeros)
+}
+
+/// FNV-1a 64-bit hash — the integrity checksum for snapshot containers.
+///
+/// Not cryptographic; it guards against truncation and accidental
+/// corruption, which is all an on-disk simulation checkpoint needs.
+///
+/// Containers carry a mostly-zero TCDM image, so runs of all-zero
+/// 64-byte blocks and 8-byte words are fed in one step (`k` zero bytes
+/// multiply the state by `P^k`); every other byte goes through the
+/// bytewise definition, and the digest is identical to it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let (blocks, rest) = bytes.as_chunks::<ZERO_BLOCK>();
+    // `zeros`: zero bytes seen but not yet fed into `hash`.
+    let (mut hash, mut zeros) = (FNV_OFFSET, 0);
+    for block in blocks {
+        if is_zero_block(block) {
+            zeros += ZERO_BLOCK;
+        } else {
+            (hash, zeros) = fnv_words(hash, zeros, block.as_chunks::<8>().0);
+        }
+    }
+    let (words, tail) = rest.as_chunks::<8>();
+    (hash, zeros) = fnv_words(hash, zeros, words);
     hash = fnv_skip_zeros(hash, zeros);
     for &b in tail {
         hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
@@ -133,6 +157,14 @@ impl StateWriter {
         StateWriter::default()
     }
 
+    /// An empty writer with room for `bytes` bytes, for a payload whose
+    /// size is known before it is written.
+    pub fn with_capacity(bytes: usize) -> StateWriter {
+        StateWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends one value using its [`Persist`] encoding.
     pub fn put<T: Persist>(&mut self, value: &T) {
         value.write_to(self);
@@ -150,25 +182,21 @@ impl StateWriter {
         self.put_bytes(bytes);
     }
 
-    /// Appends a length-prefixed `u32` slice in one pass: the same bytes
-    /// as `put(&Vec<u32>)`, without a call per element.
-    pub fn put_u32s(&mut self, words: &[u32]) {
-        self.put(&words.len());
+    /// Appends a length-prefixed array of `len` `u32`s whose first words
+    /// are `words` and whose rest are zero, in one pass: the same bytes as
+    /// `put(&Vec<u32>)` over the zero-padded array, without building it.
+    ///
+    /// # Panics
+    ///
+    /// If `words` is longer than `len`: the array would lose words.
+    pub fn put_u32s_padded(&mut self, words: &[u32], len: usize) {
+        assert!(words.len() <= len, "{} words exceed {len}", words.len());
+        self.put(&len);
         let start = self.buf.len();
-        self.buf.resize(start + 4 * words.len(), 0);
+        self.buf.resize(start + 4 * len, 0);
         for (dst, word) in self.buf[start..].chunks_exact_mut(4).zip(words) {
             dst.copy_from_slice(&word.to_le_bytes());
         }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Consumes the writer and returns the encoded bytes.
@@ -227,20 +255,32 @@ impl<'a> StateReader<'a> {
         Ok(self.take_bytes(len)?.to_vec())
     }
 
-    /// Decodes a length-prefixed `u32` slice in one pass: the inverse of
-    /// [`StateWriter::put_u32s`], and equivalent to `get::<Vec<u32>>()`.
+    /// Decodes a length-prefixed `u32` array (as written by
+    /// [`StateWriter::put_u32s_padded`] or `put(&Vec<u32>)`) into its
+    /// declared length and its words up to the last nonzero one: the
+    /// inverse of the padded writer. The zero tail is skipped a 64-byte
+    /// block at a time and never allocated.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Truncated`] if fewer words remain than the
-    /// prefix declares.
-    pub fn get_u32s(&mut self) -> Result<Vec<u32>, SnapshotError> {
+    /// prefix declares, before anything is allocated.
+    pub fn get_u32s_trimmed(&mut self) -> Result<(usize, Vec<u32>), SnapshotError> {
         let len: usize = self.get()?;
         let bytes = self.take_bytes(len.checked_mul(4).ok_or(SnapshotError::Truncated)?)?;
-        Ok(bytes
+        // Whole zero blocks from the end, then the zero words of the last
+        // nonzero block (or of the words before the first block).
+        let (head, blocks) = bytes.as_rchunks::<ZERO_BLOCK>();
+        let zero_blocks = blocks.iter().rev().take_while(|b| is_zero_block(b)).count();
+        let mut present = (head.len() + ZERO_BLOCK * (blocks.len() - zero_blocks)) / 4;
+        while present > 0 && bytes[4 * present - 4..4 * present] == [0; 4] {
+            present -= 1;
+        }
+        let words = bytes[..4 * present]
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
+            .collect();
+        Ok((len, words))
     }
 
     /// Bytes not yet consumed.
@@ -568,7 +608,7 @@ mod tests {
         let words: Vec<u32> = (0..37u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         let bytes: Vec<u8> = (0..41u8).collect();
         let mut bulk = StateWriter::new();
-        bulk.put_u32s(&words);
+        bulk.put_u32s_padded(&words, words.len());
         bulk.put_u8s(&bytes);
         let mut each = StateWriter::new();
         each.put(&words);
@@ -576,7 +616,7 @@ mod tests {
         let encoded = bulk.finish();
         assert_eq!(encoded, each.finish());
         let mut r = StateReader::new(&encoded);
-        assert_eq!(r.get_u32s().unwrap(), words);
+        assert_eq!(r.get_u32s_trimmed().unwrap(), (37, words.clone()));
         assert_eq!(r.get_u8s().unwrap(), bytes);
         assert!(r.expect_end().is_ok());
         let mut r = StateReader::new(&encoded);
@@ -586,11 +626,11 @@ mod tests {
         // A short or absurdly long word array is a truncation, exactly as
         // for `get::<Vec<u32>>()`.
         let mut r = StateReader::new(&encoded[..8 + 4 * 36 + 2]);
-        assert_eq!(r.get_u32s(), Err(SnapshotError::Truncated));
+        assert_eq!(r.get_u32s_trimmed(), Err(SnapshotError::Truncated));
         let mut r = StateReader::new(&encoded[..8 + 4 * 36 + 2]);
         assert_eq!(r.get::<Vec<u32>>(), Err(SnapshotError::Truncated));
         let mut r = StateReader::new(&[0xFF; 8]);
-        assert!(r.get_u32s().is_err());
+        assert!(r.get_u32s_trimmed().is_err());
         // Likewise for bytes: one short, or a length far past the buffer.
         let bytes_at = encoded.len() - 8 - 41;
         let mut r = StateReader::new(&encoded[bytes_at..encoded.len() - 1]);
@@ -599,6 +639,47 @@ mod tests {
         assert_eq!(r.get::<Vec<u8>>(), Err(SnapshotError::Truncated));
         let mut r = StateReader::new(&[0xFF; 8]);
         assert_eq!(r.get_u8s(), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn padded_words_encode_like_vecs_and_decode_trimmed() {
+        // Prefixes ending in a nonzero or a zero word, padded to lengths
+        // on both sides of the 16-word zero-scan block; all-zero arrays
+        // included.
+        for len in [0usize, 1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 31, 32, 33, 47] {
+            let mut prefixes = vec![0, 1, 2, len / 2, len.saturating_sub(1), len];
+            prefixes.retain(|&p| p <= len);
+            for prefix in prefixes {
+                for zero_last in [false, true] {
+                    let words: Vec<u32> = (0..prefix)
+                        .map(|i| {
+                            if (zero_last && i + 1 == prefix) || i % 3 == 1 {
+                                0
+                            } else {
+                                0x8000_0001 ^ ((i as u32) << 8)
+                            }
+                        })
+                        .collect();
+                    let mut full = words.clone();
+                    full.resize(len, 0);
+                    let want =
+                        full[..full.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1)].to_vec();
+                    let mut padded = StateWriter::new();
+                    padded.put_u32s_padded(&words, len);
+                    let encoded = padded.finish();
+                    let mut each = StateWriter::new();
+                    each.put(&full);
+                    assert_eq!(encoded, each.finish(), "len {len}, prefix {prefix}");
+                    let mut r = StateReader::new(&encoded);
+                    assert_eq!(r.get_u32s_trimmed(), Ok((len, want)), "len {len}");
+                    assert!(r.expect_end().is_ok());
+                    for cut in 0..encoded.len() {
+                        let mut r = StateReader::new(&encoded[..cut]);
+                        assert_eq!(r.get_u32s_trimmed(), Err(SnapshotError::Truncated));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

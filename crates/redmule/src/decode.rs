@@ -65,6 +65,15 @@ pub enum DecodeError {
         /// Which container was being decoded.
         container: &'static str,
     },
+    /// The framing was intact but a decoded field holds a value its type
+    /// cannot take (a bad tag, an index past the structure it points
+    /// into).
+    Corrupt {
+        /// Which container or section was being decoded.
+        container: &'static str,
+        /// What was wrong.
+        what: String,
+    },
     /// The envelope was intact but a nested section failed to decode.
     Section {
         /// Which container was being decoded.
@@ -86,6 +95,7 @@ impl DecodeError {
             DecodeError::LengthOverflow { .. } => "length-overflow",
             DecodeError::TrailingBytes { .. } => "trailing-bytes",
             DecodeError::ChecksumMismatch { .. } => "checksum-mismatch",
+            DecodeError::Corrupt { .. } => "corrupt",
             DecodeError::Section { .. } => "bad-section",
         }
     }
@@ -99,6 +109,7 @@ impl DecodeError {
             | DecodeError::LengthOverflow { container, .. }
             | DecodeError::TrailingBytes { container, .. }
             | DecodeError::ChecksumMismatch { container }
+            | DecodeError::Corrupt { container, .. }
             | DecodeError::Section { container, .. } => container,
         }
     }
@@ -132,6 +143,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::ChecksumMismatch { container } => {
                 write!(f, "{container} payload checksum mismatch")
             }
+            DecodeError::Corrupt { container, what } => write!(f, "{container} corrupt: {what}"),
             DecodeError::Section {
                 container,
                 section,
@@ -239,17 +251,18 @@ pub fn decode_container(spec: ContainerSpec, bytes: &[u8]) -> Result<Vec<u8>, De
 }
 
 /// Reads a `u64`-length-prefixed byte section at `*pos` in `payload`
-/// (the `StateWriter` encoding of `Vec<u8>`), advancing `*pos`.
+/// (the `StateWriter` encoding of `Vec<u8>`), advancing `*pos`. The
+/// section is borrowed, so a caller can parse it in place.
 ///
 /// # Errors
 ///
 /// [`DecodeError::Truncated`] when the prefix or body runs past the
 /// payload.
-pub fn take_byte_section(
+pub fn take_byte_section<'a>(
     container: &'static str,
-    payload: &[u8],
+    payload: &'a [u8],
     pos: &mut usize,
-) -> Result<Vec<u8>, DecodeError> {
+) -> Result<&'a [u8], DecodeError> {
     let truncated = || DecodeError::Truncated { container };
     let at = *pos;
     let header = payload.get(at..at + 8).ok_or_else(truncated)?;
@@ -264,7 +277,7 @@ pub fn take_byte_section(
         .get(at + 8..(at + 8).checked_add(len).ok_or_else(truncated)?)
         .ok_or_else(truncated)?;
     *pos = at + 8 + len;
-    Ok(body.to_vec())
+    Ok(body)
 }
 
 #[cfg(test)]

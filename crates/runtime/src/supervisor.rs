@@ -185,11 +185,6 @@ impl Supervisor {
         self
     }
 
-    /// The supervised engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Starts `job` and drives it under supervision.
     ///
     /// # Errors

@@ -4,7 +4,7 @@
 //! yield a typed [`redmule::DecodeError`], never a panic and never a
 //! silently accepted wrong value. A protected (RedMulE-FT) session's
 //! payload, damaged inside a well-formed container, must fail to resume
-//! with a typed error too.
+//! with a typed error too, and so must a damaged TCDM section.
 
 use proptest::prelude::*;
 use redmule::decode::{decode_container, encode_container, ContainerSpec, DecodeError};
@@ -12,9 +12,11 @@ use redmule::{
     stage_gemm_workspace_in, AccelConfig, Engine, EngineError, FaultPlan, FaultSite, FaultSpec,
     Format, FtConfig, SessionState, TransientTarget, SESSION_STATE_VERSION,
 };
+use redmule_cluster::{ClusterConfig, Hci, Tcdm};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
-use redmule_runtime::{Checkpoint, Limits, Supervisor};
+use redmule_hwsim::StuckBit;
+use redmule_runtime::{Checkpoint, Limits, Supervisor, CHECKPOINT_VERSION};
 
 fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
     let gen = |len: usize, s: u32| -> Vec<F16> {
@@ -237,6 +239,10 @@ fn damage_kinds_are_the_documented_ones() {
             extra: 1,
         },
         DecodeError::ChecksumMismatch { container: "x" },
+        DecodeError::Corrupt {
+            container: "x",
+            what: "bad tag".to_owned(),
+        },
         DecodeError::Section {
             container: "x",
             section: "session",
@@ -292,6 +298,115 @@ fn damaged_protected_session_payload_fails_to_resume_with_a_typed_error() {
             damaged[at] ^= mask;
             if let Err(e) = resume(&damaged) {
                 assert!(matches!(e, EngineError::Snapshot(_)), "byte {at}: {e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn damaged_tcdm_section_fails_typed_under_a_valid_envelope() {
+    // Damage under a valid envelope: the TCDM section is cut, extended or
+    // flipped, then the payload is re-wrapped with a fresh checksum, so
+    // only the section's decoder and the restore stand guard.
+    const CHECKPOINT: ContainerSpec = ContainerSpec {
+        name: "checkpoint",
+        magic: *b"RMCK",
+        version: CHECKPOINT_VERSION,
+    };
+    let shape = GemmShape::new(8, 10, 16);
+    let (x, w) = data(shape, 47);
+    let engine = Engine::new(AccelConfig::new(4, 2, 1));
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
+    // Two stuck-at faults, so the section ends in a stuck-at list.
+    for (addr, bit) in [(0x20, 3), (0x1_0000, 30)] {
+        let fault = StuckBit { bit, value: true };
+        mem.set_stuck(addr, fault).expect("stuck-at fault");
+    }
+    let run = Supervisor::new(engine.clone())
+        .with_limits(Limits::none().with_max_cycles(60))
+        .run(job, &mut mem, &mut hci)
+        .expect("run");
+    let valid = run.checkpoint.expect("checkpoint").to_bytes();
+
+    // Split the payload into its three length-prefixed sections.
+    let payload = decode_container(CHECKPOINT, &valid).expect("payload");
+    let mut sections = Vec::new();
+    let mut pos = 0;
+    while pos < payload.len() {
+        let len = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("8 bytes")) as usize;
+        sections.push(&payload[pos + 8..pos + 8 + len]);
+        pos += 8 + len;
+    }
+    let [session, tcdm, hci_bytes] = sections[..] else {
+        panic!("a checkpoint has three sections");
+    };
+    let rewrap = |tcdm: &[u8]| {
+        let mut p = Vec::new();
+        for section in [session, tcdm, hci_bytes] {
+            p.extend_from_slice(&(section.len() as u64).to_le_bytes());
+            p.extend_from_slice(section);
+        }
+        encode_container(CHECKPOINT, &p)
+    };
+    assert_eq!(rewrap(tcdm), valid, "the split is exact");
+    let cfg = ClusterConfig::default();
+    let resume = |tcdm: &[u8]| -> Result<(), String> {
+        let ckpt = Checkpoint::from_bytes(&rewrap(tcdm)).map_err(|e| {
+            assert!(
+                matches!(
+                    &e,
+                    DecodeError::Section {
+                        section: "tcdm",
+                        ..
+                    }
+                ),
+                "{e}"
+            );
+            e.to_string()
+        })?;
+        let (mut mem, mut hci) = (Tcdm::new(&cfg), Hci::new(&cfg));
+        match ckpt.restore(&engine, &mut mem, &mut hci) {
+            Ok(_) => Ok(()),
+            Err(e @ EngineError::Snapshot(_)) => Err(e.to_string()),
+            Err(e) => panic!("untyped restore failure: {e}"),
+        }
+    };
+    assert_eq!(resume(tcdm), Ok(()), "the intact section resumes");
+
+    // Layout: bank count, word count, the words, the stuck-at count and
+    // two 10-byte entries.
+    let words_end = tcdm.len() - 8 - 2 * 10;
+    assert_eq!(tcdm[words_end..words_end + 8], 2u64.to_le_bytes());
+    let header = 0..16;
+    let stuck_list = words_end..tcdm.len();
+    let sampled_words = (16..words_end).step_by(4093);
+
+    let cuts = header
+        .clone()
+        .chain(sampled_words.clone())
+        .chain(words_end - 8..tcdm.len());
+    for cut in cuts {
+        assert!(resume(&tcdm[..cut]).is_err(), "cut at {cut} accepted");
+    }
+    for extra in 1..9 {
+        let mut extended = tcdm.to_vec();
+        extended.resize(tcdm.len() + extra, 0);
+        assert!(resume(&extended).is_err(), "{extra} extra bytes accepted");
+    }
+    // A flip of any byte either loads or fails typed: a flipped word, or
+    // a stuck-at entry flipped to another in-range one, is another valid
+    // image, which only the envelope's checksum can tell apart. Flips in
+    // the bank count, the word count and the stuck-at count always fail.
+    for at in header.clone().chain(sampled_words).chain(stuck_list) {
+        for mask in [0x01u8, 0x80, 0xff] {
+            let mut damaged = tcdm.to_vec();
+            damaged[at] ^= mask;
+            let must_fail = header.contains(&at) || (words_end..words_end + 8).contains(&at);
+            if must_fail {
+                assert!(resume(&damaged).is_err(), "byte {at} ^ {mask:#x} accepted");
+            } else {
+                let _ = resume(&damaged);
             }
         }
     }

@@ -269,6 +269,59 @@ fn watchdog_hang_is_recovered_by_rollback() {
 }
 
 #[test]
+fn budget_stop_after_a_rollback_matches_an_uninterrupted_stop() {
+    // The budget trips mid-tile; on the way to the next tile boundary the
+    // run stores Z words past its last checkpoint's image, then a panic
+    // rolls it back there and the stop lands on the restored boundary.
+    // Nothing of the rolled-back attempt may survive: not in the
+    // checkpoint, and not in the partial Z a degraded caller reads back.
+    // Only the restore can remove those words (the replay that would
+    // rewrite them never runs), so it must zero every word past the image.
+    let shape = GemmShape::new(4, 8, 40);
+    let (x, w) = data(shape, 19);
+    let engine = Engine::new(small_cfg());
+    // Tile boundaries fall every 24 cycles from cycle 30; the next tile's
+    // first Z row lands 6 cycles past each.
+    let budget = 140;
+
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
+    let session = engine.start(job).expect("start");
+    let mut armed = true;
+    let rolled_back = Supervisor::new(engine.clone())
+        .with_limits(Limits::none().with_max_cycles(budget))
+        .run_observed(session, &mut mem, &mut hci, |s| {
+            if armed && s.cycle() >= budget {
+                armed = false;
+                panic!("injected panic after the budget tripped");
+            }
+        })
+        .expect("supervised run");
+    assert_eq!(rolled_back.stop, StopReason::CycleBudget);
+    assert_eq!(rolled_back.retries, 1, "the panic rolled the run back");
+    let stopped_at = rolled_back.report.cycles.count();
+    assert!(stopped_at < budget, "the stop is the restored boundary");
+    assert!(rolled_back.tiles_done > 0, "Z stores precede the boundary");
+    let z_rolled_back = mem.load_f16_slice(job.z_addr, shape.z_len()).expect("Z");
+
+    // The same job stopped at the same boundary without a rollback.
+    let (job, mut mem, mut hci) =
+        stage_gemm_workspace_in(shape, Format::Fp16, &x, &w, None).expect("stage");
+    let uninterrupted = Supervisor::new(engine)
+        .with_limits(Limits::none().with_max_cycles(stopped_at))
+        .run(job, &mut mem, &mut hci)
+        .expect("supervised run");
+    assert_eq!(uninterrupted.retries, 0);
+    assert_eq!(uninterrupted.report.cycles.count(), stopped_at);
+    let z_uninterrupted = mem.load_f16_slice(job.z_addr, shape.z_len()).expect("Z");
+    assert_eq!(bits(&z_rolled_back), bits(&z_uninterrupted), "partial Z");
+    assert_eq!(
+        rolled_back.checkpoint.expect("checkpoint").to_bytes(),
+        uninterrupted.checkpoint.expect("checkpoint").to_bytes()
+    );
+}
+
+#[test]
 fn unrecoverable_watchdog_reports_failed_not_panic() {
     let shape = GemmShape::new(4, 4, 8);
     let (x, w) = data(shape, 29);
